@@ -9,8 +9,7 @@ dimensions are 1, 3, 4, 9, ... rather than 1, 2, 4, 8, ...
 
 import argparse
 
-from hopfgen.generic_base import _e_basis
-from hopfgen.hopf import center, e_algebra, taft
+from hopfgen.hopf import center, e_algebra, e_basis, taft
 
 
 def main() -> None:
@@ -24,7 +23,7 @@ def main() -> None:
     for n in range(1, args.max_e + 1):
         h = e_algebra(n)
         cen = center(h)
-        basis = _e_basis(n)
+        basis = e_basis(n)
         even = {
             i for i, (a, s) in enumerate(basis) if a == 0 and len(s) % 2 == 0
         }

@@ -322,7 +322,7 @@ def cmd_selftest(args: argparse.Namespace) -> tuple[dict, int]:
         bad = [n for n in numbers if n not in known]
         if bad:
             raise UsageError(f"unknown criteria {bad}")
-    results = run_criteria(numbers, seed=args.seed, jobs=args.jobs)
+    results = run_criteria(numbers, seed=args.seed)
     ok = all(rep.ok for _, _, rep in results)
     if args.format == "text":
         for number, title, rep in results:
@@ -406,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     common(p, family=False)
     p.add_argument("--criteria", help="comma list of criterion numbers (default all)")
-    p.add_argument("--jobs", type=int, default=1, help="worker pool size")
     p.set_defaults(func=cmd_selftest)
 
     return parser

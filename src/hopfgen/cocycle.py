@@ -14,16 +14,16 @@ from fractions import Fraction
 
 from .arith import Scalar, scalar_from_strings, scalar_to_strings
 from .errors import NotInvertible, RangeError, UnsupportedFamily
-from .hopf import HopfAlgebra, _canonical_terms, structure_equal
+from .hopf import HopfAlgebra, _canonical_terms
 from .linalg import solve_unique
 from .report import Report
 
 
 class TwoCocycle:
     """A normalized bilinear form on basis pairs, with its convolution
-    inverse cached once computed."""
+    inverse and the target algebra of `identities.mu` kept once computed."""
 
-    __slots__ = ("hopf", "values", "_inverse")
+    __slots__ = ("hopf", "values", "_inverse", "_mu_target")
 
     def __init__(
         self,
@@ -38,6 +38,7 @@ class TwoCocycle:
         self.hopf = hopf
         self.values = [list(row) for row in values]
         self._inverse = None
+        self._mu_target = None
         rep = verify_normalization(hopf, self.values)
         if not rep.ok:
             raise RangeError("; ".join(c.details for c in rep.failures()))
@@ -270,31 +271,21 @@ class TwistedAlgebra:
     """The comodule algebra on the u-basis: twisted product, original
     coaction, coinvariants reduced to the unit line."""
 
-    __slots__ = ("hopf", "mult", "unit_index", "labels")
+    __slots__ = ("hopf", "mult", "unit_index", "labels", "_center")
 
     def __init__(self, hopf: HopfAlgebra, mult, unit_index: int):
         self.hopf = hopf
         self.mult = mult
         self.unit_index = unit_index
         self.labels = [f"u[{lbl}]" for lbl in hopf.labels]
+        self._center = None  # reduced centre span, filled by tring on first use
 
     @property
     def dim(self) -> int:
         return self.hopf.dim
 
-    def multiply_dicts(self, a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
-        out: dict[int, Scalar] = {}
-        for i, ci in a.items():
-            for j, cj in b.items():
-                terms = self.mult.get((i, j))
-                if not terms:
-                    continue
-                cij = ci * cj
-                for k, c in terms:
-                    cur = out.get(k)
-                    v = cij * c
-                    out[k] = v if cur is None else cur + v
-        return {k: c for k, c in out.items() if not c.is_zero}
+    # the product reads nothing but the mult table
+    multiply_dicts = HopfAlgebra.multiply_dicts
 
     def coaction(self, a: dict[int, Scalar]) -> dict[tuple[int, int], Scalar]:
         return self.hopf.comult_dict(a)
@@ -415,22 +406,23 @@ def cotwist_hopf(hopf: HopfAlgebra, alpha) -> HopfAlgebra:
             terms = _canonical_terms(acc.items())
             if terms:
                 mult[(i, j)] = terms
-    out = HopfAlgebra(
+    if mult == hopf.mult:
+        # identical tables (the shared coalgebra fixes the antipode too):
+        # keep the family tag so downstream presentations stay available
+        family, name = hopf.family, hopf.name
+    else:
+        family = {"kind": "generic", "cotwist_of": hopf.family.get("kind")}
+        name = f"cotwist({hopf.name})"
+    return HopfAlgebra(
         hopf.field,
         list(hopf.labels),
         mult,
         hopf.comult,
         hopf.counit,
         hopf.unit_index,
-        {"kind": "generic", "cotwist_of": hopf.family.get("kind")},
-        name=f"cotwist({hopf.name})",
+        family,
+        name=name,
     )
-    if structure_equal(out, hopf):
-        # identical tables: keep the family tag so downstream presentations
-        # stay available
-        out.family = dict(hopf.family)
-        out.name = hopf.name
-    return out
 
 
 def coboundary_cocycle(hopf: HopfAlgebra, seed: int) -> TwoCocycle:

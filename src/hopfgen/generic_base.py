@@ -29,9 +29,10 @@ from .errors import (
     UnsupportedFamily,
     WitnessFailure,
 )
-from .hopf import HopfAlgebra, hab_grading
+from .hopf import HopfAlgebra, e_basis, hab_grading
 from .identities import LocalizedDenominator, NCPoly, mu, symbol
 from .lattice import solve_in_lattice, y_group
+from .linalg import scalar_det
 from .report import Report
 from .tring import TElement, TMonomial, TensorH, t_inverse_map, t_ring
 
@@ -217,16 +218,13 @@ class GammaPresentation:
         return self.invertible_gens + self.plain_gens
 
 
-_PRES_CACHE: dict[int, GammaPresentation] = {}
-
-
 def gamma_generators(hopf: HopfAlgebra) -> GammaPresentation:
     """Generators of the degree-zero part of the localized coordinate ring,
     one recipe per family; every generator is checked to be a degree-zero
-    Laurent monomial before the presentation is returned."""
-    pres = _PRES_CACHE.get(id(hopf))
-    if pres is not None and pres.hopf is hopf:
-        return pres
+    Laurent monomial before the presentation is returned, and the
+    presentation is kept on the instance."""
+    if hopf._presentation is not None:
+        return hopf._presentation
     kind = hopf.family.get("kind") if hopf.family else None
     if kind == "taft":
         pres = _taft_presentation(hopf)
@@ -245,7 +243,7 @@ def gamma_generators(hopf: HopfAlgebra) -> GammaPresentation:
             raise WitnessFailure("presentation generators must be Laurent monomials")
         if ring.hab_degree(next(iter(gen.terms))) != zero:
             raise WitnessFailure(f"generator {gen.to_text()} is not degree zero")
-    _PRES_CACHE[id(hopf)] = pres
+    hopf._presentation = pres
     return pres
 
 
@@ -285,29 +283,10 @@ def _taft_presentation(hopf: HopfAlgebra) -> GammaPresentation:
     return GammaPresentation(hopf, "taft", tuple(inv), tuple(plain), _ab_lift_vars(hopf))
 
 
-def _e_basis(n: int) -> list[tuple[int, tuple[int, ...]]]:
-    out: list[tuple[int, tuple[int, ...]]] = [(0, ()), (1, ())]
-    for size in range(1, n + 1):
-        subs = list(itertools.combinations(range(1, n + 1), size))
-        out.extend((0, s) for s in subs)
-        out.extend((1, s) for s in subs)
-    return out
-
-
-def _e_label(a: int, s: tuple[int, ...]) -> str:
-    parts = ["x"] if a else []
-    if s:
-        sub = str(s[0]) if len(s) == 1 else "{" + ",".join(map(str, s)) + "}"
-        parts.append(f"y_{sub}")
-    return " ".join(parts) or "1"
-
-
 def _e_presentation(hopf: HopfAlgebra) -> GammaPresentation:
     n = hopf.family["n"]
     ring = t_ring(hopf)
-    basis = _e_basis(n)
-    # the index convention below must match the constructor's
-    assert [_e_label(a, s) for a, s in basis] == list(hopf.labels)
+    basis = e_basis(n)
     inv = (ring.var(0), ring.var(1, 2))
     plain = []
     for b in range(2, hopf.dim):
@@ -393,29 +372,6 @@ def _det_telements(rows: list[list[TElement]], ring) -> TElement:
     return total
 
 
-def _scalar_det(rows: list[list[Scalar]], field) -> Scalar:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = field.one
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero), None)
-        if piv is None:
-            return field.zero
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        pval = m[col][col]
-        det = det * pval
-        pinv = pval.inverse()
-        for r in range(col + 1, n):
-            f = m[r][col] * pinv
-            if f.is_zero:
-                continue
-            for c in range(col, n):
-                m[r][c] = m[r][c] - f * m[col][c]
-    return det
-
-
 def torus_minor_determinant(hopf: HopfAlgebra) -> TElement:
     """Symbolic determinant of the torus block: partials of the invertible
     generators with respect to the group-like variables, expanded over
@@ -473,7 +429,7 @@ def jacobian_check(hopf: HopfAlgebra, seed: int = 0) -> tuple[TElement, bool]:
             [ring.evaluate(_partial(gen, v), values) for v in range(hopf.dim)]
             for gen in gens
         ]
-        det = _scalar_det(rows, field)
+        det = scalar_det(rows, field)
         if not det.is_zero:
             return ring.scalar(det), True
     raise SingularJacobian("determinant vanished at three sample points")
@@ -789,7 +745,7 @@ def _e_witnesses(hopf: HopfAlgebra, pres: GammaPresentation):
     n = hopf.family["n"]
     field = hopf.field
     ring = t_ring(hopf)
-    basis = _e_basis(n)
+    basis = e_basis(n)
     index = {bs: i for i, bs in enumerate(basis)}
     X = [symbol(hopf, i, WITNESS_CAP) for i in range(hopf.dim)]
     W = X[0] * X[1] * X[1]
@@ -1031,7 +987,7 @@ def uprime_relations_check(hopf: HopfAlgebra) -> Report:
         )
     elif kind == "e":
         n = hopf.family["n"]
-        basis = _e_basis(n)
+        basis = e_basis(n)
         index = {bs: i for i, bs in enumerate(basis)}
         xi = image(1)
         etas = {}
@@ -1064,7 +1020,7 @@ def uprime_relations_check(hopf: HopfAlgebra) -> Report:
                     val = xi**a
                     for i in s:
                         val = val * etas[i]
-                    products[_e_label(a, s)] = val
+                    products[hopf.labels[index[(a, s)]]] = val
         pbw(products)
     elif kind == "monomial":
         fam = hopf.family

@@ -43,6 +43,10 @@ class HopfAlgebra:
     missing pairs multiply to zero.  comult maps an index to its tensor
     expansion.  Group-like elements must occupy an initial segment of
     the basis so the antipode can be solved for triangularly.
+
+    After construction only the lazy fields are written, on first use:
+    the coordinate ring (`tring.t_ring`), the base-algebra presentation
+    (`generic_base.gamma_generators`) and the reduced centre span.
     """
 
     __slots__ = (
@@ -58,6 +62,9 @@ class HopfAlgebra:
         "name",
         "_index",
         "_gl_inv",
+        "_ring",
+        "_presentation",
+        "_center",
     )
 
     def __init__(
@@ -97,6 +104,9 @@ class HopfAlgebra:
         ]
         self._gl_inv = self._grouplike_inverses()
         self.antipode = antipode if antipode is not None else self._solve_antipode()
+        self._ring = None
+        self._presentation = None
+        self._center = None
 
     @property
     def dim(self) -> int:
@@ -452,6 +462,18 @@ def taft(n: int) -> HopfAlgebra:
     )
 
 
+def e_basis(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The basis of e_algebra(n) in index order, as pairs (a, S) standing
+    for x^a y_S: S runs over the subsets of 1..n by size, and within one
+    size a = 0 comes before a = 1."""
+    basis: list[tuple[int, tuple[int, ...]]] = [(0, ()), (1, ())]
+    for size in range(1, n + 1):
+        subsets = list(combinations(range(1, n + 1), size))
+        basis.extend((0, s) for s in subsets)
+        basis.extend((1, s) for s in subsets)
+    return basis
+
+
 def e_algebra(n: int) -> HopfAlgebra:
     """Dimension 2^(n+1) family over the rationals: one group-like
     involution x and n skew-primitive generators y_i with y_i^2 = 0."""
@@ -460,11 +482,7 @@ def e_algebra(n: int) -> HopfAlgebra:
     field = make_field(2)
     one = field.one
 
-    basis: list[tuple[int, tuple[int, ...]]] = [(0, ()), (1, ())]
-    for size in range(1, n + 1):
-        subsets = list(combinations(range(1, n + 1), size))
-        basis.extend((0, s) for s in subsets)
-        basis.extend((1, s) for s in subsets)
+    basis = e_basis(n)
     index = {be: i for i, be in enumerate(basis)}
 
     def label(a: int, s: tuple[int, ...]) -> str:

@@ -296,20 +296,17 @@ def parse_ncpoly(text: str, hopf: HopfAlgebra, cap: int = DEFAULT_WORD_CAP) -> N
     return _Parser(text, hopf, cap).parse()
 
 
-_MU_ALGEBRA_CACHE: dict[tuple[int, int], tuple[object, object, TwistedAlgebra | HopfAlgebra]] = {}
-
-
-def mu_algebra(hopf: HopfAlgebra, alpha: TwoCocycle):
+def mu_algebra(hopf: HopfAlgebra, alpha: TwoCocycle) -> TwistedAlgebra | HopfAlgebra:
     """The target algebra of `mu`: the cocycle-twisted product on the same
-    basis, collapsed to the plain algebra when the twist changes nothing."""
-    key = (id(hopf), id(alpha))
-    hit = _MU_ALGEBRA_CACHE.get(key)
-    if hit is not None and hit[0] is hopf and hit[1] is alpha:
-        return hit[2]
-    tw = twisted_algebra(hopf, alpha, verify=False)
-    out = hopf if tw.mult == hopf.mult else tw
-    _MU_ALGEBRA_CACHE[key] = (hopf, alpha, out)
-    return out
+    basis, collapsed to the plain algebra when the twist changes nothing.
+    Built once per cocycle and kept on it, so the cocycle must be a
+    TwoCocycle of this very instance."""
+    if getattr(alpha, "hopf", None) is not hopf:
+        raise CocycleMismatch("the cocycle is not a TwoCocycle of this algebra instance")
+    if alpha._mu_target is None:
+        tw = twisted_algebra(hopf, alpha, verify=False)
+        alpha._mu_target = hopf if tw.mult == hopf.mult else tw
+    return alpha._mu_target
 
 
 def mu(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> TensorH:

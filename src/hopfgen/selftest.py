@@ -6,21 +6,19 @@ check is expected to pass except the quoted closed forms that criteria 5
 and 10 carry: the exact computation refutes them, so they fail by design
 (see the README, "Acceptance suite").  The functions are shared by the
 test suite and the command-line ``selftest`` verb; ``run_criteria``
-drives them with optional thread-pool fan-out.
+runs them one after another.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 
 from .cocycle import coboundary_cocycle, cotwist_hopf, is_lazy, trivial_cocycle
-from .errors import WitnessFailure
+from .errors import RangeError, WitnessFailure
 from .generic_base import (
-    _e_basis,
     decompose,
     decompose_with_residue,
     gamma_generators,
@@ -44,6 +42,7 @@ from .hopf import (
     HopfAlgebra,
     center,
     e_algebra,
+    e_basis,
     group_algebra,
     monomial_type_i,
     structure_equal,
@@ -75,8 +74,9 @@ def klein_monomial() -> HopfAlgebra:
 def standard_instances() -> tuple[tuple[str, HopfAlgebra], ...]:
     """The roster every roster-wide criterion runs over.
 
-    Cached so that per-object caches (coordinate rings, presentations)
-    stay warm across criteria.
+    Cached so that the data derived from each instance, which lives on
+    the instance (coordinate ring, presentation, centre span), is built
+    once and reused across criteria.
     """
     out: list[tuple[str, HopfAlgebra]] = []
     for n in range(2, 6):
@@ -342,7 +342,7 @@ def criterion_10(seed: int = 0) -> Report:
     for n in range(1, 5):
         h = _instance(f"e({n})")
         cen = center(h)
-        basis = _e_basis(n)
+        basis = e_basis(n)
         expected = {
             i
             for i, (a, s) in enumerate(basis)
@@ -536,29 +536,19 @@ _FUNCS = {
 }
 
 
-def _prewarm() -> None:
-    # rings and presentations are cached by object identity; building them
-    # up front keeps a threaded run from racing on the caches
-    for _, h in standard_instances():
-        t_ring(h)
-        if h.family.get("kind") in {"taft", "e", "monomial", "group"}:
-            gamma_generators(h)
-
-
 def run_criteria(
     numbers=None, seed: int = 0, jobs: int = 1
 ) -> list[tuple[int, str, Report]]:
     """Run the requested criteria (all by default) and return their
-    reports in numeric order."""
+    reports in numeric order.  The criteria are pure Python and run
+    serially; `jobs` is kept for callers that pass 1 and admits no other
+    value."""
+    if jobs != 1:
+        raise RangeError(f"jobs must be 1, got {jobs}")
     wanted = sorted(set(numbers) if numbers else _FUNCS)
     unknown = [n for n in wanted if n not in _FUNCS]
     if unknown:
         raise KeyError(f"unknown criteria {unknown}")
     titles = dict(CRITERIA)
-    if jobs > 1:
-        _prewarm()
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda n: _FUNCS[n](seed=seed), wanted))
-    else:
-        reports = [_FUNCS[n](seed=seed) for n in wanted]
+    reports = [_FUNCS[n](seed=seed) for n in wanted]
     return [(n, titles[n], rep) for n, rep in zip(wanted, reports)]

@@ -370,17 +370,12 @@ def tensor_t_product(a: dict, b: dict) -> dict:
     return out
 
 
-_RING_CACHE: dict[int, TRing] = {}
-
-
 def t_ring(hopf: HopfAlgebra) -> TRing:
     """The coordinate ring of this instance; one ring (and one solved
-    inverse table) per algebra object."""
-    ring = _RING_CACHE.get(id(hopf))
-    if ring is None or ring.hopf is not hopf:
-        ring = TRing(hopf)
-        _RING_CACHE[id(hopf)] = ring
-    return ring
+    inverse table) per algebra object, built on first use and kept on it."""
+    if hopf._ring is None:
+        hopf._ring = TRing(hopf)
+    return hopf._ring
 
 
 def t_inverse_map(hopf: HopfAlgebra) -> tuple[TElement, ...]:
@@ -590,14 +585,9 @@ def tensor_ops(algebra) -> TensorOps:
     return TensorOps(t_ring(hopf), algebra)
 
 
-_CENTER_CACHE: dict[int, tuple[object, list[dict], list[int]]] = {}
-
-
 def _center_span(algebra, field: FieldSpec) -> tuple[list[dict], list[int]]:
-    hit = _CENTER_CACHE.get(id(algebra))
-    if hit is not None and hit[0] is algebra:
-        return hit[1], hit[2]
-    rows = center_table(algebra.dim, algebra.mult, field)
-    reduced, pivots = row_reduce(rows, field)
-    _CENTER_CACHE[id(algebra)] = (algebra, reduced, pivots)
-    return reduced, pivots
+    """Reduced centre basis of a plain or twisted algebra, kept on it."""
+    if algebra._center is None:
+        rows = center_table(algebra.dim, algebra.mult, field)
+        algebra._center = row_reduce(rows, field)
+    return algebra._center

@@ -15,8 +15,8 @@ n*t[x]^(1-n(n-1)/2)*t[x^(n-1)], and the centre spanned by the y_S with
 """
 
 from hopfgen import selftest
-from hopfgen.generic_base import _e_basis, jacobian_check, torus_minor_determinant
-from hopfgen.hopf import center
+from hopfgen.generic_base import jacobian_check, torus_minor_determinant
+from hopfgen.hopf import center, e_basis
 from hopfgen.linalg import in_span, row_reduce
 from hopfgen.tring import t_ring
 
@@ -94,7 +94,7 @@ def _e_center_claim(n):
     """
     return [
         i
-        for i, (a, s) in enumerate(_e_basis(n))
+        for i, (a, s) in enumerate(e_basis(n))
         if len(s) % 2 == 0 and (a == 0 or len(s) == n)
     ]
 

@@ -4,8 +4,12 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hopfgen.cli import main
+from hopfgen.errors import RangeError
 from hopfgen.hopf import HopfAlgebra, verify_hopf_axioms
+from hopfgen.selftest import run_criteria
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +157,17 @@ def test_selftest_json_reports_failure(capsys):
     payload = json.loads(out)
     assert payload["ok"] is False
     assert payload["criteria"][0]["number"] == 10
+
+
+def test_selftest_has_no_jobs_option(capsys):
+    code, _, err = run_cli(capsys, "selftest", "--criteria", "4", "--jobs", "4")
+    assert code == 2
+    assert "--jobs" in err
+
+
+def test_run_criteria_runs_serially_only():
+    with pytest.raises(RangeError):
+        run_criteria([4], jobs=2)
 
 
 def test_missing_rank_is_usage_error(capsys):

@@ -1,11 +1,13 @@
 """Word algebra, parser, and the universal map into coordinates-tensor-algebra."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgen.arith import make_field
-from hopfgen.cocycle import coboundary_cocycle, trivial_cocycle
+from hopfgen.cocycle import TwistedAlgebra, coboundary_cocycle, trivial_cocycle
 from hopfgen.errors import (
     CocycleMismatch,
     NotHopfMap,
@@ -27,6 +29,7 @@ from hopfgen.identities import (
     is_identity,
     monomial_group_maps,
     mu,
+    mu_algebra,
     ncpoly_from_json,
     ncpoly_scalar,
     parse_ncpoly,
@@ -35,7 +38,7 @@ from hopfgen.identities import (
     symbol,
     tautological_coaction,
 )
-from hopfgen.tring import t_ring, tensor_ops
+from hopfgen.tring import TRing, t_ring, tensor_ops
 
 
 def klein_monomial():
@@ -321,3 +324,41 @@ def test_ncpoly_text_and_json_round_trip():
     assert ncpoly_scalar(h, 0).to_text() == "0"
     assert symbol(h, "x").to_text() == "X[x]"
     assert (symbol(h, "x") ** 3).to_text() == "X[x]^3"
+
+
+def test_mu_algebra_belongs_to_its_cocycle():
+    s3, other = group_algebra(symmetric(3)), group_algebra(symmetric(3))
+    alpha = coboundary_cocycle(s3, seed=3)
+    target = mu_algebra(s3, alpha)
+    assert isinstance(target, TwistedAlgebra)
+    assert mu_algebra(s3, alpha) is target
+    assert mu_algebra(s3, trivial_cocycle(s3)) is s3
+    with pytest.raises(CocycleMismatch):
+        mu_algebra(s3, trivial_cocycle(other))
+    with pytest.raises(CocycleMismatch):
+        mu(other, alpha, symbol(other, 1))
+    with pytest.raises(CocycleMismatch):
+        mu_algebra(s3, alpha.values)
+
+
+def _live(cls) -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is cls)
+
+
+def test_dropped_cocycles_release_their_twisted_algebras():
+    s3 = group_algebra(symmetric(3))
+    p = parse_ncpoly("X[(1 2)]*X[(1 3)] - X[(1 3)]*X[(1 2)]", s3)
+    before = _live(TwistedAlgebra)
+    for seed in range(40):
+        classify(s3, coboundary_cocycle(s3, seed), p)
+    assert _live(TwistedAlgebra) <= before
+
+
+def test_dropped_instances_release_their_rings():
+    before = _live(TRing)
+    for _ in range(20):
+        h = taft(3)
+        classify(h, trivial_cocycle(h), parse_ncpoly("X[y]*X[x]", h))
+    del h
+    assert _live(TRing) <= before
