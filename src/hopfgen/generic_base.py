@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .arith import Scalar, q_binomial
@@ -31,7 +32,9 @@ from .errors import (
 )
 from .hopf import HopfAlgebra, e_basis, hab_grading
 from .identities import LocalizedDenominator, NCPoly, mu, symbol
-from .lattice import solve_in_lattice, y_group
+# solve_in_lattice is unused here but stays importable from this module:
+# perfbench/tests/test_perfbench_tracing.py looks it up as a wrapped name.
+from .lattice import ReducedBasis, solve_in_lattice, y_group  # noqa: F401
 from .linalg import scalar_det
 from .report import Report
 from .tring import TElement, TMonomial, TensorH, t_inverse_map, t_ring
@@ -216,6 +219,19 @@ class GammaPresentation:
     @property
     def generators(self) -> tuple[TElement, ...]:
         return self.invertible_gens + self.plain_gens
+
+    @cached_property
+    def torus_lattice(self) -> ReducedBasis:
+        """The lattice spanned by the exponent vectors of the invertible
+        generators over the group-likes, reduced once per presentation."""
+        pos = {v: i for i, v in enumerate(self.hopf.grouplikes)}
+        rows = []
+        for gen in self.invertible_gens:
+            row = [0] * len(pos)
+            for i, e in next(iter(gen.terms)).exps:
+                row[pos[i]] = e
+            rows.append(row)
+        return ReducedBasis(rows)
 
 
 def gamma_generators(hopf: HopfAlgebra) -> GammaPresentation:
@@ -468,17 +484,6 @@ class DecompositionWitness:
         return out
 
 
-def _torus_rows(hopf: HopfAlgebra, pres: GammaPresentation) -> list[list[int]]:
-    pos = {v: i for i, v in enumerate(hopf.grouplikes)}
-    rows = []
-    for gen in pres.invertible_gens:
-        row = [0] * len(pos)
-        for i, e in next(iter(gen.terms)).exps:
-            row[pos[i]] = e
-        rows.append(row)
-    return rows
-
-
 def _decompose_monomial(
     hopf: HopfAlgebra, mon: TMonomial, coeff: Scalar, allow_residue: bool
 ) -> DecompositionWitness:
@@ -519,7 +524,7 @@ def _decompose_monomial(
                 torus[gv] = torus.get(gv, 0) - e * ge
 
     target = [torus.get(v, 0) for v in hopf.grouplikes]
-    coeffs = solve_in_lattice(_torus_rows(hopf, pres), target)
+    coeffs = pres.torus_lattice.solve(target)
     if coeffs is None:
         raise NotDegreeZero("torus part lies outside the degree-zero lattice")
 
@@ -821,7 +826,7 @@ def _lattice_witnesses(hopf: HopfAlgebra, pres: GammaPresentation, out) -> None:
             row[h] += 1
             row[k] += 1
             vecs.append((row, (g, h, k), ("triple_product", g, h)))
-    rows = [row for row, _, _ in vecs]
+    products = ReducedBasis([row for row, _, _ in vecs])
 
     pos = {v: i for i, v in enumerate(hopf.grouplikes)}
     for gen in pres.invertible_gens:
@@ -829,7 +834,7 @@ def _lattice_witnesses(hopf: HopfAlgebra, pres: GammaPresentation, out) -> None:
         for i, e in next(iter(gen.terms)).exps:
             base[pos[i]] = e
         for gamma, vec in ((gen, base), (gen.inverse(), [-e for e in base])):
-            coeffs = solve_in_lattice(rows, vec)
+            coeffs = products.solve(vec)
             if coeffs is None:
                 raise WitnessFailure(f"{gamma.to_text()} not reached by products")
             word: tuple[int, ...] = ()

@@ -41,7 +41,7 @@ class FiniteGroup:
     the whole table, so an instance is a proof of group-ness.
     """
 
-    __slots__ = ("labels", "table", "name", "identity", "_inv", "_order_cache")
+    __slots__ = ("labels", "table", "name", "identity", "_inv", "_order_cache", "_ab")
 
     def __init__(self, labels: list[str], table: list[list[int]], name: str = ""):
         n = len(labels)
@@ -87,6 +87,7 @@ class FiniteGroup:
                 raise ValueError(f"element {a} has no inverse")
         self._inv = inv
         self._order_cache = {}
+        self._ab = None
 
     @property
     def order(self) -> int:
@@ -235,8 +236,16 @@ def abelianization(
 
     Returns (A, proj) where proj[g] is the image of element g in A.  The
     quotient by the commutator subgroup is presented on its cosets and
-    the relation matrix is put into Smith normal form.
+    the relation matrix is put into Smith normal form, once per group;
+    every call returns its own proj list.
     """
+    if group._ab is None:
+        group._ab = _abelianize(group)
+    ab, proj = group._ab
+    return ab, list(proj)
+
+
+def _abelianize(group: FiniteGroup) -> tuple[FiniteAbelianGroup, list[tuple[int, ...]]]:
     comm = commutator_subgroup(group)
     reps = []
     coset_of = [None] * group.order

@@ -856,7 +856,5 @@ def hab_grading(h: HopfAlgebra) -> tuple[FiniteAbelianGroup, list[tuple[int, ...
             deg.append(d)
         return ab, deg
     if kind == "group":
-        group = h.family["group"]
-        ab, proj = abelianization(group)
-        return ab, list(proj)
+        return abelianization(h.family["group"])
     raise UnsupportedFamily(f"no grading rule for family {kind!r}")

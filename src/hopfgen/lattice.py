@@ -34,16 +34,19 @@ def matmul_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     ]
 
 
-def hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row-style Hermite normal form: returns (H, U) with U @ rows == H.
-
-    Pivots are positive, entries above a pivot are reduced into [0, pivot),
-    and U is unimodular.
-    """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    u = _identity(nrows)
+def _echelon(
+    rows: list[list[int]], track: bool
+) -> tuple[list[list[int]], list[list[int]] | None]:
+    """The elimination behind hnf: returns (H, U), with U None unless track
+    is true.  U is carried as an identity block appended to each row, so
+    the pivot choices and row operations, and with them H, are the same
+    whether or not it is tracked."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    if track:
+        m = [list(row) + e for row, e in zip(rows, _identity(nrows))]
+    else:
+        m = [list(row) for row in rows]
     r = 0
     for c in range(ncols):
         while True:
@@ -53,13 +56,11 @@ def hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
             i0 = min(nz, key=lambda i: abs(m[i][c]))
             if i0 != r:
                 m[r], m[i0] = m[i0], m[r]
-                u[r], u[i0] = u[i0], u[r]
             done = True
             for i in range(r + 1, nrows):
                 if m[i][c]:
                     q = m[i][c] // m[r][c]
                     m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
                     if m[i][c]:
                         done = False
             if done:
@@ -67,21 +68,30 @@ def hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
         if r < nrows and m[r][c]:
             if m[r][c] < 0:
                 m[r] = [-a for a in m[r]]
-                u[r] = [-a for a in u[r]]
             for i in range(r):
                 q = m[i][c] // m[r][c]
                 if q:
                     m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
             r += 1
             if r == nrows:
                 break
-    return m, u
+    if not track:
+        return m, None
+    return [row[:ncols] for row in m], [row[ncols:] for row in m]
+
+
+def hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Row-style Hermite normal form: returns (H, U) with U @ rows == H.
+
+    Pivots are positive, entries above a pivot are reduced into [0, pivot),
+    and U is unimodular.
+    """
+    return _echelon(rows, track=True)
 
 
 def hnf_basis(rows: list[list[int]]) -> list[list[int]]:
     """Canonical basis (nonzero HNF rows) of the lattice generated by rows."""
-    h, _ = hnf(rows)
+    h, _ = _echelon(rows, track=False)
     return [r for r in h if any(r)]
 
 
@@ -89,24 +99,50 @@ def lattices_equal(gens_a: list[list[int]], gens_b: list[list[int]]) -> bool:
     return hnf_basis(gens_a) == hnf_basis(gens_b)
 
 
+class ReducedBasis:
+    """The Hermite form of one lattice basis, kept to solve x @ basis == v
+    for many right-hand sides v (Cohen, GTM 138, section 2.4)."""
+
+    __slots__ = ("_width", "_size", "_rows")
+
+    def __init__(self, basis: list[list[int]]):
+        h, u = hnf(basis)
+        self._width = len(basis[0]) if basis else None
+        self._size = len(basis)
+        # (nonzero HNF row, its pivot column, the matching row of U)
+        self._rows = [
+            (row, next(j for j, a in enumerate(row) if a), urow)
+            for row, urow in zip(h, u)
+            if any(row)
+        ]
+
+    def solve(self, v: list[int]) -> list[int] | None:
+        """Integer coefficients x with x @ basis == v, or None if v is
+        outside the lattice; a vector of another length raises RangeError."""
+        if self._width is not None and len(v) != self._width:
+            raise RangeError(
+                f"vector of length {len(v)} against a lattice in Z^{self._width}"
+            )
+        residual = list(v)
+        used = []
+        for row, p, urow in self._rows:
+            if residual[p] % row[p]:
+                return None
+            coef = residual[p] // row[p]
+            if coef:
+                residual = [a - coef * b for a, b in zip(residual, row)]
+                used.append((coef, urow))
+        if any(residual):
+            return None
+        x = [0] * self._size
+        for coef, urow in used:
+            x = [a + coef * b for a, b in zip(x, urow)]
+        return x
+
+
 def solve_in_lattice(basis: list[list[int]], v: list[int]) -> list[int] | None:
     """Integer coefficients x with x @ basis == v, or None if v is outside."""
-    h, u = hnf(basis)
-    rows = [r for r in h if any(r)]
-    residual = list(v)
-    y = [0] * len(h)
-    for i, row in enumerate(rows):
-        p = next(j for j, a in enumerate(row) if a)
-        if residual[p] % row[p]:
-            return None
-        coef = residual[p] // row[p]
-        y[i] = coef
-        if coef:
-            residual = [a - coef * b for a, b in zip(residual, row)]
-    if any(residual):
-        return None
-    x = [sum(y[i] * u[i][j] for i in range(len(u))) for j in range(len(basis))]
-    return x
+    return ReducedBasis(basis).solve(v)
 
 
 def det_int(m: list[list[int]]) -> int:
@@ -137,7 +173,9 @@ def int_inverse_unimodular(u: list[list[int]]) -> list[list[int]]:
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(u)]
     for c in range(n):
-        piv = next(r for r in range(c, n) if aug[r][c])
+        piv = next((r for r in range(c, n) if aug[r][c]), None)
+        if piv is None:
+            raise IndexMismatch("matrix not unimodular: it is singular")
         aug[c], aug[piv] = aug[piv], aug[c]
         scale = aug[c][c]
         aug[c] = [x / scale for x in aug[c]]
@@ -146,7 +184,8 @@ def int_inverse_unimodular(u: list[list[int]]) -> list[list[int]]:
                 f = aug[r][c]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
     out = [[x for x in row[n:]] for row in aug]
-    assert all(x.denominator == 1 for row in out for x in row), "matrix not unimodular"
+    if any(x.denominator != 1 for row in out for x in row):
+        raise IndexMismatch("matrix not unimodular: its inverse is not integral")
     return [[int(x) for x in row] for row in out]
 
 
@@ -293,7 +332,8 @@ def y_group(group, max_order: int = DEFAULT_MAX_LATTICE_ORDER) -> YLattice:
 def basis_containing_unit(basis: list[list[int]], target: list[int]) -> list[list[int]]:
     """Rewrite a lattice basis so that its first element is the given vector."""
     coords = solve_in_lattice(basis, target)
-    assert coords is not None, "target vector outside the lattice"
+    if coords is None:
+        raise IndexMismatch("target vector outside the lattice")
     col = [[c] for c in coords]
     _, uc = hnf(col)
     vmat = [list(row) for row in zip(*int_inverse_unimodular(uc))]
@@ -491,13 +531,9 @@ def pq_generation_check(group) -> Report:
     )
     rep.add("membership", member, "all generators have degree zero")
     y = y_group(group)
-    full = [_unit_vector(n, group.identity)]
-    for g in range(n):
-        for h in range(n):
-            full.append(_sigma_vector(n, g, h, group.mul(g, h)))
     rep.add(
         "lattice-equality",
-        lattices_equal(gens, full),
+        hnf_basis(gens) == y.basis,
         "generated lattice equals the degree-zero lattice",
     )
     rep.add("index", y.index == ab.order, f"index {y.index}")

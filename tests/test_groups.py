@@ -275,3 +275,57 @@ def test_monomial_datum_rejections():
     with pytest.raises(DatumError) as info:
         validate_monomial_datum(s3, s3.index_of("(1 2 3)"), chi3, f3)
     assert info.value.condition == "x-central"
+
+
+def _count_smith(monkeypatch):
+    from hopfgen import groups
+
+    calls = []
+    real = groups.smith_normal_form
+
+    def counted(m):
+        calls.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(groups, "smith_normal_form", counted)
+    return calls
+
+
+def test_abelianization_is_kept_on_its_group(monkeypatch):
+    calls = _count_smith(monkeypatch)
+    g = dihedral(4)
+    ab, proj = abelianization(g)
+    assert len(calls) == 1
+    again_ab, again_proj = abelianization(g)
+    assert len(calls) == 1
+    assert (again_ab, again_proj) == (ab, proj)
+    again_proj[0] = (1, 1)
+    again_proj.append(())
+    assert abelianization(g)[1] == proj
+    assert len(calls) == 1
+    assert abelianization(dihedral(4)) == (ab, proj)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("spec", ["sym:3", "dihedral:4", "product:cyclic:2,cyclic:2"])
+def test_ygroup_query_reduces_once(monkeypatch, spec):
+    from hopfgen.lattice import pq_generation_check, y_group
+
+    calls = _count_smith(monkeypatch)
+    g = group_from_spec(spec)
+    abelianization(g)
+    y_group(g)
+    assert pq_generation_check(g).ok
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec", ["cyclic:7", "dihedral:3"])
+def test_niceness_query_reduces_once(monkeypatch, spec):
+    from hopfgen.generic_base import gamma_generators, niceness_witnesses
+    from hopfgen.hopf import group_algebra
+
+    calls = _count_smith(monkeypatch)
+    h = group_algebra(group_from_spec(spec))
+    gamma_generators(h)
+    assert niceness_witnesses(h)
+    assert len(calls) == 1

@@ -1,12 +1,14 @@
 """Integer lattice layer: normal forms, degree-zero lattices, named bases."""
 
+import random
+import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfgen.errors import IndexMismatch, TrivialActionViolated, UnsupportedKind
+from hopfgen.errors import IndexMismatch, RangeError, TrivialActionViolated, UnsupportedKind
 from hopfgen.groups import (
     alternating,
     cyclic,
@@ -16,6 +18,7 @@ from hopfgen.groups import (
     trivial,
 )
 from hopfgen.lattice import (
+    ReducedBasis,
     basis_containing_unit,
     det_int,
     hnf,
@@ -146,8 +149,10 @@ def test_int_inverse_unimodular():
     u = [[1, 2], [1, 3]]
     ui = int_inverse_unimodular(u)
     assert matmul_int(u, ui) == [[1, 0], [0, 1]]
-    with pytest.raises(AssertionError):
+    with pytest.raises(IndexMismatch, match="not integral"):
         int_inverse_unimodular([[2, 0], [0, 1]])
+    with pytest.raises(IndexMismatch, match="singular"):
+        int_inverse_unimodular([[1, 2], [2, 4]])
 
 
 def test_y_group_trivial_and_cyclic2():
@@ -283,3 +288,222 @@ def test_named_basis_vectors_live_in_y_group():
         for v in named.basis:
             assert y.contains(v)
         assert lattices_equal(named.basis, y.basis)
+
+
+def test_wrong_length_vectors_are_rejected():
+    with pytest.raises(RangeError):
+        solve_in_lattice([[1, 0]], [1, 0, 5])
+    with pytest.raises(RangeError):
+        ReducedBasis([[1, 0], [0, 2]]).solve([2])
+    with pytest.raises(RangeError):
+        y_group(cyclic(2)).contains([1, 0, 0])
+    assert solve_in_lattice([], [0, 0]) == []
+    assert solve_in_lattice([], [0, 1]) is None
+
+
+def test_basis_containing_unit_rejects_target_outside():
+    with pytest.raises(IndexMismatch, match="outside the lattice"):
+        basis_containing_unit([[2, 0], [0, 1]], [1, 0])
+
+
+# --- differential tests against the elimination and solver kept verbatim
+# from the version in which hnf always built U and solve_in_lattice
+# reduced its basis on every call
+
+
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def reference_hnf(rows):
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    u = _identity(nrows)
+    r = 0
+    for c in range(ncols):
+        while True:
+            nz = [i for i in range(r, nrows) if m[i][c]]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(m[i][c]))
+            if i0 != r:
+                m[r], m[i0] = m[i0], m[r]
+                u[r], u[i0] = u[i0], u[r]
+            done = True
+            for i in range(r + 1, nrows):
+                if m[i][c]:
+                    q = m[i][c] // m[r][c]
+                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+                    if m[i][c]:
+                        done = False
+            if done:
+                break
+        if r < nrows and m[r][c]:
+            if m[r][c] < 0:
+                m[r] = [-a for a in m[r]]
+                u[r] = [-a for a in u[r]]
+            for i in range(r):
+                q = m[i][c] // m[r][c]
+                if q:
+                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+            r += 1
+            if r == nrows:
+                break
+    return m, u
+
+
+def reference_solve_in_lattice(basis, v):
+    h, u = reference_hnf(basis)
+    rows = [r for r in h if any(r)]
+    residual = list(v)
+    y = [0] * len(h)
+    for i, row in enumerate(rows):
+        p = next(j for j, a in enumerate(row) if a)
+        if residual[p] % row[p]:
+            return None
+        coef = residual[p] // row[p]
+        y[i] = coef
+        if coef:
+            residual = [a - coef * b for a, b in zip(residual, row)]
+    if any(residual):
+        return None
+    x = [sum(y[i] * u[i][j] for i in range(len(u))) for j in range(len(basis))]
+    return x
+
+
+entries = st.integers(min_value=-9, max_value=9)
+# tall like the relation sets: many rows over few columns
+tall_matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=40
+    )
+)
+
+
+@given(tall_matrices)
+@settings(max_examples=150, deadline=None)
+def test_hnf_matches_reference_and_basis_drops_u(m):
+    h, u = hnf(m)
+    assert (h, u) == reference_hnf(m)
+    assert hnf_basis(m) == [r for r in h if any(r)]
+
+
+@given(tall_matrices, st.data())
+@settings(max_examples=150, deadline=None)
+def test_reduced_basis_solve_matches_reference(b, data):
+    n = len(b[0])
+    x = data.draw(st.lists(entries, min_size=len(b), max_size=len(b)))
+    inside = [sum(x[i] * b[i][j] for i in range(len(b))) for j in range(n)]
+    anywhere = data.draw(st.lists(entries, min_size=n, max_size=n))
+    reduced = ReducedBasis(b)
+    for v in (inside, anywhere):
+        want = reference_solve_in_lattice(b, v)
+        assert reduced.solve(v) == want
+        assert solve_in_lattice(b, v) == want
+    assert reduced.solve(inside) is not None
+
+
+@given(tall_matrices, st.data())
+@settings(max_examples=60, deadline=None)
+def test_reduced_basis_reuse_matches_fresh(b, data):
+    n = len(b[0])
+    vs = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=8))
+    reduced = ReducedBasis(b)
+    assert [reduced.solve(v) for v in vs] == [ReducedBasis(b).solve(v) for v in vs]
+
+
+# --- sympy as a test-only oracle for the lattice invariants
+
+
+def _random_matrix(rng, nrows, ncols):
+    m = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.3:  # rank-deficient: repeat a combination of rows
+        m.append([2 * a - b for a, b in zip(m[0], m[-1])])
+    return m
+
+
+def test_hnf_rank_and_index_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    rng = random.Random(20131)
+    for _ in range(60):
+        ncols = rng.randint(1, 5)
+        m = _random_matrix(rng, rng.randint(ncols, 12), ncols)
+        basis = hnf_basis(m)
+        a = sympy.Matrix(m)
+        assert len(basis) == a.rank()
+        if len(basis) == ncols:
+            # sympy reduces columns: the columns of its form span the lattice
+            index = 1
+            for i, row in enumerate(basis):
+                index *= row[i]
+            assert index == abs(hermite_normal_form(a.T).det())
+
+
+# smith_normal_form does not keep its entries small.  On these two 7x5
+# matrices, the 9th and the 27th that the generator below draws, they grow
+# to thousands of digits: the first reduction does not finish, the second
+# takes about 45 s.  test_smith_finishes_on_dense_input keeps them in view.
+SMITH_BLOWUPS = [
+    [
+        [2, 7, -7, 9, -2],
+        [5, -8, -7, -8, 3],
+        [3, 6, 9, 4, -8],
+        [2, -8, 4, 6, -5],
+        [0, 2, -6, 6, 8],
+        [-7, 0, -4, 4, -5],
+        [11, 14, -10, 14, 1],
+    ],
+    [
+        [6, 3, -9, 2, -7],
+        [-5, -5, 6, -6, -8],
+        [-4, 3, 0, 2, -2],
+        [1, -4, -9, -8, 4],
+        [5, 7, -8, -4, -5],
+        [-7, 2, 0, -6, -2],
+        [-5, -6, 7, -6, -5],
+    ],
+]
+
+
+def test_smith_diagonal_matches_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(20132)
+    for _ in range(60):
+        m = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 5))
+        if m in SMITH_BLOWUPS:
+            continue
+        d, _, _ = smith_normal_form(m)
+        diag = [d[t][t] for t in range(min(len(m), len(m[0])))]
+        assert diag == [abs(x) for x in invariant_factors(sympy.Matrix(m))]
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("smith_normal_form did not finish in 1 s")
+
+
+@pytest.mark.xfail(
+    raises=TimeoutError,
+    strict=True,
+    reason="smith_normal_form has no control of entry growth",
+)
+@pytest.mark.parametrize("m", SMITH_BLOWUPS)
+def test_smith_finishes_on_dense_input(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    want = [abs(x) for x in invariant_factors(sympy.Matrix(m))]
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        d, _, _ = smith_normal_form(m)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [d[t][t] for t in range(5)] == want
