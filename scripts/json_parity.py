@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Print one sha256 per `--format json` output of a fixed list of commands.
+
+Each command runs `python3 -m hopfgen` from the `src/` of the checkout
+that holds this script, in a fresh interpreter.  A line reads
+
+    <sha256 of stdout>  exit=<code>  <arguments>
+
+The selftest output is hashed after blanking the wall-time detail of
+criterion 3, the only part of it that changes from run to run.  To compare
+two commits, put this script into both checkouts, run it in each and
+`diff` the two outputs.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+INSTANCES = ("taft:2", "taft:3", "e:2", "group:sym:3")
+
+COMMANDS = (
+    [[verb, "--family", fam] for fam in INSTANCES for verb in ("describe", "axioms")]
+    + [["base", "--check", "all", "--family", fam] for fam in ("taft:3", "e:2", "group:sym:3")]
+    + [
+        ["base", "--check", "all", "--family", "group:sym:3",
+         "--cocycle", "coboundary", "--cocycle-seed", "5"],
+        ["identity", "--family", "taft:3", "--poly", "X[1]*X[x]-X[x]*X[1]"],
+        ["identity", "--family", "taft:2", "--poly", "(X[x]+X[y])^3-X[x y]"],
+        ["identity", "--family", "e:2", "--poly", "X[y_1]*X[y_2]+X[y_2]*X[y_1]"],
+        ["identity", "--family", "group:sym:3", "--cocycle", "coboundary",
+         "--cocycle-seed", "5", "--poly", "X[(1 2)]*X[(2 3)]-X[(2 3)]*X[(1 2)]"],
+        ["selftest"],
+    ]
+)
+
+
+def blank_runtime(stdout: bytes) -> bytes:
+    payload = json.loads(stdout)
+    for crit in payload["criteria"]:
+        if crit["number"] == 3:
+            for check in crit["report"]["checks"]:
+                if check["name"] == "combined runtime below thirty seconds":
+                    check["details"] = ""
+    return json.dumps(payload, indent=2).encode()
+
+
+def main() -> None:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for args in COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopfgen", *args, "--format", "json"],
+            capture_output=True,
+            env=env,
+            check=False,
+        )
+        out = blank_runtime(proc.stdout) if args[0] == "selftest" else proc.stdout
+        digest = hashlib.sha256(out).hexdigest()
+        print(f"{digest}  exit={proc.returncode}  {' '.join(args)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

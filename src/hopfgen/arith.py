@@ -288,6 +288,31 @@ def format_scalar(s: Scalar) -> str:
     return out
 
 
+def format_terms(terms: Iterable[tuple[Scalar, list[str]]]) -> str:
+    """Text of a sum of coefficient * factors terms, in the given order:
+    a coefficient with several parts is bracketed, a unit coefficient is
+    left out, and a leading minus turns the joining " + " into " - "."""
+    parts = []
+    for c, factors in terms:
+        fmt = format_scalar(c)
+        if " " in fmt:
+            fmt = f"({fmt})"
+        if not factors:
+            parts.append(fmt)
+        elif fmt == "1":
+            parts.append("*".join(factors))
+        elif fmt == "-1":
+            parts.append("-" + "*".join(factors))
+        else:
+            parts.append("*".join([fmt] + factors))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
 def scalar_to_strings(s: Scalar) -> list[str]:
     """JSON form: coefficient strings in lowest terms, lowest degree first."""
     return [str(c) for c in s.coeffs]

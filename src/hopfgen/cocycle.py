@@ -13,9 +13,9 @@ import random
 from fractions import Fraction
 
 from .arith import Scalar, scalar_from_strings, scalar_to_strings
-from .errors import NotInvertible, RangeError, UnsupportedFamily
-from .hopf import HopfAlgebra, _canonical_terms
-from .linalg import solve_unique
+from .errors import CocycleMismatch, NotInvertible, RangeError, UnsupportedFamily
+from .hopf import HopfAlgebra, _canonical_terms, check_product
+from .linalg import collect, nullspace, solve_unique
 from .report import Report
 
 
@@ -79,6 +79,14 @@ class TwoCocycle:
 
 def _values_of(alpha) -> list[list[Scalar]]:
     return alpha.values if isinstance(alpha, TwoCocycle) else alpha
+
+
+def require_cocycle_of(hopf: HopfAlgebra, alpha) -> TwoCocycle:
+    """alpha itself, if it is a TwoCocycle of this very instance;
+    CocycleMismatch otherwise."""
+    if not isinstance(alpha, TwoCocycle) or alpha.hopf is not hopf:
+        raise CocycleMismatch("the cocycle is not a TwoCocycle of this algebra instance")
+    return alpha
 
 
 def trivial_cocycle(hopf: HopfAlgebra) -> TwoCocycle:
@@ -217,17 +225,14 @@ def convolution_inverse(hopf: HopfAlgebra, alpha) -> list[list[Scalar]]:
     rhs = []
     for x in range(dim):
         for y in range(dim):
-            row: dict[int, Scalar] = {}
-            for x1, x2, cx in hopf.comult[x]:
-                for y1, y2, cy in hopf.comult[y]:
-                    va = vals[x1][y1]
-                    if va.is_zero:
-                        continue
-                    key = x2 * dim + y2
-                    cur = row.get(key)
-                    v = cx * cy * va
-                    row[key] = v if cur is None else cur + v
-            rows.append({k: v for k, v in row.items() if not v.is_zero})
+            rows.append(
+                collect(
+                    (x2 * dim + y2, cx * cy * vals[x1][y1])
+                    for x1, x2, cx in hopf.comult[x]
+                    for y1, y2, cy in hopf.comult[y]
+                    if vals[x1][y1]
+                )
+            )
             rhs.append(hopf.counit[x] * hopf.counit[y])
     flat = solve_unique(rows, rhs, dim * dim, field)
     inv = [[flat[x * dim + y] for y in range(dim)] for x in range(dim)]
@@ -243,25 +248,20 @@ def is_lazy(hopf: HopfAlgebra, alpha) -> bool:
         dx = hopf.comult[x]
         for y in range(hopf.dim):
             dy = hopf.comult[y]
-            left: dict[int, Scalar] = {}
-            right: dict[int, Scalar] = {}
-            for x1, x2, cx in dx:
-                for y1, y2, cy in dy:
-                    c = cx * cy
-                    va = vals[x1][y1]
-                    if not va.is_zero:
-                        for k, cm in hopf.mult.get((x2, y2), ()):
-                            cur = left.get(k)
-                            v = c * va * cm
-                            left[k] = v if cur is None else cur + v
-                    vb = vals[x2][y2]
-                    if not vb.is_zero:
-                        for k, cm in hopf.mult.get((x1, y1), ()):
-                            cur = right.get(k)
-                            v = c * vb * cm
-                            right[k] = v if cur is None else cur + v
-            left = {k: v for k, v in left.items() if not v.is_zero}
-            right = {k: v for k, v in right.items() if not v.is_zero}
+            left = collect(
+                (k, cx * cy * vals[x1][y1] * cm)
+                for x1, x2, cx in dx
+                for y1, y2, cy in dy
+                if vals[x1][y1]
+                for k, cm in hopf.mult.get((x2, y2), ())
+            )
+            right = collect(
+                (k, cx * cy * vals[x2][y2] * cm)
+                for x1, x2, cx in dx
+                for y1, y2, cy in dy
+                if vals[x2][y2]
+                for k, cm in hopf.mult.get((x1, y1), ())
+            )
             if left != right:
                 return False
     return True
@@ -295,115 +295,73 @@ class TwistedAlgebra:
         return self.coaction(a) == want
 
     def coinvariants(self) -> list[dict[int, Scalar]]:
-        from .linalg import nullspace
-
         hopf = self.hopf
         dim = hopf.dim
+        # ((row, column), coeff): row j*dim + k is the b_j (x) b_k coordinate
+        # of coaction(a) - a (x) 1
+        entries = [((j * dim + k, i), c) for i in range(dim) for j, k, c in hopf.comult[i]]
+        entries += [((i * dim + hopf.unit_index, i), -hopf.field.one) for i in range(dim)]
         rows: dict[int, dict[int, Scalar]] = {}
-        for i in range(dim):
-            for j, k, c in hopf.comult[i]:
-                key = j * dim + k
-                row = rows.setdefault(key, {})
-                cur = row.get(i)
-                row[i] = c if cur is None else cur + c
-        for i in range(dim):
-            key = i * dim + hopf.unit_index
-            row = rows.setdefault(key, {})
-            cur = row.get(i)
-            one = hopf.field.one
-            row[i] = -one if cur is None else cur - one
-        cleaned = [
-            {i: c for i, c in row.items() if not c.is_zero} for row in rows.values()
-        ]
-        return nullspace(dim, [r for r in cleaned if r], hopf.field)
+        for (r, i), c in collect(entries).items():
+            rows.setdefault(r, {})[i] = c
+        return nullspace(dim, list(rows.values()), hopf.field)
 
 
-def twisted_algebra(hopf: HopfAlgebra, alpha, verify: bool = True) -> TwistedAlgebra:
+def twisted_algebra(hopf: HopfAlgebra, alpha: TwoCocycle, verify: bool = True) -> TwistedAlgebra:
     """Product u_x u_y = alpha(x1, y1) u_{x2 y2} on the u-basis."""
-    vals = _values_of(alpha)
+    vals = require_cocycle_of(hopf, alpha).values
     dim = hopf.dim
     mult: dict[tuple[int, int], tuple] = {}
     for i in range(dim):
         di = hopf.comult[i]
         for j in range(dim):
-            acc: dict[int, Scalar] = {}
-            for i1, i2, ci in di:
-                for j1, j2, cj in hopf.comult[j]:
-                    a = vals[i1][j1]
-                    if a.is_zero:
-                        continue
-                    c = ci * cj * a
-                    for k, cm in hopf.mult.get((i2, j2), ()):
-                        cur = acc.get(k)
-                        v = c * cm
-                        acc[k] = v if cur is None else cur + v
-            terms = _canonical_terms(acc.items())
+            terms = _canonical_terms(
+                (k, ci * cj * vals[i1][j1] * cm)
+                for i1, i2, ci in di
+                for j1, j2, cj in hopf.comult[j]
+                if vals[i1][j1]
+                for k, cm in hopf.mult.get((i2, j2), ())
+            )
             if terms:
                 mult[(i, j)] = terms
     out = TwistedAlgebra(hopf, mult, hopf.unit_index)
     if verify:
-        one = hopf.field.one
-        for i in range(dim):
-            u = out.multiply_dicts({hopf.unit_index: one}, {i: one})
-            v = out.multiply_dicts({i: one}, {hopf.unit_index: one})
-            if u != {i: one} or v != {i: one}:
-                raise NotInvertible("twisted product is not unital")
-        for i in range(dim):
-            bi = {i: one}
-            for j in range(dim):
-                ij = out.multiply_dicts(bi, {j: one})
-                for k in range(dim):
-                    lhs = out.multiply_dicts(ij, {k: one})
-                    rhs = out.multiply_dicts(
-                        bi, out.multiply_dicts({j: one}, {k: one})
-                    )
-                    if lhs != rhs:
-                        raise NotInvertible(
-                            "twisted product is not associative at "
-                            f"({hopf.labels[i]}, {hopf.labels[j]}, {hopf.labels[k]})"
-                        )
+        unital, bad = check_product(dim, mult, hopf.unit_index, hopf.field.one)
+        if not unital:
+            raise NotInvertible("twisted product is not unital")
+        if bad is not None:
+            raise NotInvertible(
+                "twisted product is not associative at ({}, {}, {})".format(
+                    *(hopf.labels[i] for i in bad)
+                )
+            )
     return out
 
 
-def cotwist_hopf(hopf: HopfAlgebra, alpha) -> HopfAlgebra:
+def cotwist_hopf(hopf: HopfAlgebra, alpha: TwoCocycle) -> HopfAlgebra:
     """Two-sided twist: same coalgebra, product conjugated by the cocycle
     and its convolution inverse; antipode re-solved from the tables."""
-    if isinstance(alpha, TwoCocycle):
-        vals, inv = alpha.values, alpha.inverse_values
-    else:
-        vals = alpha
-        inv = convolution_inverse(hopf, alpha)
+    alpha = require_cocycle_of(hopf, alpha)
+    vals, inv = alpha.values, alpha.inverse_values
     dim = hopf.dim
     mult: dict[tuple[int, int], tuple] = {}
     for i in range(dim):
         di = hopf.comult[i]
         for j in range(dim):
-            dj = hopf.comult[j]
-            stage: dict[tuple[int, int], Scalar] = {}
-            for i1, ir, ci in di:
-                for j1, jr, cj in dj:
-                    a = vals[i1][j1]
-                    if a.is_zero:
-                        continue
-                    key = (ir, jr)
-                    cur = stage.get(key)
-                    v = ci * cj * a
-                    stage[key] = v if cur is None else cur + v
-            acc: dict[int, Scalar] = {}
-            for (ir, jr), c in stage.items():
-                if c.is_zero:
-                    continue
-                for i2, i3, ci in hopf.comult[ir]:
-                    for j2, j3, cj in hopf.comult[jr]:
-                        b = inv[i3][j3]
-                        if b.is_zero:
-                            continue
-                        coeff = c * ci * cj * b
-                        for k, cm in hopf.mult.get((i2, j2), ()):
-                            cur = acc.get(k)
-                            v = coeff * cm
-                            acc[k] = v if cur is None else cur + v
-            terms = _canonical_terms(acc.items())
+            stage = collect(
+                ((ir, jr), ci * cj * vals[i1][j1])
+                for i1, ir, ci in di
+                for j1, jr, cj in hopf.comult[j]
+                if vals[i1][j1]
+            )
+            terms = _canonical_terms(
+                (k, c * ci * cj * inv[i3][j3] * cm)
+                for (ir, jr), c in stage.items()
+                for i2, i3, ci in hopf.comult[ir]
+                for j2, j3, cj in hopf.comult[jr]
+                if inv[i3][j3]
+                for k, cm in hopf.mult.get((i2, j2), ())
+            )
             if terms:
                 mult[(i, j)] = terms
     if mult == hopf.mult:

@@ -35,7 +35,7 @@ from .identities import LocalizedDenominator, NCPoly, mu, symbol
 # solve_in_lattice is unused here but stays importable from this module:
 # perfbench/tests/test_perfbench_tracing.py looks it up as a wrapped name.
 from .lattice import ReducedBasis, solve_in_lattice, y_group  # noqa: F401
-from .linalg import scalar_det
+from .linalg import collect, scalar_det
 from .report import Report
 from .tring import TElement, TMonomial, TensorH, t_inverse_map, t_ring
 
@@ -349,18 +349,15 @@ def _group_presentation(hopf: HopfAlgebra) -> GammaPresentation:
 def _partial(gen: TElement, v: int) -> TElement:
     """Formal partial derivative; exponents only ever drop by one, so the
     result stays inside the localization."""
-    ring = gen.ring
-    acc: dict[TMonomial, Scalar] = {}
-    scale = ring.field.scalar
-    for m, c in gen.terms.items():
-        e = m.exp_of(v)
-        if e == 0:
-            continue
-        key = TMonomial.from_pairs(m.exps + ((v, -1),))
-        add = c * scale(e)
-        cur = acc.get(key)
-        acc[key] = add if cur is None else cur + add
-    return ring.element(acc)
+    scale = gen.ring.field.scalar
+    return TElement(
+        gen.ring,
+        collect(
+            (TMonomial.from_pairs(m.exps + ((v, -1),)), c * scale(m.exp_of(v)))
+            for m, c in gen.terms.items()
+            if m.exp_of(v)
+        ),
+    )
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -590,25 +587,16 @@ def quotient_presentation_check(hopf: HopfAlgebra) -> Report:
     rep = Report(f"base-to-grading quotient on {hopf.name or 'algebra'}")
 
     def image(elem: TElement) -> dict[tuple[int, ...], Scalar]:
-        acc: dict[tuple[int, ...], Scalar] = {}
+        pairs = []
         for m, c in elem.terms.items():
             g = ab.identity
-            dead = False
             for i, e in m.exps:
-                if i in gl:
-                    g = ab.add(g, ab.scale(deg[i], e))
-                elif e:
-                    dead = True
+                if i not in gl:
                     break
-            if dead:
-                continue
-            cur = acc.get(g)
-            tot = c if cur is None else cur + c
-            if tot.is_zero:
-                acc.pop(g, None)
+                g = ab.add(g, ab.scale(deg[i], e))
             else:
-                acc[g] = tot
-        return acc
+                pairs.append((g, c))
+        return collect(pairs)
 
     gammas: list[TElement] = []
     for gen in pres.invertible_gens:

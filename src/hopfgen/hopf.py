@@ -22,18 +22,14 @@ from .groups import (
     abelianization,
     validate_monomial_datum,
 )
-from .linalg import nullspace
+from .linalg import collect, nullspace
 from .report import Report
 
 Terms = tuple[tuple[int, Scalar], ...]
 
 
 def _canonical_terms(terms) -> Terms:
-    acc: dict[int, Scalar] = {}
-    for k, c in terms:
-        cur = acc.get(k)
-        acc[k] = c if cur is None else cur + c
-    return tuple(sorted((k, c) for k, c in acc.items() if not c.is_zero))
+    return tuple(sorted(collect(terms).items()))
 
 
 class HopfAlgebra:
@@ -87,9 +83,7 @@ class HopfAlgebra:
         self.field = field
         self.labels = list(labels)
         self.mult = {
-            key: _canonical_terms(terms)
-            for key, terms in mult.items()
-            if _canonical_terms(terms)
+            key: canon for key, terms in mult.items() if (canon := _canonical_terms(terms))
         }
         self.comult = [tuple(t) for t in comult]
         self.counit = list(counit)
@@ -170,28 +164,26 @@ class HopfAlgebra:
                 raise NotPointedOrder(
                     f"diagonal comult term of {self.labels[i]} is not group-like"
                 )
-            acc: dict[int, Scalar] = {}
-            if not self.counit[i].is_zero:
-                acc[self.unit_index] = self.counit[i]
-            for j, k, c in rest:
-                if out[j] is None:
-                    raise NotPointedOrder(
-                        f"comult of {self.labels[i]} is not triangular"
-                    )
-                for m, cm in out[j]:
-                    for p, cp in self.mult.get((m, k), ()):
-                        cur = acc.get(p, None)
-                        v = -(c * cm * cp)
-                        acc[p] = v if cur is None else cur + v
+            if any(out[j] is None for j, _, _ in rest):
+                raise NotPointedOrder(
+                    f"comult of {self.labels[i]} is not triangular"
+                )
+            acc = collect(
+                (
+                    (p, -(c * cm * cp))
+                    for j, k, c in rest
+                    for m, cm in out[j]
+                    for p, cp in self.mult.get((m, k), ())
+                ),
+                {self.unit_index: self.counit[i]},
+            )
             kinv = self._gl_inv[k0]
-            scaled: dict[int, Scalar] = {}
             inv_c0 = one / c0
-            for p, cp in acc.items():
-                for r, cr in self.mult.get((p, kinv), ()):
-                    cur = scaled.get(r)
-                    v = cp * cr * inv_c0
-                    scaled[r] = v if cur is None else cur + v
-            out[i] = tuple(sorted((k, c) for k, c in scaled.items() if not c.is_zero))
+            out[i] = _canonical_terms(
+                (r, cp * cr * inv_c0)
+                for p, cp in acc.items()
+                for r, cr in self.mult.get((p, kinv), ())
+            )
         return out  # type: ignore[return-value]
 
     # -- element arithmetic ------------------------------------------------
@@ -209,28 +201,18 @@ class HopfAlgebra:
         return self.basis_element(self.index_of(label))
 
     def multiply_dicts(self, a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
-        out: dict[int, Scalar] = {}
-        for i, ci in a.items():
-            for j, cj in b.items():
-                terms = self.mult.get((i, j))
-                if not terms:
-                    continue
-                cij = ci * cj
-                for k, c in terms:
-                    cur = out.get(k)
-                    v = cij * c
-                    out[k] = v if cur is None else cur + v
-        return {k: c for k, c in out.items() if not c.is_zero}
+        mult = self.mult
+        return collect(
+            (k, ci * cj * c)
+            for i, ci in a.items()
+            for j, cj in b.items()
+            for k, c in mult.get((i, j), ())
+        )
 
     def comult_dict(self, a: dict[int, Scalar]) -> dict[tuple[int, int], Scalar]:
-        out: dict[tuple[int, int], Scalar] = {}
-        for i, ci in a.items():
-            for j, k, c in self.comult[i]:
-                key = (j, k)
-                cur = out.get(key)
-                v = ci * c
-                out[key] = v if cur is None else cur + v
-        return {k: c for k, c in out.items() if not c.is_zero}
+        return collect(
+            ((j, k), ci * c) for i, ci in a.items() for j, k, c in self.comult[i]
+        )
 
     def comult_power(self, i: int, legs: int) -> dict[tuple[int, ...], Scalar]:
         """Iterated comultiplication of a basis element into the given
@@ -239,15 +221,12 @@ class HopfAlgebra:
             raise RangeError("need at least one tensor leg")
         cur: dict[tuple[int, ...], Scalar] = {(i,): self.field.one}
         for _ in range(legs - 1):
-            nxt: dict[tuple[int, ...], Scalar] = {}
-            for key, c in cur.items():
-                for j, k, cc in self.comult[key[0]]:
-                    nkey = (j, k) + key[1:]
-                    cur2 = nxt.get(nkey)
-                    v = c * cc
-                    nxt[nkey] = v if cur2 is None else cur2 + v
-            cur = nxt
-        return {k: c for k, c in cur.items() if not c.is_zero}
+            cur = collect(
+                ((j, k) + key[1:], c * cc)
+                for key, c in cur.items()
+                for j, k, cc in self.comult[key[0]]
+            )
+        return cur
 
     def counit_dict(self, a: dict[int, Scalar]) -> Scalar:
         out = self.field.zero
@@ -256,13 +235,7 @@ class HopfAlgebra:
         return out
 
     def antipode_dict(self, a: dict[int, Scalar]) -> dict[int, Scalar]:
-        out: dict[int, Scalar] = {}
-        for i, ci in a.items():
-            for k, c in self.antipode[i]:
-                cur = out.get(k)
-                v = ci * c
-                out[k] = v if cur is None else cur + v
-        return {k: c for k, c in out.items() if not c.is_zero}
+        return collect((k, ci * c) for i, ci in a.items() for k, c in self.antipode[i])
 
     # -- serialization -----------------------------------------------------
 
@@ -338,33 +311,38 @@ class AlgebraElement:
         self.algebra = algebra
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero}
 
+    @staticmethod
+    def _of(algebra: HopfAlgebra, coeffs: dict[int, Scalar]) -> "AlgebraElement":
+        """An element from arithmetic output, which holds no zeros, so it
+        skips the constructor's filter."""
+        out = AlgebraElement.__new__(AlgebraElement)
+        out.algebra = algebra
+        out.coeffs = coeffs
+        return out
+
     def _check(self, other: "AlgebraElement") -> None:
         if self.algebra is not other.algebra:
             raise ValueError("elements live in different algebras")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            cur = out.get(k)
-            out[k] = c if cur is None else cur + c
-        return AlgebraElement(self.algebra, out)
+        return AlgebraElement._of(self.algebra, collect(other.coeffs.items(), self.coeffs))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, {k: -c for k, c in self.coeffs.items()})
+        return AlgebraElement._of(self.algebra, {k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
-            return AlgebraElement(
+            return AlgebraElement._of(
                 self.algebra, self.algebra.multiply_dicts(self.coeffs, other.coeffs)
             )
         scale = self.algebra.field.scalar(other) if not isinstance(other, Scalar) else other
-        return AlgebraElement(
-            self.algebra, {k: c * scale for k, c in self.coeffs.items()}
+        return AlgebraElement._of(
+            self.algebra, collect((k, c * scale) for k, c in self.coeffs.items())
         )
 
     def __rmul__(self, other):
@@ -626,51 +604,23 @@ def verify_hopf_axioms(h: HopfAlgebra, include_grading: bool = True) -> Report:
     rep = Report(title=h.name or "hopf")
     field = h.field
     dim = h.dim
-    one_el = {h.unit_index: field.one}
 
-    ok = True
-    for i in range(dim):
-        if not ok:
-            break
-        bi = {i: field.one}
-        for j in range(dim):
-            ij = h.multiply_dicts(bi, {j: field.one})
-            for k in range(dim):
-                left = h.multiply_dicts(ij, {k: field.one})
-                right = h.multiply_dicts(
-                    bi, h.multiply_dicts({j: field.one}, {k: field.one})
-                )
-                if left != right:
-                    ok = False
-                    break
-            if not ok:
-                break
-    rep.add("associativity", ok)
-
-    ok = all(
-        h.multiply_dicts(one_el, {i: field.one}) == {i: field.one}
-        and h.multiply_dicts({i: field.one}, one_el) == {i: field.one}
-        for i in range(dim)
+    unital, bad = check_product(dim, h.mult, h.unit_index, field.one)
+    rep.add(
+        "associativity",
+        bad is None,
+        "" if bad is None else "fails at ({}, {}, {})".format(*(h.labels[i] for i in bad)),
     )
-    rep.add("unit", ok)
+    rep.add("unit", unital)
 
     ok = True
     for i in range(dim):
-        left: dict[tuple[int, int, int], Scalar] = {}
-        right: dict[tuple[int, int, int], Scalar] = {}
-        for j, k, c in h.comult[i]:
-            for a, b, cc in h.comult[j]:
-                key = (a, b, k)
-                cur = left.get(key)
-                v = c * cc
-                left[key] = v if cur is None else cur + v
-            for a, b, cc in h.comult[k]:
-                key = (j, a, b)
-                cur = right.get(key)
-                v = c * cc
-                right[key] = v if cur is None else cur + v
-        left = {k_: v for k_, v in left.items() if not v.is_zero}
-        right = {k_: v for k_, v in right.items() if not v.is_zero}
+        left = collect(
+            ((a, b, k), c * cc) for j, k, c in h.comult[i] for a, b, cc in h.comult[j]
+        )
+        right = collect(
+            ((j, a, b), c * cc) for j, k, c in h.comult[i] for a, b, cc in h.comult[k]
+        )
         if left != right:
             ok = False
             break
@@ -678,19 +628,8 @@ def verify_hopf_axioms(h: HopfAlgebra, include_grading: bool = True) -> Report:
 
     ok = True
     for i in range(dim):
-        lhs: dict[int, Scalar] = {}
-        rhs: dict[int, Scalar] = {}
-        for j, k, c in h.comult[i]:
-            v = c * h.counit[j]
-            if not v.is_zero:
-                cur = lhs.get(k)
-                lhs[k] = v if cur is None else cur + v
-            w = c * h.counit[k]
-            if not w.is_zero:
-                cur = rhs.get(j)
-                rhs[j] = w if cur is None else cur + w
-        lhs = {k_: v for k_, v in lhs.items() if not v.is_zero}
-        rhs = {k_: v for k_, v in rhs.items() if not v.is_zero}
+        lhs = collect((k, c * h.counit[j]) for j, k, c in h.comult[i])
+        rhs = collect((j, c * h.counit[k]) for j, k, c in h.comult[i])
         if lhs != {i: field.one} or rhs != {i: field.one}:
             ok = False
             break
@@ -702,30 +641,20 @@ def verify_hopf_axioms(h: HopfAlgebra, include_grading: bool = True) -> Report:
             break
         di = h.comult[i]
         for j in range(dim):
-            prod = h.multiply_dicts({i: field.one}, {j: field.one})
-            want: dict[tuple[int, int], Scalar] = {}
-            for a, b, ca in di:
-                for c_, d_, cb in h.comult[j]:
-                    coeff = ca * cb
-                    left_t = h.mult.get((a, c_))
-                    right_t = h.mult.get((b, d_))
-                    if not left_t or not right_t:
-                        continue
-                    for k1, c1 in left_t:
-                        for k2, c2 in right_t:
-                            key = (k1, k2)
-                            cur = want.get(key)
-                            v = coeff * c1 * c2
-                            want[key] = v if cur is None else cur + v
-            want = {k_: v for k_, v in want.items() if not v.is_zero}
-            if want != h.comult_dict(prod):
+            want = collect(
+                ((k1, k2), ca * cb * c1 * c2)
+                for a, b, ca in di
+                for c_, d_, cb in h.comult[j]
+                for k1, c1 in h.mult.get((a, c_), ())
+                for k2, c2 in h.mult.get((b, d_), ())
+            )
+            if want != h.comult_dict(dict(h.mult.get((i, j), ()))):
                 ok = False
                 break
     rep.add("comult-multiplicative", ok)
 
     ok = all(
-        h.counit_dict(h.multiply_dicts({i: field.one}, {j: field.one}))
-        == h.counit[i] * h.counit[j]
+        h.counit_dict(dict(h.mult.get((i, j), ()))) == h.counit[i] * h.counit[j]
         for i in range(dim)
         for j in range(dim)
     ) and h.counit[h.unit_index] == field.one
@@ -734,21 +663,20 @@ def verify_hopf_axioms(h: HopfAlgebra, include_grading: bool = True) -> Report:
     ok_left = True
     ok_right = True
     for i in range(dim):
-        acc_l: dict[int, Scalar] = {}
-        acc_r: dict[int, Scalar] = {}
-        for j, k, c in h.comult[i]:
-            sj = h.antipode_dict({j: c})
-            for k2, c2 in h.multiply_dicts(sj, {k: field.one}).items():
-                cur = acc_l.get(k2)
-                acc_l[k2] = c2 if cur is None else cur + c2
-            sk = h.antipode_dict({k: c})
-            for k2, c2 in h.multiply_dicts({j: field.one}, sk).items():
-                cur = acc_r.get(k2)
-                acc_r[k2] = c2 if cur is None else cur + c2
+        acc_l = collect(
+            kv
+            for j, k, c in h.comult[i]
+            for kv in h.multiply_dicts(h.antipode_dict({j: c}), {k: field.one}).items()
+        )
+        acc_r = collect(
+            kv
+            for j, k, c in h.comult[i]
+            for kv in h.multiply_dicts({j: field.one}, h.antipode_dict({k: c})).items()
+        )
         want = {h.unit_index: h.counit[i]} if not h.counit[i].is_zero else {}
-        if {k_: v for k_, v in acc_l.items() if not v.is_zero} != want:
+        if acc_l != want:
             ok_left = False
-        if {k_: v for k_, v in acc_r.items() if not v.is_zero} != want:
+        if acc_r != want:
             ok_right = False
     rep.add("antipode-left", ok_left)
     rep.add("antipode-right", ok_right)
@@ -798,23 +726,46 @@ def structure_equal(a: HopfAlgebra, b: HopfAlgebra, check_labels: bool = True) -
     )
 
 
+def check_product(
+    dim: int, mult, unit_index: int, one: Scalar
+) -> tuple[bool, tuple[int, int, int] | None]:
+    """Unit and associativity of a mult table on the basis: whether the
+    unit multiplies every basis element to itself on both sides, and the
+    lexicographically first triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k),
+    or None.  Each product is read from the table, not recomputed."""
+    unital = all(
+        mult.get((unit_index, i)) == ((i, one),) and mult.get((i, unit_index)) == ((i, one),)
+        for i in range(dim)
+    )
+    for i in range(dim):
+        for j in range(dim):
+            ij = mult.get((i, j), ())
+            for k in range(dim):
+                left = collect((m, c * cm) for p, c in ij for m, cm in mult.get((p, k), ()))
+                right = collect(
+                    (m, c * cm) for p, c in mult.get((j, k), ()) for m, cm in mult.get((i, p), ())
+                )
+                if left != right:
+                    return unital, (i, j, k)
+    return unital, None
+
+
 def center_table(dim: int, mult, field: FieldSpec) -> list[dict[int, Scalar]]:
     """Nullspace basis of [z, b_j] = 0 for an arbitrary mult table."""
+
+    def entries():
+        # ((row, column), coeff): row j*dim + k is the b_k coordinate of [z, b_j]
+        for j in range(dim):
+            for i in range(dim):
+                for k, c in mult.get((i, j), ()):
+                    yield (j * dim + k, i), c
+                for k, c in mult.get((j, i), ()):
+                    yield (j * dim + k, i), -c
+
     rows: dict[int, dict[int, Scalar]] = {}
-    for j in range(dim):
-        for i in range(dim):
-            for k, c in mult.get((i, j), ()):
-                row = rows.setdefault(j * dim + k, {})
-                cur = row.get(i)
-                row[i] = c if cur is None else cur + c
-            for k, c in mult.get((j, i), ()):
-                row = rows.setdefault(j * dim + k, {})
-                cur = row.get(i)
-                row[i] = -c if cur is None else cur - c
-    cleaned = [
-        {i: c for i, c in row.items() if not c.is_zero} for row in rows.values()
-    ]
-    return nullspace(dim, [r for r in cleaned if r], field)
+    for (r, i), c in collect(entries()).items():
+        rows.setdefault(r, {})[i] = c
+    return nullspace(dim, list(rows.values()), field)
 
 
 def center(h: HopfAlgebra) -> list[AlgebraElement]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import Scalar, format_scalar, scalar_from_strings, scalar_to_strings
-from .cocycle import TwoCocycle, TwistedAlgebra, twisted_algebra
+from .arith import Scalar, format_terms, scalar_from_strings, scalar_to_strings
+from .cocycle import TwoCocycle, TwistedAlgebra, require_cocycle_of, twisted_algebra
 from .errors import (
     CocycleMismatch,
     NotHopfMap,
@@ -23,6 +23,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .hopf import HopfAlgebra, group_algebra
+from .linalg import collect
 from .tring import TElement, TensorH, TMonomial, t_ring, tensor_ops
 
 DEFAULT_WORD_CAP = 64
@@ -43,6 +44,16 @@ class NCPoly:
             if len(w) > cap:
                 raise RangeError(f"word of length {len(w)} exceeds cap {cap}")
 
+    @staticmethod
+    def _of(hopf: HopfAlgebra, terms: dict[Word, Scalar], cap: int) -> NCPoly:
+        """A polynomial from arithmetic output, which holds no zeros and no
+        word over the cap, so it skips the constructor's checks."""
+        out = NCPoly.__new__(NCPoly)
+        out.hopf = hopf
+        out.terms = terms
+        out.cap = cap
+        return out
+
     def _coerce(self, other):
         if isinstance(other, NCPoly):
             return other
@@ -56,11 +67,7 @@ class NCPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for w, c in o.terms.items():
-            cur = acc.get(w)
-            acc[w] = c if cur is None else cur + c
-        return NCPoly(self.hopf, acc, max(self.cap, o.cap))
+        return NCPoly._of(self.hopf, collect(o.terms.items(), self.terms), max(self.cap, o.cap))
 
     __radd__ = __add__
 
@@ -77,21 +84,24 @@ class NCPoly:
         return o + (-self)
 
     def __neg__(self):
-        return NCPoly(self.hopf, {w: -c for w, c in self.terms.items()}, self.cap)
+        return NCPoly._of(self.hopf, {w: -c for w, c in self.terms.items()}, self.cap)
 
     def __mul__(self, other):
         if isinstance(other, NCPoly):
             cap = max(self.cap, other.cap)
-            acc: dict[Word, Scalar] = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    if len(w) > cap:
-                        raise RangeError(f"word of length {len(w)} exceeds cap {cap}")
-                    c = c1 * c2
-                    cur = acc.get(w)
-                    acc[w] = c if cur is None else cur + c
-            return NCPoly(self.hopf, acc, cap)
+            if self.terms and other.terms:
+                longest = max(map(len, self.terms)) + max(map(len, other.terms))
+                if longest > cap:
+                    raise RangeError(f"word of length {longest} exceeds cap {cap}")
+            return NCPoly._of(
+                self.hopf,
+                collect(
+                    (w1 + w2, c1 * c2)
+                    for w1, c1 in self.terms.items()
+                    for w2, c2 in other.terms.items()
+                ),
+                cap,
+            )
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -121,12 +131,9 @@ class NCPoly:
         return hash(frozenset(self.terms.items()))
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
         labels = self.hopf.labels
-        parts = []
+        terms = []
         for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
             factors = []
             run_idx, run_len = None, 0
             for i in list(w) + [None]:
@@ -137,21 +144,8 @@ class NCPoly:
                     v = f"X[{labels[run_idx]}]"
                     factors.append(v if run_len == 1 else f"{v}^{run_len}")
                 run_idx, run_len = i, 1
-            fmt = format_scalar(c)
-            if " " in fmt:
-                fmt = f"({fmt})"
-            if not factors:
-                parts.append(fmt)
-            elif fmt == "1":
-                parts.append("*".join(factors))
-            elif fmt == "-1":
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append("*".join([fmt] + factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+            terms.append((self.terms[w], factors))
+        return format_terms(terms)
 
     def to_json(self) -> dict:
         return {
@@ -166,13 +160,11 @@ class NCPoly:
 
 
 def ncpoly_from_json(hopf: HopfAlgebra, data: dict, cap: int = DEFAULT_WORD_CAP) -> NCPoly:
-    acc: dict[Word, Scalar] = {}
-    for term in data["terms"]:
-        w = tuple(int(i) for i in term["word"])
-        c = scalar_from_strings(hopf.field, term["coeff"])
-        cur = acc.get(w)
-        acc[w] = c if cur is None else cur + c
-    return NCPoly(hopf, acc, cap)
+    pairs = (
+        (tuple(int(i) for i in term["word"]), scalar_from_strings(hopf.field, term["coeff"]))
+        for term in data["terms"]
+    )
+    return NCPoly(hopf, collect(pairs), cap)
 
 
 def symbol(hopf: HopfAlgebra, label_or_index, cap: int = DEFAULT_WORD_CAP) -> NCPoly:
@@ -301,8 +293,7 @@ def mu_algebra(hopf: HopfAlgebra, alpha: TwoCocycle) -> TwistedAlgebra | HopfAlg
     basis, collapsed to the plain algebra when the twist changes nothing.
     Built once per cocycle and kept on it, so the cocycle must be a
     TwoCocycle of this very instance."""
-    if getattr(alpha, "hopf", None) is not hopf:
-        raise CocycleMismatch("the cocycle is not a TwoCocycle of this algebra instance")
+    require_cocycle_of(hopf, alpha)
     if alpha._mu_target is None:
         tw = twisted_algebra(hopf, alpha, verify=False)
         alpha._mu_target = hopf if tw.mult == hopf.mult else tw
@@ -318,10 +309,10 @@ def mu(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> TensorH:
     algebra = mu_algebra(hopf, alpha)
     ops = tensor_ops(algebra)
     gen_images = [
-        TensorH(
+        TensorH._of(
             ring,
             algebra,
-            _collect(((TMonomial.from_pairs([(j, 1)]), k), c) for j, k, c in hopf.comult[i]),
+            collect(((TMonomial.from_pairs([(j, 1)]), k), c) for j, k, c in hopf.comult[i]),
         )
         for i in range(hopf.dim)
     ]
@@ -332,14 +323,6 @@ def mu(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> TensorH:
             img = img * gen_images[i]
         total = total + img.scale(coeff)
     return total
-
-
-def _collect(pairs) -> dict:
-    out: dict = {}
-    for key, c in pairs:
-        cur = out.get(key)
-        out[key] = c if cur is None else cur + c
-    return out
 
 
 def is_identity(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> bool:
@@ -364,55 +347,31 @@ def classify(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> dict:
 def tautological_coaction(hopf: HopfAlgebra, poly: NCPoly) -> dict[tuple[Word, int], Scalar]:
     """Coaction on words: each symbol splits through the coproduct, words
     multiply componentwise (word concatenation, algebra product)."""
-    total: dict[tuple[Word, int], Scalar] = {}
+    pairs = []
     for word, coeff in poly.terms.items():
         cur: dict[tuple[Word, int], Scalar] = {((), hopf.unit_index): hopf.field.one}
         for i in word:
-            step: dict[tuple[Word, int], Scalar] = {}
-            for (w, h), c in cur.items():
-                for j, k, cc in hopf.comult[i]:
-                    for m, cm in hopf.mult.get((h, k), ()):
-                        key = (w + (j,), m)
-                        add = c * cc * cm
-                        curv = step.get(key)
-                        step[key] = add if curv is None else curv + add
-            cur = step
-        for key, c in cur.items():
-            add = coeff * c
-            prev = total.get(key)
-            tot = add if prev is None else prev + add
-            if tot.is_zero:
-                total.pop(key, None)
-            else:
-                total[key] = tot
-    return total
+            cur = collect(
+                ((w + (j,), m), c * cc * cm)
+                for (w, h), c in cur.items()
+                for j, k, cc in hopf.comult[i]
+                for m, cm in hopf.mult.get((h, k), ())
+            )
+        pairs.extend((key, coeff * c) for key, c in cur.items())
+    return collect(pairs)
 
 
 def comodule_map_check(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> bool:
     """mu intertwines the word coaction with the coaction on its image."""
     image = mu(hopf, alpha, poly)
-    left: dict[tuple[TMonomial, int, int], Scalar] = {}
-    for (m, i), c in image.terms.items():
-        for j, k, cc in hopf.comult[i]:
-            key = (m, j, k)
-            add = c * cc
-            cur = left.get(key)
-            tot = add if cur is None else cur + add
-            if tot.is_zero:
-                left.pop(key, None)
-            else:
-                left[key] = tot
-    right: dict[tuple[TMonomial, int, int], Scalar] = {}
-    for (word, h), c in tautological_coaction(hopf, poly).items():
-        part = mu(hopf, alpha, NCPoly(hopf, {word: c}, poly.cap))
-        for (m, i), cc in part.terms.items():
-            key = (m, i, h)
-            cur = right.get(key)
-            tot = cc if cur is None else cur + cc
-            if tot.is_zero:
-                right.pop(key, None)
-            else:
-                right[key] = tot
+    left = collect(
+        ((m, j, k), c * cc) for (m, i), c in image.terms.items() for j, k, cc in hopf.comult[i]
+    )
+    right = collect(
+        ((m, i, h), cc)
+        for (word, h), c in tautological_coaction(hopf, poly).items()
+        for (m, i), cc in mu(hopf, alpha, NCPoly(hopf, {word: c}, poly.cap)).terms.items()
+    )
     return left == right
 
 
@@ -507,16 +466,7 @@ class HopfMap:
             self._verify()
 
     def apply(self, vec: dict[int, Scalar]) -> dict[int, Scalar]:
-        out: dict[int, Scalar] = {}
-        for i, c in vec.items():
-            for j, cj in self.images[i].items():
-                cur = out.get(j)
-                tot = c * cj if cur is None else cur + c * cj
-                if tot.is_zero:
-                    out.pop(j, None)
-                else:
-                    out[j] = tot
-        return out
+        return collect((j, c * cj) for i, c in vec.items() for j, cj in self.images[i].items())
 
     def _verify(self):
         src, tgt = self.source, self.target
@@ -533,30 +483,13 @@ class HopfMap:
                 if left != right:
                     raise NotHopfMap(f"product broken at ({src.labels[a]}, {src.labels[b]})")
         for a in range(dim):
-            mapped: dict[tuple[int, int], Scalar] = {}
-            for j, k, c in src.comult[a]:
-                for j2, cj in self.images[j].items():
-                    for k2, ck in self.images[k].items():
-                        key = (j2, k2)
-                        add = c * cj * ck
-                        cur = mapped.get(key)
-                        tot = add if cur is None else cur + add
-                        if tot.is_zero:
-                            mapped.pop(key, None)
-                        else:
-                            mapped[key] = tot
-            direct: dict[tuple[int, int], Scalar] = {}
-            for i2, ci in self.images[a].items():
-                for j, k, c in tgt.comult[i2]:
-                    key = (j, k)
-                    add = ci * c
-                    cur = direct.get(key)
-                    tot = add if cur is None else cur + add
-                    if tot.is_zero:
-                        direct.pop(key, None)
-                    else:
-                        direct[key] = tot
-            if mapped != direct:
+            mapped = collect(
+                ((j2, k2), c * cj * ck)
+                for j, k, c in src.comult[a]
+                for j2, cj in self.images[j].items()
+                for k2, ck in self.images[k].items()
+            )
+            if mapped != tgt.comult_dict(self.images[a]):
                 raise NotHopfMap(f"coproduct broken at {src.labels[a]}")
             eps_left = src.counit[a]
             eps_right = src.field.zero
@@ -597,8 +530,7 @@ def push_forward(phi: HopfMap, poly: NCPoly) -> NCPoly:
     """Relabel symbols through the map, expanding words multilinearly."""
     if poly.hopf is not phi.source:
         raise RangeError("polynomial not over the map's source")
-    tgt = phi.target
-    acc: dict[Word, Scalar] = {}
+    pairs: list[tuple[Word, Scalar]] = []
     for word, coeff in poly.terms.items():
         expansions: list[tuple[Word, Scalar]] = [((), coeff)]
         for i in word:
@@ -607,10 +539,8 @@ def push_forward(phi: HopfMap, poly: NCPoly) -> NCPoly:
                 for w, c in expansions
                 for j, cj in phi.images[i].items()
             ]
-        for w, c in expansions:
-            cur = acc.get(w)
-            acc[w] = c if cur is None else cur + c
-    return NCPoly(tgt, acc, poly.cap)
+        pairs.extend(expansions)
+    return NCPoly._of(phi.target, collect(pairs), poly.cap)
 
 
 def push_t(phi: HopfMap, elem: TElement) -> TElement:

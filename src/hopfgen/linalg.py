@@ -10,17 +10,24 @@ from .arith import FieldSpec, Scalar
 from .errors import NotInvertible
 
 
+def collect(pairs, base: dict | None = None) -> dict:
+    """Sum the coefficients of equal keys over an iterable of (key, coeff)
+    pairs, on top of a copy of `base` if given.  This is the one place that
+    drops zeros: the result holds no zero coefficient, and its keys keep the
+    order in which they first appeared."""
+    out = {} if base is None else dict(base)
+    get = out.get
+    for k, c in pairs:
+        cur = get(k)
+        out[k] = c if cur is None else cur + c
+    for k in [k for k, c in out.items() if not c]:
+        del out[k]
+    return out
+
+
 def axpy(a: dict, s: Scalar, b: dict) -> dict:
     """a + s*b with zero entries dropped."""
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k)
-        w = s * v if w is None else w + s * v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
-    return out
+    return collect(((k, s * v) for k, v in b.items()), a)
 
 
 def row_reduce(rows: list[dict], field: FieldSpec) -> tuple[list[dict], list[int]]:

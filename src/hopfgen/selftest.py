@@ -58,6 +58,7 @@ from .identities import (
     symbol,
 )
 from .lattice import named_basis, pq_generation_check, y_group
+from .linalg import collect
 from .arith import make_field
 from .report import Report
 from .tring import TMonomial, TensorH, t_ring, verify_t_inverse
@@ -480,17 +481,14 @@ def criterion_14(seed: int = 0) -> Report:
     rng = random.Random(f"{seed}:maps")
     bad = 0
     for _ in range(50):
-        terms = {}
+        pairs = []
         for _t in range(rng.randint(1, 3)):
             word = tuple(
                 rng.randrange(kg.dim) for _ in range(rng.randint(0, 4))
             )
             c = kg.field.scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-            cur = terms.get(word)
-            terms[word] = c if cur is None else cur + c
-        poly = NCPoly(
-            kg, {w: c for w, c in terms.items() if not c.is_zero}, 16
-        )
+            pairs.append((word, c))
+        poly = NCPoly(kg, collect(pairs), 16)
         if push_forward(pi, push_forward(iota, poly)) != poly:
             bad += 1
     rep.add(

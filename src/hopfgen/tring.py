@@ -8,10 +8,10 @@ induced on coordinates, and the grading pulled back through the algebra.
 
 from __future__ import annotations
 
-from .arith import FieldSpec, Scalar, format_scalar, scalar_from_strings, scalar_to_strings
+from .arith import FieldSpec, Scalar, format_terms, scalar_from_strings, scalar_to_strings
 from .errors import NotInvertible, NotPointedOrder, OutOfLocalization, RangeError
 from .hopf import HopfAlgebra, center_table, hab_grading
-from .linalg import in_span, row_reduce
+from .linalg import collect, in_span, row_reduce
 from .report import Report
 
 
@@ -84,11 +84,7 @@ class TElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for m, c in o.terms.items():
-            cur = acc.get(m)
-            acc[m] = c if cur is None else cur + c
-        return self.ring.element(acc)
+        return TElement(self.ring, collect(o.terms.items(), self.terms))
 
     __radd__ = __add__
 
@@ -109,14 +105,14 @@ class TElement:
 
     def __mul__(self, other):
         if isinstance(other, TElement):
-            acc: dict[TMonomial, Scalar] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = m1.mul(m2)
-                    c = c1 * c2
-                    cur = acc.get(m)
-                    acc[m] = c if cur is None else cur + c
-            return self.ring.element(acc)
+            return TElement(
+                self.ring,
+                collect(
+                    (m1.mul(m2), c1 * c2)
+                    for m1, c1 in self.terms.items()
+                    for m2, c2 in other.terms.items()
+                ),
+            )
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -173,31 +169,14 @@ class TElement:
         return self.ring.field.zero if c is None else c
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
         labels = self.ring.hopf.labels
-        parts = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            factors = []
-            for i, e in m.exps:
-                v = f"t[{labels[i]}]"
-                factors.append(v if e == 1 else f"{v}^{e}")
-            fmt = format_scalar(c)
-            if " " in fmt:
-                fmt = f"({fmt})"
-            if not factors:
-                parts.append(fmt)
-            elif fmt == "1":
-                parts.append("*".join(factors))
-            elif fmt == "-1":
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append("*".join([fmt] + factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return format_terms(
+            (
+                self.terms[m],
+                [f"t[{labels[i]}]" if e == 1 else f"t[{labels[i]}]^{e}" for i, e in m.exps],
+            )
+            for m in sorted(self.terms)
+        )
 
     def to_json(self) -> dict:
         return {
@@ -212,13 +191,16 @@ class TElement:
 
 
 def telement_from_json(ring: TRing, data: dict) -> TElement:
-    acc: dict[TMonomial, Scalar] = {}
-    for term in data["terms"]:
-        m = ring.monomial([(int(i), int(e)) for i, e in term["exps"]])
-        c = scalar_from_strings(ring.field, term["coeff"])
-        cur = acc.get(m)
-        acc[m] = c if cur is None else cur + c
-    return ring.element(acc)
+    return TElement(
+        ring,
+        collect(
+            (
+                ring.monomial([(int(i), int(e)) for i, e in term["exps"]]),
+                scalar_from_strings(ring.field, term["coeff"]),
+            )
+            for term in data["terms"]
+        ),
+    )
 
 
 class TRing:
@@ -304,7 +286,7 @@ class TRing:
         """Coordinate coproduct: t[b] goes to the sum of t[b1] (x) t[b2],
         inverted group-like variables stay diagonal, products multiply."""
         h = self.hopf
-        acc: dict[tuple[TMonomial, TMonomial], Scalar] = {}
+        pairs = []
         for m, coeff in elem.terms.items():
             cur = {(TMonomial(()), TMonomial(())): coeff}
             for i, e in m.exps:
@@ -318,14 +300,8 @@ class TRing:
                 }
                 for _ in range(e):
                     cur = tensor_t_product(cur, base)
-            for key, c in cur.items():
-                prev = acc.get(key)
-                tot = c if prev is None else prev + c
-                if tot.is_zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = tot
-        return acc
+            pairs.extend(cur.items())
+        return collect(pairs)
 
     def hab_degree(self, mon: TMonomial) -> tuple[int, ...]:
         if self._grading is None:
@@ -356,18 +332,11 @@ class TRing:
 
 def tensor_t_product(a: dict, b: dict) -> dict:
     """Componentwise product of two coordinate tensors (both legs commute)."""
-    out: dict[tuple[TMonomial, TMonomial], Scalar] = {}
-    for (l1, r1), c1 in a.items():
-        for (l2, r2), c2 in b.items():
-            key = (l1.mul(l2), r1.mul(r2))
-            c = c1 * c2
-            cur = out.get(key)
-            tot = c if cur is None else cur + c
-            if tot.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = tot
-    return out
+    return collect(
+        ((l1.mul(l2), r1.mul(r2)), c1 * c2)
+        for (l1, r1), c1 in a.items()
+        for (l2, r2), c2 in b.items()
+    )
 
 
 def t_ring(hopf: HopfAlgebra) -> TRing:
@@ -438,6 +407,16 @@ class TensorH:
         self.terms = {k: c for k, c in terms.items() if not c.is_zero}
 
     @staticmethod
+    def _of(ring: TRing, algebra, terms: dict[tuple[TMonomial, int], Scalar]) -> TensorH:
+        """A tensor from arithmetic output, which holds no zeros, so it
+        skips the constructor's filter."""
+        out = TensorH.__new__(TensorH)
+        out.ring = ring
+        out.algebra = algebra
+        out.terms = terms
+        return out
+
+    @staticmethod
     def zero(ring: TRing, algebra) -> TensorH:
         return TensorH(ring, algebra, {})
 
@@ -453,11 +432,7 @@ class TensorH:
         if not isinstance(other, TensorH):
             return NotImplemented
         self._require_same(other)
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            cur = acc.get(k)
-            acc[k] = c if cur is None else cur + c
-        return TensorH(self.ring, self.algebra, acc)
+        return TensorH._of(self.ring, self.algebra, collect(other.terms.items(), self.terms))
 
     def __sub__(self, other: TensorH):
         if not isinstance(other, TensorH):
@@ -465,34 +440,34 @@ class TensorH:
         return self + (-other)
 
     def __neg__(self):
-        return TensorH(self.ring, self.algebra, {k: -c for k, c in self.terms.items()})
+        return TensorH._of(self.ring, self.algebra, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c) -> TensorH:
         if isinstance(c, TElement):
-            acc: dict[tuple[TMonomial, int], Scalar] = {}
-            for (m1, i), c1 in self.terms.items():
-                for m2, c2 in c.terms.items():
-                    key = (m1.mul(m2), i)
-                    add = c1 * c2
-                    cur = acc.get(key)
-                    acc[key] = add if cur is None else cur + add
-            return TensorH(self.ring, self.algebra, acc)
-        s = self.ring.field.scalar(c) if not isinstance(c, Scalar) else c
-        return TensorH(self.ring, self.algebra, {k: s * v for k, v in self.terms.items()})
+            pairs = (
+                ((m1.mul(m2), i), c1 * c2)
+                for (m1, i), c1 in self.terms.items()
+                for m2, c2 in c.terms.items()
+            )
+        else:
+            s = self.ring.field.scalar(c) if not isinstance(c, Scalar) else c
+            pairs = ((k, s * v) for k, v in self.terms.items())
+        return TensorH._of(self.ring, self.algebra, collect(pairs))
 
     def __mul__(self, other):
         if isinstance(other, TensorH):
             self._require_same(other)
             mult = self.algebra.mult
-            acc: dict[tuple[TMonomial, int], Scalar] = {}
-            for (m1, i), c1 in self.terms.items():
-                for (m2, j), c2 in other.terms.items():
-                    for k, c in mult.get((i, j), ()):
-                        key = (m1.mul(m2), k)
-                        add = c1 * c2 * c
-                        cur = acc.get(key)
-                        acc[key] = add if cur is None else cur + add
-            return TensorH(self.ring, self.algebra, acc)
+            return TensorH._of(
+                self.ring,
+                self.algebra,
+                collect(
+                    ((m1.mul(m2), k), c1 * c2 * c)
+                    for (m1, i), c1 in self.terms.items()
+                    for (m2, j), c2 in other.terms.items()
+                    for k, c in mult.get((i, j), ())
+                ),
+            )
         return self.scale(other)
 
     __rmul__ = scale

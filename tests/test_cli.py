@@ -8,7 +8,8 @@ import pytest
 
 from hopfgen.cli import main
 from hopfgen.errors import RangeError
-from hopfgen.hopf import HopfAlgebra, verify_hopf_axioms
+from hopfgen.hopf import HopfAlgebra, taft, verify_hopf_axioms
+from hopfgen.identities import parse_ncpoly
 from hopfgen.selftest import run_criteria
 
 
@@ -188,6 +189,19 @@ def test_bad_poly_is_usage_error(capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_word_cap_bounds_polynomial_products(capsys):
+    argv = ("identity", "--family", "taft:3", "--poly", "X[x]^3", "--format", "json")
+    code, out, err = run_cli(capsys, *argv, "--cap", "2")
+    assert code == 2
+    assert out == ""
+    assert "word of length 3 exceeds cap 2" in err
+    code, out, _ = run_cli(capsys, *argv, "--cap", "3")
+    assert code in (0, 1)
+    assert json.loads(out)["poly"] == "X[x]^3"
+    with pytest.raises(RangeError):
+        parse_ncpoly("X[x]^3", taft(3), cap=2)
 
 
 def test_unknown_base_check_is_usage_error(capsys):

@@ -12,7 +12,7 @@ from hopfgen.cocycle import (
     twisted_algebra,
     verify_cocycle_condition,
 )
-from hopfgen.errors import NotInvertible, RangeError, UnsupportedFamily
+from hopfgen.errors import CocycleMismatch, NotInvertible, RangeError, UnsupportedFamily
 from hopfgen.groups import cyclic, symmetric
 from hopfgen.hopf import e_algebra, group_algebra, structure_equal, taft
 
@@ -143,3 +143,40 @@ def test_cocycle_json_round_trip():
     a = coboundary_cocycle(s3, seed=9)
     b = TwoCocycle.from_json(s3, a.to_json())
     assert b.values == a.values
+
+
+def test_twists_take_a_cocycle_of_the_same_instance_only():
+    h = taft(2)
+    alpha = trivial_cocycle(h)
+    other = trivial_cocycle(taft(2))
+    for twist in (twisted_algebra, cotwist_hopf):
+        for bad in (alpha.values, other):
+            with pytest.raises(CocycleMismatch):
+                twist(h, bad)
+    assert twisted_algebra(h, alpha).mult == h.mult
+
+
+def test_twisted_algebra_names_the_first_nonassociative_triple():
+    h = group_algebra(cyclic(3))
+    f = h.field
+    u = h.unit_index
+    vals = [
+        [h.counit[i] if u in (i, j) else f.scalar(1 + i + 2 * j) for j in range(h.dim)]
+        for i in range(h.dim)
+    ]
+    alpha = TwoCocycle(h, vals, check=False)
+    assert not verify_cocycle_condition(h, alpha).ok
+    tw = twisted_algebra(h, alpha, verify=False)
+    one = f.one
+    first = next(
+        (i, j, k)
+        for i in range(h.dim)
+        for j in range(h.dim)
+        for k in range(h.dim)
+        if tw.multiply_dicts(tw.multiply_dicts({i: one}, {j: one}), {k: one})
+        != tw.multiply_dicts({i: one}, tw.multiply_dicts({j: one}, {k: one}))
+    )
+    labels = ", ".join(h.labels[i] for i in first)
+    with pytest.raises(NotInvertible) as err:
+        twisted_algebra(h, alpha)
+    assert str(err.value) == f"twisted product is not associative at ({labels})"

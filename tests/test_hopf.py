@@ -179,6 +179,19 @@ def test_axioms_catch_corruption():
     )
     rep = verify_hopf_axioms(broken, include_grading=False)
     assert not rep.ok
+    one = broken.field.one
+    first = next(
+        (i, j, k)
+        for i in range(broken.dim)
+        for j in range(broken.dim)
+        for k in range(broken.dim)
+        if broken.multiply_dicts(broken.multiply_dicts({i: one}, {j: one}), {k: one})
+        != broken.multiply_dicts({i: one}, broken.multiply_dicts({j: one}, {k: one}))
+    )
+    (assoc,) = [c for c in rep.checks if c.name == "associativity"]
+    assert not assoc.passed
+    assert assoc.details == "fails at ({}, {}, {})".format(*(broken.labels[i] for i in first))
+    assert all(c.details == "" for c in verify_hopf_axioms(h).checks if c.passed)
 
 
 def test_non_pointed_order_rejected():

@@ -1,12 +1,19 @@
-"""Exact linear algebra, checked against sympy as a test-only oracle."""
+"""Exact linear algebra, checked against sympy as a test-only oracle, and
+the sparse accumulation kernel, checked against the accumulator loop it
+replaced."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfgen.arith import make_field
-from hopfgen.linalg import scalar_det
+from hopfgen.hopf import AlgebraElement, taft
+from hopfgen.identities import NCPoly
+from hopfgen.linalg import collect, scalar_det
+from hopfgen.tring import TensorH, t_ring
 
 
 def _random_matrix(rng, field, size, singular):
@@ -53,3 +60,156 @@ def test_scalar_det_matches_sympy(n):
             else:
                 seen_regular += 1
     assert seen_singular >= 12 and seen_regular >= 1
+
+
+# --- the accumulation kernel --------------------------------------------------
+
+
+def parent_accumulate(pairs, base=None):
+    """Reference: the loop `collect` replaced, kept as it was in
+    `TElement.__add__` (sum into a copy of the left operand) followed by
+    the zero filter of `TRing.element`."""
+    acc = dict(base) if base is not None else {}
+    for m, c in pairs:
+        cur = acc.get(m)
+        acc[m] = c if cur is None else cur + c
+    return {m: c for m, c in acc.items() if not c.is_zero}
+
+
+def scalars(field):
+    rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return st.lists(rational, min_size=field.degree, max_size=field.degree).map(
+        field.from_coeffs
+    )
+
+
+@st.composite
+def cancelling_pairs(draw, field, keys):
+    """(key, coeff) pairs with repeated keys, zero coefficients, and some
+    coefficients repeated with the opposite sign so that their sums cancel."""
+    pairs = draw(st.lists(st.tuples(keys, scalars(field)), max_size=12))
+    cancel = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    return draw(st.permutations(pairs + [(k, -c) for k, c in cancel]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 3, 4]), with_base=st.booleans())
+def test_collect_matches_the_parent_accumulator(data, n, with_base):
+    field = make_field(n)
+    keys = st.integers(0, 5)
+    pairs = data.draw(cancelling_pairs(field, keys))
+    base = dict(data.draw(cancelling_pairs(field, keys))) if with_base else None
+    frozen = dict(base) if base is not None else None
+    got = collect(iter(pairs), base)
+    want = parent_accumulate(pairs, base)
+    assert list(got.items()) == list(want.items())
+    assert all(not c.is_zero for c in got.values())
+    assert base == frozen
+
+
+def test_collect_drops_cancelled_and_zero_terms():
+    f = make_field(3)
+    q = f.q
+    got = collect([(1, q), (2, f.one), (1, -q), (3, f.zero)], base={4: f.zero, 2: q})
+    assert got == {2: q + f.one}
+
+
+# --- element arithmetic on top of the kernel ----------------------------------
+
+H = taft(3)
+RING = t_ring(H)
+Y = H.index_of("y")
+MONOMIALS = [RING.monomial([(1, a), (Y, b)]) for a in (-1, 0, 1) for b in (0, 1, 2)]
+SLOTS = (0, 1, Y, H.index_of("x y"))
+
+
+def _telement(terms):
+    return RING.element(terms)
+
+
+def _tensor(terms):
+    return TensorH(RING, H, terms)
+
+
+def _ncpoly(terms):
+    return NCPoly(H, terms)
+
+
+def _algebra_element(terms):
+    return AlgebraElement(H, terms)
+
+
+def _terms(x):
+    return x.coeffs if isinstance(x, AlgebraElement) else x.terms
+
+
+def _tensor_products(a, b):
+    return (
+        ((m1.mul(m2), k), c1 * c2 * c)
+        for (m1, i), c1 in a.items()
+        for (m2, j), c2 in b.items()
+        for k, c in H.mult.get((i, j), ())
+    )
+
+
+def _basis_products(a, b):
+    return (
+        (k, ci * cj * c)
+        for i, ci in a.items()
+        for j, cj in b.items()
+        for k, c in H.mult.get((i, j), ())
+    )
+
+
+KINDS = {
+    "TElement": (
+        _telement,
+        st.sampled_from(MONOMIALS),
+        lambda a, b: ((m1.mul(m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items()),
+    ),
+    "TensorH": (
+        _tensor,
+        st.tuples(st.sampled_from(MONOMIALS), st.sampled_from(SLOTS)),
+        _tensor_products,
+    ),
+    "NCPoly": (
+        _ncpoly,
+        st.lists(st.sampled_from(SLOTS), max_size=2).map(tuple),
+        lambda a, b: ((w1 + w2, c1 * c2) for w1, c1 in a.items() for w2, c2 in b.items()),
+    ),
+    "AlgebraElement": (_algebra_element, st.integers(0, H.dim - 1), _basis_products),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_element_arithmetic_stores_no_zeros_and_matches_the_reference(kind, data):
+    make, keys, products = KINDS[kind]
+    a_terms = parent_accumulate(data.draw(cancelling_pairs(H.field, keys)))
+    # b repeats some terms of a with the opposite sign, so a + b cancels
+    cancel = []
+    if a_terms:
+        cancel = data.draw(st.lists(st.sampled_from(sorted(a_terms, key=repr)), max_size=3))
+    b_terms = parent_accumulate(
+        data.draw(cancelling_pairs(H.field, keys)) + [(k, -a_terms[k]) for k in cancel]
+    )
+    s = data.draw(scalars(H.field))
+    a, b = make(a_terms), make(b_terms)
+    results = {
+        "+": (a + b, parent_accumulate(b_terms.items(), a_terms)),
+        "-": (a - b, parent_accumulate(((k, -c) for k, c in b_terms.items()), a_terms)),
+        "*": (a * b, parent_accumulate(products(a_terms, b_terms))),
+        "scalar": (a * s, parent_accumulate((k, c * s) for k, c in a_terms.items())),
+    }
+    if kind == "TensorH":
+        t = _telement({m: c for (m, _), c in b_terms.items()})
+        want = parent_accumulate(
+            ((m1.mul(m2), i), c1 * c2)
+            for (m1, i), c1 in a_terms.items()
+            for m2, c2 in t.terms.items()
+        )
+        results["scale"] = (a.scale(t), want)
+    for op, (got, want) in results.items():
+        assert all(not c.is_zero for c in _terms(got).values()), op
+        assert _terms(got) == want, op
