@@ -29,7 +29,7 @@ from .generic_base import (
 )
 from .groups import abelianization, group_from_spec
 from .hopf import HopfAlgebra, e_algebra, group_algebra, monomial_type_i, taft, verify_hopf_axioms
-from .identities import classify, is_identity, parse_ncpoly
+from .identities import classify, parse_ncpoly
 from .arith import make_field
 from .groups import character_from_exponents
 from .lattice import pq_generation_check, y_group
@@ -203,13 +203,14 @@ def cmd_identity(args: argparse.Namespace) -> tuple[dict, int]:
     h = resolve_instance(args)
     alpha = _cocycle_for(args, h)
     poly = parse_ncpoly(args.poly, h, cap=args.cap)
-    verdict = is_identity(h, alpha, poly)
+    classification = classify(h, alpha, poly)
+    verdict = classification["identity"]
     payload = {
         "schema": SCHEMA,
         "instance": h.name,
         "poly": args.poly,
         "identity": verdict,
-        "classification": classify(h, alpha, poly),
+        "classification": classification,
     }
     return payload, 0 if verdict else 1
 

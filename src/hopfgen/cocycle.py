@@ -5,6 +5,10 @@ we build the twisted comodule algebra (new product on the u-basis, old
 coaction) and the cotwisted Hopf algebra (new product, old coalgebra,
 antipode re-solved).  Inverses are convolution inverses, computed by a
 linear solve except on group algebras where the system is diagonal.
+
+The cocycle identity, the convolution identity and the twist are each
+written once, for matrices of any values with +, * and .is_zero, so the
+lifted cocycle of generic_base, with coordinate-ring values, uses them too.
 """
 
 from __future__ import annotations
@@ -119,85 +123,86 @@ def verify_normalization(hopf: HopfAlgebra, values) -> Report:
     return rep
 
 
+def fails_at(hopf: HopfAlgebra, bad) -> str:
+    """The details of a check: empty when it holds, else its first
+    counterexample as a tuple of basis labels."""
+    if bad is None:
+        return ""
+    return "fails at ({})".format(", ".join(hopf.labels[i] for i in bad))
+
+
+def cocycle_failure(hopf: HopfAlgebra, vals, zero):
+    """The first basis triple (x, y, z), in loop order, at which
+    vals(x1, y1) vals(x2 y2, z) != vals(y1, z1) vals(x, y2 z2); None if
+    there is none.  The entries of the matrix vals may be any values with
+    +, * and .is_zero (scalars, or coordinate-ring elements for the lifted
+    cocycle); zero starts each sum."""
+    comult, mult = hopf.comult, hopf.mult
+    columns = list(zip(*vals))
+
+    def half(da, db, far):
+        # sum vals(a1, b1) far(a2 b2) over the legs of a and b
+        acc = zero
+        for a1, a2, ca in da:
+            for b1, b2, cb in db:
+                head = vals[a1][b1]
+                if head.is_zero:
+                    continue
+                c = head * (ca * cb)
+                for k, cm in mult.get((a2, b2), ()):
+                    v = far[k]
+                    if not v.is_zero:
+                        acc = acc + c * cm * v
+        return acc
+
+    for x in range(hopf.dim):
+        for y in range(hopf.dim):
+            for z in range(hopf.dim):
+                if half(comult[x], comult[y], columns[z]) != half(
+                    comult[y], comult[z], vals[x]
+                ):
+                    return x, y, z
+    return None
+
+
 def verify_cocycle_condition(hopf: HopfAlgebra, alpha) -> Report:
     """Exhaustive check of the associativity-style constraint on basis
     triples, plus normalization."""
     rep = verify_normalization(hopf, alpha)
-    vals = _values_of(alpha)
-    dim = hopf.dim
-    zero = hopf.field.zero
-    bad = None
-    for x in range(dim):
-        dx = hopf.comult[x]
-        for y in range(dim):
-            dy = hopf.comult[y]
-            for z in range(dim):
-                dz = hopf.comult[z]
-                lhs = zero
-                for x1, x2, cx in dx:
-                    for y1, y2, cy in dy:
-                        a = vals[x1][y1]
-                        if a.is_zero:
-                            continue
-                        c = cx * cy * a
-                        for k, cm in hopf.mult.get((x2, y2), ()):
-                            v = vals[k][z]
-                            if not v.is_zero:
-                                lhs = lhs + c * cm * v
-                rhs = zero
-                for y1, y2, cy in dy:
-                    for z1, z2, cz in dz:
-                        a = vals[y1][z1]
-                        if a.is_zero:
-                            continue
-                        c = cy * cz * a
-                        for k, cm in hopf.mult.get((y2, z2), ()):
-                            v = vals[x][k]
-                            if not v.is_zero:
-                                rhs = rhs + c * cm * v
-                if lhs != rhs:
-                    bad = (x, y, z)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add(
-        "cocycle-condition",
-        bad is None,
-        ""
-        if bad is None
-        else "fails at ({}, {}, {})".format(*(hopf.labels[i] for i in bad)),
-    )
+    bad = cocycle_failure(hopf, _values_of(alpha), hopf.field.zero)
+    rep.add("cocycle-condition", bad is None, fails_at(hopf, bad))
     return rep
 
 
-def _convolve(hopf: HopfAlgebra, a, b, x: int, y: int) -> Scalar:
-    out = hopf.field.zero
-    for x1, x2, cx in hopf.comult[x]:
-        for y1, y2, cy in hopf.comult[y]:
-            va = a[x1][y1]
-            if va.is_zero:
-                continue
-            vb = b[x2][y2]
-            if vb.is_zero:
-                continue
-            out = out + cx * cy * va * vb
-    return out
+def convolution_failure(hopf: HopfAlgebra, a, b, zero):
+    """The first basis pair (x, y) at which the convolution a * b, or else
+    b * a, differs from counit(x) counit(y), as (x, y, reverse) with
+    reverse true when only b * a fails; None if a and b are two-sided
+    convolution inverses.  Entries as for cocycle_failure."""
+    comult, counit = hopf.comult, hopf.counit
+    for x in range(hopf.dim):
+        for y in range(hopf.dim):
+            want = counit[x] * counit[y]
+            for reverse, f, g in ((False, a, b), (True, b, a)):
+                acc = zero
+                for x1, x2, cx in comult[x]:
+                    for y1, y2, cy in comult[y]:
+                        u = f[x1][y1]
+                        if u.is_zero:
+                            continue
+                        v = g[x2][y2]
+                        if not v.is_zero:
+                            acc = acc + u * v * (cx * cy)
+                if acc != want:
+                    return x, y, reverse
+    return None
 
 
 def _check_convolution_pair(hopf, a, b) -> None:
-    for x in range(hopf.dim):
-        for y in range(hopf.dim):
-            want = hopf.counit[x] * hopf.counit[y]
-            if _convolve(hopf, a, b, x, y) != want:
-                raise NotInvertible(
-                    f"convolution identity fails at ({hopf.labels[x]}, {hopf.labels[y]})"
-                )
-            if _convolve(hopf, b, a, x, y) != want:
-                raise NotInvertible(
-                    f"reverse convolution identity fails at ({hopf.labels[x]}, {hopf.labels[y]})"
-                )
+    bad = convolution_failure(hopf, a, b, hopf.field.zero)
+    if bad is not None:
+        prefix = "reverse convolution" if bad[2] else "convolution"
+        raise NotInvertible(f"{prefix} identity {fails_at(hopf, bad[:2])}")
 
 
 def convolution_inverse(hopf: HopfAlgebra, alpha) -> list[list[Scalar]]:
@@ -240,31 +245,34 @@ def convolution_inverse(hopf: HopfAlgebra, alpha) -> list[list[Scalar]]:
     return inv
 
 
+def _twist(hopf: HopfAlgebra, mult, vals, right: bool = False) -> dict:
+    """The product table x . y = sum vals(x1, y1) m(x2, y2), or
+    sum m(x1, y1) vals(x2, y2) when right is set, where m is the product
+    of the table mult."""
+    comult = hopf.comult
+    # a coproduct leg is (first, second, coeff): vals reads the legs at
+    # position v and the table those at position m
+    v, m = (1, 0) if right else (0, 1)
+    out: dict[tuple[int, int], tuple] = {}
+    for x in range(hopf.dim):
+        for y in range(hopf.dim):
+            terms = _canonical_terms(
+                (k, lx[2] * ly[2] * vals[lx[v]][ly[v]] * cm)
+                for lx in comult[x]
+                for ly in comult[y]
+                if vals[lx[v]][ly[v]]
+                for k, cm in mult.get((lx[m], ly[m]), ())
+            )
+            if terms:
+                out[(x, y)] = terms
+    return out
+
+
 def is_lazy(hopf: HopfAlgebra, alpha) -> bool:
     """True iff twisting from the left and from the right agree on every
     basis pair."""
     vals = _values_of(alpha)
-    for x in range(hopf.dim):
-        dx = hopf.comult[x]
-        for y in range(hopf.dim):
-            dy = hopf.comult[y]
-            left = collect(
-                (k, cx * cy * vals[x1][y1] * cm)
-                for x1, x2, cx in dx
-                for y1, y2, cy in dy
-                if vals[x1][y1]
-                for k, cm in hopf.mult.get((x2, y2), ())
-            )
-            right = collect(
-                (k, cx * cy * vals[x2][y2] * cm)
-                for x1, x2, cx in dx
-                for y1, y2, cy in dy
-                if vals[x2][y2]
-                for k, cm in hopf.mult.get((x1, y1), ())
-            )
-            if left != right:
-                return False
-    return True
+    return _twist(hopf, hopf.mult, vals) == _twist(hopf, hopf.mult, vals, right=True)
 
 
 class TwistedAlgebra:
@@ -309,24 +317,10 @@ class TwistedAlgebra:
 
 def twisted_algebra(hopf: HopfAlgebra, alpha: TwoCocycle, verify: bool = True) -> TwistedAlgebra:
     """Product u_x u_y = alpha(x1, y1) u_{x2 y2} on the u-basis."""
-    vals = require_cocycle_of(hopf, alpha).values
-    dim = hopf.dim
-    mult: dict[tuple[int, int], tuple] = {}
-    for i in range(dim):
-        di = hopf.comult[i]
-        for j in range(dim):
-            terms = _canonical_terms(
-                (k, ci * cj * vals[i1][j1] * cm)
-                for i1, i2, ci in di
-                for j1, j2, cj in hopf.comult[j]
-                if vals[i1][j1]
-                for k, cm in hopf.mult.get((i2, j2), ())
-            )
-            if terms:
-                mult[(i, j)] = terms
+    mult = _twist(hopf, hopf.mult, require_cocycle_of(hopf, alpha).values)
     out = TwistedAlgebra(hopf, mult, hopf.unit_index)
     if verify:
-        unital, bad = check_product(dim, mult, hopf.unit_index, hopf.field.one)
+        unital, bad = check_product(hopf.dim, mult, hopf.unit_index, hopf.field.one)
         if not unital:
             raise NotInvertible("twisted product is not unital")
         if bad is not None:
@@ -342,28 +336,10 @@ def cotwist_hopf(hopf: HopfAlgebra, alpha: TwoCocycle) -> HopfAlgebra:
     """Two-sided twist: same coalgebra, product conjugated by the cocycle
     and its convolution inverse; antipode re-solved from the tables."""
     alpha = require_cocycle_of(hopf, alpha)
-    vals, inv = alpha.values, alpha.inverse_values
-    dim = hopf.dim
-    mult: dict[tuple[int, int], tuple] = {}
-    for i in range(dim):
-        di = hopf.comult[i]
-        for j in range(dim):
-            stage = collect(
-                ((ir, jr), ci * cj * vals[i1][j1])
-                for i1, ir, ci in di
-                for j1, jr, cj in hopf.comult[j]
-                if vals[i1][j1]
-            )
-            terms = _canonical_terms(
-                (k, c * ci * cj * inv[i3][j3] * cm)
-                for (ir, jr), c in stage.items()
-                for i2, i3, ci in hopf.comult[ir]
-                for j2, j3, cj in hopf.comult[jr]
-                if inv[i3][j3]
-                for k, cm in hopf.mult.get((i2, j2), ())
-            )
-            if terms:
-                mult[(i, j)] = terms
+    # the right twist by the inverse of the left twist is
+    # sum alpha(x1, y1) x2 y2 alpha^-1(x3, y3), by coassociativity
+    left = _twist(hopf, hopf.mult, alpha.values)
+    mult = _twist(hopf, left, alpha.inverse_values, right=True)
     if mult == hopf.mult:
         # identical tables (the shared coalgebra fixes the antipode too):
         # keep the family tag so downstream presentations stay available

@@ -21,7 +21,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .arith import Scalar, q_binomial
-from .cocycle import trivial_cocycle
+from .cocycle import convolution_failure, cocycle_failure, fails_at, trivial_cocycle
 from .errors import (
     NotDegreeZero,
     OutOfLocalization,
@@ -34,7 +34,7 @@ from .hopf import HopfAlgebra, e_basis, hab_grading
 from .identities import LocalizedDenominator, NCPoly, mu, symbol
 # solve_in_lattice is unused here but stays importable from this module:
 # perfbench/tests/test_perfbench_tracing.py looks it up as a wrapped name.
-from .lattice import ReducedBasis, solve_in_lattice, y_group  # noqa: F401
+from .lattice import ReducedBasis, pair_and_triple_vectors, solve_in_lattice, y_group  # noqa: F401
 from .linalg import collect, scalar_det
 from .report import Report
 from .tring import TElement, TMonomial, TensorH, t_inverse_map, t_ring
@@ -114,66 +114,10 @@ def verify_sigma(hopf: HopfAlgebra, alpha=None) -> Report:
         for i in range(dim)
     ]
     rep = Report(f"lifted cocycle on {hopf.name or 'algebra'}")
-
-    bad = None
-    for x in range(dim):
-        dx = hopf.comult[x]
-        for y in range(dim):
-            dy = hopf.comult[y]
-            for z in range(dim):
-                dz = hopf.comult[z]
-                lhs = ring.zero()
-                for x1, x2, cx in dx:
-                    for y1, y2, cy in dy:
-                        head = sig[x1][y1]
-                        if not head.terms:
-                            continue
-                        c = cx * cy
-                        for k, cm in hopf.mult.get((x2, y2), ()):
-                            lhs = lhs + head * sig[k][z] * (c * cm)
-                rhs = ring.zero()
-                for y1, y2, cy in dy:
-                    for z1, z2, cz in dz:
-                        head = sig[y1][z1]
-                        if not head.terms:
-                            continue
-                        c = cy * cz
-                        for k, cm in hopf.mult.get((y2, z2), ()):
-                            rhs = rhs + sig[x][k] * head * (c * cm)
-                if lhs != rhs:
-                    bad = (x, y, z)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add(
-        "cocycle identity in the coordinate ring",
-        bad is None,
-        "" if bad is None else "fails at ({}, {}, {})".format(*(hopf.labels[i] for i in bad)),
-    )
-
-    bad = None
-    for x in range(dim):
-        for y in range(dim):
-            target = ring.scalar(hopf.counit[x] * hopf.counit[y])
-            left = ring.zero()
-            right = ring.zero()
-            for x1, x2, cx in hopf.comult[x]:
-                for y1, y2, cy in hopf.comult[y]:
-                    c = cx * cy
-                    left = left + sig[x1][y1] * inv[x2][y2] * c
-                    right = right + inv[x1][y1] * sig[x2][y2] * c
-            if left != target or right != target:
-                bad = (x, y)
-                break
-        if bad:
-            break
-    rep.add(
-        "convolution inverse",
-        bad is None,
-        "" if bad is None else "fails at ({}, {})".format(*(hopf.labels[i] for i in bad)),
-    )
+    bad = cocycle_failure(hopf, sig, ring.zero())
+    rep.add("cocycle identity in the coordinate ring", bad is None, fails_at(hopf, bad))
+    bad = convolution_failure(hopf, sig, inv, ring.zero())
+    rep.add("convolution inverse", bad is None, fails_at(hopf, bad[:2] if bad else None))
 
     counit = list(hopf.counit)
     bad = None
@@ -799,22 +743,8 @@ def _lattice_witnesses(hopf: HopfAlgebra, pres: GammaPresentation, out) -> None:
     group = hopf.family["group"]
     order = group.order
     field = hopf.field
-    vecs: list[tuple[list[int], tuple[int, ...], tuple]] = []
-    for g in range(order):
-        gi = group.inv(g)
-        row = [0] * order
-        row[g] += 1
-        row[gi] += 1
-        vecs.append((row, (g, gi), ("pair_product", g)))
-    for g in range(order):
-        for h in range(order):
-            k = group.inv(group.mul(g, h))
-            row = [0] * order
-            row[g] += 1
-            row[h] += 1
-            row[k] += 1
-            vecs.append((row, (g, h, k), ("triple_product", g, h)))
-    products = ReducedBasis([row for row, _, _ in vecs])
+    vecs = pair_and_triple_vectors(group)
+    products = ReducedBasis([row for row, _ in vecs])
 
     pos = {v: i for i, v in enumerate(hopf.grouplikes)}
     for gen in pres.invertible_gens:
@@ -827,10 +757,14 @@ def _lattice_witnesses(hopf: HopfAlgebra, pres: GammaPresentation, out) -> None:
                 raise WitnessFailure(f"{gamma.to_text()} not reached by products")
             word: tuple[int, ...] = ()
             tags = []
-            for c, (_, letters, tag) in zip(coeffs, vecs):
+            for c, (_, letters) in zip(coeffs, vecs):
                 if c > 0:
                     word = word + letters * c
                 elif c < 0:
+                    if len(letters) == 2:
+                        tag = ("pair_product", letters[0])
+                    else:
+                        tag = ("triple_product", letters[0], letters[1])
                     tags.extend([tag] * (-c))
             cap = max(WITNESS_CAP, len(word) + 1)
             out[gamma] = (

@@ -269,7 +269,7 @@ def _abelianize(group: FiniteGroup) -> tuple[FiniteAbelianGroup, list[tuple[int,
             row[j] += 1
             row[k] -= 1
             rows.append(row)
-    d, _, v = smith_normal_form(rows)
+    d, v = smith_normal_form(rows)
     diag = [d[t][t] for t in range(m)]
     assert all(x >= 1 for x in diag), "quotient is not finite"
     keep = [t for t in range(m) if diag[t] > 1]

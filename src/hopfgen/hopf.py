@@ -385,17 +385,49 @@ class AlgebraElement:
 # -- family constructors ----------------------------------------------------
 
 
+def _skew_tables(field: FieldSpec, order: int, mul, x: int, chi):
+    """Structure tables on the basis g y^l, at index l * order + g, for the
+    elements g of a group with product mul, a central x in it, a character
+    chi with chi(x) = q, and levels l < n = field.n:
+
+        (g y^l)(h y^m) = chi(h)^l gh y^(l+m), zero once l + m >= n,
+        Delta(g y^l)   = sum_r binom(l, r)_q g y^r (x) g x^r y^(l-r),
+
+    returned as (mult, comult, counit)."""
+    n = field.n
+
+    def idx(g: int, lvl: int) -> int:
+        return lvl * order + g
+
+    chi_powers = [[chi(g) ** lvl for g in range(order)] for lvl in range(n)]
+    mult: dict[tuple[int, int], Terms] = {}
+    for g1 in range(order):
+        for l1 in range(n):
+            for g2 in range(order):
+                for l2 in range(n - l1):
+                    mult[(idx(g1, l1), idx(g2, l2))] = (
+                        (idx(mul(g1, g2), l1 + l2), chi_powers[l1][g2]),
+                    )
+    comult = []
+    counit = []
+    for i in range(n * order):
+        g, lvl = i % order, i // order
+        row = []
+        target = g
+        for r in range(lvl + 1):
+            row.append((idx(g, r), idx(target, lvl - r), q_binomial(lvl, r, field)))
+            target = mul(target, x)
+        comult.append(tuple(row))
+        counit.append(field.one if lvl == 0 else field.zero)
+    return mult, comult, counit
+
+
 def taft(n: int) -> HopfAlgebra:
     """Dimension n^2 family on generators x (group-like) and y with
     y x = q x y and y^n = 0."""
     if n < 2:
         raise RangeError("need n >= 2")
     field = make_field(n)
-    q = field.q
-    one = field.one
-
-    def idx(a: int, lvl: int) -> int:
-        return lvl * n + a
 
     def label(a: int, lvl: int) -> str:
         parts = []
@@ -406,28 +438,10 @@ def taft(n: int) -> HopfAlgebra:
         return " ".join(parts) or "1"
 
     labels = [label(i % n, i // n) for i in range(n * n)]
-    mult: dict[tuple[int, int], Terms] = {}
-    for a1 in range(n):
-        for l1 in range(n):
-            for a2 in range(n):
-                for l2 in range(n):
-                    if l1 + l2 >= n:
-                        continue
-                    coeff = q ** ((l1 * a2) % n)
-                    mult[(idx(a1, l1), idx(a2, l2))] = (
-                        (idx((a1 + a2) % n, l1 + l2), coeff),
-                    )
-    comult = []
-    counit = []
-    for i in range(n * n):
-        a, lvl = i % n, i // n
-        row = []
-        for r in range(lvl + 1):
-            row.append(
-                (idx(a, r), idx((a + r) % n, lvl - r), q_binomial(lvl, r, field))
-            )
-        comult.append(tuple(row))
-        counit.append(one if lvl == 0 else field.zero)
+    # the monomial tables of the cyclic group Z/n with x = 1 and chi(a) = q^a
+    mult, comult, counit = _skew_tables(
+        field, n, lambda a, b: (a + b) % n, 1, field.q_power
+    )
     return HopfAlgebra(
         field,
         labels,
@@ -523,42 +537,15 @@ def monomial_type_i(
     character chi sending x to the chosen root of unity."""
     validate_monomial_datum(group, x, chi, field)
     n = field.n
-    g_order = group.order
-
-    def idx(g: int, lvl: int) -> int:
-        return lvl * g_order + g
-
     labels = []
     for lvl in range(n):
-        for g in range(g_order):
+        for g in range(group.order):
             glabel = group.labels[g]
             if lvl == 0:
                 labels.append(glabel)
             else:
                 labels.append(f"{glabel} y" if lvl == 1 else f"{glabel} y^{lvl}")
-    mult: dict[tuple[int, int], Terms] = {}
-    for g1 in range(g_order):
-        for l1 in range(n):
-            for g2 in range(g_order):
-                for l2 in range(n):
-                    if l1 + l2 >= n:
-                        continue
-                    coeff = chi(g2) ** l1
-                    mult[(idx(g1, l1), idx(g2, l2))] = (
-                        (idx(group.mul(g1, g2), l1 + l2), coeff),
-                    )
-    comult = []
-    counit = []
-    for i in range(n * g_order):
-        g, lvl = i % g_order, i // g_order
-        row = []
-        for r in range(lvl + 1):
-            target = g
-            for _ in range(r):
-                target = group.mul(target, x)
-            row.append((idx(g, r), idx(target, lvl - r), q_binomial(lvl, r, field)))
-        comult.append(tuple(row))
-        counit.append(field.one if lvl == 0 else field.zero)
+    mult, comult, counit = _skew_tables(field, group.order, group.mul, x, chi)
     return HopfAlgebra(
         field,
         labels,

@@ -189,30 +189,22 @@ def int_inverse_unimodular(u: list[list[int]]) -> list[list[int]]:
     return [[int(x) for x in row] for row in out]
 
 
-def smith_normal_form(
-    m: list[list[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form: returns (D, U, V) with U @ m @ V == D diagonal,
-    positive diagonal entries in a divisibility chain, U and V unimodular."""
+def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Smith normal form: returns (D, V) with D diagonal, its positive
+    diagonal entries in a divisibility chain, and V unimodular such that
+    U @ m @ V == D for some unimodular U.  U itself is not built: rows of
+    m are only combined with each other, so m @ V and D span the same
+    lattice."""
     a = [list(r) for r in m]
     nr = len(a)
     nc = len(a[0]) if a else 0
-    u = _identity(nr)
     v = _identity(nc)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, mult):
-        a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst, src, mult):
         for row in a:
@@ -231,8 +223,7 @@ def smith_normal_form(
         if not cand:
             break
         _, pi, pj = min(cand)
-        if pi != t:
-            swap_rows(t, pi)
+        a[t], a[pi] = a[pi], a[t]
         if pj != t:
             swap_cols(t, pj)
         while True:
@@ -240,9 +231,9 @@ def smith_normal_form(
             for i in range(t + 1, nr):
                 if a[i][t]:
                     q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     if a[i][t]:
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
             for j in range(t + 1, nc):
                 if a[t][j]:
@@ -264,12 +255,11 @@ def smith_normal_form(
             )
             if bad is None:
                 break
-            add_row(t, bad[0], 1)
+            a[t] = [x + y for x, y in zip(a[t], a[bad[0]])]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-    return a, u, v
+    return a, v
 
 
 @dataclass
@@ -347,10 +337,7 @@ def _verify_named(group, vectors: list[list[int]]) -> YLattice:
     ab, proj = abelianization(group)
     n = group.order
     for v in vectors:
-        total = ab.identity
-        for g, e in enumerate(v):
-            total = ab.add(total, ab.scale(proj[g], e))
-        if total != ab.identity:
+        if _degree_of(ab, proj, v) != ab.identity:
             raise IndexMismatch(f"named basis vector {v} is not degree zero")
     if len(vectors) != n:
         raise IndexMismatch(f"named basis has {len(vectors)} vectors, need {n}")
@@ -506,6 +493,21 @@ def _semidirect_basis(group, h, k, action) -> YLattice:
     return _verify_named(group, vectors)
 
 
+def pair_and_triple_vectors(group) -> list[tuple[list[int], tuple[int, ...]]]:
+    """The exponent vectors in Z^G of the words g g^-1, then of the words
+    g h (gh)^-1, in that order, each with its word."""
+    n = group.order
+    words = [(g, group.inv(g)) for g in range(n)]
+    words += [(g, h, group.inv(group.mul(g, h))) for g in range(n) for h in range(n)]
+    out = []
+    for word in words:
+        row = [0] * n
+        for g in word:
+            row[g] += 1
+        out.append((row, word))
+    return out
+
+
 def pq_generation_check(group) -> Report:
     """The palindrome and triangle vectors generate the whole degree-zero lattice."""
     from .groups import abelianization
@@ -513,19 +515,7 @@ def pq_generation_check(group) -> Report:
     n = group.order
     rep = Report(title=f"pq-generation({group.name or n})")
     ab, proj = abelianization(group)
-    gens = []
-    for g in range(n):
-        v = [0] * n
-        v[g] += 1
-        v[group.inv(g)] += 1
-        gens.append(v)
-    for g in range(n):
-        for h in range(n):
-            v = [0] * n
-            v[g] += 1
-            v[h] += 1
-            v[group.inv(group.mul(g, h))] += 1
-            gens.append(v)
+    gens = [row for row, _ in pair_and_triple_vectors(group)]
     member = all(
         _degree_of(ab, proj, v) == ab.identity for v in gens
     )

@@ -73,6 +73,27 @@ def test_identity_false_exits_one(capsys):
     assert payload["classification"]["identity"] is False
 
 
+def test_identity_computes_mu_once(capsys, monkeypatch):
+    from hopfgen import identities
+
+    calls = []
+    real = identities.mu
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "mu", counted)
+    code, out, _ = run_cli(
+        capsys, "identity", "--family", "taft", "--n", "2",
+        "--poly", "X[y]*X[x]+X[x]*X[y]", "--format", "json",
+    )
+    payload = json.loads(out)
+    assert (code, payload["identity"]) == (1, False)
+    assert payload["classification"]["identity"] is False
+    assert len(calls) == 1
+
+
 def test_ygroup_reports_lattice_index(capsys):
     code, out, _ = run_cli(capsys, "ygroup", "--group", "sym:3", "--format", "json")
     assert code == 0

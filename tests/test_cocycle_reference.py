@@ -1,0 +1,377 @@
+"""Differential tests: the one cocycle check, convolution check and twist
+of `cocycle` against the loops they replaced, kept here verbatim (apart from
+their names) as references.
+
+The references are the scalar cocycle-condition loop, the scalar
+convolution check, the two coordinate-ring loops of `verify_sigma` and the
+two-stage `cotwist_hopf`.  Each corrupted matrix must be reported at the
+same first triple or pair, with the same message, and every cotwisted
+table must be the same.
+"""
+
+import random
+
+import pytest
+
+from hopfgen import cocycle
+from hopfgen.arith import Scalar
+from hopfgen.cocycle import (
+    TwoCocycle,
+    _check_convolution_pair,
+    _values_of,
+    coboundary_cocycle,
+    cocycle_failure,
+    convolution_failure,
+    cotwist_hopf,
+    require_cocycle_of,
+    trivial_cocycle,
+    verify_cocycle_condition,
+    verify_normalization,
+)
+from hopfgen.errors import NotInvertible
+from hopfgen.generic_base import generic_cocycle, generic_cocycle_inverse, verify_sigma
+from hopfgen.groups import cyclic, dihedral, symmetric
+from hopfgen.hopf import HopfAlgebra, _canonical_terms, e_algebra, group_algebra, taft
+from hopfgen.linalg import collect
+from hopfgen.report import Report
+from hopfgen.selftest import standard_instances
+from hopfgen.tring import t_ring
+
+
+def reference_cocycle_condition(hopf: HopfAlgebra, alpha) -> Report:
+    """Exhaustive check of the associativity-style constraint on basis
+    triples, plus normalization."""
+    rep = verify_normalization(hopf, alpha)
+    vals = _values_of(alpha)
+    dim = hopf.dim
+    zero = hopf.field.zero
+    bad = None
+    for x in range(dim):
+        dx = hopf.comult[x]
+        for y in range(dim):
+            dy = hopf.comult[y]
+            for z in range(dim):
+                dz = hopf.comult[z]
+                lhs = zero
+                for x1, x2, cx in dx:
+                    for y1, y2, cy in dy:
+                        a = vals[x1][y1]
+                        if a.is_zero:
+                            continue
+                        c = cx * cy * a
+                        for k, cm in hopf.mult.get((x2, y2), ()):
+                            v = vals[k][z]
+                            if not v.is_zero:
+                                lhs = lhs + c * cm * v
+                rhs = zero
+                for y1, y2, cy in dy:
+                    for z1, z2, cz in dz:
+                        a = vals[y1][z1]
+                        if a.is_zero:
+                            continue
+                        c = cy * cz * a
+                        for k, cm in hopf.mult.get((y2, z2), ()):
+                            v = vals[x][k]
+                            if not v.is_zero:
+                                rhs = rhs + c * cm * v
+                if lhs != rhs:
+                    bad = (x, y, z)
+                    break
+            if bad:
+                break
+        if bad:
+            break
+    rep.add(
+        "cocycle-condition",
+        bad is None,
+        ""
+        if bad is None
+        else "fails at ({}, {}, {})".format(*(hopf.labels[i] for i in bad)),
+    )
+    return rep
+
+
+def reference_convolve(hopf: HopfAlgebra, a, b, x: int, y: int) -> Scalar:
+    out = hopf.field.zero
+    for x1, x2, cx in hopf.comult[x]:
+        for y1, y2, cy in hopf.comult[y]:
+            va = a[x1][y1]
+            if va.is_zero:
+                continue
+            vb = b[x2][y2]
+            if vb.is_zero:
+                continue
+            out = out + cx * cy * va * vb
+    return out
+
+
+def reference_check_convolution_pair(hopf, a, b) -> None:
+    for x in range(hopf.dim):
+        for y in range(hopf.dim):
+            want = hopf.counit[x] * hopf.counit[y]
+            if reference_convolve(hopf, a, b, x, y) != want:
+                raise NotInvertible(
+                    f"convolution identity fails at ({hopf.labels[x]}, {hopf.labels[y]})"
+                )
+            if reference_convolve(hopf, b, a, x, y) != want:
+                raise NotInvertible(
+                    f"reverse convolution identity fails at ({hopf.labels[x]}, {hopf.labels[y]})"
+                )
+
+
+def reference_sigma_failures(hopf, sig, inv):
+    """The two loops of verify_sigma as they were before the shared
+    routines, returning the first failing triple and pair."""
+    ring = t_ring(hopf)
+    dim = hopf.dim
+    bad = None
+    for x in range(dim):
+        dx = hopf.comult[x]
+        for y in range(dim):
+            dy = hopf.comult[y]
+            for z in range(dim):
+                dz = hopf.comult[z]
+                lhs = ring.zero()
+                for x1, x2, cx in dx:
+                    for y1, y2, cy in dy:
+                        head = sig[x1][y1]
+                        if not head.terms:
+                            continue
+                        c = cx * cy
+                        for k, cm in hopf.mult.get((x2, y2), ()):
+                            lhs = lhs + head * sig[k][z] * (c * cm)
+                rhs = ring.zero()
+                for y1, y2, cy in dy:
+                    for z1, z2, cz in dz:
+                        head = sig[y1][z1]
+                        if not head.terms:
+                            continue
+                        c = cy * cz
+                        for k, cm in hopf.mult.get((y2, z2), ()):
+                            rhs = rhs + sig[x][k] * head * (c * cm)
+                if lhs != rhs:
+                    bad = (x, y, z)
+                    break
+            if bad:
+                break
+        if bad:
+            break
+    bad_cocycle = bad
+
+    bad = None
+    for x in range(dim):
+        for y in range(dim):
+            target = ring.scalar(hopf.counit[x] * hopf.counit[y])
+            left = ring.zero()
+            right = ring.zero()
+            for x1, x2, cx in hopf.comult[x]:
+                for y1, y2, cy in hopf.comult[y]:
+                    c = cx * cy
+                    left = left + sig[x1][y1] * inv[x2][y2] * c
+                    right = right + inv[x1][y1] * sig[x2][y2] * c
+            if left != target or right != target:
+                bad = (x, y)
+                break
+        if bad:
+            break
+    return bad_cocycle, bad
+
+
+def reference_cotwist_hopf(hopf: HopfAlgebra, alpha: TwoCocycle) -> HopfAlgebra:
+    """Two-sided twist: same coalgebra, product conjugated by the cocycle
+    and its convolution inverse; antipode re-solved from the tables."""
+    alpha = require_cocycle_of(hopf, alpha)
+    vals, inv = alpha.values, alpha.inverse_values
+    dim = hopf.dim
+    mult: dict[tuple[int, int], tuple] = {}
+    for i in range(dim):
+        di = hopf.comult[i]
+        for j in range(dim):
+            stage = collect(
+                ((ir, jr), ci * cj * vals[i1][j1])
+                for i1, ir, ci in di
+                for j1, jr, cj in hopf.comult[j]
+                if vals[i1][j1]
+            )
+            terms = _canonical_terms(
+                (k, c * ci * cj * inv[i3][j3] * cm)
+                for (ir, jr), c in stage.items()
+                for i2, i3, ci in hopf.comult[ir]
+                for j2, j3, cj in hopf.comult[jr]
+                if inv[i3][j3]
+                for k, cm in hopf.mult.get((i2, j2), ())
+            )
+            if terms:
+                mult[(i, j)] = terms
+    if mult == hopf.mult:
+        # identical tables (the shared coalgebra fixes the antipode too):
+        # keep the family tag so downstream presentations stay available
+        family, name = hopf.family, hopf.name
+    else:
+        family = {"kind": "generic", "cotwist_of": hopf.family.get("kind")}
+        name = f"cotwist({hopf.name})"
+    return HopfAlgebra(
+        hopf.field,
+        list(hopf.labels),
+        mult,
+        hopf.comult,
+        hopf.counit,
+        hopf.unit_index,
+        family,
+        name=name,
+    )
+
+
+
+# --- inputs -----------------------------------------------------------------
+
+# Three non-lazy normalized cocycles on taft(2), as their entries off the
+# unit row and column that differ from counit (x) counit.
+TAFT2_COCYCLES = (
+    {("x", "x"): -1, ("x", "y"): -1, ("x", "x y"): 1},
+    {("x", "x"): -1, ("x", "y"): -1, ("x", "x y"): 1, ("y", "x"): -1,
+     ("x y", "x"): -1, ("x y", "x y"): 1},
+    {("x", "x"): -1, ("x", "y"): -1, ("x", "x y"): 1, ("y", "y"): 1,
+     ("y", "x y"): -1, ("x y", "y"): 1, ("x y", "x y"): 1},
+)
+
+
+def taft2_cocycle(entries) -> TwoCocycle:
+    h = taft(2)
+    vals = [row[:] for row in trivial_cocycle(h).values]
+    for (a, b), v in entries.items():
+        vals[h.index_of(a)][h.index_of(b)] = h.field.scalar(v)
+    return TwoCocycle(h, vals)
+
+
+def scalar_cases():
+    h = taft(3)
+    yield h, trivial_cocycle(h)
+    s3 = group_algebra(symmetric(3))
+    yield s3, coboundary_cocycle(s3, seed=4)
+    yield taft2_cocycle(TAFT2_COCYCLES[0]).hopf, taft2_cocycle(TAFT2_COCYCLES[0])
+
+
+def corrupted(matrix, i, j, bump):
+    out = [row[:] for row in matrix]
+    out[i][j] = out[i][j] + bump
+    return out
+
+
+def positions(dim, count, seed):
+    rng = random.Random(seed)
+    return [(rng.randrange(dim), rng.randrange(dim)) for _ in range(count)]
+
+
+def message(check, *args):
+    try:
+        check(*args)
+    except NotInvertible as exc:
+        return str(exc)
+    return None
+
+
+# --- scalar cocycles --------------------------------------------------------
+
+
+def test_scalar_cocycle_check_names_the_reference_triple():
+    failures = 0
+    for h, alpha in scalar_cases():
+        assert cocycle_failure(h, alpha.values, h.field.zero) is None
+        for i, j in positions(h.dim, 12, seed=h.dim):
+            vals = corrupted(alpha.values, i, j, h.field.one)
+            want = reference_cocycle_condition(h, vals)
+            got = verify_cocycle_condition(h, vals)
+            assert got.to_dict() == want.to_dict()
+            failures += not got.ok
+    assert failures >= 30
+
+
+def test_scalar_convolution_check_names_the_reference_pair():
+    failures = 0
+    for h, alpha in scalar_cases():
+        vals, inv = alpha.values, alpha.inverse_values
+        assert convolution_failure(h, vals, inv, h.field.zero) is None
+        for i, j in positions(h.dim, 8, seed=h.dim + 1):
+            for a, b in (
+                (corrupted(vals, i, j, h.field.one), inv),
+                (vals, corrupted(inv, i, j, h.field.one)),
+            ):
+                want = message(reference_check_convolution_pair, h, a, b)
+                assert message(_check_convolution_pair, h, a, b) == want
+                failures += want is not None
+    assert failures >= 40
+
+
+def test_reverse_convolution_failure_keeps_its_message(monkeypatch):
+    h = taft(2)
+    vals = trivial_cocycle(h).values
+    x, y = h.index_of("x"), h.index_of("y")
+    monkeypatch.setattr(cocycle, "convolution_failure", lambda *args: (x, y, True))
+    with pytest.raises(NotInvertible) as err:
+        _check_convolution_pair(h, vals, vals)
+    assert str(err.value) == "reverse convolution identity fails at (x, y)"
+    monkeypatch.setattr(cocycle, "convolution_failure", lambda *args: (y, x, False))
+    with pytest.raises(NotInvertible) as err:
+        _check_convolution_pair(h, vals, vals)
+    assert str(err.value) == "convolution identity fails at (y, x)"
+
+
+# --- the cocycle lifted to the coordinate ring ------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: trivial_cocycle(taft(2)),
+        lambda: trivial_cocycle(e_algebra(1)),
+        lambda: taft2_cocycle(TAFT2_COCYCLES[1]),
+    ],
+    ids=["taft2", "e1", "taft2-nonlazy"],
+)
+def test_sigma_checks_name_the_reference_triple_and_pair(make):
+    alpha = make()
+    h = alpha.hopf
+    ring = t_ring(h)
+    dim = h.dim
+    sig = [[generic_cocycle(h, alpha, i, j) for j in range(dim)] for i in range(dim)]
+    inv = [[generic_cocycle_inverse(h, alpha, i, j) for j in range(dim)] for i in range(dim)]
+    assert reference_sigma_failures(h, sig, inv) == (None, None)
+    assert verify_sigma(h, alpha).ok
+    bumps = (ring.one(), ring.var(0), ring.var(dim - 1) * h.field.scalar(-2))
+    failures = 0
+    for n, (i, j) in enumerate(positions(dim, 9, seed=dim)):
+        bump = bumps[n % len(bumps)]
+        for s, v in ((corrupted(sig, i, j, bump), inv), (sig, corrupted(inv, i, j, bump))):
+            want = reference_sigma_failures(h, s, v)
+            conv = convolution_failure(h, s, v, ring.zero())
+            assert (cocycle_failure(h, s, ring.zero()), conv and conv[:2]) == want
+            failures += want != (None, None)
+    assert failures >= 9
+
+
+# --- the cotwist ------------------------------------------------------------
+
+
+def cotwist_inputs():
+    for name, h in standard_instances():
+        yield name, trivial_cocycle(h)
+    for make in (lambda: symmetric(3), lambda: dihedral(4), lambda: cyclic(6)):
+        h = group_algebra(make())
+        for seed in range(3):
+            yield f"{h.name} seed {seed}", coboundary_cocycle(h, seed)
+    for n, entries in enumerate(TAFT2_COCYCLES):
+        yield f"taft(2) non-lazy {n}", taft2_cocycle(entries)
+
+
+def test_cotwist_matches_the_two_stage_reference():
+    changed = 0
+    for name, alpha in cotwist_inputs():
+        h = alpha.hopf
+        want = reference_cotwist_hopf(h, alpha)
+        got = cotwist_hopf(h, alpha)
+        assert list(got.mult.items()) == list(want.mult.items()), name
+        assert got.antipode == want.antipode, name
+        assert (got.family, got.name) == (want.family, want.name), name
+        changed += got.mult != h.mult
+    assert changed == len(TAFT2_COCYCLES)

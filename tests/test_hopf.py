@@ -125,13 +125,18 @@ def test_sweedler_is_e_one():
 
 
 def test_monomial_on_cyclic_group_matches_taft():
-    for n in (2, 3):
+    # the same tables, entry for entry and in the same dict order
+    for n in range(2, 8):
         g = cyclic(n)
         f = make_field(n)
         chi = character_from_exponents(g, f, list(range(n)))
         h = monomial_type_i(g, 1, chi, f)
-        assert structure_equal(h, taft(n), check_labels=False)
+        t = taft(n)
+        assert structure_equal(h, t, check_labels=False)
+        assert list(h.mult.items()) == list(t.mult.items())
+        assert (h.comult, h.counit, h.antipode) == (t.comult, t.counit, t.antipode)
         assert h.labels[0] == "e"
+        assert (t.labels[1], t.family, t.name) == ("x", {"kind": "taft", "n": n}, f"taft({n})")
 
 
 def test_monomial_klein_labels():
