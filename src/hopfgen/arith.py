@@ -5,20 +5,25 @@ Q[X] / (Phi_n(X)).  Phi_n is obtained by recursively dividing X^n - 1 by
 Phi_d for the proper divisors d of n, so no factoring is needed.  For
 n = 1, 2 the field degenerates to Q with q = 1 resp. -1.
 
-Every Scalar is kept fully reduced with Fraction coefficients, so equality
-is plain coefficientwise comparison and nothing here ever touches floating
-point.
+A Scalar is a fully reduced residue num/den: a tuple of integer numerators
+of 1, q, ..., q^(d-1) over one positive common denominator, in lowest terms
+(zero is 0/1).  Phi_n is monic with integer coefficients, so sums and
+products run on Python ints and only the final gcd touches the
+denominator.  Equality is plain comparison of (num, den), and nothing here
+ever touches floating point: only ints, Fractions and Scalars are accepted
+as exact values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add, neg
 from typing import Iterable
 
 from .errors import DivisionByZero, RangeError
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -59,47 +64,59 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 class FieldSpec:
     """Q(q) for q a primitive n-th root of unity.  Create via make_field(n)."""
 
-    __slots__ = ("n", "modulus", "degree", "_red", "zero", "one", "q")
+    __slots__ = ("n", "modulus", "degree", "_red", "_pad", "zero", "one", "q")
 
     def __init__(self, n: int):
         self.n = n
-        self.modulus = tuple(Fraction(c) for c in cyclotomic_polynomial(n))
+        self.modulus = cyclotomic_polynomial(n)
         self.degree = len(self.modulus) - 1
         d = self.degree
-        # _red[j] = coefficients of X^(d+j) reduced mod Phi_n, for 0 <= j <= d-2
+        # _red[j] = integer coefficients of X^(d+j) reduced mod Phi_n, for
+        # 0 <= j <= d-2; integral because Phi_n is monic over Z
         red = []
         row = [-c for c in self.modulus[:d]]
         red.append(tuple(row))
         for _ in range(d - 2):
             top = row[-1]
-            row = [_F0] + row[:-1]
+            row = [0] + row[:-1]
             if top:
                 row = [a + top * b for a, b in zip(row, red[0])]
             red.append(tuple(row))
         self._red = tuple(red)
-        self.zero = Scalar(self, (_F0,) * d)
-        self.one = Scalar(self, ((_F1,) + (_F0,) * (d - 1)))
+        self._pad = (0,) * (d - 1)
+        self.zero = Scalar(self, (0,) * d)
+        self.one = Scalar(self, (1,) + self._pad)
         if d == 1:
             # the residue of X is a rational number: 1 for n=1, -1 for n=2
             self.q = Scalar(self, (-self.modulus[0],))
         else:
-            self.q = Scalar(self, ((_F0, _F1) + (_F0,) * (d - 2)))
+            self.q = Scalar(self, (0, 1) + (0,) * (d - 2))
 
     def scalar(self, value) -> Scalar:
-        """Embed an int or Fraction."""
+        """Embed an int or Fraction, or pass a Scalar of this field through;
+        anything else (a float among them) raises RangeError."""
         if isinstance(value, Scalar):
             if value.field is not self:
                 raise RangeError("scalar belongs to a different field")
             return value
-        v = Fraction(value)
-        return Scalar(self, (v,) + (_F0,) * (self.degree - 1))
+        if isinstance(value, int):
+            return Scalar(self, (int(value),) + self._pad)
+        if isinstance(value, Fraction):
+            return Scalar(self, (value.numerator,) + self._pad, value.denominator)
+        raise RangeError(f"not an exact scalar: {value!r} (use an int or a Fraction)")
 
     def from_coeffs(self, coeffs: Iterable) -> Scalar:
-        """Build a scalar from coefficients of 1, q, q^2, ... (any length)."""
-        acc = self.zero
-        for c in reversed([Fraction(c) for c in coeffs]):
-            acc = acc * self.q + self.scalar(c)
-        return acc
+        """Build a scalar from int or Fraction coefficients of 1, q, q^2, ...
+        (any length)."""
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise RangeError(f"not an exact coefficient: {c!r} (use an int or a Fraction)")
+        den = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        if len(num) > self.degree:
+            num = _divmod_monic(num, self.modulus)[1]
+        return _lowest(self, tuple(num) + (0,) * (self.degree - len(num)), den)
 
     def q_power(self, k: int) -> Scalar:
         return self.q ** (k % self.n)
@@ -115,14 +132,33 @@ def make_field(n: int) -> FieldSpec:
     return FieldSpec(n)
 
 
+def _lowest(field: FieldSpec, num: tuple, den: int) -> Scalar:
+    """num/den (den > 0) in lowest terms; zero comes out as 0/1."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple([c // g for c in num])
+        den //= g
+    return Scalar(field, num, den)
+
+
 class Scalar:
-    """A reduced residue class in Q(q); immutable and hashable."""
+    """A reduced residue class in Q(q); immutable and hashable.
 
-    __slots__ = ("field", "coeffs")
+    `num` holds the integer numerators of 1, q, ..., q^(d-1) and `den` their
+    positive common denominator, with gcd(den, *num) == 1."""
 
-    def __init__(self, field: FieldSpec, coeffs: tuple):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: FieldSpec, num: tuple, den: int = 1):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, q, ..., q^(d-1) as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -134,10 +170,18 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        if other.__class__ is not Scalar or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            num = tuple(map(add, self.num, other.num))
+            if da == 1:
+                return Scalar(self.field, num)
+            return _lowest(self.field, num, da)
+        num = tuple([a * db + b * da for a, b in zip(self.num, other.num)])
+        return _lowest(self.field, num, da * db)
 
     __radd__ = __add__
 
@@ -145,7 +189,7 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -154,29 +198,36 @@ class Scalar:
         return o - self
 
     def __neg__(self):
-        return Scalar(self.field, tuple(-a for a in self.coeffs))
+        return Scalar(self.field, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        d = self.field.degree
+        if other.__class__ is not Scalar or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        field = self.field
+        a, b = self.num, other.num
+        d = field.degree
         if d == 1:
-            return Scalar(self.field, (a[0] * b[0],))
-        prod = [_F0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        red = self.field._red
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c:
-                for i, r in enumerate(red[k - d]):
-                    prod[i] += c * r
-        return Scalar(self.field, tuple(prod[:d]))
+            num = (a[0] * b[0],)
+        else:
+            prod = [0] * (2 * d - 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b):
+                        if bj:
+                            prod[i + j] += ai * bj
+            for k, r in enumerate(field._red, d):
+                c = prod[k]
+                if c:
+                    for i, ri in enumerate(r):
+                        if ri:
+                            prod[i] += c * ri
+            num = tuple(prod[:d])
+        den = self.den * other.den
+        if den == 1:
+            return Scalar(field, num)
+        return _lowest(field, num, den)
 
     __rmul__ = __mul__
 
@@ -207,15 +258,17 @@ class Scalar:
         return result
 
     def inverse(self) -> Scalar:
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[X]."""
+        """Multiplicative inverse: den times the inverse of the numerator
+        polynomial, found by the extended Euclidean algorithm in Q[X]."""
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        d = self.field.degree
-        if d == 1:
-            return Scalar(self.field, (1 / self.coeffs[0],))
-        # r0 = modulus, r1 = self; keep Bezout coefficient for r1 only
-        r0 = list(self.field.modulus)
-        r1 = _trim(list(self.coeffs))
+        field = self.field
+        if field.degree == 1:
+            a = self.num[0]
+            return Scalar(field, (self.den,), a) if a > 0 else Scalar(field, (-self.den,), -a)
+        # r0 = modulus, r1 = numerator; keep Bezout coefficient for r1 only
+        r0 = [Fraction(c) for c in field.modulus]
+        r1 = _trim([Fraction(c) for c in self.num])
         t0: list = []
         t1: list = [_F1]
         while r1:
@@ -230,36 +283,39 @@ class Scalar:
                 if qc:
                     for j, tc in enumerate(t1):
                         while len(t2) <= i + j:
-                            t2.append(_F0)
+                            t2.append(0)
                         t2[i + j] -= qc * tc
             r0, r1 = r1, rem
             t0, t1 = t1, _trim(t2)
         # here r0 = gcd (a nonzero constant is impossible: r0 is monic, so == [1])
         assert r0 == [_F1], "cyclotomic modulus is irreducible over Q"
-        return self.field.from_coeffs(t0)
+        return field.from_coeffs([self.den * c for c in t0])
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field.n == other.field.n and self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den and self.field.n == other.field.n
 
     def __hash__(self):
+        # equal to hash((n, self.coeffs)): hash(Fraction(k)) == hash(k)
+        if self.den == 1:
+            return hash((self.field.n, self.num))
         return hash((self.field.n, self.coeffs))
 
     def rational(self) -> Fraction:
         """The value as a Fraction; raises RangeError if q genuinely appears."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             raise RangeError("scalar is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __repr__(self):
         return f"Scalar({format_scalar(self)})"

@@ -59,7 +59,7 @@ class NCPoly:
             return other
         try:
             c = self.hopf.field.scalar(other)
-        except (TypeError, ValueError):
+        except RangeError:
             return None
         return NCPoly(self.hopf, {(): c}, self.cap)
 

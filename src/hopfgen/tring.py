@@ -32,7 +32,30 @@ class TMonomial:
         return TMonomial(tuple(sorted((i, e) for i, e in acc.items() if e)))
 
     def mul(self, other: TMonomial) -> TMonomial:
-        return TMonomial.from_pairs(self.exps + other.exps)
+        """The product, by one merge of the two sorted exponent tuples."""
+        a, b = self.exps, other.exps
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        i = j = 0
+        la, lb = len(a), len(b)
+        while i < la and j < lb:
+            x, y = a[i], b[j]
+            if x[0] < y[0]:
+                out.append(x)
+                i += 1
+            elif x[0] > y[0]:
+                out.append(y)
+                j += 1
+            else:
+                e = x[1] + y[1]
+                if e:
+                    out.append((x[0], e))
+                i += 1
+                j += 1
+        return TMonomial(tuple(out) + a[i:] + b[j:])
 
     def pow(self, k: int) -> TMonomial:
         if k == 0:
@@ -71,14 +94,22 @@ class TElement:
         self.ring = ring
         self.terms = terms
 
+    def _scalar(self, other) -> Scalar | None:
+        """other as a scalar of the ring's field, or None if it is not an
+        exact scalar of that field."""
+        try:
+            return self.ring.field.scalar(other)
+        except RangeError:
+            return None
+
     def _coerce(self, other):
         if isinstance(other, TElement):
             return other
-        try:
-            c = self.ring.field.scalar(other)
-        except (TypeError, ValueError):
-            return None
-        return self.ring.scalar(c)
+        c = self._scalar(other)
+        return None if c is None else self.ring.scalar(c)
+
+    def _scaled(self, s: Scalar) -> TElement:
+        return TElement(self.ring, collect((m, c * s) for m, c in self.terms.items()))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -113,20 +144,20 @@ class TElement:
                     for m2, c2 in other.terms.items()
                 ),
             )
-        o = self._coerce(other)
-        if o is None:
+        s = self._scalar(other)
+        if s is None:
             return NotImplemented
-        return self * o
+        return self._scaled(s)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, TElement):
             return self * other.inverse()
-        o = self._coerce(other)
-        if o is None:
+        s = self._scalar(other)
+        if s is None:
             return NotImplemented
-        return self * o.inverse()
+        return self._scaled(s.inverse())
 
     def __pow__(self, k: int):
         if not isinstance(k, int):

@@ -5,6 +5,7 @@ was written: cyclotomic polynomials are validated by multiplying the full
 divisor product back to X^n - 1, and inverses by multiplying back to 1.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -187,3 +188,26 @@ def test_format_scalar():
     assert format_scalar(F.zero) == "0"
     assert format_scalar(F.one + F.q) == "1 + q"
     assert format_scalar(-F.q) == "-q"
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, float("nan"), Decimal("0.5"), complex(1, 0), "1/2", None])
+def test_field_accepts_only_exact_scalars(bad):
+    F = make_field(3)
+    with pytest.raises(RangeError):
+        F.scalar(bad)
+    with pytest.raises(RangeError):
+        F.from_coeffs([1, bad])
+    if isinstance(bad, (float, Decimal, complex)):
+        for op in (lambda: F.q * bad, lambda: bad * F.q, lambda: F.q + bad, lambda: bad / F.q):
+            with pytest.raises(TypeError):
+                op()
+        assert F.q != bad
+
+
+def test_field_accepts_ints_fractions_and_its_own_scalars():
+    F = make_field(3)
+    assert F.scalar(True) == F.one and F.scalar(True).num == (1, 0)
+    assert F.scalar(Fraction(6, 4)).coeffs == (Fraction(3, 2), Fraction(0))
+    assert F.scalar(F.q) is F.q
+    with pytest.raises(RangeError):
+        F.scalar(make_field(6).q)

@@ -1,5 +1,7 @@
 """Hopf layer: family tables, antipode solve, axioms, center, grading."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -328,3 +330,14 @@ def test_antipode_is_anti_multiplicative():
                     h.antipode_dict({j: f.one}), h.antipode_dict({i: f.one})
                 )
                 assert lhs == rhs
+
+
+def test_algebra_elements_refuse_floats():
+    h = taft(3)
+    y = h.by_label("y")
+    for bad in (0.5, 1e-3):
+        with pytest.raises(RangeError):
+            y * bad
+        with pytest.raises(RangeError):
+            bad * y
+    assert (y * Fraction(1, 2)) * 2 == y

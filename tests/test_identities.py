@@ -362,3 +362,16 @@ def test_dropped_instances_release_their_rings():
         classify(h, trivial_cocycle(h), parse_ncpoly("X[y]*X[x]", h))
     del h
     assert _live(TRing) <= before
+
+
+def test_polynomials_refuse_floats():
+    h = taft(2)
+    x = symbol(h, "x")
+    for bad in (0.5, 1e-3):
+        with pytest.raises(RangeError):
+            ncpoly_scalar(h, bad)
+        for op in (lambda: x * bad, lambda: bad * x, lambda: x + bad, lambda: bad - x):
+            with pytest.raises(TypeError):
+                op()
+        assert x != bad
+    assert (x * 2).terms == (x + x).terms

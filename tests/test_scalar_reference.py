@@ -1,0 +1,197 @@
+"""Differential tests: the integer-backed `hopfgen.arith.Scalar` against the
+Fraction-backed scalars it replaced (`scalar_reference.py`), over
+Q(q) for n = 1..12, with integer and non-integer coefficients.
+
+Every operation must give the same Fraction coefficients, the same hash,
+the same truth value and the same text; every result must be in lowest
+terms.  Sympy is an independent oracle for the product reduction modulo
+the cyclotomic polynomial, and the sort-free monomial product is checked
+against the sort-and-sum construction it replaced.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+import scalar_reference as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfgen.arith import (
+    Scalar,
+    format_scalar,
+    make_field,
+    scalar_from_strings,
+    scalar_to_strings,
+)
+from hopfgen.errors import DivisionByZero
+from hopfgen.tring import TMonomial
+
+ORDERS = st.integers(1, 12)
+
+# mostly small values and zeros, so that single-term scalars, sums that
+# cancel and gcds above 1 all come up; now and then a large numerator
+COEFFS = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.integers(-(10**15), 10**15),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+)
+INT_COEFFS = st.one_of(st.just(0), st.integers(-6, 6), st.integers(-(10**15), 10**15))
+OPERANDS = st.one_of(st.integers(-7, 7), st.fractions(min_value=-9, max_value=9, max_denominator=6))
+
+
+@st.composite
+def scalar_pairs(draw, n, integral=None, length=None):
+    """The same value as (hopfgen Scalar, reference Scalar), built from a
+    coefficient list of the field's degree (or of the given length)."""
+    if integral is None:
+        integral = draw(st.booleans())
+    d = make_field(n).degree
+    size = d if length is None else length
+    cs = draw(st.lists(INT_COEFFS if integral else COEFFS, min_size=size, max_size=size))
+    return make_field(n).from_coeffs(cs), ref.make_field(n).from_coeffs(cs)
+
+
+def assert_same(new, old):
+    assert isinstance(new, Scalar)
+    assert new.coeffs == old.coeffs
+    assert all(type(c) is Fraction for c in new.coeffs)
+    assert hash(new) == hash(old)
+    assert bool(new) is bool(old)
+    assert new.is_zero is old.is_zero
+    assert format_scalar(new) == ref.format_scalar(old)
+    assert scalar_to_strings(new) == ref.scalar_to_strings(old)
+    assert_normalised(new)
+
+
+def assert_normalised(s):
+    assert len(s.num) == s.field.degree
+    assert all(type(c) is int for c in s.num) and type(s.den) is int
+    assert s.den > 0
+    assert gcd(s.den, *s.num) == 1
+    if not any(s.num):
+        assert s.den == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), ORDERS)
+def test_binary_operations_match_the_reference(data, n):
+    a, ra = data.draw(scalar_pairs(n))
+    b, rb = data.draw(scalar_pairs(n))
+    assert_same(a, ra)
+    assert_same(a + b, ra + rb)
+    assert_same(a - b, ra - rb)
+    assert_same(-a, -ra)
+    assert_same(a * b, ra * rb)
+    assert (a == b) is (ra == rb)
+    assert (a == a.field.from_coeffs(a.coeffs)) and hash(a) == hash(a.field.from_coeffs(a.coeffs))
+    if rb:
+        assert_same(b.inverse(), rb.inverse())
+        assert_same(a / b, ra / rb)
+    else:
+        with pytest.raises(DivisionByZero):
+            b.inverse()
+        with pytest.raises(DivisionByZero):
+            a / b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), ORDERS, OPERANDS)
+def test_mixed_operands_match_the_reference(data, n, k):
+    a, ra = data.draw(scalar_pairs(n))
+    assert_same(a + k, ra + k)
+    assert_same(k + a, k + ra)
+    assert_same(a - k, ra - k)
+    assert_same(k - a, k - ra)
+    assert_same(a * k, ra * k)
+    assert_same(k * a, k * ra)
+    assert (a == k) is (ra == k)
+    assert_same(a.field.scalar(k), ra.field.scalar(k))
+    if k:
+        assert_same(a / k, ra / k)
+    if ra:
+        assert_same(k / a, k / ra)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), ORDERS, st.integers(-4, 7))
+def test_powers_match_the_reference(data, n, k):
+    a, ra = data.draw(scalar_pairs(n))
+    if k < 0 and not ra:
+        with pytest.raises(DivisionByZero):
+            a**k
+        return
+    assert_same(a**k, ra**k)
+    assert_same(a.field.q_power(k), ra.field.q_power(k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), ORDERS)
+def test_from_coeffs_of_any_length_matches_the_reference(data, n):
+    d = make_field(n).degree
+    length = data.draw(st.integers(0, 3 * d + 2))
+    a, ra = data.draw(scalar_pairs(n, length=length))
+    assert_same(a, ra)
+    assert_same(scalar_from_strings(a.field, scalar_to_strings(a)), ra)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), ORDERS)
+def test_rational_matches_the_reference(data, n):
+    c = data.draw(COEFFS)
+    a, ra = make_field(n).scalar(c), ref.make_field(n).scalar(c)
+    assert_same(a, ra)
+    assert a.rational() == ra.rational() == c
+    assert type(a.rational()) is Fraction
+
+
+def test_field_constants_match_the_reference():
+    for n in range(1, 13):
+        f, rf = make_field(n), ref.make_field(n)
+        assert f.degree == rf.degree
+        assert f.modulus == rf.modulus
+        assert f._red == rf._red
+        assert all(type(c) is int for row in f._red for c in row)
+        for s, rs in ((f.zero, rf.zero), (f.one, rf.one), (f.q, rf.q)):
+            assert_same(s, rs)
+
+
+def test_integral_hash_is_the_hash_of_the_numerators():
+    f = make_field(5)
+    s = f.from_coeffs([3, 0, -2, 7])
+    assert s.den == 1
+    assert hash(s) == hash((5, s.num)) == hash((5, s.coeffs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), ORDERS)
+def test_product_reduction_matches_sympy(data, n):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    a, _ = data.draw(scalar_pairs(n))
+    b, _ = data.draw(scalar_pairs(n))
+
+    def poly(s):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(s.coeffs))
+
+    rem = sympy.Poly(sympy.rem(sympy.expand(poly(a) * poly(b)), sympy.cyclotomic_poly(n, x), x), x)
+    want = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+    want += [Fraction(0)] * (a.field.degree - len(want))
+    assert list((a * b).coeffs) == want
+
+
+EXPS = st.lists(
+    st.tuples(st.integers(0, 9), st.integers(-3, 3)), max_size=6
+).map(lambda pairs: TMonomial.from_pairs(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPS, EXPS)
+def test_monomial_merge_matches_from_pairs(a, b):
+    got = a.mul(b)
+    want = TMonomial.from_pairs(a.exps + b.exps)
+    assert got == want
+    assert got.exps == want.exps
+    assert all(e for _, e in got.exps)
+    assert [i for i, _ in got.exps] == sorted({i for i, _ in got.exps})

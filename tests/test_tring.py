@@ -1,6 +1,9 @@
 """Coordinate-ring layer: Laurent monomials, the convolution inverse of the
 coordinate map, the induced coproduct, grading, and tensor arithmetic."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -347,3 +350,69 @@ def test_tensor_text_is_readable():
     ops = tensor_ops(h)
     xi = ops.var_tensor(h.index_of("x"), h.index_of("x"))
     assert (xi * xi).to_text() == "t[x]^2 (x) 1"
+
+
+def _scaling_cases():
+    """(element, scalar) pairs over taft(3), e(2) and the Klein monomial
+    algebra: several terms, negative exponents, integer, Fraction and
+    genuinely cyclotomic scalars, and zero."""
+    cases = []
+    for h in (taft(3), e_algebra(2), klein_monomial()):
+        ring = t_ring(h)
+        f = h.field
+        elems = [ring.t_inverse(i) for i in range(h.dim)]
+        elems.append(elems[-1] * elems[1] + ring.var(h.unit_index, 2) - ring.one())
+        scalars = [f.zero, f.one, f.q, f.scalar(Fraction(-3, 4)), f.one + f.q * 2, 5, Fraction(2, 7)]
+        cases.extend((e, s) for e in elems for s in scalars)
+    return cases
+
+
+def test_scaling_by_a_scalar_matches_the_general_product():
+    for elem, s in _scaling_cases():
+        ring = elem.ring
+        general = elem * ring.scalar(ring.field.scalar(s))
+        for got in (elem * s, s * elem):
+            assert list(got.terms.items()) == list(general.terms.items())
+            assert got.ring is ring
+        if s:
+            inverse = ring.scalar(ring.field.scalar(s).inverse())
+            assert list((elem / s).terms.items()) == list((elem * inverse).terms.items())
+        else:
+            with pytest.raises(DivisionByZero):
+                elem / s
+
+
+def test_scaling_does_not_multiply_monomials(monkeypatch):
+    h = taft(3)
+    ring = t_ring(h)
+    elem = ring.t_inverse(h.index_of("x y"))
+    want = elem * ring.scalar(h.field.q)
+
+    def refuse(self, other):
+        raise AssertionError("monomial product while scaling")
+
+    monkeypatch.setattr(TMonomial, "mul", refuse)
+    assert elem * h.field.q == want
+    assert (elem / h.field.q) * h.field.q == elem
+
+
+def test_coordinate_ring_refuses_floats():
+    h = taft(3)
+    ring = t_ring(h)
+    x = ring.var(h.index_of("x"))
+    for bad in (0.5, 1e-3, Decimal("0.5"), complex(1, 0)):
+        for op in (
+            lambda: x * bad,
+            lambda: bad * x,
+            lambda: x / bad,
+            lambda: x + bad,
+            lambda: bad - x,
+        ):
+            with pytest.raises(TypeError):
+                op()
+        assert x != bad
+    tensor = tensor_ops(h).var_tensor(h.index_of("x"), h.index_of("y"))
+    with pytest.raises(RangeError):
+        tensor * 0.5
+    with pytest.raises(RangeError):
+        0.5 * tensor
