@@ -33,6 +33,9 @@ COMMANDS = (
         ["identity", "--family", "e:2", "--poly", "X[y_1]*X[y_2]+X[y_2]*X[y_1]"],
         ["identity", "--family", "group:sym:3", "--cocycle", "coboundary",
          "--cocycle-seed", "5", "--poly", "X[(1 2)]*X[(2 3)]-X[(2 3)]*X[(1 2)]"],
+        ["identity", "--family", "taft:2", "--poly", "(X[1]+X[y])^10"],
+        ["identity", "--family", "group:sym:3", "--cocycle", "coboundary",
+         "--cocycle-seed", "3", "--poly", "(X[e]+X[(1 2)])^8"],
         ["selftest"],
     ]
 )

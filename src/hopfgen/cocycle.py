@@ -279,7 +279,7 @@ class TwistedAlgebra:
     """The comodule algebra on the u-basis: twisted product, original
     coaction, coinvariants reduced to the unit line."""
 
-    __slots__ = ("hopf", "mult", "unit_index", "labels", "_center")
+    __slots__ = ("hopf", "mult", "unit_index", "labels", "_center", "_mu_images")
 
     def __init__(self, hopf: HopfAlgebra, mult, unit_index: int):
         self.hopf = hopf
@@ -287,6 +287,7 @@ class TwistedAlgebra:
         self.unit_index = unit_index
         self.labels = [f"u[{lbl}]" for lbl in hopf.labels]
         self._center = None  # reduced centre span, filled by tring on first use
+        self._mu_images = None  # letter images of identities.mu, filled there
 
     @property
     def dim(self) -> int:

@@ -42,7 +42,8 @@ class HopfAlgebra:
 
     After construction only the lazy fields are written, on first use:
     the coordinate ring (`tring.t_ring`), the base-algebra presentation
-    (`generic_base.gamma_generators`) and the reduced centre span.
+    (`generic_base.gamma_generators`), the reduced centre span and the
+    letter images of `identities.mu` when this algebra is its target.
     """
 
     __slots__ = (
@@ -61,6 +62,7 @@ class HopfAlgebra:
         "_ring",
         "_presentation",
         "_center",
+        "_mu_images",
     )
 
     def __init__(
@@ -101,6 +103,7 @@ class HopfAlgebra:
         self._ring = None
         self._presentation = None
         self._center = None
+        self._mu_images = None
 
     @property
     def dim(self) -> int:

@@ -5,7 +5,9 @@ detector built on it.
 A polynomial is an exact linear combination of words over the symbols
 ``X[label]``.  Its image under `mu` lands in the tensor of the coordinate
 ring with the (possibly cocycle-twisted) algebra; the polynomial is an
-identity precisely when that image vanishes.
+identity precisely when that image vanishes.  `mu` is an algebra map, so a
+parsed polynomial is evaluated along its parse tree and never expanded
+into words on the way.
 """
 
 from __future__ import annotations
@@ -24,35 +26,63 @@ from .errors import (
 )
 from .hopf import HopfAlgebra, group_algebra
 from .linalg import collect
-from .tring import TElement, TensorH, TMonomial, t_ring, tensor_ops
+from .tring import (
+    TElement,
+    TensorH,
+    TMonomial,
+    binary_power,
+    check_product_budget,
+    t_ring,
+    tensor_ops,
+)
 
 DEFAULT_WORD_CAP = 64
 
 Word = tuple[int, ...]
 
 
-class NCPoly:
-    """Collected word → coefficient form, with a length cap on words."""
+def _check_cap(length: int, cap: int) -> None:
+    if length > cap:
+        raise RangeError(f"word of length {length} exceeds cap {cap}")
 
-    __slots__ = ("hopf", "terms", "cap")
+
+class NCPoly:
+    """Collected word → coefficient form, with a length cap on words.
+
+    A polynomial from `parse_ncpoly` also keeps its expression tree; `mu`
+    evaluates the tree, and the words are expanded only when `terms` is
+    first read."""
+
+    __slots__ = ("hopf", "_terms", "cap", "_tree")
 
     def __init__(self, hopf: HopfAlgebra, terms: dict[Word, Scalar], cap: int = DEFAULT_WORD_CAP):
         self.hopf = hopf
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero}
+        self._terms = {w: c for w, c in terms.items() if not c.is_zero}
         self.cap = cap
-        for w in self.terms:
-            if len(w) > cap:
-                raise RangeError(f"word of length {len(w)} exceeds cap {cap}")
+        self._tree = None
+        for w in self._terms:
+            _check_cap(len(w), cap)
 
     @staticmethod
-    def _of(hopf: HopfAlgebra, terms: dict[Word, Scalar], cap: int) -> NCPoly:
+    def _of(hopf: HopfAlgebra, terms: dict[Word, Scalar] | None, cap: int, tree=None) -> NCPoly:
         """A polynomial from arithmetic output, which holds no zeros and no
-        word over the cap, so it skips the constructor's checks."""
+        word over the cap, so it skips the constructor's checks; or, with
+        terms None, from a parse tree whose degree the parser checked."""
         out = NCPoly.__new__(NCPoly)
         out.hopf = hopf
-        out.terms = terms
+        out._terms = terms
         out.cap = cap
+        out._tree = tree
         return out
+
+    @property
+    def terms(self) -> dict[Word, Scalar]:
+        """Word → nonzero coefficient; a parsed polynomial expands its tree
+        on the first read, within the product budget."""
+        if self._terms is None:
+            one = ncpoly_scalar(self.hopf, 1, self.cap)
+            self._terms = _evaluate(self._tree, lambda leaf: leaf, one)._terms
+        return self._terms
 
     def _coerce(self, other):
         if isinstance(other, NCPoly):
@@ -88,17 +118,17 @@ class NCPoly:
 
     def __mul__(self, other):
         if isinstance(other, NCPoly):
+            left, right = self.terms, other.terms
+            check_product_budget(len(left), len(right))
             cap = max(self.cap, other.cap)
-            if self.terms and other.terms:
-                longest = max(map(len, self.terms)) + max(map(len, other.terms))
-                if longest > cap:
-                    raise RangeError(f"word of length {longest} exceeds cap {cap}")
+            if left and right:
+                _check_cap(max(map(len, left)) + max(map(len, right)), cap)
             return NCPoly._of(
                 self.hopf,
                 collect(
                     (w1 + w2, c1 * c2)
-                    for w1, c1 in self.terms.items()
-                    for w2, c2 in other.terms.items()
+                    for w1, c1 in left.items()
+                    for w2, c2 in right.items()
                 ),
                 cap,
             )
@@ -112,10 +142,11 @@ class NCPoly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = NCPoly(self.hopf, {(): self.hopf.field.one}, self.cap)
-        for _ in range(k):
-            out = out * self
-        return out
+        if self.terms and k:
+            # words have no zero divisors: the longest words of p^k are the
+            # products of k longest words of p, so none of them cancels
+            _check_cap(max(map(len, self.terms)) * k, self.cap)
+        return binary_power(self, k, ncpoly_scalar(self.hopf, 1, self.cap))
 
     @property
     def is_zero(self) -> bool:
@@ -179,10 +210,38 @@ def ncpoly_scalar(hopf: HopfAlgebra, value, cap: int = DEFAULT_WORD_CAP) -> NCPo
     return NCPoly(hopf, {(): hopf.field.scalar(value)}, cap)
 
 
+# A parse tree is a tuple (op, degree, ...): ("leaf", d, poly) with a
+# one-term polynomial, a letter or a scalar; ("+", d, operands) and
+# ("*", d, operands) with a tuple of subtrees; ("-", d, operand); and
+# ("^", d, operand, k).  The degree d is structural: 1 for a letter, 0 for a
+# scalar, the maximum over a sum, the total over a product, k times the
+# operand's for a power.  It bounds the length of every word the tree
+# expands to, and equals the longest one unless top-degree words cancel.
+
+
+def _evaluate(tree: tuple, leaf, one):
+    """Fold a parse tree into any ring: leaves through `leaf`, sums to
+    sums, products to products, powers by squaring, with `one` for ^0."""
+    op = tree[0]
+    if op == "leaf":
+        return leaf(tree[2])
+    if op == "^":
+        return binary_power(_evaluate(tree[2], leaf, one), tree[3], one)
+    if op == "-":
+        return -_evaluate(tree[2], leaf, one)
+    values = [_evaluate(t, leaf, one) for t in tree[2]]
+    out = values[0]
+    for v in values[1:]:
+        out = out + v if op == "+" else out * v
+    return out
+
+
 class _Parser:
     """Recursive descent over: expr := ['-'] term (('+'|'-') term)*;
     term := factor ('*' factor)*; factor := atom ('^' nat)*;
-    atom := rational | 'q' | 'X[' label ']' | '(' expr ')'."""
+    atom := rational | 'q' | 'X[' label ']' | '(' expr ')'.
+    Builds a parse tree and does no polynomial arithmetic; the word cap
+    is checked on the structural degree of every product and power."""
 
     def __init__(self, text: str, hopf: HopfAlgebra, cap: int):
         self.text = text
@@ -206,39 +265,47 @@ class _Parser:
             self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def parse(self) -> NCPoly:
+    def parse(self) -> tuple:
         out = self.expr()
         if self.peek():
             self.error(f"unexpected {self.peek()!r}")
         return out
 
-    def expr(self) -> NCPoly:
+    def expr(self) -> tuple:
         negate = False
         if self.peek() == "-":
             self.pos += 1
             negate = True
         out = self.term()
-        if negate:
-            out = -out
+        summands = [("-", out[1], out) if negate else out]
         while self.peek() in ("+", "-"):
             op = self.peek()
             self.pos += 1
             nxt = self.term()
-            out = out - nxt if op == "-" else out + nxt
-        return out
+            summands.append(("-", nxt[1], nxt) if op == "-" else nxt)
+        if len(summands) == 1:
+            return summands[0]
+        return ("+", max(t[1] for t in summands), tuple(summands))
 
-    def term(self) -> NCPoly:
-        out = self.factor()
+    def term(self) -> tuple:
+        factors = [self.factor()]
+        degree = factors[0][1]
         while self.peek() == "*":
             self.pos += 1
-            out = out * self.factor()
-        return out
+            factors.append(self.factor())
+            degree += factors[-1][1]
+            _check_cap(degree, self.cap)
+        return factors[0] if len(factors) == 1 else ("*", degree, tuple(factors))
 
-    def factor(self) -> NCPoly:
+    def factor(self) -> tuple:
         out = self.atom()
         while self.peek() == "^":
             self.pos += 1
-            out = out ** self.nat()
+            k = self.nat()
+            if out[0] == "^":  # (a^j)^k is a^(jk)
+                out, k = out[2], out[3] * k
+            _check_cap(out[1] * k, self.cap)
+            out = ("^", out[1] * k, out, k)
         return out
 
     def nat(self) -> int:
@@ -250,7 +317,10 @@ class _Parser:
             self.error("expected a natural number")
         return int(self.text[start:self.pos])
 
-    def atom(self) -> NCPoly:
+    def scalar(self, value) -> tuple:
+        return ("leaf", 0, ncpoly_scalar(self.hopf, value, self.cap))
+
+    def atom(self) -> tuple:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
@@ -259,7 +329,7 @@ class _Parser:
             return out
         if ch == "q":
             self.pos += 1
-            return ncpoly_scalar(self.hopf, self.hopf.field.q, self.cap)
+            return self.scalar(self.hopf.field.q)
         if ch.isdigit():
             num = self.nat()
             if self.peek() == "/":
@@ -267,8 +337,8 @@ class _Parser:
                 den = self.nat()
                 if den == 0:
                     self.error("zero denominator")
-                return ncpoly_scalar(self.hopf, Fraction(num, den), self.cap)
-            return ncpoly_scalar(self.hopf, num, self.cap)
+                return self.scalar(Fraction(num, den))
+            return self.scalar(num)
         if ch == "X":
             self.pos += 1
             self.eat("[")
@@ -278,14 +348,17 @@ class _Parser:
             label = self.text[self.pos:end]
             self.pos = end + 1
             try:
-                return symbol(self.hopf, label, self.cap)
+                return ("leaf", 1, symbol(self.hopf, label, self.cap))
             except UnknownLabel:
                 raise UnknownLabel(f"no basis element labelled {label!r}") from None
         self.error("expected a factor")
 
 
 def parse_ncpoly(text: str, hopf: HopfAlgebra, cap: int = DEFAULT_WORD_CAP) -> NCPoly:
-    return _Parser(text, hopf, cap).parse()
+    """The polynomial a text denotes, kept as its parse tree: `mu` and
+    `classify` evaluate the tree, and no word is expanded before `terms`
+    is read."""
+    return NCPoly._of(hopf, None, cap, _Parser(text, hopf, cap).parse())
 
 
 def mu_algebra(hopf: HopfAlgebra, alpha: TwoCocycle) -> TwistedAlgebra | HopfAlgebra:
@@ -300,15 +373,11 @@ def mu_algebra(hopf: HopfAlgebra, alpha: TwoCocycle) -> TwistedAlgebra | HopfAlg
     return alpha._mu_target
 
 
-def mu(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> TensorH:
-    """Algebra-map extension of X over b mapping to the coordinate of the
-    first coproduct leg tensored with the (twisted) second leg."""
-    if poly.hopf is not hopf:
-        raise RangeError("polynomial belongs to a different algebra")
+def _letter_images(hopf: HopfAlgebra, algebra) -> list[TensorH]:
+    """mu(X[b]) for every basis element b: the coordinate of the first
+    coproduct leg tensored with the second leg."""
     ring = t_ring(hopf)
-    algebra = mu_algebra(hopf, alpha)
-    ops = tensor_ops(algebra)
-    gen_images = [
+    return [
         TensorH._of(
             ring,
             algebra,
@@ -316,13 +385,39 @@ def mu(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> TensorH:
         )
         for i in range(hopf.dim)
     ]
-    total = ops.zero()
-    for word, coeff in poly.terms.items():
-        img = ops.one()
-        for i in word:
-            img = img * gen_images[i]
-        total = total + img.scale(coeff)
-    return total
+
+
+def mu(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> TensorH:
+    """Algebra-map extension of X over b mapping to the coordinate of the
+    first coproduct leg tensored with the (twisted) second leg.
+
+    A parsed polynomial is evaluated along its parse tree, sums to sums
+    and products to products, and a word-built one word by word.
+    Precondition: the target product is associative with unit
+    `unit_index`, which is why the two evaluations agree.  It holds for
+    every TwoCocycle built with check=True, for `trivial_cocycle` and for
+    `coboundary_cocycle`; for a cocycle built with check=False that fails
+    the cocycle condition the image depends on the evaluation order."""
+    if poly.hopf is not hopf:
+        raise RangeError("polynomial belongs to a different algebra")
+    algebra = mu_algebra(hopf, alpha)
+    if algebra._mu_images is None:
+        algebra._mu_images = _letter_images(hopf, algebra)
+    gen_images = algebra._mu_images
+    ops = tensor_ops(algebra)
+
+    def words(p: NCPoly) -> TensorH:
+        total = ops.zero()
+        for word, coeff in p.terms.items():
+            img = ops.one()
+            for i in word:
+                img = img * gen_images[i]
+            total = total + img.scale(coeff)
+        return total
+
+    if poly._tree is None:
+        return words(poly)
+    return _evaluate(poly._tree, words, ops.one())
 
 
 def is_identity(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> bool:

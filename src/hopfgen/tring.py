@@ -14,6 +14,31 @@ from .hopf import HopfAlgebra, center_table, hab_grading
 from .linalg import collect, in_span, row_reduce
 from .report import Report
 
+# Term pairs one product of two sparse sums may form (`TensorH`, and
+# `identities.NCPoly`); a larger product fails with RangeError before any
+# work, instead of running for minutes or exhausting memory.
+PRODUCT_BUDGET = 10**6
+
+
+def check_product_budget(m: int, n: int) -> None:
+    if m * n > PRODUCT_BUDGET:
+        raise RangeError(
+            f"product of {m} by {n} terms exceeds the budget of {PRODUCT_BUDGET} term pairs"
+        )
+
+
+def binary_power(base, k: int, one):
+    """base**k for k >= 0 by repeated squaring in any associative product;
+    `one` is the answer for k = 0.  Squares only while bits of k remain."""
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if not k:
+            return one if out is None else out
+        base = base * base
+
 
 class TMonomial:
     """Canonical product of coordinate variables with integer exponents."""
@@ -488,6 +513,7 @@ class TensorH:
     def __mul__(self, other):
         if isinstance(other, TensorH):
             self._require_same(other)
+            check_product_budget(len(self.terms), len(other.terms))
             mult = self.algebra.mult
             return TensorH._of(
                 self.ring,
@@ -506,14 +532,12 @@ class TensorH:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = TensorH(
+        one = TensorH(
             self.ring,
             self.algebra,
             {(TMonomial(()), self.algebra.unit_index): self.ring.field.one},
         )
-        for _ in range(k):
-            out = out * self
-        return out
+        return binary_power(self, k, one)
 
     @property
     def is_zero(self) -> bool:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -92,6 +93,26 @@ def test_identity_computes_mu_once(capsys, monkeypatch):
     assert (code, payload["identity"]) == (1, False)
     assert payload["classification"]["identity"] is False
     assert len(calls) == 1
+
+
+def test_identity_evaluates_a_sixty_fourth_power_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "identity", "--family", "taft:2", "--poly", "(X[1]+X[x])^64",
+        "--format", "json",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, json.loads(out)["identity"]) == (1, False)
+
+
+def test_identity_over_the_product_budget_exits_two(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "identity", "--family", "taft:2", "--poly", "(X[1]+X[x]+X[y]+X[x y])^64",
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert "exceeds the budget" in err
 
 
 def test_ygroup_reports_lattice_index(capsys):
