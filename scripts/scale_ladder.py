@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Time the scale ladder: instances larger than the selftest roster reaches.
+
+    PYTHONPATH=src python3 scripts/scale_ladder.py
+
+Prints one JSON line that maps each rung to its wall seconds:
+
+- `verify_hopf_axioms` on taft(6), taft(7) and e(5);
+- `verify_sigma` on taft(4) and e(3), with the trivial cocycle;
+- `identity` on (X[1]+X[x])^64 over taft(2): cocycle, parse and classify.
+
+Each rung builds its instance outside the timed call, fresh, so the
+coordinate ring and the other data kept on the instance start cold.  A
+rung whose check fails stops the script with exit 1, since the time of a
+failing verification measures nothing.  The whole ladder takes about half
+a minute on a 2-core host.  To compare two commits, run the script from
+the root of each checkout.
+"""
+
+import json
+import sys
+import time
+
+from hopfgen.cocycle import trivial_cocycle
+from hopfgen.generic_base import verify_sigma
+from hopfgen.hopf import e_algebra, taft, verify_hopf_axioms
+from hopfgen.identities import classify, parse_ncpoly
+
+
+def _identity_power(h) -> bool:
+    flags = classify(h, trivial_cocycle(h), parse_ncpoly("(X[1]+X[x])^64", h))
+    # the sum of two letters is no identity: this checks it was evaluated
+    return flags["identity"] is False
+
+
+# (name, build the instance, the timed check on it)
+RUNGS = (
+    ("axioms taft(6)", lambda: taft(6), lambda h: verify_hopf_axioms(h).ok),
+    ("axioms taft(7)", lambda: taft(7), lambda h: verify_hopf_axioms(h).ok),
+    ("axioms e(5)", lambda: e_algebra(5), lambda h: verify_hopf_axioms(h).ok),
+    ("sigma taft(4)", lambda: taft(4), lambda h: verify_sigma(h).ok),
+    ("sigma e(3)", lambda: e_algebra(3), lambda h: verify_sigma(h).ok),
+    ("identity (X[1]+X[x])^64 taft(2)", lambda: taft(2), _identity_power),
+)
+
+
+def main() -> None:
+    seconds = {}
+    for name, build, check in RUNGS:
+        h = build()
+        start = time.perf_counter()
+        ok = check(h)
+        seconds[name] = round(time.perf_counter() - start, 3)
+        if not ok:
+            print(json.dumps(seconds))
+            sys.exit(f"scale ladder: the check of rung {name!r} failed")
+    print(json.dumps(seconds))
+
+
+if __name__ == "__main__":
+    main()

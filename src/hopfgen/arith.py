@@ -211,6 +211,14 @@ class Scalar:
         if d == 1:
             num = (a[0] * b[0],)
         else:
+            # a product by one is the other factor (in degree 1 the general
+            # product is a single integer product, and this test measured
+            # no faster there)
+            one = field.one.num
+            if a == one and self.den == 1:
+                return other
+            if b == one and other.den == 1:
+                return self
             prod = [0] * (2 * d - 1)
             for i, ai in enumerate(a):
                 if ai:

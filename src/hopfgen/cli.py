@@ -281,8 +281,9 @@ def cmd_ygroup(args: argparse.Namespace) -> tuple[dict, int]:
     if not args.group:
         raise UsageError("ygroup needs --group SPEC")
     g = group_from_spec(args.group)
-    ab, _ = abelianization(g)
+    # y_group checks the lattice cap before the abelianization is computed
     yl = y_group(g)
+    ab, _ = abelianization(g)
     payload = {
         "schema": SCHEMA,
         "group": g.name,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial, prod
 
 from .arith import FieldSpec, Scalar
 from .errors import DatumError, InvalidAction, RangeError, UnknownLabel
@@ -33,6 +34,15 @@ def max_group_order() -> int:
     return value
 
 
+def _check_order(order: int, shown: str = "") -> None:
+    """Refuse a group of more than max_group_order() elements; the
+    constructors call this before they build a table.  `shown` names an
+    order too long to print."""
+    cap = max_group_order()
+    if order > cap:
+        raise RangeError(f"group order {shown or order} exceeds the cap {cap}")
+
+
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
@@ -45,11 +55,9 @@ class FiniteGroup:
 
     def __init__(self, labels: list[str], table: list[list[int]], name: str = ""):
         n = len(labels)
-        cap = max_group_order()
         if n == 0:
             raise RangeError("a group needs at least the identity element")
-        if n > cap:
-            raise RangeError(f"group order {n} exceeds the cap {cap}")
+        _check_order(n)
         if len(set(labels)) != n:
             raise ValueError("labels must be distinct")
         if len(table) != n or any(len(row) != n for row in table):
@@ -286,6 +294,7 @@ def _abelianize(group: FiniteGroup) -> tuple[FiniteAbelianGroup, list[tuple[int,
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise RangeError("cyclic group order must be positive")
+    _check_order(n)
     labels = ["e"] + ["a" if k == 1 else f"a^{k}" for k in range(1, n)]
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(labels, table, name=f"Z/{n}")
@@ -299,6 +308,7 @@ def dihedral(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon, order 2n; elements r^i s^j."""
     if n < 1:
         raise RangeError("dihedral parameter must be positive")
+    _check_order(2 * n)
 
     def idx(i: int, j: int) -> int:
         return i + n * j
@@ -364,9 +374,19 @@ def _perm_group(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
     return FiniteGroup(labels, table, name=name)
 
 
+def _check_permutation_order(n: int, even: bool) -> None:
+    """The cap check for the n! permutations of n points, or for the n!/2
+    even ones (n >= 2).  Past n = 20 the order is bounded below by 20!/2,
+    more than 10^18, instead of being formed: n! has millions of digits
+    for n = 10^5 and takes seconds to compute."""
+    order = factorial(min(n, 20)) // (2 if even and n >= 2 else 1)
+    _check_order(order, "" if n <= 20 else f"{n}!/2" if even else f"{n}!")
+
+
 def symmetric(n: int) -> FiniteGroup:
     if n < 1:
         raise RangeError("symmetric group degree must be positive")
+    _check_permutation_order(n, even=False)
     perms = list(permutations(range(n)))
     return _perm_group(perms, name=f"S{n}")
 
@@ -374,6 +394,7 @@ def symmetric(n: int) -> FiniteGroup:
 def alternating(n: int) -> FiniteGroup:
     if n < 1:
         raise RangeError("alternating group degree must be positive")
+    _check_permutation_order(n, even=True)
     perms = [p for p in permutations(range(n)) if _perm_parity(p) == 0]
     return _perm_group(perms, name=f"A{n}")
 
@@ -484,7 +505,10 @@ def group_from_spec(spec: str) -> FiniteGroup:
         items = [s.strip() for s in rest.split(",") if s.strip()]
         if len(items) < 2:
             raise RangeError("product needs at least two factors")
+        # each factor passed the cap as it was built; the product table,
+        # the only large one, waits for the product of their orders
         groups = [group_from_spec(item) for item in items]
+        _check_order(prod(g.order for g in groups))
         out = groups[0]
         for g in groups[1:]:
             out = direct_product(out, g)

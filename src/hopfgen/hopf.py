@@ -590,86 +590,81 @@ def group_algebra(group: FiniteGroup, field: FieldSpec | None = None) -> HopfAlg
 
 
 def verify_hopf_axioms(h: HopfAlgebra, include_grading: bool = True) -> Report:
-    """Exhaustive exact check of every Hopf axiom on the tables."""
+    """Exhaustive exact check of every Hopf axiom on the tables.  A failing
+    check names its first counterexample in loop order: a basis element,
+    pair or triple."""
     rep = Report(title=h.name or "hopf")
     field = h.field
     dim = h.dim
+    elements = [(i,) for i in range(dim)]
+    pairs = [(i, j) for i in range(dim) for j in range(dim)]
+
+    def first(keys, fails):
+        return next((key for key in keys if fails(*key)), None)
+
+    def add(name: str, bad) -> None:
+        if bad is None:
+            rep.add(name, True)
+        else:
+            rep.add(name, False, "fails at ({})".format(", ".join(h.labels[i] for i in bad)))
 
     unital, bad = check_product(dim, h.mult, h.unit_index, field.one)
-    rep.add(
-        "associativity",
-        bad is None,
-        "" if bad is None else "fails at ({}, {}, {})".format(*(h.labels[i] for i in bad)),
-    )
+    add("associativity", bad)
     rep.add("unit", unital)
 
-    ok = True
-    for i in range(dim):
+    def coassociativity_fails(i):
         left = collect(
             ((a, b, k), c * cc) for j, k, c in h.comult[i] for a, b, cc in h.comult[j]
         )
         right = collect(
             ((j, a, b), c * cc) for j, k, c in h.comult[i] for a, b, cc in h.comult[k]
         )
-        if left != right:
-            ok = False
-            break
-    rep.add("coassociativity", ok)
+        return left != right
 
-    ok = True
-    for i in range(dim):
+    add("coassociativity", first(elements, coassociativity_fails))
+
+    def counit_fails(i):
         lhs = collect((k, c * h.counit[j]) for j, k, c in h.comult[i])
         rhs = collect((j, c * h.counit[k]) for j, k, c in h.comult[i])
-        if lhs != {i: field.one} or rhs != {i: field.one}:
-            ok = False
-            break
-    rep.add("counit", ok)
+        return lhs != {i: field.one} or rhs != {i: field.one}
 
-    ok = True
-    for i in range(dim):
-        if not ok:
-            break
-        di = h.comult[i]
-        for j in range(dim):
-            want = collect(
-                ((k1, k2), ca * cb * c1 * c2)
-                for a, b, ca in di
-                for c_, d_, cb in h.comult[j]
-                for k1, c1 in h.mult.get((a, c_), ())
-                for k2, c2 in h.mult.get((b, d_), ())
-            )
-            if want != h.comult_dict(dict(h.mult.get((i, j), ()))):
-                ok = False
-                break
-    rep.add("comult-multiplicative", ok)
+    add("counit", first(elements, counit_fails))
 
-    ok = all(
-        h.counit_dict(dict(h.mult.get((i, j), ()))) == h.counit[i] * h.counit[j]
-        for i in range(dim)
-        for j in range(dim)
-    ) and h.counit[h.unit_index] == field.one
-    rep.add("counit-multiplicative", ok)
-
-    ok_left = True
-    ok_right = True
-    for i in range(dim):
-        acc_l = collect(
-            kv
-            for j, k, c in h.comult[i]
-            for kv in h.multiply_dicts(h.antipode_dict({j: c}), {k: field.one}).items()
+    def comult_multiplicative_fails(i, j):
+        want = collect(
+            ((k1, k2), ca * cb * c1 * c2)
+            for a, b, ca in h.comult[i]
+            for c_, d_, cb in h.comult[j]
+            for k1, c1 in h.mult.get((a, c_), ())
+            for k2, c2 in h.mult.get((b, d_), ())
         )
-        acc_r = collect(
-            kv
-            for j, k, c in h.comult[i]
-            for kv in h.multiply_dicts({j: field.one}, h.antipode_dict({k: c})).items()
-        )
-        want = {h.unit_index: h.counit[i]} if not h.counit[i].is_zero else {}
-        if acc_l != want:
-            ok_left = False
-        if acc_r != want:
-            ok_right = False
-    rep.add("antipode-left", ok_left)
-    rep.add("antipode-right", ok_right)
+        return want != h.comult_dict(dict(h.mult.get((i, j), ())))
+
+    add("comult-multiplicative", first(pairs, comult_multiplicative_fails))
+
+    bad = first(
+        pairs,
+        lambda i, j: h.counit_dict(dict(h.mult.get((i, j), ()))) != h.counit[i] * h.counit[j],
+    )
+    if bad is None and h.counit[h.unit_index] != field.one:
+        bad = (h.unit_index,)
+    add("counit-multiplicative", bad)
+
+    def add_antipode(name: str, product) -> None:
+        def fails(i):
+            acc = collect(kv for j, k, c in h.comult[i] for kv in product(j, k, c).items())
+            return acc != ({h.unit_index: h.counit[i]} if not h.counit[i].is_zero else {})
+
+        add(name, first(elements, fails))
+
+    add_antipode(
+        "antipode-left",
+        lambda j, k, c: h.multiply_dicts(h.antipode_dict({j: c}), {k: field.one}),
+    )
+    add_antipode(
+        "antipode-right",
+        lambda j, k, c: h.multiply_dicts({j: field.one}, h.antipode_dict({k: c})),
+    )
 
     gl = set(h.grouplikes)
     ok = h.unit_index in gl and all(
@@ -679,25 +674,23 @@ def verify_hopf_axioms(h: HopfAlgebra, include_grading: bool = True) -> Report:
 
     if include_grading and h.family.get("kind") in ("taft", "e", "monomial", "group"):
         ab, deg = hab_grading(h)
-        ok = True
-        for (i, j), terms in h.mult.items():
-            want = ab.add(deg[i], deg[j])
-            if any(deg[k] != want for k, _ in terms):
-                ok = False
-                break
-        if ok:
+        bad = first(
+            h.mult,
+            lambda i, j: any(deg[k] != ab.add(deg[i], deg[j]) for k, _ in h.mult[(i, j)]),
+        )
+
+        def coaction_fails(i):
             # the grading is the coaction along the group-like quotient:
             # projecting the right comult leg must give b_i tensor its class
-            for i in range(dim):
-                diag = [(j, k, c) for j, k, c in h.comult[i] if k in gl]
-                if len(diag) != 1:
-                    ok = False
-                    break
-                j, k, c = diag[0]
-                if j != i or c != field.one or deg[k] != deg[i]:
-                    ok = False
-                    break
-        rep.add("grading", ok)
+            diag = [(j, k, c) for j, k, c in h.comult[i] if k in gl]
+            if len(diag) != 1:
+                return True
+            j, k, c = diag[0]
+            return j != i or c != field.one or deg[k] != deg[i]
+
+        if bad is None:
+            bad = first(elements, coaction_fails)
+        add("grading", bad)
     return rep
 
 
@@ -722,21 +715,28 @@ def check_product(
     """Unit and associativity of a mult table on the basis: whether the
     unit multiplies every basis element to itself on both sides, and the
     lexicographically first triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k),
-    or None.  Each product is read from the table, not recomputed."""
+    or None.  Each product is read from the table, not recomputed: one sum
+    per pair (i, j), keyed by (k, m) for the b_m coordinate of either side."""
     unital = all(
         mult.get((unit_index, i)) == ((i, one),) and mult.get((i, unit_index)) == ((i, one),)
         for i in range(dim)
     )
-    for i in range(dim):
-        for j in range(dim):
-            ij = mult.get((i, j), ())
-            for k in range(dim):
-                left = collect((m, c * cm) for p, c in ij for m, cm in mult.get((p, k), ()))
-                right = collect(
-                    (m, c * cm) for p, c in mult.get((j, k), ()) for m, cm in mult.get((i, p), ())
-                )
-                if left != right:
-                    return unital, (i, j, k)
+    rows = [[mult.get((i, j), ()) for j in range(dim)] for i in range(dim)]
+    basis = range(dim)
+    for i in basis:
+        row_i = rows[i]
+        for j in basis:
+            row_j = rows[j]
+            left = collect(
+                ((k, m), c * cm) for p, c in row_i[j] for k in basis for m, cm in rows[p][k]
+            )
+            right = collect(
+                ((k, m), c * cm) for k in basis for p, c in row_j[k] for m, cm in row_i[p]
+            )
+            if left != right:
+                keys = left.keys() | right.keys()
+                k = min(key[0] for key in keys if left.get(key) != right.get(key))
+                return unital, (i, j, k)
     return unital, None
 
 

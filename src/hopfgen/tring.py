@@ -43,11 +43,12 @@ def binary_power(base, k: int, one):
 class TMonomial:
     """Canonical product of coordinate variables with integer exponents."""
 
-    __slots__ = ("exps",)
+    __slots__ = ("exps", "_hash")
 
     def __init__(self, exps: tuple[tuple[int, int], ...]):
         # sorted by variable index, zero exponents dropped
         self.exps = exps
+        self._hash = hash(exps)
 
     @staticmethod
     def from_pairs(pairs) -> TMonomial:
@@ -85,7 +86,8 @@ class TMonomial:
     def pow(self, k: int) -> TMonomial:
         if k == 0:
             return TMonomial(())
-        return TMonomial(tuple(sorted((i, e * k) for i, e in self.exps)))
+        # scaling every exponent by k != 0 keeps the variable order
+        return TMonomial(tuple([(i, e * k) for i, e in self.exps]))
 
     def exp_of(self, index: int) -> int:
         for i, e in self.exps:
@@ -101,7 +103,7 @@ class TMonomial:
         return isinstance(other, TMonomial) and self.exps == other.exps
 
     def __hash__(self):
-        return hash(self.exps)
+        return self._hash
 
     def __lt__(self, other):
         return self.exps < other.exps
@@ -161,6 +163,13 @@ class TElement:
 
     def __mul__(self, other):
         if isinstance(other, TElement):
+            a, b = self.terms, other.terms
+            if len(a) == 1 and len(b) == 1:
+                # stored coefficients are nonzero and the field has no zero
+                # divisors, so the product of two terms is one term
+                ((m1, c1),) = a.items()
+                ((m2, c2),) = b.items()
+                return TElement(self.ring, {m1.mul(m2): c1 * c2})
             return TElement(
                 self.ring,
                 collect(
@@ -189,6 +198,9 @@ class TElement:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
+        if len(self.terms) == 1:
+            ((m, c),) = self.terms.items()
+            return TElement(self.ring, {m.pow(k): c**k})
         out = self.ring.one()
         base = self
         while k:

@@ -1,12 +1,15 @@
 """Exit codes, JSON shapes and option handling of the command line."""
 
 import json
+import os
+import resource
 import subprocess
 import sys
 import time
 
 import pytest
 
+from hopfgen import cli
 from hopfgen.cli import main
 from hopfgen.errors import RangeError
 from hopfgen.hopf import HopfAlgebra, taft, verify_hopf_axioms
@@ -301,3 +304,50 @@ def test_module_entry_point():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["index"] == 6
+
+
+def test_ygroup_checks_the_lattice_cap_before_the_abelianization(capsys, monkeypatch):
+    def refuse(group):
+        raise AssertionError("abelianization computed for a group over the lattice cap")
+
+    monkeypatch.setattr(cli, "abelianization", refuse)
+    code, _, err = run_cli(capsys, "ygroup", "--group", "product:cyclic:4,cyclic:12")
+    assert code == 2
+    assert "group order 48 exceeds the lattice cap 24" in err
+
+
+def _limit_memory():
+    # runs in the child only: 1 GiB of address space
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["ygroup", "--group", "sym:7"], "group order 5040 exceeds the cap 48"),
+        (["ygroup", "--group", "cyclic:100000"], "group order 100000 exceeds the cap 48"),
+        (["ygroup", "--group", "product:cyclic:4,cyclic:12"], "exceeds the lattice cap 24"),
+        (["ygroup", "--group", "product:cyclic:8,cyclic:8,cyclic:8"], "group order 512 exceeds"),
+        (["axioms", "--family", "group:dihedral:1000"], "group order 2000 exceeds the cap 48"),
+    ],
+)
+def test_oversized_groups_exit_two_before_any_table(argv, message):
+    """Each spec is refused with exit 2 in well under a second of the
+    child's CPU time, in a child process whose memory is capped, so that a
+    table built before its cap fails here instead of exhausting the host."""
+    env = {k: v for k, v in os.environ.items() if k != "HOPFGEN_MAX_GROUP_ORDER"}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    out = subprocess.run(
+        [sys.executable, "-m", "hopfgen", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_limit_memory,
+        timeout=30,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    assert out.returncode == 2, out.stderr
+    assert message in out.stderr
+    assert "Traceback" not in out.stderr
+    assert cpu < 1.0

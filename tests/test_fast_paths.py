@@ -1,0 +1,229 @@
+"""Differential tests of the no-op fast paths against the general routines
+they bypass (`fast_path_reference.py`, `scalar_reference.py`).
+
+- `check_product` sums each basis pair (i, j) once over all k and must
+  report the same unit flag and the same first non-associative triple as
+  the triple loop, on every roster table and on corrupted tables.
+- A product of two single-term `TElement`s, and a power of one, skip
+  `collect`; they must give the same dict as the general path.
+- A `Scalar` product by the field's one returns the other factor.
+- `TMonomial` keeps its hash, and no constructor in `tring` stores a zero
+  coefficient, which the single-term product relies on.
+"""
+
+from fractions import Fraction
+
+import fast_path_reference as ref
+import pytest
+import scalar_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_scalar_reference import assert_same, scalar_pairs
+
+from hopfgen.arith import make_field
+from hopfgen.cocycle import coboundary_cocycle, twisted_algebra
+from hopfgen.errors import OutOfLocalization, RangeError
+from hopfgen.groups import symmetric
+from hopfgen.hopf import check_product, e_algebra, group_algebra, taft
+from hopfgen.selftest import standard_instances
+from hopfgen.tring import TElement, TMonomial, t_inverse_map, t_ring, telement_from_json
+
+# -- check_product -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,h", standard_instances(), ids=[n for n, _ in standard_instances()])
+def test_check_product_matches_the_triple_loop_on_the_roster(name, h):
+    args = (h.dim, h.mult, h.unit_index, h.field.one)
+    assert check_product(*args) == ref.reference_check_product(*args) == (True, None)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_check_product_matches_the_triple_loop_on_twisted_tables(seed):
+    h = group_algebra(symmetric(3))
+    mult = twisted_algebra(h, coboundary_cocycle(h, seed), verify=False).mult
+    args = (h.dim, mult, h.unit_index, h.field.one)
+    assert check_product(*args) == ref.reference_check_product(*args)
+
+
+SMALL = {"taft3": taft(3), "e2": e_algebra(2), "kS3": group_algebra(symmetric(3))}
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A structure table of a small algebra with one entry changed: its
+    coefficient scaled, its target moved, the entry dropped, or an entry
+    added where the product was zero."""
+    h = SMALL[draw(st.sampled_from(sorted(SMALL)))]
+    field, dim = h.field, h.dim
+    mult = dict(h.mult)
+    key = (draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)))
+    terms = mult.get(key, ())
+    kind = draw(st.sampled_from(["scale", "move", "drop"]) if terms else st.just("add"))
+    if kind == "scale":
+        factor = draw(st.sampled_from([field.q, -field.one, field.scalar(2)]))
+        (k, c), *rest = terms
+        mult[key] = ((k, c * factor), *rest)
+    elif kind == "move":
+        (k, c), *rest = terms
+        mult[key] = ((draw(st.integers(0, dim - 1)), c), *rest)
+    elif kind == "drop":
+        del mult[key]
+    else:
+        mult[key] = ((draw(st.integers(0, dim - 1)), field.one),)
+    return h, mult
+
+
+@settings(max_examples=60, deadline=None)
+@given(corrupted_tables())
+def test_check_product_matches_the_triple_loop_on_corrupted_tables(case):
+    h, mult = case
+    args = (h.dim, mult, h.unit_index, h.field.one)
+    assert check_product(*args) == ref.reference_check_product(*args)
+
+
+# -- TElement and TMonomial ----------------------------------------------------
+
+@st.composite
+def single_terms(draw, h, grouplike_only=False):
+    """A one-term element of the coordinate ring of h: a nonzero scalar
+    times a monomial in a few variables, group-like ones with any sign."""
+    ring = t_ring(h)
+    gl = sorted(ring.grouplike_set)
+    others = [i for i in range(h.dim) if i not in ring.grouplike_set]
+    pairs = [
+        (g, draw(st.integers(-3, 3))) for g in draw(st.lists(st.sampled_from(gl), max_size=3))
+    ]
+    if others and not grouplike_only:
+        pairs += [
+            (v, draw(st.integers(0, 3)))
+            for v in draw(st.lists(st.sampled_from(others), max_size=3))
+        ]
+    field = h.field
+    coeff = field.from_coeffs(
+        draw(st.lists(st.integers(-4, 4), min_size=field.degree, max_size=field.degree))
+    )
+    if not coeff:
+        coeff = field.one
+    return TElement(ring, {ring.monomial(pairs): coeff})
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(sorted(SMALL)))
+def test_single_term_products_match_the_general_product(data, name):
+    h = SMALL[name]
+    a = data.draw(single_terms(h))
+    b = data.draw(single_terms(h))
+    got = a * b
+    assert got.terms == ref.reference_mul(a, b).terms
+    assert all(got.terms.values())
+    # a product that cancels to the unit monomial
+    g = data.draw(single_terms(h, grouplike_only=True))
+    inverse = g.inverse()
+    assert (g * inverse).terms == ref.reference_mul(g, inverse).terms == t_ring(h).one().terms
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(sorted(SMALL)), st.integers(-4, 4))
+def test_single_term_powers_match_repeated_squaring(data, name, k):
+    h = SMALL[name]
+    a = data.draw(single_terms(h, grouplike_only=k < 0 and data.draw(st.booleans())))
+    try:
+        want = ref.reference_pow(a, k)
+    except OutOfLocalization:
+        with pytest.raises(OutOfLocalization):
+            a**k
+        return
+    got = a**k
+    assert got.terms == want.terms
+    assert all(got.terms.values())
+
+
+def test_powers_of_a_sum_still_take_the_general_path():
+    ring = t_ring(taft(3))
+    a = ring.var(0) + ring.var(3)
+    for k in range(5):
+        assert (a**k).terms == ref.reference_pow(a, k).terms
+
+
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(-5, 5).filter(bool)), max_size=6))
+def test_monomials_keep_the_hash_of_their_exponent_tuple(pairs):
+    m = TMonomial.from_pairs(pairs)
+    assert hash(m) == hash(m.exps) == hash(TMonomial(m.exps))
+    for k in range(-3, 4):
+        p = m.pow(k)
+        assert p.exps == ref.reference_monomial_pow(m, k).exps
+        assert hash(p) == hash(p.exps)
+
+
+# -- Scalar --------------------------------------------------------------------
+
+# every field of degree 1 to 6
+SMALL_DEGREE_ORDERS = st.sampled_from([n for n in range(1, 19) if make_field(n).degree <= 6])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), SMALL_DEGREE_ORDERS, st.integers(2, 7))
+def test_products_by_one_match_the_reference(data, n, d):
+    a, ra = data.draw(scalar_pairs(n))
+    one, rone = make_field(n).one, scalar_reference.make_field(n).one
+    assert_same(one * a, rone * ra)
+    assert_same(a * one, ra * rone)
+    assert_same(1 * a, 1 * ra)
+    assert_same(a * 1, ra * 1)
+    assert_same(one * one, rone * rone)
+    # 1/d has the numerators of one, but is no unit of the product
+    part = make_field(n).scalar(Fraction(1, d))
+    rpart = scalar_reference.make_field(n).scalar(Fraction(1, d))
+    assert_same(part * a, rpart * ra)
+    assert_same(a * part, ra * rpart)
+
+
+def test_products_by_one_still_refuse_a_foreign_field():
+    with pytest.raises(RangeError):
+        make_field(3).one * make_field(4).q
+    with pytest.raises(RangeError):
+        make_field(4).q * make_field(3).one
+
+
+# -- no stored zeros -----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(sorted(SMALL)))
+def test_no_coordinate_ring_constructor_stores_a_zero(data, name):
+    """Every routine of `tring` that builds a TElement, fed zeros and sums
+    that cancel, returns an element without a zero coefficient."""
+    h = SMALL[name]
+    ring = t_ring(h)
+    field = h.field
+    a = data.draw(single_terms(h))
+    b = data.draw(single_terms(h))
+    gl = data.draw(single_terms(h, grouplike_only=True))
+    c = data.draw(st.sampled_from([field.zero, field.one, -field.one, field.q]))
+    built = [
+        ring.zero(),
+        ring.one(),
+        ring.scalar(field.zero),
+        ring.scalar(c),
+        ring.var(0),
+        ring.var(h.grouplikes[-1], -2),
+        ring.element({m: field.zero for m in a.terms}),
+        ring.element({**a.terms, **b.terms}),
+        a + b,
+        a - a,
+        (a + b) - b,
+        -a,
+        a * c,
+        c * (a + b),
+        (a + b) * (a - b),
+        (a + b) ** 2,
+        gl.inverse(),
+        a / gl,
+        a / field.q,
+        telement_from_json(ring, (a - a).to_json()),
+        telement_from_json(ring, (a + b).to_json()),
+        *t_inverse_map(h),
+    ]
+    for elem in built:
+        assert isinstance(elem, TElement)
+        assert all(elem.terms.values()), elem.terms

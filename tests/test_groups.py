@@ -1,9 +1,12 @@
 """Group layer: table validation, constructors, abelianization, characters."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfgen import groups
 from hopfgen.arith import make_field
 from hopfgen.errors import DatumError, InvalidAction, RangeError, UnknownLabel
 from hopfgen.groups import (
@@ -329,3 +332,44 @@ def test_niceness_query_reduces_once(monkeypatch, spec):
     gamma_generators(h)
     assert niceness_witnesses(h)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "spec,order",
+    [
+        ("cyclic:49", "49"),
+        ("dihedral:25", "50"),
+        ("sym:5", "120"),
+        ("alt:5", "60"),
+        ("sym:100000", "100000!"),
+        ("alt:21", "21!/2"),
+        ("product:cyclic:8,cyclic:8,cyclic:8", "512"),
+        ("product:sym:4,cyclic:3", "72"),
+    ],
+)
+def test_group_orders_are_checked_before_any_table(spec, order, monkeypatch):
+    """The order is read from the spec and refused before a permutation
+    list or a table exists; the factors of a product are at most the cap
+    each and are built, their product is not."""
+    monkeypatch.delenv("HOPFGEN_MAX_GROUP_ORDER", raising=False)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("work was done for a group over the cap")
+
+    if spec.startswith("product:"):
+        monkeypatch.setattr(groups, "direct_product", no_table)
+    else:
+        monkeypatch.setattr(groups, "permutations", no_table)
+        monkeypatch.setattr(groups, "FiniteGroup", no_table)
+    with pytest.raises(RangeError, match=rf"^group order {re.escape(order)} exceeds the cap 48$"):
+        group_from_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "spec,order",
+    [("cyclic:48", 48), ("dihedral:24", 48), ("sym:4", 24), ("alt:4", 12), ("alt:1", 1),
+     ("product:sym:4,cyclic:2", 48)],
+)
+def test_group_orders_at_the_cap_are_built(spec, order, monkeypatch):
+    monkeypatch.delenv("HOPFGEN_MAX_GROUP_ORDER", raising=False)
+    assert group_from_spec(spec).order == order

@@ -341,3 +341,63 @@ def test_algebra_elements_refuse_floats():
         with pytest.raises(RangeError):
             bad * y
     assert (y * Fraction(1, 2)) * 2 == y
+
+
+def _with_tables(h, mult=None, comult=None):
+    return HopfAlgebra(
+        h.field,
+        h.labels,
+        h.mult if mult is None else mult,
+        h.comult if comult is None else comult,
+        h.counit,
+        h.unit_index,
+        h.family,
+        antipode=h.antipode,
+    )
+
+
+@pytest.mark.parametrize("pair", [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y"), ("x y", "x")])
+def test_axioms_name_a_corrupted_mult_entry(pair):
+    """Moving the product of one basis pair to another basis element is
+    reported at that pair by every pair check that reads it."""
+    h = taft(3)
+    key = tuple(h.index_of(lbl) for lbl in pair)
+    mult = dict(h.mult)
+    ((k, c),) = mult[key]
+    mult[key] = (((k + 1) % h.dim, c),)
+    checks = {c.name: c for c in verify_hopf_axioms(_with_tables(h, mult=mult)).checks}
+    named = "fails at ({}, {})".format(*pair)
+    assert checks["comult-multiplicative"].details == named
+    assert checks["grading"].details == named
+    if pair == ("x", "x"):
+        assert checks["counit-multiplicative"].details == named
+
+
+@pytest.mark.parametrize("label", ["y", "x y", "y^2", "x^2 y^2"])
+@pytest.mark.parametrize("term", [0, -1])
+def test_axioms_name_a_corrupted_comult_entry(label, term):
+    """Scaling one term of the coproduct of b is reported at b by every
+    element check that fails, and by the pair check at a pair that holds b
+    or multiplies to it."""
+    h = taft(3)
+    i = h.index_of(label)
+    row = list(h.comult[i])
+    j, k, c = row[term]
+    row[term] = (j, k, c * h.field.q)
+    comult = list(h.comult)
+    comult[i] = tuple(row)
+    rep = verify_hopf_axioms(_with_tables(h, comult=comult), include_grading=False)
+    element_checks = ("coassociativity", "counit", "antipode-left", "antipode-right")
+    failed = {c.name: c.details for c in rep.failures()}
+    assert set(failed) & set(element_checks)
+    for name in element_checks:
+        assert failed.get(name, f"fails at ({label})") == f"fails at ({label})"
+    a, b = (h.index_of(lbl) for lbl in failed["comult-multiplicative"][10:-1].split(", "))
+    assert i in (a, b) or (a, b) in h.mult and h.mult[(a, b)][0][0] == i
+
+
+def test_passing_axioms_have_empty_details():
+    for h in (taft(3), e_algebra(2), group_algebra(symmetric(3)), klein_monomial()):
+        rep = verify_hopf_axioms(h)
+        assert rep.ok
+        assert all(c.details == "" for c in rep.checks)
