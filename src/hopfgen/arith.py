@@ -274,6 +274,10 @@ class Scalar:
         if field.degree == 1:
             a = self.num[0]
             return Scalar(field, (self.den,), a) if a > 0 else Scalar(field, (-self.den,), -a)
+        if self.den == 1 and self.num == field.one.num:
+            # one is its own inverse (the counit value that verify_sigma
+            # substitutes for every group-like letter)
+            return self
         # r0 = modulus, r1 = numerator; keep Bezout coefficient for r1 only
         r0 = [Fraction(c) for c in field.modulus]
         r1 = _trim([Fraction(c) for c in self.num])

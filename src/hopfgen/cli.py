@@ -120,6 +120,12 @@ def _cocycle_for(args: argparse.Namespace, h: HopfAlgebra):
     raise UsageError(f"unknown cocycle kind {kind!r}")
 
 
+def _cocycle_record(args: argparse.Namespace) -> dict:
+    """Which cocycle _cocycle_for built: its kind, and its seed if seeded."""
+    seeded = args.cocycle == "coboundary"
+    return {"kind": args.cocycle, "seed": args.cocycle_seed if seeded else None}
+
+
 # --- output -----------------------------------------------------------------
 
 
@@ -274,6 +280,8 @@ def cmd_base(args: argparse.Namespace) -> tuple[dict, int]:
         "ok": ok,
         "reports": [_report_payload(r) for r in reports],
     }
+    if "sigma" in wanted:
+        payload["cocycle"] = _cocycle_record(args)
     return payload, 0 if ok else 1
 
 
@@ -309,6 +317,7 @@ def cmd_sigma(args: argparse.Namespace) -> tuple[dict, int]:
         "instance": h.name,
         "ok": rep.ok,
         "reports": [_report_payload(rep)],
+        "cocycle": _cocycle_record(args),
     }
     return payload, 0 if rep.ok else 1
 

@@ -136,31 +136,34 @@ def cocycle_failure(hopf: HopfAlgebra, vals, zero):
     vals(x1, y1) vals(x2 y2, z) != vals(y1, z1) vals(x, y2 z2); None if
     there is none.  The entries of the matrix vals may be any values with
     +, * and .is_zero (scalars, or coordinate-ring elements for the lifted
-    cocycle); zero starts each sum."""
-    comult, mult = hopf.comult, hopf.mult
-    columns = list(zip(*vals))
+    cocycle); zero starts each sum.
 
-    def half(da, db, far):
-        # sum vals(a1, b1) far(a2 b2) over the legs of a and b
-        acc = zero
-        for a1, a2, ca in da:
-            for b1, b2, cb in db:
-                head = vals[a1][b1]
-                if head.is_zero:
-                    continue
-                c = head * (ca * cb)
-                for k, cm in mult.get((a2, b2), ()):
-                    v = far[k]
+    Both sides factor through the twisted product x . y = vals(x1, y1) x2 y2,
+    whose table P is built once per pair: the identity reads
+    sum_k P(x, y)[k] vals(k, z) == sum_k vals(x, k) P(y, z)[k]."""
+    dim = hopf.dim
+    table = _twist(hopf, hopf.mult, vals)
+    # a ring-valued entry of the table may cancel to zero; skip it here
+    prod = [
+        [[(k, c) for k, c in table.get((x, y), ()) if not c.is_zero] for y in range(dim)]
+        for x in range(dim)
+    ]
+    for x in range(dim):
+        vx = vals[x]
+        for y in range(dim):
+            pxy, py = prod[x][y], prod[y]
+            for z in range(dim):
+                lhs = zero
+                for k, c in pxy:
+                    v = vals[k][z]
                     if not v.is_zero:
-                        acc = acc + c * cm * v
-        return acc
-
-    for x in range(hopf.dim):
-        for y in range(hopf.dim):
-            for z in range(hopf.dim):
-                if half(comult[x], comult[y], columns[z]) != half(
-                    comult[y], comult[z], vals[x]
-                ):
+                        lhs = lhs + c * v
+                rhs = zero
+                for k, c in py[z]:
+                    v = vx[k]
+                    if not v.is_zero:
+                        rhs = rhs + v * c
+                if lhs != rhs:
                     return x, y, z
     return None
 
@@ -260,7 +263,7 @@ def _twist(hopf: HopfAlgebra, mult, vals, right: bool = False) -> dict:
                 (k, lx[2] * ly[2] * vals[lx[v]][ly[v]] * cm)
                 for lx in comult[x]
                 for ly in comult[y]
-                if vals[lx[v]][ly[v]]
+                if not vals[lx[v]][ly[v]].is_zero
                 for k, cm in mult.get((lx[m], ly[m]), ())
             )
             if terms:

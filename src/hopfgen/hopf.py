@@ -27,6 +27,17 @@ from .report import Report
 
 Terms = tuple[tuple[int, Scalar], ...]
 
+# e(5): the largest instance that the tests, the scripts and the benchmark build
+MAX_DIM = 64
+
+
+def _check_dim(dim: int, shown: str) -> None:
+    """Refuse an instance of more than MAX_DIM basis elements; the family
+    constructors call this before they build a table.  `shown` names the
+    instance and its dimension without printing a number that may be huge."""
+    if dim > MAX_DIM:
+        raise RangeError(f"{shown} exceeds the dimension cap {MAX_DIM}")
+
 
 def _canonical_terms(terms) -> Terms:
     return tuple(sorted(collect(terms).items()))
@@ -114,9 +125,6 @@ class HopfAlgebra:
             return self._index[label]
         except KeyError as exc:
             raise UnknownLabel(f"no basis element labelled {label!r}") from exc
-
-    def is_grouplike(self, i: int) -> bool:
-        return i in self._gl_inv
 
     def grouplike_inverse(self, i: int) -> int:
         return self._gl_inv[i]
@@ -430,6 +438,7 @@ def taft(n: int) -> HopfAlgebra:
     y x = q x y and y^n = 0."""
     if n < 2:
         raise RangeError("need n >= 2")
+    _check_dim(n * n, f"taft({n}) of dimension {n}^2")
     field = make_field(n)
 
     def label(a: int, lvl: int) -> str:
@@ -474,6 +483,8 @@ def e_algebra(n: int) -> HopfAlgebra:
     involution x and n skew-primitive generators y_i with y_i^2 = 0."""
     if n < 1:
         raise RangeError("need n >= 1")
+    # 2^(n+1) > MAX_DIM as soon as n + 1 reaches the bit length of the cap
+    _check_dim(2 ** min(n + 1, MAX_DIM.bit_length()), f"e({n}) of dimension 2^{n + 1}")
     field = make_field(2)
     one = field.one
 
@@ -538,8 +549,9 @@ def monomial_type_i(
 ) -> HopfAlgebra:
     """Dimension n|G| family on a group with central x of order n and a
     character chi sending x to the chosen root of unity."""
-    validate_monomial_datum(group, x, chi, field)
     n = field.n
+    _check_dim(n * group.order, f"monomial({group.name},{n}) of dimension {n}*{group.order}")
+    validate_monomial_datum(group, x, chi, field)
     labels = []
     for lvl in range(n):
         for g in range(group.order):

@@ -95,10 +95,6 @@ class TMonomial:
                 return e
         return 0
 
-    @property
-    def is_unit_monomial(self) -> bool:
-        return not self.exps
-
     def __eq__(self, other):
         return isinstance(other, TMonomial) and self.exps == other.exps
 
@@ -136,7 +132,13 @@ class TElement:
         return None if c is None else self.ring.scalar(c)
 
     def _scaled(self, s: Scalar) -> TElement:
-        return TElement(self.ring, collect((m, c * s) for m, c in self.terms.items()))
+        if s.is_zero:
+            return self.ring.zero()
+        if s == self.ring.field.one:
+            # terms are never mutated, so sharing them is safe
+            return self
+        # a nonzero scalar times a nonzero coefficient is nonzero
+        return TElement(self.ring, {m: c * s for m, c in self.terms.items()})
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -231,10 +233,6 @@ class TElement:
 
     def __hash__(self):
         return hash(frozenset((m, c) for m, c in self.terms.items()))
-
-    def constant_term(self) -> Scalar:
-        c = self.terms.get(TMonomial(()))
-        return self.ring.field.zero if c is None else c
 
     def to_text(self) -> str:
         labels = self.ring.hopf.labels

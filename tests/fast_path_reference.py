@@ -6,6 +6,7 @@ differential tests in `test_fast_paths.py`.
 - `reference_mul` and `reference_pow`: every `TElement` product through
   `collect`, every power by repeated squaring from the ring's one.
 - `reference_monomial_pow`: the exponents scaled, then sorted.
+- `reference_scaled`: every coefficient times the scalar, through `collect`.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ def reference_mul(self: TElement, other: TElement) -> TElement:
             for m2, c2 in other.terms.items()
         ),
     )
+
+
+def reference_scaled(self: TElement, s: Scalar) -> TElement:
+    return TElement(self.ring, collect((m, c * s) for m, c in self.terms.items()))
 
 
 def reference_pow(self: TElement, k: int) -> TElement:

@@ -12,7 +12,7 @@ import pytest
 from hopfgen import cli
 from hopfgen.cli import main
 from hopfgen.errors import RangeError
-from hopfgen.hopf import HopfAlgebra, taft, verify_hopf_axioms
+from hopfgen.hopf import MAX_DIM, HopfAlgebra, e_algebra, taft, verify_hopf_axioms
 from hopfgen.identities import parse_ncpoly
 from hopfgen.selftest import run_criteria
 
@@ -180,12 +180,32 @@ def test_base_check_subset(capsys):
     payload = json.loads(out)
     assert payload["generators"]["special_case"] is True
     assert len(payload["reports"]) == 2
+    # no sigma check, so no cocycle to record
+    assert "cocycle" not in payload
 
 
 def test_sigma_verb(capsys):
     code, out, _ = run_cli(capsys, "sigma", "--family", "e:1", "--format", "json")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "verb", [["base", "--check", "all"], ["base", "--check", "sigma"], ["sigma"]]
+)
+def test_sigma_checks_record_their_cocycle(capsys, verb):
+    outputs = []
+    for extra, want in (
+        ([], {"kind": "trivial", "seed": None}),
+        (["--cocycle", "coboundary", "--cocycle-seed", "5"], {"kind": "coboundary", "seed": 5}),
+    ):
+        code, out, _ = run_cli(
+            capsys, *verb, "--family", "group:sym:3", *extra, "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["cocycle"] == want
+        outputs.append(out)
+    assert outputs[0] != outputs[1]
 
 
 def test_selftest_subset_passes(capsys):
@@ -321,20 +341,11 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (["ygroup", "--group", "sym:7"], "group order 5040 exceeds the cap 48"),
-        (["ygroup", "--group", "cyclic:100000"], "group order 100000 exceeds the cap 48"),
-        (["ygroup", "--group", "product:cyclic:4,cyclic:12"], "exceeds the lattice cap 24"),
-        (["ygroup", "--group", "product:cyclic:8,cyclic:8,cyclic:8"], "group order 512 exceeds"),
-        (["axioms", "--family", "group:dihedral:1000"], "group order 2000 exceeds the cap 48"),
-    ],
-)
-def test_oversized_groups_exit_two_before_any_table(argv, message):
-    """Each spec is refused with exit 2 in well under a second of the
-    child's CPU time, in a child process whose memory is capped, so that a
-    table built before its cap fails here instead of exhausting the host."""
+def _refused_in_a_capped_child(argv, message):
+    """Run the CLI in a child process whose memory is capped: it must exit
+    2 with the message in well under a second of the child's CPU time, so
+    that a table built before its cap fails here instead of exhausting the
+    host."""
     env = {k: v for k, v in os.environ.items() if k != "HOPFGEN_MAX_GROUP_ORDER"}
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     out = subprocess.run(
@@ -351,3 +362,41 @@ def test_oversized_groups_exit_two_before_any_table(argv, message):
     assert message in out.stderr
     assert "Traceback" not in out.stderr
     assert cpu < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["ygroup", "--group", "sym:7"], "group order 5040 exceeds the cap 48"),
+        (["ygroup", "--group", "cyclic:100000"], "group order 100000 exceeds the cap 48"),
+        (["ygroup", "--group", "product:cyclic:4,cyclic:12"], "exceeds the lattice cap 24"),
+        (["ygroup", "--group", "product:cyclic:8,cyclic:8,cyclic:8"], "group order 512 exceeds"),
+        (["axioms", "--family", "group:dihedral:1000"], "group order 2000 exceeds the cap 48"),
+    ],
+)
+def test_oversized_groups_exit_two_before_any_table(argv, message):
+    _refused_in_a_capped_child(argv, message)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--family", "taft", "--n", "400"], "taft(400) of dimension 400^2 exceeds the dimension cap 64"),
+        (["--family", "taft", "--n", "60"], "taft(60) of dimension 60^2 exceeds"),
+        (["--family", "taft:9"], "taft(9) of dimension 9^2 exceeds"),
+        (["--family", "e", "--n", "30"], "e(30) of dimension 2^31 exceeds the dimension cap 64"),
+        (["--family", "e:6"], "e(6) of dimension 2^7 exceeds"),
+        (
+            ["--family", "monomial", "--group", "cyclic:12", "--x", "a",
+             "--chi", ",".join(map(str, range(12)))],
+            "monomial(Z/12,12) of dimension 12*12 exceeds the dimension cap 64",
+        ),
+    ],
+)
+def test_oversized_families_exit_two_before_any_table(argv, message):
+    _refused_in_a_capped_child(["describe", *argv], message)
+
+
+def test_the_dimension_cap_admits_the_largest_instances():
+    for h in (taft(8), e_algebra(5)):
+        assert h.dim == MAX_DIM

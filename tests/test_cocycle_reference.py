@@ -3,8 +3,9 @@ of `cocycle` against the loops they replaced, kept here verbatim (apart from
 their names) as references.
 
 The references are the scalar cocycle-condition loop, the scalar
-convolution check, the two coordinate-ring loops of `verify_sigma` and the
-two-stage `cotwist_hopf`.  Each corrupted matrix must be reported at the
+convolution check, the two coordinate-ring loops of `verify_sigma`, the
+per-triple `cocycle_failure` that the twisted-product table replaced, and
+the two-stage `cotwist_hopf`.  Each corrupted matrix must be reported at the
 same first triple or pair, with the same message, and every cotwisted
 table must be the same.
 """
@@ -177,6 +178,40 @@ def reference_sigma_failures(hopf, sig, inv):
     return bad_cocycle, bad
 
 
+def reference_cocycle_failure(hopf: HopfAlgebra, vals, zero):
+    """The first basis triple (x, y, z), in loop order, at which
+    vals(x1, y1) vals(x2 y2, z) != vals(y1, z1) vals(x, y2 z2); None if
+    there is none.  The entries of the matrix vals may be any values with
+    +, * and .is_zero (scalars, or coordinate-ring elements for the lifted
+    cocycle); zero starts each sum."""
+    comult, mult = hopf.comult, hopf.mult
+    columns = list(zip(*vals))
+
+    def half(da, db, far):
+        # sum vals(a1, b1) far(a2 b2) over the legs of a and b
+        acc = zero
+        for a1, a2, ca in da:
+            for b1, b2, cb in db:
+                head = vals[a1][b1]
+                if head.is_zero:
+                    continue
+                c = head * (ca * cb)
+                for k, cm in mult.get((a2, b2), ()):
+                    v = far[k]
+                    if not v.is_zero:
+                        acc = acc + c * cm * v
+        return acc
+
+    for x in range(hopf.dim):
+        for y in range(hopf.dim):
+            for z in range(hopf.dim):
+                if half(comult[x], comult[y], columns[z]) != half(
+                    comult[y], comult[z], vals[x]
+                ):
+                    return x, y, z
+    return None
+
+
 def reference_cotwist_hopf(hopf: HopfAlgebra, alpha: TwoCocycle) -> HopfAlgebra:
     """Two-sided twist: same coalgebra, product conjugated by the cocycle
     and its convolution inverse; antipode re-solved from the tables."""
@@ -283,6 +318,8 @@ def test_scalar_cocycle_check_names_the_reference_triple():
             want = reference_cocycle_condition(h, vals)
             got = verify_cocycle_condition(h, vals)
             assert got.to_dict() == want.to_dict()
+            bad = cocycle_failure(h, vals, h.field.zero)
+            assert bad == reference_cocycle_failure(h, vals, h.field.zero)
             failures += not got.ok
     assert failures >= 30
 
@@ -321,15 +358,17 @@ def test_reverse_convolution_failure_keeps_its_message(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make,count",
     [
-        lambda: trivial_cocycle(taft(2)),
-        lambda: trivial_cocycle(e_algebra(1)),
-        lambda: taft2_cocycle(TAFT2_COCYCLES[1]),
+        (lambda: trivial_cocycle(taft(2)), 9),
+        (lambda: trivial_cocycle(e_algebra(1)), 9),
+        (lambda: taft2_cocycle(TAFT2_COCYCLES[1]), 9),
+        # 8-dimensional; few positions, as each reference pass is slow
+        (lambda: trivial_cocycle(e_algebra(2)), 3),
     ],
-    ids=["taft2", "e1", "taft2-nonlazy"],
+    ids=["taft2", "e1", "taft2-nonlazy", "e2"],
 )
-def test_sigma_checks_name_the_reference_triple_and_pair(make):
+def test_sigma_checks_name_the_reference_triple_and_pair(make, count):
     alpha = make()
     h = alpha.hopf
     ring = t_ring(h)
@@ -340,14 +379,16 @@ def test_sigma_checks_name_the_reference_triple_and_pair(make):
     assert verify_sigma(h, alpha).ok
     bumps = (ring.one(), ring.var(0), ring.var(dim - 1) * h.field.scalar(-2))
     failures = 0
-    for n, (i, j) in enumerate(positions(dim, 9, seed=dim)):
+    for n, (i, j) in enumerate(positions(dim, count, seed=dim)):
         bump = bumps[n % len(bumps)]
         for s, v in ((corrupted(sig, i, j, bump), inv), (sig, corrupted(inv, i, j, bump))):
             want = reference_sigma_failures(h, s, v)
+            bad = cocycle_failure(h, s, ring.zero())
             conv = convolution_failure(h, s, v, ring.zero())
-            assert (cocycle_failure(h, s, ring.zero()), conv and conv[:2]) == want
+            assert (bad, conv and conv[:2]) == want
+            assert bad == reference_cocycle_failure(h, s, ring.zero())
             failures += want != (None, None)
-    assert failures >= 9
+    assert failures >= count
 
 
 # --- the cotwist ------------------------------------------------------------

@@ -5,8 +5,10 @@ they bypass (`fast_path_reference.py`, `scalar_reference.py`).
   report the same unit flag and the same first non-associative triple as
   the triple loop, on every roster table and on corrupted tables.
 - A product of two single-term `TElement`s, and a power of one, skip
-  `collect`; they must give the same dict as the general path.
-- A `Scalar` product by the field's one returns the other factor.
+  `collect`; they must give the same dict as the general path.  So does a
+  `TElement` times a scalar: zero, the field's one, or any other.
+- A `Scalar` product by the field's one returns the other factor, and the
+  inverse of one is one.
 - `TMonomial` keeps its hash, and no constructor in `tring` stores a zero
   coefficient, which the single-term product relies on.
 """
@@ -138,6 +140,23 @@ def test_single_term_powers_match_repeated_squaring(data, name, k):
     assert all(got.terms.values())
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(sorted(SMALL)))
+def test_scaling_matches_the_collect_reference(data, name):
+    h = SMALL[name]
+    field = h.field
+    a = data.draw(single_terms(h)) + data.draw(single_terms(h)) - data.draw(single_terms(h))
+    other = field.from_coeffs(
+        data.draw(st.lists(st.integers(-4, 4), min_size=field.degree, max_size=field.degree))
+    )
+    for s in (field.zero, field.one, -field.one, other, field.scalar(Fraction(3, 7))):
+        want = ref.reference_scaled(a, s)
+        for got in (a * s, s * a):
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert all(got.terms.values())
+            assert got.ring is a.ring
+
+
 def test_powers_of_a_sum_still_take_the_general_path():
     ring = t_ring(taft(3))
     a = ring.var(0) + ring.var(3)
@@ -171,11 +190,13 @@ def test_products_by_one_match_the_reference(data, n, d):
     assert_same(1 * a, 1 * ra)
     assert_same(a * 1, ra * 1)
     assert_same(one * one, rone * rone)
+    assert_same(one.inverse(), rone.inverse())
     # 1/d has the numerators of one, but is no unit of the product
     part = make_field(n).scalar(Fraction(1, d))
     rpart = scalar_reference.make_field(n).scalar(Fraction(1, d))
     assert_same(part * a, rpart * ra)
     assert_same(a * part, ra * rpart)
+    assert_same(part.inverse(), rpart.inverse())
 
 
 def test_products_by_one_still_refuse_a_foreign_field():
