@@ -256,14 +256,7 @@ class Scalar:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return binary_power(self, k, self.field.one)
 
     def inverse(self) -> Scalar:
         """Multiplicative inverse: den times the inverse of the numerator
@@ -331,6 +324,19 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({format_scalar(self)})"
+
+
+def binary_power(base, k: int, one):
+    """base**k for k >= 0 by repeated squaring in any associative product;
+    `one` is the answer for k = 0.  Squares only while bits of k remain."""
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if not k:
+            return one if out is None else out
+        base = base * base
 
 
 def format_scalar(s: Scalar) -> str:

@@ -143,11 +143,7 @@ def cocycle_failure(hopf: HopfAlgebra, vals, zero):
     sum_k P(x, y)[k] vals(k, z) == sum_k vals(x, k) P(y, z)[k]."""
     dim = hopf.dim
     table = _twist(hopf, hopf.mult, vals)
-    # a ring-valued entry of the table may cancel to zero; skip it here
-    prod = [
-        [[(k, c) for k, c in table.get((x, y), ()) if not c.is_zero] for y in range(dim)]
-        for x in range(dim)
-    ]
+    prod = [[table.get((x, y), ()) for y in range(dim)] for x in range(dim)]
     for x in range(dim):
         vx = vals[x]
         for y in range(dim):
@@ -181,7 +177,14 @@ def convolution_failure(hopf: HopfAlgebra, a, b, zero):
     """The first basis pair (x, y) at which the convolution a * b, or else
     b * a, differs from counit(x) counit(y), as (x, y, reverse) with
     reverse true when only b * a fails; None if a and b are two-sided
-    convolution inverses.  Entries as for cocycle_failure."""
+    convolution inverses.  Entries as for cocycle_failure.
+
+    The reverse pass stays although, over a coassociative coalgebra, a * b
+    = 1 already implies b * a = 1 (the convolution algebra is a free module
+    of finite rank over a commutative ring).  Coassociativity is not
+    checked here: `HopfAlgebra.from_json` and `TwoCocycle(inverse_values=...)`
+    accept tables the axiom battery has not seen, and on a table that is
+    not coassociative b * a is checked by this pass alone."""
     comult, counit = hopf.comult, hopf.counit
     for x in range(hopf.dim):
         for y in range(hopf.dim):

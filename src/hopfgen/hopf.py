@@ -22,7 +22,7 @@ from .groups import (
     abelianization,
     validate_monomial_datum,
 )
-from .linalg import collect, nullspace
+from .linalg import Sparse, collect, nullspace
 from .report import Report
 
 Terms = tuple[tuple[int, Scalar], ...]
@@ -282,7 +282,16 @@ class HopfAlgebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "HopfAlgebra":
-        field = make_field(data["field_n"])
+        """Rebuild an instance from `to_json` output.  The payload comes from
+        outside, so its size is checked before any field or table is built:
+        at most MAX_DIM labels, and a root-of-unity order in 1..MAX_DIM (every
+        family instance within the dimension cap needs at most 8)."""
+        labels = list(data["labels"])
+        _check_dim(len(labels), f"a payload of {len(labels)} labels")
+        n = data["field_n"]
+        if type(n) is not int or not 1 <= n <= MAX_DIM:
+            raise RangeError(f"field_n is not an int in 1..{MAX_DIM}")
+        field = make_field(n)
 
         def de_terms(rows):
             return tuple((k, scalar_from_strings(field, cs)) for k, cs in rows)
@@ -296,7 +305,7 @@ class HopfAlgebra:
             )
         return cls(
             field,
-            list(data["labels"]),
+            labels,
             {(i, j): de_terms(rows) for i, j, rows in data["mult"]},
             [
                 tuple((j, k, scalar_from_strings(field, cs)) for j, k, cs in row)
@@ -313,81 +322,44 @@ class HopfAlgebra:
         return f"HopfAlgebra({self.name or self.family.get('kind')}, dim={self.dim})"
 
 
-class AlgebraElement:
+class AlgebraElement(Sparse):
     """A finite linear combination of basis elements of one algebra."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: HopfAlgebra, coeffs: dict[int, Scalar]):
+    def __init__(self, algebra: HopfAlgebra, terms: dict[int, Scalar]):
         self.algebra = algebra
-        self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero}
+        self.terms = {k: c for k, c in terms.items() if not c.is_zero}
 
-    @staticmethod
-    def _of(algebra: HopfAlgebra, coeffs: dict[int, Scalar]) -> "AlgebraElement":
-        """An element from arithmetic output, which holds no zeros, so it
-        skips the constructor's filter."""
+    def _owner(self) -> HopfAlgebra:
+        return self.algebra
+
+    def _like(self, terms: dict[int, Scalar]) -> "AlgebraElement":
         out = AlgebraElement.__new__(AlgebraElement)
-        out.algebra = algebra
-        out.coeffs = coeffs
+        out.algebra = self.algebra
+        out.terms = terms
         return out
 
-    def _check(self, other: "AlgebraElement") -> None:
-        if self.algebra is not other.algebra:
-            raise ValueError("elements live in different algebras")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement._of(self.algebra, collect(other.coeffs.items(), self.coeffs))
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement._of(self.algebra, {k: -c for k, c in self.coeffs.items()})
+    def one(self) -> "AlgebraElement":
+        return self.algebra.one()
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            self._check(other)
-            return AlgebraElement._of(
-                self.algebra, self.algebra.multiply_dicts(self.coeffs, other.coeffs)
-            )
-        scale = self.algebra.field.scalar(other) if not isinstance(other, Scalar) else other
-        return AlgebraElement._of(
-            self.algebra, collect((k, c * scale) for k, c in self.coeffs.items())
-        )
+            o = self._operand(other)
+            return self._like(self.algebra.multiply_dicts(self.terms, o.terms))
+        return self.scaled(self.algebra.field.scalar(other))
 
-    def __rmul__(self, other):
-        # scalars commute with everything we keep them on
-        return self.__mul__(other)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise RangeError("negative powers are not defined here")
-        out = self.algebra.one()
-        for _ in range(e):
-            out = out * self
-        return out
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.algebra is other.algebra and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((id(self.algebra), tuple(sorted(self.coeffs.items(), key=lambda t: t[0]))))
+    # scalars commute with every element
+    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         from .arith import format_scalar
 
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for k in sorted(self.coeffs):
-            c = format_scalar(self.coeffs[k])
+        for k in sorted(self.terms):
+            c = format_scalar(self.terms[k])
             lbl = self.algebra.labels[k]
             parts.append(lbl if c == "1" else f"({c})*{lbl}")
         return " + ".join(parts)

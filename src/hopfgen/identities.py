@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import Scalar, format_terms, scalar_from_strings, scalar_to_strings
+from .arith import Scalar, binary_power, format_terms, scalar_from_strings, scalar_to_strings
 from .cocycle import TwoCocycle, TwistedAlgebra, require_cocycle_of, twisted_algebra
 from .errors import (
     CocycleMismatch,
@@ -25,16 +25,8 @@ from .errors import (
     UnsupportedFamily,
 )
 from .hopf import HopfAlgebra, group_algebra
-from .linalg import collect
-from .tring import (
-    TElement,
-    TensorH,
-    TMonomial,
-    binary_power,
-    check_product_budget,
-    t_ring,
-    tensor_ops,
-)
+from .linalg import Sparse, collect
+from .tring import TElement, TensorH, TMonomial, check_product_budget, t_ring, tensor_ops
 
 DEFAULT_WORD_CAP = 64
 
@@ -46,7 +38,7 @@ def _check_cap(length: int, cap: int) -> None:
         raise RangeError(f"word of length {length} exceeds cap {cap}")
 
 
-class NCPoly:
+class NCPoly(Sparse):
     """Collected word → coefficient form, with a length cap on words.
 
     A polynomial from `parse_ncpoly` also keeps its expression tree; `mu`
@@ -80,86 +72,48 @@ class NCPoly:
         """Word → nonzero coefficient; a parsed polynomial expands its tree
         on the first read, within the product budget."""
         if self._terms is None:
-            one = ncpoly_scalar(self.hopf, 1, self.cap)
-            self._terms = _evaluate(self._tree, lambda leaf: leaf, one)._terms
+            self._terms = _evaluate(self._tree, lambda leaf: leaf, self.one())._terms
         return self._terms
 
-    def _coerce(self, other):
-        if isinstance(other, NCPoly):
-            return other
+    def _owner(self) -> HopfAlgebra:
+        return self.hopf
+
+    def _like(self, terms: dict[Word, Scalar]) -> NCPoly:
+        return NCPoly._of(self.hopf, terms, self.cap)
+
+    def _lift(self, other) -> NCPoly | None:
         try:
             c = self.hopf.field.scalar(other)
         except RangeError:
             return None
         return NCPoly(self.hopf, {(): c}, self.cap)
 
+    def one(self) -> NCPoly:
+        return ncpoly_scalar(self.hopf, 1, self.cap)
+
     def __add__(self, other):
-        o = self._coerce(other)
+        # the sum keeps the larger word cap of its operands
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return NCPoly._of(self.hopf, collect(o.terms.items(), self.terms), max(self.cap, o.cap))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self):
-        return NCPoly._of(self.hopf, {w: -c for w, c in self.terms.items()}, self.cap)
-
     def __mul__(self, other):
-        if isinstance(other, NCPoly):
-            left, right = self.terms, other.terms
-            check_product_budget(len(left), len(right))
-            cap = max(self.cap, other.cap)
-            if left and right:
-                _check_cap(max(map(len, left)) + max(map(len, right)), cap)
-            return NCPoly._of(
-                self.hopf,
-                collect(
-                    (w1 + w2, c1 * c2)
-                    for w1, c1 in left.items()
-                    for w2, c2 in right.items()
-                ),
-                cap,
-            )
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self * o
+        left, right = self.terms, o.terms
+        check_product_budget(len(left), len(right))
+        cap = max(self.cap, o.cap)
+        if left and right:
+            _check_cap(max(map(len, left)) + max(map(len, right)), cap)
+        return NCPoly._of(
+            self.hopf,
+            collect((w1 + w2, c1 * c2) for w1, c1 in left.items() for w2, c2 in right.items()),
+            cap,
+        )
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        if self.terms and k:
-            # words have no zero divisors: the longest words of p^k are the
-            # products of k longest words of p, so none of them cancels
-            _check_cap(max(map(len, self.terms)) * k, self.cap)
-        return binary_power(self, k, ncpoly_scalar(self.hopf, 1, self.cap))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, NCPoly):
-            return self.hopf is other.hopf and self.terms == other.terms
-        o = self._coerce(other)
-        return NotImplemented if o is None else self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def to_text(self) -> str:
         labels = self.hopf.labels
@@ -378,7 +332,7 @@ def _letter_images(hopf: HopfAlgebra, algebra) -> list[TensorH]:
     coproduct leg tensored with the second leg."""
     ring = t_ring(hopf)
     return [
-        TensorH._of(
+        TensorH(
             ring,
             algebra,
             collect(((TMonomial.from_pairs([(j, 1)]), k), c) for j, k, c in hopf.comult[i]),

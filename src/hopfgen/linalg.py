@@ -1,13 +1,14 @@
 """Exact linear algebra over Q(q).
 
 Rows are sparse {column_index: Scalar} maps with no stored zeros; all
-elimination is done with exact field arithmetic.
+elimination is done with exact field arithmetic.  `Sparse` is the common
+base of the element types, which are sparse maps of the same kind.
 """
 
 from __future__ import annotations
 
-from .arith import FieldSpec, Scalar
-from .errors import NotInvertible
+from .arith import FieldSpec, Scalar, binary_power
+from .errors import NotInvertible, RangeError
 
 
 def collect(pairs, base: dict | None = None) -> dict:
@@ -23,6 +24,91 @@ def collect(pairs, base: dict | None = None) -> dict:
     for k in [k for k, c in out.items() if not c]:
         del out[k]
     return out
+
+
+class Sparse:
+    """A finite linear combination over one owner, the algebra or ring it
+    lives in: `terms` maps keys to nonzero Scalars and is never mutated.
+
+    The linear structure of the four element types (`hopf.AlgebraElement`,
+    `tring.TElement`, `tring.TensorH`, `identities.NCPoly`) is written here
+    once.  Each subclass supplies `_owner()`, `_like(terms)` (an element
+    over the same owner from terms that hold no zero), `one()`, its own
+    product and its text; one that accepts scalar operands also supplies
+    `_lift`.  Operands over different owners raise RangeError, and compare
+    unequal."""
+
+    __slots__ = ()
+
+    def _lift(self, other):
+        """A non-element operand as an element over the same owner, or None
+        if it is not an operand of this type."""
+        return None
+
+    def _operand(self, other):
+        """other as an element over the same owner: an element of this type
+        is checked, anything else lifted (None if it cannot be)."""
+        if other.__class__ is not self.__class__:
+            return self._lift(other)
+        if other._owner() != self._owner():
+            raise RangeError(f"{self.__class__.__name__} operands over different algebras")
+        return other
+
+    def __add__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return self._like(collect(o.terms.items(), self.terms))
+
+    def __radd__(self, other):
+        return self + other
+
+    def __sub__(self, other):
+        o = self._operand(other)
+        return NotImplemented if o is None else self + -o
+
+    def __rsub__(self, other):
+        o = self._operand(other)
+        return NotImplemented if o is None else o + -self
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scaled(self, s: Scalar):
+        """self times the scalar s: zero for zero, and self itself for one,
+        which is safe because terms are never mutated."""
+        if not s:
+            return self._like({})
+        if s == s.field.one:
+            return self
+        # a nonzero scalar times a nonzero coefficient is nonzero
+        return self._like({k: c * s for k, c in self.terms.items()})
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            raise RangeError(f"negative power {k} of a {self.__class__.__name__}")
+        return binary_power(self, k, self.one())
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        elif other._owner() != self._owner():
+            return False
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
 
 
 def axpy(a: dict, s: Scalar, b: dict) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .arith import FieldSpec, Scalar, format_terms, scalar_from_strings, scalar_to_strings
 from .errors import NotInvertible, NotPointedOrder, OutOfLocalization, RangeError
 from .hopf import HopfAlgebra, center_table, hab_grading
-from .linalg import collect, in_span, row_reduce
+from .linalg import Sparse, collect, in_span, row_reduce
 from .report import Report
 
 # Term pairs one product of two sparse sums may form (`TensorH`, and
@@ -25,19 +25,6 @@ def check_product_budget(m: int, n: int) -> None:
         raise RangeError(
             f"product of {m} by {n} terms exceeds the budget of {PRODUCT_BUDGET} term pairs"
         )
-
-
-def binary_power(base, k: int, one):
-    """base**k for k >= 0 by repeated squaring in any associative product;
-    `one` is the answer for k = 0.  Squares only while bits of k remain."""
-    out = None
-    while True:
-        if k & 1:
-            out = base if out is None else out * base
-        k >>= 1
-        if not k:
-            return one if out is None else out
-        base = base * base
 
 
 class TMonomial:
@@ -108,7 +95,7 @@ class TMonomial:
         return f"TMonomial({self.exps!r})"
 
 
-class TElement:
+class TElement(Sparse):
     """Finite Scalar-linear combination of monomials, kept in canonical form."""
 
     __slots__ = ("ring", "terms")
@@ -116,6 +103,12 @@ class TElement:
     def __init__(self, ring: TRing, terms: dict[TMonomial, Scalar]):
         self.ring = ring
         self.terms = terms
+
+    def _owner(self) -> TRing:
+        return self.ring
+
+    def _like(self, terms: dict[TMonomial, Scalar]) -> TElement:
+        return TElement(self.ring, terms)
 
     def _scalar(self, other) -> Scalar | None:
         """other as a scalar of the ring's field, or None if it is not an
@@ -125,65 +118,28 @@ class TElement:
         except RangeError:
             return None
 
-    def _coerce(self, other):
-        if isinstance(other, TElement):
-            return other
+    def _lift(self, other) -> TElement | None:
         c = self._scalar(other)
         return None if c is None else self.ring.scalar(c)
 
-    def _scaled(self, s: Scalar) -> TElement:
-        if s.is_zero:
-            return self.ring.zero()
-        if s == self.ring.field.one:
-            # terms are never mutated, so sharing them is safe
-            return self
-        # a nonzero scalar times a nonzero coefficient is nonzero
-        return TElement(self.ring, {m: c * s for m, c in self.terms.items()})
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TElement(self.ring, collect(o.terms.items(), self.terms))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self):
-        return TElement(self.ring, {m: -c for m, c in self.terms.items()})
+    def one(self) -> TElement:
+        return self.ring.one()
 
     def __mul__(self, other):
-        if isinstance(other, TElement):
-            a, b = self.terms, other.terms
-            if len(a) == 1 and len(b) == 1:
-                # stored coefficients are nonzero and the field has no zero
-                # divisors, so the product of two terms is one term
-                ((m1, c1),) = a.items()
-                ((m2, c2),) = b.items()
-                return TElement(self.ring, {m1.mul(m2): c1 * c2})
-            return TElement(
-                self.ring,
-                collect(
-                    (m1.mul(m2), c1 * c2)
-                    for m1, c1 in self.terms.items()
-                    for m2, c2 in other.terms.items()
-                ),
-            )
-        s = self._scalar(other)
-        if s is None:
-            return NotImplemented
-        return self._scaled(s)
+        if other.__class__ is not TElement:
+            s = self._scalar(other)
+            return NotImplemented if s is None else self.scaled(s)
+        a, b = self.terms, self._operand(other).terms
+        if len(a) == 1 and len(b) == 1:
+            # stored coefficients are nonzero and the field has no zero
+            # divisors, so the product of two terms is one term
+            ((m1, c1),) = a.items()
+            ((m2, c2),) = b.items()
+            return TElement(self.ring, {m1.mul(m2): c1 * c2})
+        return TElement(
+            self.ring,
+            collect((m1.mul(m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items()),
+        )
 
     __rmul__ = __mul__
 
@@ -193,9 +149,10 @@ class TElement:
         s = self._scalar(other)
         if s is None:
             return NotImplemented
-        return self._scaled(s.inverse())
+        return self.scaled(s.inverse())
 
     def __pow__(self, k: int):
+        # fast paths: a negative power through the inverse, one term directly
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
@@ -203,14 +160,7 @@ class TElement:
         if len(self.terms) == 1:
             ((m, c),) = self.terms.items()
             return TElement(self.ring, {m.pow(k): c**k})
-        out = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return super().__pow__(k)
 
     def inverse(self) -> TElement:
         """Inverse of a single-term element; the monomial part must stay
@@ -220,19 +170,6 @@ class TElement:
         (m, c), = self.terms.items()
         inv = self.ring.monomial([(i, -e) for i, e in m.exps])
         return TElement(self.ring, {inv: c.inverse()})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, TElement):
-            return self.ring is other.ring and self.terms == other.terms
-        o = self._coerce(other)
-        return NotImplemented if o is None else self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset((m, c) for m, c in self.terms.items()))
 
     def to_text(self) -> str:
         labels = self.ring.hopf.labels
@@ -459,7 +396,7 @@ def hab_degree(hopf: HopfAlgebra, x) -> tuple[int, ...]:
     raise RangeError("expected a TMonomial or TElement")
 
 
-class TensorH:
+class TensorH(Sparse):
     """Sum of (coordinate monomial) tensor (algebra basis element) terms.
 
     The right tensor factor multiplies through `algebra.mult`, so the same
@@ -472,13 +409,13 @@ class TensorH:
         self.algebra = algebra
         self.terms = {k: c for k, c in terms.items() if not c.is_zero}
 
-    @staticmethod
-    def _of(ring: TRing, algebra, terms: dict[tuple[TMonomial, int], Scalar]) -> TensorH:
-        """A tensor from arithmetic output, which holds no zeros, so it
-        skips the constructor's filter."""
+    def _owner(self) -> tuple:
+        return self.ring, self.algebra
+
+    def _like(self, terms: dict[tuple[TMonomial, int], Scalar]) -> TensorH:
         out = TensorH.__new__(TensorH)
-        out.ring = ring
-        out.algebra = algebra
+        out.ring = self.ring
+        out.algebra = self.algebra
         out.terms = terms
         return out
 
@@ -490,79 +427,37 @@ class TensorH:
     def from_element(ring: TRing, algebra, elem: TElement, index: int) -> TensorH:
         return TensorH(ring, algebra, {(m, index): c for m, c in elem.terms.items()})
 
-    def _require_same(self, other: TensorH):
-        if self.ring is not other.ring or self.algebra is not other.algebra:
-            raise RangeError("tensor operands over different algebras")
-
-    def __add__(self, other: TensorH):
-        if not isinstance(other, TensorH):
-            return NotImplemented
-        self._require_same(other)
-        return TensorH._of(self.ring, self.algebra, collect(other.terms.items(), self.terms))
-
-    def __sub__(self, other: TensorH):
-        if not isinstance(other, TensorH):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorH._of(self.ring, self.algebra, {k: -c for k, c in self.terms.items()})
+    def one(self) -> TensorH:
+        return self._like({(TMonomial(()), self.algebra.unit_index): self.ring.field.one})
 
     def scale(self, c) -> TensorH:
-        if isinstance(c, TElement):
-            pairs = (
+        """self times a coordinate-ring element or a scalar."""
+        if not isinstance(c, TElement):
+            return self.scaled(self.ring.field.scalar(c))
+        return self._like(
+            collect(
                 ((m1.mul(m2), i), c1 * c2)
                 for (m1, i), c1 in self.terms.items()
                 for m2, c2 in c.terms.items()
             )
-        else:
-            s = self.ring.field.scalar(c) if not isinstance(c, Scalar) else c
-            pairs = ((k, s * v) for k, v in self.terms.items())
-        return TensorH._of(self.ring, self.algebra, collect(pairs))
+        )
 
     def __mul__(self, other):
-        if isinstance(other, TensorH):
-            self._require_same(other)
-            check_product_budget(len(self.terms), len(other.terms))
-            mult = self.algebra.mult
-            return TensorH._of(
-                self.ring,
-                self.algebra,
-                collect(
-                    ((m1.mul(m2), k), c1 * c2 * c)
-                    for (m1, i), c1 in self.terms.items()
-                    for (m2, j), c2 in other.terms.items()
-                    for k, c in mult.get((i, j), ())
-                ),
+        if not isinstance(other, TensorH):
+            return self.scale(other)
+        o = self._operand(other)
+        check_product_budget(len(self.terms), len(o.terms))
+        mult = self.algebra.mult
+        return self._like(
+            collect(
+                ((m1.mul(m2), k), c1 * c2 * c)
+                for (m1, i), c1 in self.terms.items()
+                for (m2, j), c2 in o.terms.items()
+                for k, c in mult.get((i, j), ())
             )
-        return self.scale(other)
+        )
 
     __rmul__ = scale
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        one = TensorH(
-            self.ring,
-            self.algebra,
-            {(TMonomial(()), self.algebra.unit_index): self.ring.field.one},
-        )
-        return binary_power(self, k, one)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorH)
-            and self.ring is other.ring
-            and self.algebra is other.algebra
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def is_coinvariant(self) -> bool:
         unit = self.algebra.unit_index
@@ -605,11 +500,7 @@ class TensorOps:
         return TensorH.zero(self.ring, self.algebra)
 
     def one(self) -> TensorH:
-        return TensorH(
-            self.ring,
-            self.algebra,
-            {(TMonomial(()), self.algebra.unit_index): self.ring.field.one},
-        )
+        return self.zero().one()
 
     def term(self, coeff: TElement, index: int) -> TensorH:
         return TensorH.from_element(self.ring, self.algebra, coeff, index)

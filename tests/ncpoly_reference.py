@@ -137,7 +137,7 @@ def reference_mu(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> TensorH:
     algebra = mu_algebra(hopf, alpha)
     ops = tensor_ops(algebra)
     gen_images = [
-        TensorH._of(
+        TensorH(
             ring,
             algebra,
             collect(((TMonomial.from_pairs([(j, 1)]), k), c) for j, k, c in hopf.comult[i]),

@@ -111,14 +111,14 @@ def test_criterion_10_centers():
             for j in range(h.dim):
                 b = h.basis_element(j)
                 assert (z * b - b * z).is_zero, (h.labels[i], h.labels[j])
-        reduced, pivots = row_reduce([dict(z.coeffs) for z in cen], h.field)
+        reduced, pivots = row_reduce([dict(z.terms) for z in cen], h.field)
         assert len(pivots) == dim
         for i in claim:
             assert in_span(reduced, pivots, {i: h.field.one}), h.labels[i]
     for n in (2, 3, 4):
         h = selftest._instance(f"taft({n})")
         cen = center(h)
-        assert len(cen) == 1 and set(cen[0].coeffs) == {h.unit_index}, n
+        assert len(cen) == 1 and set(cen[0].terms) == {h.unit_index}, n
 
 
 def test_criterion_11_lattices():

@@ -397,6 +397,55 @@ def test_oversized_families_exit_two_before_any_table(argv, message):
     _refused_in_a_capped_child(["describe", *argv], message)
 
 
+def _taft2_payload(**changes):
+    payload = taft(2).to_json()
+    payload.update(changes)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        (_taft2_payload(field_n=10007), "field_n is not an int in 1..64"),
+        (_taft2_payload(field_n=10**30), "field_n is not an int in 1..64"),
+        (_taft2_payload(field_n=0), "field_n is not an int in 1..64"),
+        (_taft2_payload(field_n="4"), "field_n is not an int in 1..64"),
+        (_taft2_payload(field_n=True), "field_n is not an int in 1..64"),
+        (
+            _taft2_payload(field_n=10007, labels=[str(i) for i in range(65)]),
+            "a payload of 65 labels exceeds the dimension cap 64",
+        ),
+    ],
+    ids=["order-10007", "order-10^30", "order-0", "string", "bool", "labels"],
+)
+def test_oversized_json_algebras_are_refused_before_any_table(payload, message):
+    """Like the capped CLI runs above: the child must raise RangeError in
+    well under a second of CPU time, before it builds the field."""
+    code = (
+        "import json, sys\n"
+        "from hopfgen.errors import RangeError\n"
+        "from hopfgen.hopf import HopfAlgebra\n"
+        "try:\n"
+        "    HopfAlgebra.from_json(json.load(sys.stdin))\n"
+        "except RangeError as exc:\n"
+        "    sys.exit(f'RangeError: {exc}')\n"
+    )
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        input=json.dumps(payload),
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_memory,
+        timeout=30,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    assert out.returncode == 1, out.stderr
+    assert f"RangeError: {message}" in out.stderr
+    assert cpu < 1.0
+
+
 def test_the_dimension_cap_admits_the_largest_instances():
     for h in (taft(8), e_algebra(5)):
         assert h.dim == MAX_DIM

@@ -391,6 +391,17 @@ def test_sigma_checks_name_the_reference_triple_and_pair(make, count):
     assert failures >= count
 
 
+@pytest.mark.parametrize("make", [lambda: taft(4), lambda: e_algebra(3)], ids=["taft4", "e3"])
+def test_twisted_table_of_the_lifted_cocycle_holds_no_zero(make):
+    # ring-valued entries of the twisted table cancel at some positions
+    # (3 of 810 on taft(4), 10 of 1,143 on e(3)); collect must drop them
+    h = make()
+    alpha = trivial_cocycle(h)
+    sig = [[generic_cocycle(h, alpha, i, j) for j in range(h.dim)] for i in range(h.dim)]
+    table = cocycle._twist(h, h.mult, sig)
+    assert table and all(c and not c.is_zero for terms in table.values() for _, c in terms)
+
+
 # --- the cotwist ------------------------------------------------------------
 
 

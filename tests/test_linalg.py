@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgen.arith import make_field
+from hopfgen.errors import RangeError
 from hopfgen.hopf import AlgebraElement, taft
 from hopfgen.identities import NCPoly
 from hopfgen.linalg import collect, scalar_det
@@ -114,6 +115,12 @@ def test_collect_drops_cancelled_and_zero_terms():
     assert got == {2: q + f.one}
 
 
+def test_collect_drops_ring_values_that_cancel():
+    ring = t_ring(taft(3))
+    x, y = ring.var(1), ring.var(2)
+    assert collect([("a", x + y), ("a", -x), ("b", y), ("a", -y), ("b", -y)]) == {}
+
+
 # --- element arithmetic on top of the kernel ----------------------------------
 
 H = taft(3)
@@ -137,10 +144,6 @@ def _ncpoly(terms):
 
 def _algebra_element(terms):
     return AlgebraElement(H, terms)
-
-
-def _terms(x):
-    return x.coeffs if isinstance(x, AlgebraElement) else x.terms
 
 
 def _tensor_products(a, b):
@@ -211,5 +214,48 @@ def test_element_arithmetic_stores_no_zeros_and_matches_the_reference(kind, data
         )
         results["scale"] = (a.scale(t), want)
     for op, (got, want) in results.items():
-        assert all(not c.is_zero for c in _terms(got).values()), op
-        assert _terms(got) == want, op
+        assert all(not c.is_zero for c in got.terms.values()), op
+        assert got.terms == want, op
+
+
+def _small_element(data, kind):
+    make, keys, _ = KINDS[kind]
+    return make(parent_accumulate(data.draw(st.lists(st.tuples(keys, scalars(H.field)), max_size=4))))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_element_types_obey_the_laws_of_a_linear_space_and_a_ring(kind, data):
+    a, b, c = (_small_element(data, kind) for _ in range(3))
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    assert not (a - a) and (a - a).is_zero
+    assert a * (b + c) == a * b + a * c
+    assert (b + c) * a == b * a + c * a
+    power = a.one()
+    for k in range(6):
+        assert a**k == power, k
+        power = power * a
+    assert a.scaled(H.field.zero).is_zero
+    assert a.scaled(H.field.one) is a
+
+
+# (constructor over a given instance, one key) per element type
+OWNED = {
+    "TElement": (lambda h, terms: t_ring(h).element(terms), MONOMIALS[4]),
+    "TensorH": (lambda h, terms: TensorH(t_ring(h), h, terms), (MONOMIALS[4], Y)),
+    "NCPoly": (NCPoly, (Y,)),
+    "AlgebraElement": (AlgebraElement, Y),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OWNED))
+def test_operands_over_different_instances_do_not_mix(kind):
+    make, key = OWNED[kind]
+    a = make(H, {key: H.field.one})
+    b = make(taft(3), {key: H.field.one})
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+        with pytest.raises(RangeError, match="over different algebras"):
+            op()
+    assert a != b and not a == b
+    assert a + a == a.scaled(H.field.scalar(2))
