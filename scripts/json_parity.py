@@ -25,6 +25,9 @@ INSTANCES = ("taft:2", "taft:3", "e:2", "group:sym:3")
 COMMANDS = (
     [[verb, "--family", fam] for fam in INSTANCES for verb in ("describe", "axioms")]
     + [["base", "--check", "all", "--family", fam] for fam in ("taft:3", "e:2", "group:sym:3")]
+    # Laurent monomials with negative exponents in 16 variables
+    + [["base", "--check", "jacobian,quotient,nice,uprime", "--family", fam]
+       for fam in ("taft:4", "e:3")]
     + [
         ["base", "--check", "all", "--family", "group:sym:3",
          "--cocycle", "coboundary", "--cocycle-seed", "5"],

@@ -74,10 +74,14 @@ class TwoCocycle:
 
     @classmethod
     def from_json(cls, hopf: HopfAlgebra, data: dict, check: bool = True) -> "TwoCocycle":
+        """The cocycle of a `to_json` payload; its shape is checked before
+        any scalar is parsed."""
         field = hopf.field
-        values = [
-            [scalar_from_strings(field, v) for v in row] for row in data["values"]
-        ]
+        rows = data["values"]
+        dim = hopf.dim
+        if len(rows) != dim or any(len(row) != dim for row in rows):
+            raise RangeError("cocycle matrix must be dim x dim")
+        values = [[scalar_from_strings(field, v) for v in row] for row in rows]
         return cls(hopf, values, check=check)
 
 

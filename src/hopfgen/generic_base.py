@@ -37,7 +37,7 @@ from .identities import LocalizedDenominator, NCPoly, mu, symbol
 from .lattice import ReducedBasis, pair_and_triple_vectors, solve_in_lattice, y_group  # noqa: F401
 from .linalg import collect, scalar_det
 from .report import Report
-from .tring import TElement, TMonomial, TensorH, t_inverse_map, t_ring
+from .tring import TElement, TMonomial, TensorH, power_product, t_inverse_map, t_ring
 
 # Witness words can get long (lattice coefficients repeat whole letters),
 # so they carry their own cap instead of the default identity-testing one.
@@ -163,6 +163,17 @@ class GammaPresentation:
     @property
     def generators(self) -> tuple[TElement, ...]:
         return self.invertible_gens + self.plain_gens
+
+    @cached_property
+    def factors(self) -> tuple[tuple[TMonomial, Scalar | None], ...]:
+        """The monomial and the coefficient of every generator, invertible
+        ones first; None stands for a coefficient of one."""
+        one = self.hopf.field.one
+        out = []
+        for gen in self.generators:
+            ((m, c),) = gen.terms.items()
+            out.append((m, None if c == one else c))
+        return tuple(out)
 
     @cached_property
     def torus_lattice(self) -> ReducedBasis:
@@ -293,15 +304,14 @@ def _group_presentation(hopf: HopfAlgebra) -> GammaPresentation:
 def _partial(gen: TElement, v: int) -> TElement:
     """Formal partial derivative; exponents only ever drop by one, so the
     result stays inside the localization."""
-    scale = gen.ring.field.scalar
-    return TElement(
-        gen.ring,
-        collect(
-            (TMonomial.from_pairs(m.exps + ((v, -1),)), c * scale(m.exp_of(v)))
-            for m, c in gen.terms.items()
-            if m.exp_of(v)
-        ),
-    )
+    ring = gen.ring
+    down = TMonomial(((v, -1),), ring.width)
+    terms = {}
+    for m, c in gen.terms.items():
+        e = m.exp_of(v)
+        if e:
+            terms[m.mul(down)] = c * ring.field.scalar(e)
+    return TElement(ring, terms)
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -410,19 +420,28 @@ class DecompositionWitness:
     residue_exps: tuple[int, ...]
 
     def remultiply(self) -> TElement:
+        """The coefficient times every generator and residue variable raised
+        to its exponent: the monomial is one integer combination of their
+        packed keys, the coefficient one scalar product."""
         pres = self.presentation
         ring = t_ring(pres.hopf)
-        out = ring.scalar(self.coefficient)
-        for gen, e in zip(pres.invertible_gens, self.invertible_exps):
+        coeff = self.coefficient
+        factors = []
+        n = len(pres.invertible_gens)
+        for (m, c), e in itertools.chain(
+            zip(pres.factors[:n], self.invertible_exps), zip(pres.factors[n:], self.plain_exps)
+        ):
             if e:
-                out = out * gen**e
-        for gen, e in zip(pres.plain_gens, self.plain_exps):
-            if e:
-                out = out * gen**e
+                if e < 0:
+                    ring.check_invertible(m)
+                factors.append((m, e))
+                if c is not None:
+                    coeff = coeff * c**e
         for v, e in zip(pres.residue_vars, self.residue_exps):
             if e:
-                out = out * ring.var(v, e)
-        return out
+                factors.append((ring.monomial(((v, e),)), 1))
+        mon = power_product(factors, ring.width)
+        return TElement(ring, {mon: coeff} if coeff else {})
 
 
 def _decompose_monomial(

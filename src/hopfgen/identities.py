@@ -26,7 +26,7 @@ from .errors import (
 )
 from .hopf import HopfAlgebra, group_algebra
 from .linalg import Sparse, collect
-from .tring import TElement, TensorH, TMonomial, check_product_budget, t_ring, tensor_ops
+from .tring import PRODUCT_BUDGET, TElement, TensorH, check_product_budget, t_ring, tensor_ops
 
 DEFAULT_WORD_CAP = 64
 
@@ -145,9 +145,17 @@ class NCPoly(Sparse):
 
 
 def ncpoly_from_json(hopf: HopfAlgebra, data: dict, cap: int = DEFAULT_WORD_CAP) -> NCPoly:
+    """The polynomial of a JSON payload.  The number of terms and the length
+    of every word are checked (RangeError) before any coefficient is
+    parsed."""
+    terms = data["terms"]
+    if len(terms) > PRODUCT_BUDGET:
+        raise RangeError(f"{len(terms)} terms exceed the budget of {PRODUCT_BUDGET}")
+    for term in terms:
+        _check_cap(len(term["word"]), cap)
     pairs = (
         (tuple(int(i) for i in term["word"]), scalar_from_strings(hopf.field, term["coeff"]))
-        for term in data["terms"]
+        for term in terms
     )
     return NCPoly(hopf, collect(pairs), cap)
 
@@ -335,7 +343,7 @@ def _letter_images(hopf: HopfAlgebra, algebra) -> list[TensorH]:
         TensorH(
             ring,
             algebra,
-            collect(((TMonomial.from_pairs([(j, 1)]), k), c) for j, k, c in hopf.comult[i]),
+            collect(((ring.monomial(((j, 1),)), k), c) for j, k, c in hopf.comult[i]),
         )
         for i in range(hopf.dim)
     ]
@@ -600,7 +608,7 @@ def push_t(phi: HopfMap, elem: TElement) -> TElement:
     tgt_ring = t_ring(phi.target)
     out = tgt_ring.zero()
     for m, coeff in elem.terms.items():
-        part = tgt_ring.element({TMonomial(()): coeff})
+        part = tgt_ring.scalar(coeff)
         for i, e in m.exps:
             img = phi.images[i]
             if e >= 0:

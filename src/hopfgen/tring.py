@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .arith import FieldSpec, Scalar, format_terms, scalar_from_strings, scalar_to_strings
 from .errors import NotInvertible, NotPointedOrder, OutOfLocalization, RangeError
-from .hopf import HopfAlgebra, center_table, hab_grading
+from .hopf import MAX_DIM, HopfAlgebra, center_table, hab_grading
 from .linalg import Sparse, collect, in_span, row_reduce
 from .report import Report
 
@@ -27,54 +27,133 @@ def check_product_budget(m: int, n: int) -> None:
         )
 
 
+# A monomial is packed into one integer key, the sum of e_i * 2^(w*i) over
+# its variables t[i], with a signed field of w bits per variable: a field
+# holds an exponent of absolute value below 2^(w-1).  A product is the sum of
+# the keys, a power a multiple of one, an inverse its negation.  `bound`
+# bounds the absolute exponents of a monomial; while the bound of a result
+# stays below 2^(w-1) no field carries into the next, and beyond it the
+# exponents are added exactly, so an exponent that leaves its field raises
+# RangeError and never wraps.  Each ring packs with the width `field_width`
+# gives its number of variables; monomials built without a ring use
+# DEFAULT_WIDTH, which is the width of every ring of at most 32 variables.
+DEFAULT_WIDTH = 32
+KEY_BITS = 1024
+
+
+def field_width(dim: int) -> int:
+    """Bits per exponent field in a ring of `dim` variables: 32, or for more
+    than 32 variables the widest field that keeps a key of all `dim` fields
+    within KEY_BITS bits (16 bits at `hopf.MAX_DIM` = 64)."""
+    return min(DEFAULT_WIDTH, KEY_BITS // dim)
+
+
+def _canonical(pairs) -> tuple[tuple[int, int], ...]:
+    """(variable, exponent) pairs summed per variable, sorted by variable,
+    zero exponents dropped."""
+    acc: dict[int, int] = {}
+    for i, e in pairs:
+        i = int(i)
+        acc[i] = acc.get(i, 0) + int(e)
+    return tuple(sorted((i, e) for i, e in acc.items() if e))
+
+
+def _unpack(key: int, w: int) -> tuple[tuple[int, int], ...]:
+    """The sorted (variable, exponent) pairs of a key: its nonzero digits
+    in the balanced base 2^w."""
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    out = []
+    i = 0
+    while key:
+        e = ((key + half) & mask) - half
+        if e:
+            out.append((i, e))
+        key = (key - e) >> w
+        i += 1
+    return tuple(out)
+
+
+def _pack(exps: tuple[tuple[int, int], ...], width: int) -> TMonomial:
+    """The monomial of canonical pairs; RangeError for a negative variable,
+    one past `hopf.MAX_DIM`, or an exponent that does not fit its field."""
+    half = 1 << (width - 1)
+    key = bound = 0
+    for i, e in exps:
+        if not 0 <= i < MAX_DIM:
+            raise RangeError(f"variable index {i} out of range")
+        if not -half < e < half:
+            raise RangeError(f"exponent {e} of t[{i}] leaves its packed field of {width} bits")
+        key += e << (width * i)
+        bound = max(bound, abs(e))
+    return _packed(key, bound, width, exps)
+
+
+_new = object.__new__
+
+
+def _packed(key: int, bound: int, width: int, exps=None) -> TMonomial:
+    out = _new(TMonomial)
+    out.key = key
+    out.bound = bound
+    out.width = width
+    out._hash = hash(key)
+    out._exps = exps
+    return out
+
+
 class TMonomial:
-    """Canonical product of coordinate variables with integer exponents."""
+    """Canonical product of coordinate variables with integer exponents,
+    packed into one integer key of `width`-bit signed fields."""
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ("key", "bound", "width", "_hash", "_exps")
 
-    def __init__(self, exps: tuple[tuple[int, int], ...]):
-        # sorted by variable index, zero exponents dropped
-        self.exps = exps
-        self._hash = hash(exps)
+    def __new__(cls, pairs=(), width: int = DEFAULT_WIDTH):
+        """The monomial of (variable, exponent) pairs in any order, equal
+        variables summed."""
+        return _pack(_canonical(pairs), width)
 
     @staticmethod
-    def from_pairs(pairs) -> TMonomial:
-        acc: dict[int, int] = {}
-        for i, e in pairs:
-            acc[i] = acc.get(i, 0) + int(e)
-        return TMonomial(tuple(sorted((i, e) for i, e in acc.items() if e)))
+    def from_pairs(pairs, width: int = DEFAULT_WIDTH) -> TMonomial:
+        return TMonomial(pairs, width)
+
+    @property
+    def exps(self) -> tuple[tuple[int, int], ...]:
+        """(variable, exponent) pairs sorted by variable, no zero exponent;
+        decoded from the key on the first read."""
+        exps = self._exps
+        if exps is None:
+            exps = self._exps = _unpack(self.key, self.width)
+        return exps
 
     def mul(self, other: TMonomial) -> TMonomial:
-        """The product, by one merge of the two sorted exponent tuples."""
-        a, b = self.exps, other.exps
-        if not b:
-            return self
-        if not a:
-            return other
-        out = []
-        i = j = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            x, y = a[i], b[j]
-            if x[0] < y[0]:
-                out.append(x)
-                i += 1
-            elif x[0] > y[0]:
-                out.append(y)
-                j += 1
-            else:
-                e = x[1] + y[1]
-                if e:
-                    out.append((x[0], e))
-                i += 1
-                j += 1
-        return TMonomial(tuple(out) + a[i:] + b[j:])
+        """The product: the sum of the keys, or, when the bounds leave no
+        room in a field, the exponents summed and checked."""
+        w = self.width
+        if other.width != w:
+            raise RangeError("monomials packed with different field widths")
+        bound = self.bound + other.bound
+        if bound >> (w - 1):
+            return TMonomial(self.exps + other.exps, w)
+        # _packed, inlined: this is the ring's hottest product
+        key = self.key + other.key
+        out = _new(TMonomial)
+        out.key = key
+        out.bound = bound
+        out.width = w
+        out._hash = hash(key)
+        out._exps = None
+        return out
 
     def pow(self, k: int) -> TMonomial:
-        if k == 0:
-            return TMonomial(())
-        # scaling every exponent by k != 0 keeps the variable order
-        return TMonomial(tuple([(i, e * k) for i, e in self.exps]))
+        w = self.width
+        bound = self.bound * abs(k)
+        if bound >> (w - 1):
+            return TMonomial([(i, e * k) for i, e in self.exps], w)
+        return _packed(self.key * k, bound, w)
+
+    def inverse(self) -> TMonomial:
+        return _packed(-self.key, self.bound, self.width)
 
     def exp_of(self, index: int) -> int:
         for i, e in self.exps:
@@ -83,7 +162,9 @@ class TMonomial:
         return 0
 
     def __eq__(self, other):
-        return isinstance(other, TMonomial) and self.exps == other.exps
+        return (
+            other.__class__ is TMonomial and self.key == other.key and self.width == other.width
+        )
 
     def __hash__(self):
         return self._hash
@@ -93,6 +174,20 @@ class TMonomial:
 
     def __repr__(self):
         return f"TMonomial({self.exps!r})"
+
+
+def power_product(factors, width: int) -> TMonomial:
+    """The product of monomials raised to integer powers, from (monomial,
+    exponent) pairs of one width: one integer combination of their keys."""
+    key = bound = 0
+    for m, e in factors:
+        if m.width != width:
+            raise RangeError("monomials packed with different field widths")
+        key += m.key * e
+        bound += m.bound * abs(e)
+    if bound >> (width - 1):
+        return TMonomial([(i, x * e) for m, e in factors for i, x in m.exps], width)
+    return _packed(key, bound, width)
 
 
 class TElement(Sparse):
@@ -168,8 +263,8 @@ class TElement(Sparse):
         if len(self.terms) != 1:
             raise NotInvertible(f"not a monomial: {self.to_text()}")
         (m, c), = self.terms.items()
-        inv = self.ring.monomial([(i, -e) for i, e in m.exps])
-        return TElement(self.ring, {inv: c.inverse()})
+        self.ring.check_invertible(m)
+        return TElement(self.ring, {m.inverse(): c.inverse()})
 
     def to_text(self) -> str:
         labels = self.ring.hopf.labels
@@ -194,41 +289,56 @@ class TElement(Sparse):
 
 
 def telement_from_json(ring: TRing, data: dict) -> TElement:
+    """The element of a `to_json` payload.  The number of terms, every
+    variable index and every exponent are checked (RangeError) before any
+    coefficient is parsed."""
+    terms = data["terms"]
+    if len(terms) > PRODUCT_BUDGET:
+        raise RangeError(f"{len(terms)} terms exceed the budget of {PRODUCT_BUDGET}")
+    mons = [ring.monomial([(int(i), int(e)) for i, e in term["exps"]]) for term in terms]
     return TElement(
         ring,
         collect(
-            (
-                ring.monomial([(int(i), int(e)) for i, e in term["exps"]]),
-                scalar_from_strings(ring.field, term["coeff"]),
-            )
-            for term in data["terms"]
+            (m, scalar_from_strings(ring.field, term["coeff"])) for m, term in zip(mons, terms)
         ),
     )
 
 
 class TRing:
-    """The coordinate ring of a fixed Hopf algebra instance."""
+    """The coordinate ring of a fixed Hopf algebra instance; its monomials
+    are packed with `width` bits per variable."""
 
-    __slots__ = ("hopf", "field", "grouplike_set", "_tinv", "_grading")
+    __slots__ = ("hopf", "field", "grouplike_set", "width", "_unit", "_tinv", "_grading")
 
     def __init__(self, hopf: HopfAlgebra):
         self.hopf = hopf
         self.field: FieldSpec = hopf.field
         self.grouplike_set = set(hopf.grouplikes)
+        self.width = field_width(hopf.dim)
+        self._unit = TMonomial((), self.width)
         self._tinv: list[TElement] | None = None
         self._grading = None
 
     def monomial(self, pairs) -> TMonomial:
-        m = TMonomial.from_pairs(pairs)
+        """The monomial of (variable, exponent) pairs; every variable is
+        checked to be in range before anything is packed."""
+        exps = _canonical(pairs)
         dim = self.hopf.dim
-        for i, e in m.exps:
+        for i, e in exps:
             if not 0 <= i < dim:
                 raise RangeError(f"variable index {i} out of range")
             if e < 0 and i not in self.grouplike_set:
                 raise OutOfLocalization(
                     f"t[{self.hopf.labels[i]}] is not invertible"
                 )
-        return m
+        return _pack(exps, self.width)
+
+    def check_invertible(self, m: TMonomial) -> None:
+        """OutOfLocalization unless the inverse of m stays in the ring:
+        every variable with a positive exponent must be group-like."""
+        for i, e in m.exps:
+            if e > 0 and i not in self.grouplike_set:
+                raise OutOfLocalization(f"t[{self.hopf.labels[i]}] is not invertible")
 
     def element(self, terms: dict[TMonomial, Scalar]) -> TElement:
         return TElement(self, {m: c for m, c in terms.items() if not c.is_zero})
@@ -237,10 +347,10 @@ class TRing:
         return TElement(self, {})
 
     def one(self) -> TElement:
-        return TElement(self, {TMonomial(()): self.field.one})
+        return TElement(self, {self._unit: self.field.one})
 
     def scalar(self, c: Scalar) -> TElement:
-        return self.element({TMonomial(()): c})
+        return self.element({self._unit: c})
 
     def var(self, index: int, exp: int = 1) -> TElement:
         return TElement(self, {self.monomial([(index, exp)]): self.field.one})
@@ -291,14 +401,14 @@ class TRing:
         h = self.hopf
         pairs = []
         for m, coeff in elem.terms.items():
-            cur = {(TMonomial(()), TMonomial(())): coeff}
+            cur = {(self._unit, self._unit): coeff}
             for i, e in m.exps:
                 if i in self.grouplike_set:
-                    step = {(self.monomial([(i, e)]), self.monomial([(i, e)])): self.field.one}
-                    cur = tensor_t_product(cur, step)
+                    g = self.monomial(((i, e),))
+                    cur = tensor_t_product(cur, {(g, g): self.field.one})
                     continue
                 base = {
-                    (TMonomial.from_pairs([(j, 1)]), TMonomial.from_pairs([(k, 1)])): c
+                    (self.monomial(((j, 1),)), self.monomial(((k, 1),))): c
                     for j, k, c in h.comult[i]
                 }
                 for _ in range(e):
@@ -405,6 +515,8 @@ class TensorH(Sparse):
     __slots__ = ("ring", "algebra", "terms")
 
     def __init__(self, ring: TRing, algebra, terms: dict[tuple[TMonomial, int], Scalar]):
+        if ring.hopf is not (algebra if isinstance(algebra, HopfAlgebra) else algebra.hopf):
+            raise RangeError("TensorH operands over different algebras")
         self.ring = ring
         self.algebra = algebra
         self.terms = {k: c for k, c in terms.items() if not c.is_zero}
@@ -425,15 +537,19 @@ class TensorH(Sparse):
 
     @staticmethod
     def from_element(ring: TRing, algebra, elem: TElement, index: int) -> TensorH:
+        if elem.ring is not ring:
+            raise RangeError("TensorH operands over different algebras")
         return TensorH(ring, algebra, {(m, index): c for m, c in elem.terms.items()})
 
     def one(self) -> TensorH:
-        return self._like({(TMonomial(()), self.algebra.unit_index): self.ring.field.one})
+        return self._like({(self.ring._unit, self.algebra.unit_index): self.ring.field.one})
 
     def scale(self, c) -> TensorH:
         """self times a coordinate-ring element or a scalar."""
         if not isinstance(c, TElement):
             return self.scaled(self.ring.field.scalar(c))
+        if c.ring is not self.ring:
+            raise RangeError("TensorH operands over different algebras")
         return self._like(
             collect(
                 ((m1.mul(m2), i), c1 * c2)

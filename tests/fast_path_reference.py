@@ -5,15 +5,20 @@ differential tests in `test_fast_paths.py`.
 - `reference_check_product`: one `collect` per basis triple (i, j, k).
 - `reference_mul` and `reference_pow`: every `TElement` product through
   `collect`, every power by repeated squaring from the ring's one.
-- `reference_monomial_pow`: the exponents scaled, then sorted.
 - `reference_scaled`: every coefficient times the scalar, through `collect`.
+- `ReferenceMonomial`: the coordinate monomial as a sorted tuple of
+  (variable, exponent) pairs, merged on every product, which the packed
+  integer key of `tring.TMonomial` replaced; with `reference_to_text` and
+  `reference_to_json`, the text and JSON of an element over such monomials.
+- `reference_remultiply`: a decomposition witness multiplied back through
+  ring arithmetic, one `TElement` power and product per generator.
 """
 
 from __future__ import annotations
 
-from hopfgen.arith import Scalar
+from hopfgen.arith import Scalar, format_terms, scalar_to_strings
 from hopfgen.linalg import collect
-from hopfgen.tring import TElement, TMonomial
+from hopfgen.tring import TElement, t_ring
 
 
 def reference_check_product(
@@ -68,7 +73,104 @@ def reference_pow(self: TElement, k: int) -> TElement:
     return out
 
 
-def reference_monomial_pow(self: TMonomial, k: int) -> TMonomial:
-    if k == 0:
-        return TMonomial(())
-    return TMonomial(tuple(sorted((i, e * k) for i, e in self.exps)))
+class ReferenceMonomial:
+    """Canonical product of coordinate variables with integer exponents."""
+
+    __slots__ = ("exps", "_hash")
+
+    def __init__(self, exps: tuple[tuple[int, int], ...]):
+        # sorted by variable index, zero exponents dropped
+        self.exps = exps
+        self._hash = hash(exps)
+
+    @staticmethod
+    def from_pairs(pairs) -> ReferenceMonomial:
+        acc: dict[int, int] = {}
+        for i, e in pairs:
+            acc[i] = acc.get(i, 0) + int(e)
+        return ReferenceMonomial(tuple(sorted((i, e) for i, e in acc.items() if e)))
+
+    def mul(self, other: ReferenceMonomial) -> ReferenceMonomial:
+        """The product, by one merge of the two sorted exponent tuples."""
+        a, b = self.exps, other.exps
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        i = j = 0
+        la, lb = len(a), len(b)
+        while i < la and j < lb:
+            x, y = a[i], b[j]
+            if x[0] < y[0]:
+                out.append(x)
+                i += 1
+            elif x[0] > y[0]:
+                out.append(y)
+                j += 1
+            else:
+                e = x[1] + y[1]
+                if e:
+                    out.append((x[0], e))
+                i += 1
+                j += 1
+        return ReferenceMonomial(tuple(out) + a[i:] + b[j:])
+
+    def pow(self, k: int) -> ReferenceMonomial:
+        if k == 0:
+            return ReferenceMonomial(())
+        # scaling every exponent by k != 0 keeps the variable order
+        return ReferenceMonomial(tuple([(i, e * k) for i, e in self.exps]))
+
+    def exp_of(self, index: int) -> int:
+        for i, e in self.exps:
+            if i == index:
+                return e
+        return 0
+
+    def __eq__(self, other):
+        return isinstance(other, ReferenceMonomial) and self.exps == other.exps
+
+    def __hash__(self):
+        return self._hash
+
+    def __lt__(self, other):
+        return self.exps < other.exps
+
+    def __repr__(self):
+        return f"ReferenceMonomial({self.exps!r})"
+
+
+def reference_to_text(labels, terms: dict[ReferenceMonomial, Scalar]) -> str:
+    return format_terms(
+        (
+            terms[m],
+            [f"t[{labels[i]}]" if e == 1 else f"t[{labels[i]}]^{e}" for i, e in m.exps],
+        )
+        for m in sorted(terms)
+    )
+
+
+def reference_to_json(terms: dict[ReferenceMonomial, Scalar]) -> dict:
+    return {
+        "terms": [
+            {"coeff": scalar_to_strings(c), "exps": [list(p) for p in m.exps]}
+            for m, c in sorted(terms.items(), key=lambda kv: kv[0].exps)
+        ]
+    }
+
+
+def reference_remultiply(witness) -> TElement:
+    pres = witness.presentation
+    ring = t_ring(pres.hopf)
+    out = ring.scalar(witness.coefficient)
+    for gen, e in zip(pres.invertible_gens, witness.invertible_exps):
+        if e:
+            out = out * gen**e
+    for gen, e in zip(pres.plain_gens, witness.plain_exps):
+        if e:
+            out = out * gen**e
+    for v, e in zip(pres.residue_vars, witness.residue_exps):
+        if e:
+            out = out * ring.var(v, e)
+    return out
