@@ -41,6 +41,8 @@ COMMANDS = (
          "--cocycle-seed", "3", "--poly", "(X[e]+X[(1 2)])^8"],
         ["selftest"],
     ]
+    + [["ygroup", "--check", "--group", spec]
+       for spec in ("sym:4", "cyclic:20", "product:cyclic:2,alt:4", "dihedral:9")]
 )
 
 

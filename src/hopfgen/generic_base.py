@@ -188,6 +188,18 @@ class GammaPresentation:
             rows.append(row)
         return ReducedBasis(rows)
 
+    @cached_property
+    def plain_owner(self) -> dict[int, tuple[int, TMonomial]]:
+        """Each non-torus variable mapped to the position and monomial of
+        the unique plain generator that contains it."""
+        gl = set(self.hopf.grouplikes)
+        out = {}
+        for p, gen in enumerate(self.plain_gens):
+            mon = next(iter(gen.terms))
+            (own,) = [i for i, _ in mon.exps if i not in gl]
+            out[own] = (p, mon)
+        return out
+
 
 def gamma_generators(hopf: HopfAlgebra) -> GammaPresentation:
     """Generators of the degree-zero part of the localized coordinate ring,
@@ -450,7 +462,7 @@ def _decompose_monomial(
     pres = gamma_generators(hopf)
     ring = t_ring(hopf)
     ab = ring.grading_group()
-    gl = set(hopf.grouplikes)
+    gl = ring.grouplike_set
 
     work = {i: e for i, e in mon.exps}
     deg = ring.hab_degree(mon)
@@ -463,12 +475,7 @@ def _decompose_monomial(
             if k:
                 work[v] = work.get(v, 0) - k
 
-    # pair every non-torus variable with the unique generator containing it
-    own_of = {}
-    for p, gen in enumerate(pres.plain_gens):
-        mon_g = next(iter(gen.terms))
-        (own,) = [i for i, _ in mon_g.exps if i not in gl]
-        own_of[own] = (p, mon_g)
+    own_of = pres.plain_owner
     plain = [0] * len(pres.plain_gens)
     torus = {}
     for v, e in work.items():
@@ -546,20 +553,15 @@ def quotient_presentation_check(hopf: HopfAlgebra) -> Report:
     pres = gamma_generators(hopf)
     ring = t_ring(hopf)
     ab, deg = hab_grading(hopf)
-    gl = set(hopf.grouplikes)
+    gl = ring.grouplike_set
     rep = Report(f"base-to-grading quotient on {hopf.name or 'algebra'}")
 
     def image(elem: TElement) -> dict[tuple[int, ...], Scalar]:
-        pairs = []
-        for m, c in elem.terms.items():
-            g = ab.identity
-            for i, e in m.exps:
-                if i not in gl:
-                    break
-                g = ab.add(g, ab.scale(deg[i], e))
-            else:
-                pairs.append((g, c))
-        return collect(pairs)
+        return collect(
+            (ring.hab_degree(m), c)
+            for m, c in elem.terms.items()
+            if all(i in gl for i, _ in m.exps)
+        )
 
     gammas: list[TElement] = []
     for gen in pres.invertible_gens:

@@ -51,7 +51,9 @@ class FiniteGroup:
     the whole table, so an instance is a proof of group-ness.
     """
 
-    __slots__ = ("labels", "table", "name", "identity", "_inv", "_order_cache", "_ab")
+    __slots__ = (
+        "labels", "table", "name", "identity", "_inv", "_order_cache", "_ab", "_y"
+    )
 
     def __init__(self, labels: list[str], table: list[list[int]], name: str = ""):
         n = len(labels)
@@ -96,6 +98,7 @@ class FiniteGroup:
         self._inv = inv
         self._order_cache = {}
         self._ab = None
+        self._y = None  # (HNF rows as tuples, index), filled by lattice.y_group
 
     @property
     def order(self) -> int:
@@ -213,6 +216,16 @@ class FiniteAbelianGroup:
 
     def scale(self, a: tuple[int, ...], k: int) -> tuple[int, ...]:
         return tuple((x * k) % d for x, d in zip(a, self.invariant_factors))
+
+    def combination(self, terms) -> tuple[int, ...]:
+        """The element sum(e * img) over (img, e) pairs: integer sums per
+        cyclic factor, each reduced modulo its factor once."""
+        sums = [0] * len(self.invariant_factors)
+        for img, e in terms:
+            if e:
+                for t, x in enumerate(img):
+                    sums[t] += x * e
+        return tuple(s % d for s, d in zip(sums, self.invariant_factors))
 
     def elements(self) -> list[tuple[int, ...]]:
         out = [self.identity]

@@ -39,6 +39,51 @@ def _check_dim(dim: int, shown: str) -> None:
         raise RangeError(f"{shown} exceeds the dimension cap {MAX_DIM}")
 
 
+def _check_tables(data: dict, dim: int) -> None:
+    """RangeError for a `to_json` payload whose tables do not fit a basis
+    of dim elements, before any scalar is parsed: a mult key or index
+    outside 0..dim-1, a repeated mult key, more than dim^2 mult entries,
+    comult, counit or antipode row counts other than dim, a comult leg or
+    antipode index out of range, or an out-of-range unit_index.  A mult or
+    antipode row of more than dim terms, or a comult row of more than
+    dim^2, is refused too: `to_json` writes each key at most once."""
+
+    def index(i, what: str) -> None:
+        if type(i) is not int or not 0 <= i < dim:
+            raise RangeError(f"{what} {i!r} is not an index in 0..{dim - 1}")
+
+    def terms(row, cap: int, what: str) -> None:
+        if len(row) > cap:
+            raise RangeError(f"{what} row of {len(row)} terms exceeds {cap}")
+
+    mult = data["mult"]
+    if len(mult) > dim * dim:
+        raise RangeError(f"{len(mult)} mult entries exceed dim^2 = {dim * dim}")
+    seen = set()
+    for i, j, row in mult:
+        index(i, "mult key")
+        index(j, "mult key")
+        if (i, j) in seen:
+            raise RangeError(f"repeated mult key ({i}, {j})")
+        seen.add((i, j))
+        terms(row, dim, "mult")
+        for k, _ in row:
+            index(k, "mult target")
+    for name in ("comult", "counit", "antipode"):
+        if len(data[name]) != dim:
+            raise RangeError(f"{name} has {len(data[name])} rows, need {dim}")
+    for row in data["comult"]:
+        terms(row, dim * dim, "comult")
+        for j, k, _ in row:
+            index(j, "comult leg")
+            index(k, "comult leg")
+    for row in data["antipode"]:
+        terms(row, dim, "antipode")
+        for k, _ in row:
+            index(k, "antipode index")
+    index(data["unit_index"], "unit_index")
+
+
 def _canonical_terms(terms) -> Terms:
     return tuple(sorted(collect(terms).items()))
 
@@ -284,13 +329,15 @@ class HopfAlgebra:
     def from_json(cls, data: dict) -> "HopfAlgebra":
         """Rebuild an instance from `to_json` output.  The payload comes from
         outside, so its size is checked before any field or table is built:
-        at most MAX_DIM labels, and a root-of-unity order in 1..MAX_DIM (every
-        family instance within the dimension cap needs at most 8)."""
+        at most MAX_DIM labels, a root-of-unity order in 1..MAX_DIM (every
+        family instance within the dimension cap needs at most 8), and
+        tables whose shape and indices fit the basis (`_check_tables`)."""
         labels = list(data["labels"])
         _check_dim(len(labels), f"a payload of {len(labels)} labels")
         n = data["field_n"]
         if type(n) is not int or not 1 <= n <= MAX_DIM:
             raise RangeError(f"field_n is not an int in 1..{MAX_DIM}")
+        _check_tables(data, len(labels))
         field = make_field(n)
 
         def de_terms(rows):

@@ -90,8 +90,12 @@ def hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def hnf_basis(rows: list[list[int]]) -> list[list[int]]:
-    """Canonical basis (nonzero HNF rows) of the lattice generated by rows."""
-    h, _ = _echelon(rows, track=False)
+    """Canonical basis (nonzero HNF rows) of the lattice generated by rows.
+    Zero and repeated rows add nothing to the lattice, and its row-style
+    HNF is unique (Cohen, GTM 138, section 2.4.3), so they are dropped
+    before the elimination."""
+    distinct = [r for r in dict.fromkeys(map(tuple, rows)) if any(r)]
+    h, _ = _echelon(distinct, track=False)
     return [r for r in h if any(r)]
 
 
@@ -293,14 +297,24 @@ def _sigma_vector(n: int, g: int, h: int, gh: int) -> list[int]:
 
 
 def y_group(group, max_order: int = DEFAULT_MAX_LATTICE_ORDER) -> YLattice:
-    """Basis and index of ker(Z^G -> G_ab) from the full relation set."""
-    from .groups import abelianization
-
+    """Basis and index of ker(Z^G -> G_ab) from the full relation set.  The
+    HNF is built and checked once per group and kept on it; every call
+    checks the cap first and returns its own copy of the basis."""
     n = group.order
     if n > max_order:
         raise RangeError(
             f"group order {n} exceeds the lattice cap {max_order}"
         )
+    if group._y is None:
+        group._y = _y_basis(group)
+    basis, index = group._y
+    return YLattice(group, [list(row) for row in basis], index)
+
+
+def _y_basis(group) -> tuple[tuple[tuple[int, ...], ...], int]:
+    from .groups import abelianization
+
+    n = group.order
     gens = [_unit_vector(n, group.identity)]
     for g in range(n):
         for h in range(n):
@@ -316,7 +330,7 @@ def y_group(group, max_order: int = DEFAULT_MAX_LATTICE_ORDER) -> YLattice:
         raise IndexMismatch(
             f"lattice index {index} != abelianization order {ab.order}"
         )
-    return YLattice(group, basis, index)
+    return tuple(map(tuple, basis)), index
 
 
 def basis_containing_unit(basis: list[list[int]], target: list[int]) -> list[list[int]]:
@@ -337,7 +351,7 @@ def _verify_named(group, vectors: list[list[int]]) -> YLattice:
     ab, proj = abelianization(group)
     n = group.order
     for v in vectors:
-        if _degree_of(ab, proj, v) != ab.identity:
+        if ab.combination(zip(proj, v)) != ab.identity:
             raise IndexMismatch(f"named basis vector {v} is not degree zero")
     if len(vectors) != n:
         raise IndexMismatch(f"named basis has {len(vectors)} vectors, need {n}")
@@ -516,9 +530,7 @@ def pq_generation_check(group) -> Report:
     rep = Report(title=f"pq-generation({group.name or n})")
     ab, proj = abelianization(group)
     gens = [row for row, _ in pair_and_triple_vectors(group)]
-    member = all(
-        _degree_of(ab, proj, v) == ab.identity for v in gens
-    )
+    member = all(ab.combination(zip(proj, v)) == ab.identity for v in gens)
     rep.add("membership", member, "all generators have degree zero")
     y = y_group(group)
     rep.add(
@@ -528,10 +540,3 @@ def pq_generation_check(group) -> Report:
     )
     rep.add("index", y.index == ab.order, f"index {y.index}")
     return rep
-
-
-def _degree_of(ab, proj, v: list[int]):
-    total = ab.identity
-    for g, e in enumerate(v):
-        total = ab.add(total, ab.scale(proj[g], e))
-    return total

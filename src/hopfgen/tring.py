@@ -420,10 +420,7 @@ class TRing:
         if self._grading is None:
             self._grading = hab_grading(self.hopf)
         ab, deg = self._grading
-        total = ab.identity
-        for i, e in mon.exps:
-            total = ab.add(total, ab.scale(deg[i], e))
-        return total
+        return ab.combination((deg[i], e) for i, e in mon.exps)
 
     def grading_group(self):
         if self._grading is None:

@@ -12,6 +12,9 @@ differential tests in `test_fast_paths.py`.
   `reference_to_json`, the text and JSON of an element over such monomials.
 - `reference_remultiply`: a decomposition witness multiplied back through
   ring arithmetic, one `TElement` power and product per generator.
+- `reference_degree_of`: the grading degree of an exponent vector folded
+  through the group, one `scale` and one `add` per entry, which
+  `FiniteAbelianGroup.combination` replaced.
 """
 
 from __future__ import annotations
@@ -174,3 +177,10 @@ def reference_remultiply(witness) -> TElement:
         if e:
             out = out * ring.var(v, e)
     return out
+
+
+def reference_degree_of(ab, proj, v: list[int]):
+    total = ab.identity
+    for g, e in enumerate(v):
+        total = ab.add(total, ab.scale(proj[g], e))
+    return total

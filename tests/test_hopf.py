@@ -1,5 +1,6 @@
 """Hopf layer: family tables, antipode solve, axioms, center, grading."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -402,3 +403,70 @@ def test_passing_axioms_have_empty_details():
         rep = verify_hopf_axioms(h)
         assert rep.ok
         assert all(c.details == "" for c in rep.checks)
+
+
+# -- table budgets of from_json ------------------------------------------------
+
+UNPARSABLE = ["not a number"]
+
+
+def _poisoned_taft2(edit=None) -> dict:
+    """taft(2).to_json() with every coefficient unparsable, so that a table
+    check that ran after the scalar parser would raise ValueError from
+    Fraction instead of the RangeError expected below."""
+    data = taft(2).to_json()
+    data["mult"] = [[i, j, [[k, UNPARSABLE] for k, _ in row]] for i, j, row in data["mult"]]
+    data["comult"] = [[[j, k, UNPARSABLE] for j, k, _ in row] for row in data["comult"]]
+    data["counit"] = [UNPARSABLE for _ in data["counit"]]
+    data["antipode"] = [[[k, UNPARSABLE] for k, _ in row] for row in data["antipode"]]
+    if edit is not None:
+        edit(data)
+    return data
+
+
+def test_from_json_parses_scalars_only_after_the_table_checks():
+    with pytest.raises(ValueError) as info:
+        HopfAlgebra.from_json(_poisoned_taft2())
+    assert not isinstance(info.value, RangeError)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d["mult"].append([7, 9, [[99, UNPARSABLE]]]), "mult key 7 is not an index in 0..3"),
+        (lambda d: d["mult"].append([2, 2, [[99, UNPARSABLE]]]), "mult target 99 is not an index"),
+        (lambda d: d["mult"].append([0, -1, []]), "mult key -1 is not an index"),
+        (lambda d: d["mult"].append([0, "1", []]), "mult key '1' is not an index"),
+        (lambda d: d["mult"].append(list(d["mult"][0])), r"repeated mult key \(0, 0\)"),
+        (lambda d: d["mult"][0][2].extend([[0, UNPARSABLE]] * 4), "mult row of 5 terms exceeds 4"),
+        (lambda d: d["comult"].pop(), "comult has 3 rows, need 4"),
+        (lambda d: d["counit"].append(UNPARSABLE), "counit has 5 rows, need 4"),
+        (lambda d: d["antipode"].pop(), "antipode has 3 rows, need 4"),
+        (lambda d: d["comult"][2].append([0, 4, UNPARSABLE]), "comult leg 4 is not an index"),
+        (lambda d: d["comult"][0].extend([[0, 0, UNPARSABLE]] * 16), "comult row of 17 terms exceeds 16"),
+        (lambda d: d["antipode"][3].append([5, UNPARSABLE]), "antipode index 5 is not an index"),
+        (lambda d: d["antipode"][3].extend([[0, UNPARSABLE]] * 4), "antipode row of 5 terms exceeds 4"),
+        (lambda d: d.update(unit_index=4), "unit_index 4 is not an index"),
+        (lambda d: d.update(unit_index=True), "unit_index True is not an index"),
+    ],
+    ids=[
+        "mult-key", "mult-target", "negative-key", "string-key", "repeated-key",
+        "long-mult-row", "comult-rows", "counit-rows", "antipode-rows",
+        "comult-leg", "long-comult-row", "antipode-index", "long-antipode-row",
+        "unit-index", "bool-unit-index",
+    ],
+)
+def test_from_json_refuses_tables_that_do_not_fit_the_basis(edit, message):
+    with pytest.raises(RangeError, match=message):
+        HopfAlgebra.from_json(_poisoned_taft2(edit))
+
+
+def test_from_json_refuses_200k_repeated_entries_at_once():
+    """The entry count is refused before any entry is read; parsing the
+    scalars of 200,000 entries takes over a second."""
+    data = _poisoned_taft2(lambda d: d["mult"].extend([d["mult"][0]] * 200_000))
+    start = time.perf_counter()
+    with pytest.raises(RangeError, match=r"200012 mult entries exceed dim\^2 = 16"):
+        HopfAlgebra.from_json(data)
+    assert time.perf_counter() - start < 0.5
+
