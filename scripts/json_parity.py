@@ -21,6 +21,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 INSTANCES = ("taft:2", "taft:3", "e:2", "group:sym:3")
+# monomial algebras: the Klein four-group datum of the roster, and Z/4 at n = 4
+KLEIN = ("--family", "monomial", "--group", "product:cyclic:2,cyclic:2",
+         "--x", "(a,e)", "--chi", "0,0,1,1")
+CYCLIC4 = ("--family", "monomial", "--group", "cyclic:4", "--x", "a", "--chi", "0,1,2,3")
 
 COMMANDS = (
     [[verb, "--family", fam] for fam in INSTANCES for verb in ("describe", "axioms")]
@@ -43,6 +47,8 @@ COMMANDS = (
     ]
     + [["ygroup", "--check", "--group", spec]
        for spec in ("sym:4", "cyclic:20", "product:cyclic:2,alt:4", "dihedral:9")]
+    + [[verb, *KLEIN] for verb in ("describe", "axioms")]
+    + [["base", "--check", "all", *KLEIN], ["base", "--check", "all", *CYCLIC4]]
 )
 
 

@@ -354,11 +354,16 @@ def format_scalar(s: Scalar) -> str:
                 parts.append(f"-{qp}")
             else:
                 parts.append(f"{c}*{qp}")
+    return _signed_join(parts)
+
+
+def _signed_join(parts: list[str]) -> str:
+    """The parts joined by " + ", a leading minus turning it into " - "."""
     if not parts:
         return "0"
     out = parts[0]
     for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
     return out
 
 
@@ -379,12 +384,7 @@ def format_terms(terms: Iterable[tuple[Scalar, list[str]]]) -> str:
             parts.append("-" + "*".join(factors))
         else:
             parts.append("*".join([fmt] + factors))
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return _signed_join(parts)
 
 
 def scalar_to_strings(s: Scalar) -> list[str]:

@@ -153,10 +153,6 @@ def _emit_text(payload: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
-def _report_payload(rep: Report) -> dict:
-    return rep.to_dict()
-
-
 # --- verbs ------------------------------------------------------------------
 
 
@@ -200,7 +196,7 @@ def cmd_axioms(args: argparse.Namespace) -> tuple[dict, int]:
         "schema": SCHEMA,
         "instance": h.name,
         "ok": ok,
-        "reports": [_report_payload(r) for r in reports],
+        "reports": [r.to_dict() for r in reports],
     }
     return payload, 0 if ok else 1
 
@@ -278,7 +274,7 @@ def cmd_base(args: argparse.Namespace) -> tuple[dict, int]:
         "instance": h.name,
         "generators": generators,
         "ok": ok,
-        "reports": [_report_payload(r) for r in reports],
+        "reports": [r.to_dict() for r in reports],
     }
     if "sigma" in wanted:
         payload["cocycle"] = _cocycle_record(args)
@@ -303,7 +299,7 @@ def cmd_ygroup(args: argparse.Namespace) -> tuple[dict, int]:
     code = 0
     if args.check:
         rep = pq_generation_check(g)
-        payload["reports"] = [_report_payload(rep)]
+        payload["reports"] = [rep.to_dict()]
         payload["ok"] = rep.ok
         code = 0 if rep.ok else 1
     return payload, code
@@ -316,7 +312,7 @@ def cmd_sigma(args: argparse.Namespace) -> tuple[dict, int]:
         "schema": SCHEMA,
         "instance": h.name,
         "ok": rep.ok,
-        "reports": [_report_payload(rep)],
+        "reports": [rep.to_dict()],
         "cocycle": _cocycle_record(args),
     }
     return payload, 0 if rep.ok else 1
@@ -348,7 +344,7 @@ def cmd_selftest(args: argparse.Namespace) -> tuple[dict, int]:
         "schema": SCHEMA,
         "ok": ok,
         "criteria": [
-            {"number": number, "title": title, "report": _report_payload(rep)}
+            {"number": number, "title": title, "report": rep.to_dict()}
             for number, title, rep in results
         ],
     }

@@ -320,10 +320,7 @@ class TwistedAlgebra:
         # of coaction(a) - a (x) 1
         entries = [((j * dim + k, i), c) for i in range(dim) for j, k, c in hopf.comult[i]]
         entries += [((i * dim + hopf.unit_index, i), -hopf.field.one) for i in range(dim)]
-        rows: dict[int, dict[int, Scalar]] = {}
-        for (r, i), c in collect(entries).items():
-            rows.setdefault(r, {})[i] = c
-        return nullspace(dim, list(rows.values()), hopf.field)
+        return nullspace(dim, entries, hopf.field)
 
 
 def twisted_algebra(hopf: HopfAlgebra, alpha: TwoCocycle, verify: bool = True) -> TwistedAlgebra:

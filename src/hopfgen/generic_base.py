@@ -30,8 +30,9 @@ from .errors import (
     UnsupportedFamily,
     WitnessFailure,
 )
+from .groups import perm_sign
 from .hopf import HopfAlgebra, e_basis, hab_grading
-from .identities import LocalizedDenominator, NCPoly, mu, symbol
+from .identities import LocalizedDenominator, NCPoly, basis_index, mu, symbol
 # solve_in_lattice is unused here but stays importable from this module:
 # perfbench/tests/test_perfbench_tracing.py looks it up as a wrapped name.
 from .lattice import ReducedBasis, pair_and_triple_vectors, solve_in_lattice, y_group  # noqa: F401
@@ -42,14 +43,6 @@ from .tring import TElement, TMonomial, TensorH, power_product, t_inverse_map, t
 # Witness words can get long (lattice coefficients repeat whole letters),
 # so they carry their own cap instead of the default identity-testing one.
 WITNESS_CAP = 4096
-
-
-def _resolve(hopf: HopfAlgebra, b) -> int:
-    if isinstance(b, int):
-        if not 0 <= b < hopf.dim:
-            raise RangeError(f"basis index {b} out of range")
-        return b
-    return hopf.index_of(b)
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +57,8 @@ def generic_cocycle(hopf: HopfAlgebra, alpha, b, bp) -> TElement:
     legs are multiplied and closed off with the convolution inverse."""
     ring = t_ring(hopf)
     tinv = t_inverse_map(hopf)
-    i = _resolve(hopf, b)
-    j = _resolve(hopf, bp)
+    i = basis_index(hopf, b)
+    j = basis_index(hopf, bp)
     acc = ring.zero()
     for (i1, i2, i3), ci in hopf.comult_power(i, 3).items():
         head = ring.var(i1)
@@ -86,8 +79,8 @@ def generic_cocycle_inverse(hopf: HopfAlgebra, alpha, b, bp) -> TElement:
     inverse."""
     ring = t_ring(hopf)
     tinv = t_inverse_map(hopf)
-    i = _resolve(hopf, b)
-    j = _resolve(hopf, bp)
+    i = basis_index(hopf, b)
+    j = basis_index(hopf, bp)
     acc = ring.zero()
     for (i1, i2, i3), ci in hopf.comult_power(i, 3).items():
         for (j1, j2, j3), cj in hopf.comult_power(j, 3).items():
@@ -176,17 +169,23 @@ class GammaPresentation:
         return tuple(out)
 
     @cached_property
-    def torus_lattice(self) -> ReducedBasis:
-        """The lattice spanned by the exponent vectors of the invertible
-        generators over the group-likes, reduced once per presentation."""
+    def torus_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The exponent vector of every invertible generator over the
+        group-likes."""
         pos = {v: i for i, v in enumerate(self.hopf.grouplikes)}
         rows = []
         for gen in self.invertible_gens:
             row = [0] * len(pos)
             for i, e in next(iter(gen.terms)).exps:
                 row[pos[i]] = e
-            rows.append(row)
-        return ReducedBasis(rows)
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def torus_lattice(self) -> ReducedBasis:
+        """The lattice spanned by the torus rows, reduced once per
+        presentation."""
+        return ReducedBasis(self.torus_rows)
 
     @cached_property
     def plain_owner(self) -> dict[int, tuple[int, TMonomial]]:
@@ -326,15 +325,6 @@ def _partial(gen: TElement, v: int) -> TElement:
     return TElement(ring, terms)
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    s = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                s = -s
-    return s
-
-
 def _det_telements(rows: list[list[TElement]], ring) -> TElement:
     total = ring.zero()
     for perm in itertools.permutations(range(len(rows))):
@@ -347,7 +337,7 @@ def _det_telements(rows: list[list[TElement]], ring) -> TElement:
                 break
             term = term * entry
         if not dead:
-            total = total + term * ring.field.scalar(_perm_sign(perm))
+            total = total + term * ring.field.scalar(perm_sign(perm))
     return total
 
 
@@ -635,6 +625,29 @@ def _ncpoly_one(hopf: HopfAlgebra) -> NCPoly:
     return NCPoly(hopf, {(): hopf.field.one}, WITNESS_CAP)
 
 
+def _level_lift(X: list[NCPoly], stride: int, W: NCPoly, Y: NCPoly, field):
+    """The memoised lift of the skew families (taft(n) is the monomial
+    algebra of Z/n with x = 1): lift(g, l) is the word for g y^l, the letter
+    at index l * stride + g, times the compensator W^l, less the lower
+    levels r < l, each times Y^(l-r) and binom(l, r)_q."""
+    memo: dict[tuple[int, int], NCPoly] = {}
+
+    def lift(g: int, level: int) -> NCPoly:
+        got = memo.get((g, level))
+        if got is not None:
+            return got
+        if level == 0:
+            out = X[g]
+        else:
+            out = X[level * stride + g] * W**level
+            for r in range(level):
+                out = out - lift(g, r) * Y ** (level - r) * q_binomial(level, r, field)
+        memo[(g, level)] = out
+        return out
+
+    return lift
+
+
 def _taft_witnesses(hopf: HopfAlgebra, pres: GammaPresentation):
     n = hopf.family["n"]
     field = hopf.field
@@ -645,21 +658,7 @@ def _taft_witnesses(hopf: HopfAlgebra, pres: GammaPresentation):
     bracket = X[n] * X[1] - X[1] * X[n]
     Yq = X[1] ** (n - 1) * bracket * (field.q - field.one).inverse()
 
-    memo: dict[tuple[int, int], NCPoly] = {}
-
-    def lift(i: int, j: int) -> NCPoly:
-        got = memo.get((i, j))
-        if got is not None:
-            return got
-        if j == 0:
-            out = X[i]
-        else:
-            out = X[j * n + i] * W**j
-            for r in range(j):
-                out = out - lift(i, r) * Yq ** (j - r) * q_binomial(j, r, field)
-        memo[(i, j)] = out
-        return out
-
+    lift = _level_lift(X, n, W, Yq, field)
     w_tags = [("unit",), ("grouplike_power", 1)]
     out: dict[TElement, tuple[NCPoly, LocalizedDenominator]] = {}
 
@@ -761,17 +760,11 @@ def _lattice_witnesses(hopf: HopfAlgebra, pres: GammaPresentation, out) -> None:
     """Witnesses for the torus generators of the group-built families: solve
     for each generator over the pairing and triple-product vectors, positive
     coefficients become word letters and negative ones denominators."""
-    group = hopf.family["group"]
-    order = group.order
     field = hopf.field
-    vecs = pair_and_triple_vectors(group)
+    vecs = pair_and_triple_vectors(hopf.family["group"])
     products = ReducedBasis([row for row, _ in vecs])
 
-    pos = {v: i for i, v in enumerate(hopf.grouplikes)}
-    for gen in pres.invertible_gens:
-        base = [0] * order
-        for i, e in next(iter(gen.terms)).exps:
-            base[pos[i]] = e
+    for gen, base in zip(pres.invertible_gens, pres.torus_rows):
         for gamma, vec in ((gen, base), (gen.inverse(), [-e for e in base])):
             coeffs = products.solve(vec)
             if coeffs is None:
@@ -807,21 +800,7 @@ def _monomial_witnesses(hopf: HopfAlgebra, pres: GammaPresentation):
     bracket = X[y] * X[x] - X[x] * X[y]
     Ym = X[xinv] * bracket * (field.q - field.one).inverse()
 
-    memo: dict[tuple[int, int], NCPoly] = {}
-
-    def lift(g: int, lvl: int) -> NCPoly:
-        got = memo.get((g, lvl))
-        if got is not None:
-            return got
-        if lvl == 0:
-            out = X[g]
-        else:
-            out = X[lvl * order + g] * W**lvl
-            for r in range(lvl):
-                out = out - lift(g, r) * Ym ** (lvl - r) * q_binomial(lvl, r, field)
-        memo[(g, lvl)] = out
-        return out
-
+    lift = _level_lift(X, order, W, Ym, field)
     w_tags = [("unit",), ("pair_product", x)]
     out: dict[TElement, tuple[NCPoly, LocalizedDenominator]] = {}
     _lattice_witnesses(hopf, pres, out)

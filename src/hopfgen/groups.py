@@ -211,9 +211,6 @@ class FiniteAbelianGroup:
             (x + y) % d for x, y, d in zip(a, b, self.invariant_factors)
         )
 
-    def neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((-x) % d for x, d in zip(a, self.invariant_factors))
-
     def scale(self, a: tuple[int, ...], k: int) -> tuple[int, ...]:
         return tuple((x * k) % d for x, d in zip(a, self.invariant_factors))
 
@@ -236,18 +233,6 @@ class FiniteAbelianGroup:
                 for v in range(d)
             ]
         return out
-
-    def closure(self, gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = self.add(cur, g)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
 
 
 def abelianization(
@@ -368,13 +353,14 @@ def _perm_label(p: tuple[int, ...]) -> str:
     return "".join("(" + " ".join(str(i + 1) for i in c) + ")" for c in cycles)
 
 
-def _perm_parity(p: tuple[int, ...]) -> int:
-    inv = 0
+def perm_sign(p: tuple[int, ...]) -> int:
+    """The sign of a permutation of 0..n-1: -1 to the number of inversions."""
+    s = 1
     for i in range(len(p)):
         for j in range(i + 1, len(p)):
             if p[i] > p[j]:
-                inv += 1
-    return inv % 2
+                s = -s
+    return s
 
 
 def _perm_group(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
@@ -408,7 +394,7 @@ def alternating(n: int) -> FiniteGroup:
     if n < 1:
         raise RangeError("alternating group degree must be positive")
     _check_permutation_order(n, even=True)
-    perms = [p for p in permutations(range(n)) if _perm_parity(p) == 0]
+    perms = [p for p in permutations(range(n)) if perm_sign(p) == 1]
     return _perm_group(perms, name=f"A{n}")
 
 

@@ -783,10 +783,7 @@ def center_table(dim: int, mult, field: FieldSpec) -> list[dict[int, Scalar]]:
                 for k, c in mult.get((j, i), ()):
                     yield (j * dim + k, i), -c
 
-    rows: dict[int, dict[int, Scalar]] = {}
-    for (r, i), c in collect(entries()).items():
-        rows.setdefault(r, {})[i] = c
-    return nullspace(dim, list(rows.values()), field)
+    return nullspace(dim, entries(), field)
 
 
 def center(h: HopfAlgebra) -> list[AlgebraElement]:
@@ -798,10 +795,20 @@ def hab_grading(h: HopfAlgebra) -> tuple[FiniteAbelianGroup, list[tuple[int, ...
     """The universal group-like grading of the family: an abelian group
     and the degree of every basis element."""
     kind = h.family.get("kind")
-    if kind == "taft":
-        n = h.family["n"]
-        ab = FiniteAbelianGroup((n,))
-        deg = [((i % n + i // n) % n,) for i in range(h.dim)]
+    if kind in ("taft", "monomial"):
+        # g y^l at index l * |G| + g has degree [g] + l [x]; taft(n) is the
+        # monomial algebra of Z/n with x = 1
+        if kind == "taft":
+            n = h.family["n"]
+            ab, proj, x = FiniteAbelianGroup((n,)), [(a,) for a in range(n)], 1
+        else:
+            ab, proj = abelianization(h.family["group"])
+            x = h.family["x"]
+        order = len(proj)
+        deg = [
+            ab.combination(((proj[i % order], 1), (proj[x], i // order)))
+            for i in range(h.dim)
+        ]
         return ab, deg
     if kind == "e":
         ab = FiniteAbelianGroup((2,))
@@ -813,19 +820,6 @@ def hab_grading(h: HopfAlgebra) -> tuple[FiniteAbelianGroup, list[tuple[int, ...
                 deg.append((0,) if i == h.unit_index else (1,))
             else:
                 deg.append((1,) if diag_k == h.index_of("x") else (0,))
-        return ab, deg
-    if kind == "monomial":
-        group = h.family["group"]
-        x = h.family["x"]
-        n = h.family["n"]
-        ab, proj = abelianization(group)
-        deg = []
-        for i in range(h.dim):
-            g, lvl = i % group.order, i // group.order
-            d = proj[g]
-            for _ in range(lvl):
-                d = ab.add(d, proj[x])
-            deg.append(d)
         return ab, deg
     if kind == "group":
         return abelianization(h.family["group"])

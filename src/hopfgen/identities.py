@@ -160,12 +160,17 @@ def ncpoly_from_json(hopf: HopfAlgebra, data: dict, cap: int = DEFAULT_WORD_CAP)
     return NCPoly(hopf, collect(pairs), cap)
 
 
-def symbol(hopf: HopfAlgebra, label_or_index, cap: int = DEFAULT_WORD_CAP) -> NCPoly:
-    """The generator X over one basis element."""
+def basis_index(hopf: HopfAlgebra, label_or_index) -> int:
+    """The index of a basis element given by its label or its index."""
     i = label_or_index if isinstance(label_or_index, int) else hopf.index_of(label_or_index)
     if not 0 <= i < hopf.dim:
         raise RangeError(f"basis index {i} out of range")
-    return NCPoly(hopf, {(i,): hopf.field.one}, cap)
+    return i
+
+
+def symbol(hopf: HopfAlgebra, label_or_index, cap: int = DEFAULT_WORD_CAP) -> NCPoly:
+    """The generator X over one basis element."""
+    return NCPoly(hopf, {(basis_index(hopf, label_or_index),): hopf.field.one}, cap)
 
 
 def ncpoly_scalar(hopf: HopfAlgebra, value, cap: int = DEFAULT_WORD_CAP) -> NCPoly:

@@ -9,7 +9,6 @@ rather than trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     IndexMismatch,
@@ -149,48 +148,15 @@ def solve_in_lattice(basis: list[list[int]], v: list[int]) -> list[int] | None:
     return ReducedBasis(basis).solve(v)
 
 
-def det_int(m: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(r) for r in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def int_inverse_unimodular(u: list[list[int]]) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix (integral by Cramer)."""
-    n = len(u)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(u)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c]), None)
-        if piv is None:
-            raise IndexMismatch("matrix not unimodular: it is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        scale = aug[c][c]
-        aug[c] = [x / scale for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    out = [[x for x in row[n:]] for row in aug]
-    if any(x.denominator != 1 for row in out for x in row):
+    """Inverse of a unimodular integer matrix: its HNF is the identity, and
+    the U of hnf(u) is then the inverse (Cohen, GTM 138, section 2.4.3)."""
+    h, inv = hnf(u)
+    if not all(any(row) for row in h):
+        raise IndexMismatch("matrix not unimodular: it is singular")
+    if h != _identity(len(u)):
         raise IndexMismatch("matrix not unimodular: its inverse is not integral")
-    return [[int(x) for x in row] for row in out]
+    return inv
 
 
 def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -311,6 +277,17 @@ def y_group(group, max_order: int = DEFAULT_MAX_LATTICE_ORDER) -> YLattice:
     return YLattice(group, [list(row) for row in basis], index)
 
 
+def _hnf_index(rows: list[list[int]]) -> tuple[list[list[int]], int]:
+    """hnf_basis(rows), whose length is the rank, and the product of its
+    pivots: the index of the lattice in Z^n when the rank is n, and so
+    |det| of n independent rows in Z^n."""
+    basis = hnf_basis(rows)
+    index = 1
+    for row in basis:
+        index *= next(x for x in row if x)
+    return basis, index
+
+
 def _y_basis(group) -> tuple[tuple[tuple[int, ...], ...], int]:
     from .groups import abelianization
 
@@ -319,12 +296,9 @@ def _y_basis(group) -> tuple[tuple[tuple[int, ...], ...], int]:
     for g in range(n):
         for h in range(n):
             gens.append(_sigma_vector(n, g, h, group.mul(g, h)))
-    basis = hnf_basis(gens)
+    basis, index = _hnf_index(gens)
     if len(basis) != n:
         raise IndexMismatch(f"degree-zero lattice rank {len(basis)} != {n}")
-    index = 1
-    for row in basis:
-        index *= next(x for x in row if x)
     ab, _ = abelianization(group)
     if index != ab.order:
         raise IndexMismatch(
@@ -355,7 +329,8 @@ def _verify_named(group, vectors: list[list[int]]) -> YLattice:
             raise IndexMismatch(f"named basis vector {v} is not degree zero")
     if len(vectors) != n:
         raise IndexMismatch(f"named basis has {len(vectors)} vectors, need {n}")
-    d = abs(det_int(vectors))
+    basis, index = _hnf_index(vectors)
+    d = index if len(basis) == n else 0
     if d != ab.order:
         raise IndexMismatch(f"named basis determinant {d} != {ab.order}")
     return YLattice(group, vectors, d)

@@ -148,9 +148,14 @@ def in_span(reduced: list[dict], pivots: list[int], vector: dict) -> bool:
     return not r
 
 
-def nullspace(num_cols: int, rows: list[dict], field: FieldSpec) -> list[dict]:
-    """Basis of the right kernel {x : row . x = 0 for every row}."""
-    reduced, pivots = row_reduce(rows, field)
+def nullspace(num_cols: int, entries, field: FieldSpec) -> list[dict]:
+    """Basis of the right kernel {x : row . x = 0 for every row} of the
+    matrix given by ((row, column), coeff) entries, equal positions summed;
+    rows are reduced in the order in which they first appear."""
+    rows: dict = {}
+    for (r, c), v in collect(entries).items():
+        rows.setdefault(r, {})[c] = v
+    reduced, pivots = row_reduce(list(rows.values()), field)
     pivot_set = set(pivots)
     basis = []
     for free in range(num_cols):

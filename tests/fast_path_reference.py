@@ -1,6 +1,7 @@
 """The general routines that the no-op fast paths now bypass, kept verbatim
 (apart from their names and the imports) as the references of the
-differential tests in `test_fast_paths.py`.
+differential tests in `test_fast_paths.py`, `test_packed_monomials.py`,
+`test_lattice_once.py` and `test_one_elimination.py`.
 
 - `reference_check_product`: one `collect` per basis triple (i, j, k).
 - `reference_mul` and `reference_pow`: every `TElement` product through
@@ -15,11 +16,25 @@ differential tests in `test_fast_paths.py`.
 - `reference_degree_of`: the grading degree of an exponent vector folded
   through the group, one `scale` and one `add` per entry, which
   `FiniteAbelianGroup.combination` replaced.
+- `reference_det_int` (Bareiss elimination) and
+  `reference_int_inverse_unimodular` (Gauss-Jordan over `Fraction`), which
+  the pivots and the `U` of the Hermite form replaced.
+- `reference_hab_grading`: the taft and monomial branches of `hab_grading`,
+  a closed form for taft and one `add` per level for monomial, which one
+  `combination` per basis element replaced.
+- `reference_taft_lift` and `reference_monomial_lift`: the two copies of
+  the level lift of the niceness witnesses, which `_level_lift` replaced;
+  each returns its lift and the letters, stride, W, Y and field it uses.
 """
 
 from __future__ import annotations
 
-from hopfgen.arith import Scalar, format_terms, scalar_to_strings
+from fractions import Fraction
+
+from hopfgen.arith import Scalar, format_terms, q_binomial, scalar_to_strings
+from hopfgen.errors import IndexMismatch
+from hopfgen.groups import FiniteAbelianGroup, abelianization
+from hopfgen.identities import NCPoly, symbol
 from hopfgen.linalg import collect
 from hopfgen.tring import TElement, t_ring
 
@@ -184,3 +199,127 @@ def reference_degree_of(ab, proj, v: list[int]):
     for g, e in enumerate(v):
         total = ab.add(total, ab.scale(proj[g], e))
     return total
+
+
+def reference_det_int(m: list[list[int]]) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [list(r) for r in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def reference_int_inverse_unimodular(u: list[list[int]]) -> list[list[int]]:
+    """Inverse of a unimodular integer matrix (integral by Cramer)."""
+    n = len(u)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(u)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if aug[r][c]), None)
+        if piv is None:
+            raise IndexMismatch("matrix not unimodular: it is singular")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        scale = aug[c][c]
+        aug[c] = [x / scale for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    out = [[x for x in row[n:]] for row in aug]
+    if any(x.denominator != 1 for row in out for x in row):
+        raise IndexMismatch("matrix not unimodular: its inverse is not integral")
+    return [[int(x) for x in row] for row in out]
+
+
+def reference_hab_grading(h):
+    kind = h.family.get("kind")
+    if kind == "taft":
+        n = h.family["n"]
+        ab = FiniteAbelianGroup((n,))
+        deg = [((i % n + i // n) % n,) for i in range(h.dim)]
+        return ab, deg
+    if kind == "monomial":
+        group = h.family["group"]
+        x = h.family["x"]
+        n = h.family["n"]
+        ab, proj = abelianization(group)
+        deg = []
+        for i in range(h.dim):
+            g, lvl = i % group.order, i // group.order
+            d = proj[g]
+            for _ in range(lvl):
+                d = ab.add(d, proj[x])
+            deg.append(d)
+        return ab, deg
+    raise ValueError(kind)
+
+
+def reference_taft_lift(hopf, cap: int):
+    n = hopf.family["n"]
+    field = hopf.field
+    X = [symbol(hopf, i, cap) for i in range(hopf.dim)]
+    # the compensator word and the bracket that reaches the nilpotent slot
+    W = X[0] * X[1] ** n
+    bracket = X[n] * X[1] - X[1] * X[n]
+    Yq = X[1] ** (n - 1) * bracket * (field.q - field.one).inverse()
+
+    memo: dict[tuple[int, int], NCPoly] = {}
+
+    def lift(i: int, j: int) -> NCPoly:
+        got = memo.get((i, j))
+        if got is not None:
+            return got
+        if j == 0:
+            out = X[i]
+        else:
+            out = X[j * n + i] * W**j
+            for r in range(j):
+                out = out - lift(i, r) * Yq ** (j - r) * q_binomial(j, r, field)
+        memo[(i, j)] = out
+        return out
+
+    return lift, (X, n, W, Yq, field)
+
+
+def reference_monomial_lift(hopf, cap: int):
+    fam = hopf.family
+    group, x = fam["group"], fam["x"]
+    order = group.order
+    field = hopf.field
+    X = [symbol(hopf, i, cap) for i in range(hopf.dim)]
+    xinv = group.inv(x)
+    y = order  # level-one slot over the identity
+    W = X[group.identity] * X[x] * X[xinv]
+    bracket = X[y] * X[x] - X[x] * X[y]
+    Ym = X[xinv] * bracket * (field.q - field.one).inverse()
+
+    memo: dict[tuple[int, int], NCPoly] = {}
+
+    def lift(g: int, lvl: int) -> NCPoly:
+        got = memo.get((g, lvl))
+        if got is not None:
+            return got
+        if lvl == 0:
+            out = X[g]
+        else:
+            out = X[lvl * order + g] * W**lvl
+            for r in range(lvl):
+                out = out - lift(g, r) * Ym ** (lvl - r) * q_binomial(lvl, r, field)
+        memo[(g, lvl)] = out
+        return out
+
+    return lift, (X, order, W, Ym, field)
