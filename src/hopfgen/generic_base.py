@@ -60,9 +60,10 @@ def generic_cocycle(hopf: HopfAlgebra, alpha, b, bp) -> TElement:
     i = basis_index(hopf, b)
     j = basis_index(hopf, bp)
     acc = ring.zero()
+    right = hopf.comult_power(j, 3).items()
     for (i1, i2, i3), ci in hopf.comult_power(i, 3).items():
         head = ring.var(i1)
-        for (j1, j2, j3), cj in hopf.comult_power(j, 3).items():
+        for (j1, j2, j3), cj in right:
             a = alpha(i2, j2)
             if a.is_zero:
                 continue
@@ -82,8 +83,9 @@ def generic_cocycle_inverse(hopf: HopfAlgebra, alpha, b, bp) -> TElement:
     i = basis_index(hopf, b)
     j = basis_index(hopf, bp)
     acc = ring.zero()
+    right = hopf.comult_power(j, 3).items()
     for (i1, i2, i3), ci in hopf.comult_power(i, 3).items():
-        for (j1, j2, j3), cj in hopf.comult_power(j, 3).items():
+        for (j1, j2, j3), cj in right:
             a = alpha.inverse(i2, j2)
             if a.is_zero:
                 continue
@@ -443,7 +445,7 @@ class DecompositionWitness:
             if e:
                 factors.append((ring.monomial(((v, e),)), 1))
         mon = power_product(factors, ring.width)
-        return TElement(ring, {mon: coeff} if coeff else {})
+        return TElement(ring, {mon: coeff})
 
 
 def _decompose_monomial(
@@ -489,7 +491,8 @@ def _decompose_monomial(
         pres, coeff, tuple(coeffs), tuple(plain), residue
     )
     back = witness.remultiply()
-    if back != TElement(ring, {ring.monomial(mon.exps): coeff}):
+    # every caller passes a monomial packed by this ring
+    if back != TElement(ring, {mon: coeff}):
         raise WitnessFailure(f"re-multiplication mismatch: {back.to_text()}")
     return witness
 

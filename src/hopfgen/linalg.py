@@ -13,16 +13,32 @@ from .errors import NotInvertible, RangeError
 
 def collect(pairs, base: dict | None = None) -> dict:
     """Sum the coefficients of equal keys over an iterable of (key, coeff)
-    pairs, on top of a copy of `base` if given.  This is the one place that
-    drops zeros: the result holds no zero coefficient, and its keys keep the
-    order in which they first appeared."""
-    out = {} if base is None else dict(base)
-    get = out.get
-    for k, c in pairs:
-        cur = get(k)
-        out[k] = c if cur is None else cur + c
-    for k in [k for k, c in out.items() if not c]:
-        del out[k]
+    pairs, on top of a copy of `base` if given.  The result holds no zero
+    coefficient, and its keys keep the order in which they first appeared.
+
+    `base` must hold no zero coefficient: only the keys that `pairs` touch
+    are tested for zero, so that adding a few terms to a long sum costs a
+    few tests."""
+    if base:
+        out = dict(base)
+        get = out.get
+        zeros = []
+        for k, c in pairs:
+            cur = get(k)
+            out[k] = c = c if cur is None else cur + c
+            if not c:
+                zeros.append(k)
+        # a key that vanished may have been summed again since
+        zeros = [k for k in zeros if k in out and not out[k]]
+    else:
+        out = {}
+        get = out.get
+        for k, c in pairs:
+            cur = get(k)
+            out[k] = c if cur is None else cur + c
+        zeros = [k for k, c in out.items() if not c]
+    for k in zeros:
+        out.pop(k, None)
     return out
 
 
@@ -30,13 +46,15 @@ class Sparse:
     """A finite linear combination over one owner, the algebra or ring it
     lives in: `terms` maps keys to nonzero Scalars and is never mutated.
 
-    The linear structure of the four element types (`hopf.AlgebraElement`,
-    `tring.TElement`, `tring.TensorH`, `identities.NCPoly`) is written here
-    once.  Each subclass supplies `_owner()`, `_like(terms)` (an element
-    over the same owner from terms that hold no zero), `one()`, its own
-    product and its text; one that accepts scalar operands also supplies
-    `_lift`.  Operands over different owners raise RangeError, and compare
-    unequal."""
+    The linear structure of the element types (`hopf.AlgebraElement`,
+    `tring.TensorH`, `identities.NCPoly`) is written here once.  Each
+    subclass supplies `_owner()`, `_like(terms)` (an element over the same
+    owner from terms that hold no zero), `one()`, its own product and its
+    text; one that accepts scalar operands also supplies `_lift`.  Operands
+    over different owners raise RangeError, and compare unequal.
+    `tring.TElement` stores integer numerators instead of Scalars; it
+    writes its own sums, negation, scaling, zero test, equality and hash,
+    and takes the rest from here."""
 
     __slots__ = ()
 
@@ -112,12 +130,13 @@ class Sparse:
 
 
 def axpy(a: dict, s: Scalar, b: dict) -> dict:
-    """a + s*b with zero entries dropped."""
+    """a + s*b with zero entries dropped; a must hold no zero entry."""
     return collect(((k, s * v) for k, v in b.items()), a)
 
 
 def row_reduce(rows: list[dict], field: FieldSpec) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot_columns), both sorted by pivot."""
+    """Reduced row echelon form; returns (rows, pivot_columns), both sorted by
+    pivot.  The rows must hold no zero entry (see `axpy`)."""
     reduced: list[dict] = []
     pivots: list[int] = []
     for row in rows:
@@ -140,7 +159,8 @@ def row_reduce(rows: list[dict], field: FieldSpec) -> tuple[list[dict], list[int
 
 
 def in_span(reduced: list[dict], pivots: list[int], vector: dict) -> bool:
-    """Membership of vector in the row span of an already reduced matrix."""
+    """Membership of vector, which holds no zero entry, in the row span of
+    an already reduced matrix."""
     r = dict(vector)
     for p, rr in zip(pivots, reduced):
         if p in r:
@@ -173,7 +193,8 @@ def nullspace(num_cols: int, entries, field: FieldSpec) -> list[dict]:
 def solve_unique(
     rows: list[dict], rhs: list[Scalar], num_unknowns: int, field: FieldSpec
 ) -> list[Scalar]:
-    """Solve the square-rank system row . x = rhs; raises NotInvertible otherwise."""
+    """Solve the square-rank system row . x = rhs; raises NotInvertible
+    otherwise.  The rows must hold no zero entry (see `row_reduce`)."""
     rhs_col = num_unknowns
     aug = []
     for row, b in zip(rows, rhs):

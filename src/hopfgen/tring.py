@@ -8,7 +8,9 @@ induced on coordinates, and the grading pulled back through the algebra.
 
 from __future__ import annotations
 
-from .arith import FieldSpec, Scalar, format_terms, scalar_from_strings, scalar_to_strings
+from math import gcd, lcm
+
+from .arith import FieldSpec, Scalar, _lowest, format_terms
 from .errors import NotInvertible, NotPointedOrder, OutOfLocalization, RangeError
 from .hopf import MAX_DIM, HopfAlgebra, center_table, hab_grading
 from .linalg import Sparse, collect, in_span, row_reduce
@@ -191,19 +193,48 @@ def power_product(factors, width: int) -> TMonomial:
 
 
 class TElement(Sparse):
-    """Finite Scalar-linear combination of monomials, kept in canonical form."""
+    """Finite linear combination of monomials with coefficients in Q(q).
 
-    __slots__ = ("ring", "terms")
+    The terms are held as integer numerators `num` over one positive
+    denominator `den`, keyed by one integer each: the packed key of the
+    monomial plus the exponent of q times 2^(width*dim), a field above all
+    variable fields.  That field is unbounded, so it never carries into a
+    variable field; `bound` bounds the absolute variable exponents of every
+    term, and `qmax` the exponents of q.  A term product is one key sum and
+    one integer product.  Distinct keys may stand for one value (q^n = 1,
+    and Phi_n(q) = 0), so the element is put into canonical form where its
+    value is observed: by the zero test, ==, hash, `terms`, text, `inverse`
+    and `evaluate`; and after a product whose powers of q reach 2n, so that
+    repeated products (a power by squaring) do not pile up keys that
+    canonical form would merge."""
+
+    __slots__ = ("ring", "num", "den", "bound", "qmax", "_reduced", "_terms")
 
     def __init__(self, ring: TRing, terms: dict[TMonomial, Scalar]):
-        self.ring = ring
-        self.terms = terms
+        """The element of a {monomial: Scalar} mapping; zero coefficients
+        are dropped."""
+        shift, w, half = ring.q_shift, ring.width, ring.half
+        den = lcm(*[c.den for c in terms.values()])
+        num = {}
+        bound = 0
+        for m, c in terms.items():
+            key = m.key
+            if m.width != w:
+                raise RangeError("monomials packed with different field widths")
+            if not -half < key < half:
+                raise RangeError("variable index out of range")
+            scale = den // c.den
+            for j, x in enumerate(c.num):
+                if x:
+                    num[key + (j << shift)] = x * scale
+            if m.bound > bound:
+                bound = m.bound
+        # Scalars are in lowest terms, so gcd(den, *num) is already one
+        self.ring, self.num, self.den, self.bound = ring, num, den, bound
+        self.qmax, self._reduced, self._terms = ring.field.degree - 1, True, None
 
     def _owner(self) -> TRing:
         return self.ring
-
-    def _like(self, terms: dict[TMonomial, Scalar]) -> TElement:
-        return TElement(self.ring, terms)
 
     def _scalar(self, other) -> Scalar | None:
         """other as a scalar of the ring's field, or None if it is not an
@@ -220,21 +251,157 @@ class TElement(Sparse):
     def one(self) -> TElement:
         return self.ring.one()
 
+    # -- canonical form ------------------------------------------------------
+
+    def _vectors(self) -> dict[int, list[int]]:
+        """Each monomial key mapped to the numerators of 1, q, ..., q^(d-1)
+        of its coefficient: q^k taken to q^(k mod n), then reduced modulo
+        Phi_n; in the order in which the monomials first appear."""
+        ring = self.ring
+        shift, half, mask = ring.q_shift, ring.half, ring.mask
+        qpow, n, d = ring.q_powers, ring.field.n, ring.field.degree
+        vecs: dict[int, list[int]] = {}
+        for key, c in self.num.items():
+            m = ((key + half) & mask) - half
+            vec = vecs.get(m)
+            if vec is None:
+                vec = vecs[m] = [0] * d
+            for j, r in qpow[((key - m) >> shift) % n]:
+                vec[j] += c * r
+        return vecs
+
+    def _reduce(self) -> None:
+        """Replace num and den by the canonical form of the same value, in
+        which equal values have equal num and den: no power of q beyond
+        q^(d-1), no zero numerator, num and den in lowest terms."""
+        if self._reduced:
+            return
+        shift = self.ring.q_shift
+        num = {
+            m + (j << shift): c for m, vec in self._vectors().items() for j, c in enumerate(vec) if c
+        }
+        den = self.den
+        if den != 1:
+            num, den = _lowest_terms(num, den)
+        self.num, self.den = num, den
+        self.qmax = self.ring.field.degree - 1
+        self._reduced = True
+
+    @property
+    def terms(self) -> dict[TMonomial, Scalar]:
+        """The canonical terms: each monomial mapped to its nonzero
+        coefficient, in the order in which the monomials first appear."""
+        if self._terms is None:
+            self._reduce()
+            ring = self.ring
+            field, bound, w, den = ring.field, self.bound, ring.width, self.den
+            self._terms = {
+                _packed(m, bound, w): _lowest(field, tuple(vec), den)
+                for m, vec in self._vectors().items()
+            }
+        return self._terms
+
+    @property
+    def is_zero(self) -> bool:
+        self._reduce()
+        return not self.num
+
+    def __bool__(self):
+        return not self.is_zero
+
+    def __eq__(self, other):
+        if other.__class__ is not TElement:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        elif other.ring is not self.ring:
+            return False
+        if self._reduced and other._reduced:
+            return self.den == other.den and self.num == other.num
+        # the raw keys of two sides of an identity mostly cancel, so only
+        # what is left of the difference is put into canonical form
+        return (self - other).is_zero
+
+    def __hash__(self):
+        self._reduce()
+        return hash((self.den, frozenset(self.num.items())))
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def __add__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        a, b = self.num, o.num
+        if not b:
+            return self
+        if not a:
+            return o
+        da, db = self.den, o.den
+        if da != db:
+            a = {k: c * db for k, c in a.items()}
+            b = {k: c * da for k, c in b.items()}
+            da *= db
+        num = dict(a)
+        get = num.get
+        # the keys of b are distinct, so only the key just summed can vanish
+        for k, c in b.items():
+            s = get(k, 0) + c
+            if s:
+                num[k] = s
+            else:
+                del num[k]
+        return _element(self.ring, num, da, max(self.bound, o.bound), max(self.qmax, o.qmax))
+
+    def __neg__(self):
+        num = {k: -c for k, c in self.num.items()}
+        return _element(self.ring, num, self.den, self.bound, self.qmax, self._reduced)
+
+    def scaled(self, s: Scalar) -> TElement:
+        """self times the scalar s: zero for zero, self itself for one."""
+        if not s:
+            return self.ring.zero()
+        if s == s.field.one:
+            return self
+        return self * self.ring.scalar(s)
+
     def __mul__(self, other):
         if other.__class__ is not TElement:
             s = self._scalar(other)
             return NotImplemented if s is None else self.scaled(s)
-        a, b = self.terms, self._operand(other).terms
-        if len(a) == 1 and len(b) == 1:
-            # stored coefficients are nonzero and the field has no zero
-            # divisors, so the product of two terms is one term
-            ((m1, c1),) = a.items()
-            ((m2, c2),) = b.items()
-            return TElement(self.ring, {m1.mul(m2): c1 * c2})
-        return TElement(
-            self.ring,
-            collect((m1.mul(m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items()),
-        )
+        ring = self.ring
+        if other.ring is not ring:
+            raise RangeError("TElement operands over different algebras")
+        bound = self.bound + other.bound
+        if bound >> (ring.width - 1):
+            # no room left in a field: the monomial products sum exponents
+            # exactly, and one that leaves its field raises RangeError
+            return TElement(ring, collect(
+                (m1.mul(m2), c1 * c2)
+                for m1, c1 in self.terms.items()
+                for m2, c2 in other.terms.items()
+            ))
+        a, b = self.num, other.num
+        # stored numerators are nonzero integers, so a product by a single
+        # term has no zero and no repeated key
+        if len(a) == 1:
+            ((ka, ca),) = a.items()
+            num = {ka + kb: ca * cb for kb, cb in b.items()}
+        elif len(b) == 1:
+            ((kb, cb),) = b.items()
+            num = {ka + kb: ca * cb for ka, ca in a.items()}
+        else:
+            num = {}
+            for ka, ca in a.items():
+                for kb, cb in b.items():
+                    k = ka + kb
+                    if k in num:
+                        num[k] += ca * cb
+                    else:
+                        num[k] = ca * cb
+            for k in [k for k, c in num.items() if not c]:
+                del num[k]
+        return _element(ring, num, self.den * other.den, bound, self.qmax + other.qmax)
 
     __rmul__ = __mul__
 
@@ -252,9 +419,11 @@ class TElement(Sparse):
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        if len(self.terms) == 1:
-            ((m, c),) = self.terms.items()
-            return TElement(self.ring, {m.pow(k): c**k})
+        if len(self.num) == 1:
+            bound = self.bound * k
+            if not bound >> (self.ring.width - 1):
+                ((key, c),) = self.num.items()
+                return _element(self.ring, {key * k: c**k}, self.den**k, bound, self.qmax * k)
         return super().__pow__(k)
 
     def inverse(self) -> TElement:
@@ -276,46 +445,68 @@ class TElement(Sparse):
             for m in sorted(self.terms)
         )
 
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"coeff": scalar_to_strings(c), "exps": [list(p) for p in m.exps]}
-                for m, c in sorted(self.terms.items(), key=lambda kv: kv[0].exps)
-            ]
-        }
-
     def __repr__(self):
         return f"<TElement {self.to_text()}>"
 
 
-def telement_from_json(ring: TRing, data: dict) -> TElement:
-    """The element of a `to_json` payload.  The number of terms, every
-    variable index and every exponent are checked (RangeError) before any
-    coefficient is parsed."""
-    terms = data["terms"]
-    if len(terms) > PRODUCT_BUDGET:
-        raise RangeError(f"{len(terms)} terms exceed the budget of {PRODUCT_BUDGET}")
-    mons = [ring.monomial([(int(i), int(e)) for i, e in term["exps"]]) for term in terms]
-    return TElement(
-        ring,
-        collect(
-            (m, scalar_from_strings(ring.field, term["coeff"])) for m, term in zip(mons, terms)
-        ),
-    )
+def _lowest_terms(num: dict, den: int) -> tuple[dict, int]:
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {k: c // g for k, c in num.items()}
+        den //= g
+    return num, den
+
+
+def _element(
+    ring: TRing, num: dict, den: int, bound: int, qmax: int, reduced: bool = False
+) -> TElement:
+    """The element num/den, with num and den brought to lowest terms, and
+    put into canonical form if its powers of q may reach 2n."""
+    if den != 1:
+        num, den = _lowest_terms(num, den)
+    out = _new(TElement)
+    out.ring = ring
+    out.num = num
+    out.den = den
+    out.bound = bound
+    out.qmax = qmax
+    # over a field of degree one no key carries a power of q, so every
+    # element is born in canonical form
+    out._reduced = reduced or ring.rational
+    out._terms = None
+    if qmax >= ring.q_limit:
+        out._reduce()
+    return out
 
 
 class TRing:
     """The coordinate ring of a fixed Hopf algebra instance; its monomials
     are packed with `width` bits per variable."""
 
-    __slots__ = ("hopf", "field", "grouplike_set", "width", "_unit", "_tinv", "_grading")
+    __slots__ = (
+        "hopf", "field", "grouplike_set", "width", "q_shift", "half", "mask", "q_powers",
+        "rational", "q_limit", "_unit", "_vars", "_tinv", "_grading",
+    )
 
     def __init__(self, hopf: HopfAlgebra):
         self.hopf = hopf
-        self.field: FieldSpec = hopf.field
+        field = self.field = hopf.field
         self.grouplike_set = set(hopf.grouplikes)
         self.width = field_width(hopf.dim)
+        # an element's term key is a monomial key plus the exponent of q
+        # times 2^q_shift; the balanced residue modulo 2^q_shift of a key
+        # (`half` and `mask`) is its monomial key
+        self.q_shift = self.width * hopf.dim
+        self.half = 1 << (self.q_shift - 1)
+        self.mask = (1 << self.q_shift) - 1
+        # q^k for 0 <= k < n as its nonzero (j, c) numerators of 1, ..., q^(d-1)
+        self.q_powers = tuple(
+            tuple((j, c) for j, c in enumerate(field.q_power(k).num) if c) for k in range(field.n)
+        )
+        self.rational = field.degree == 1
+        self.q_limit = 2 * field.n
         self._unit = TMonomial((), self.width)
+        self._vars = tuple(self._var(i, 1) for i in range(hopf.dim))
         self._tinv: list[TElement] | None = None
         self._grading = None
 
@@ -341,19 +532,27 @@ class TRing:
                 raise OutOfLocalization(f"t[{self.hopf.labels[i]}] is not invertible")
 
     def element(self, terms: dict[TMonomial, Scalar]) -> TElement:
-        return TElement(self, {m: c for m, c in terms.items() if not c.is_zero})
+        return TElement(self, terms)
 
     def zero(self) -> TElement:
-        return TElement(self, {})
+        return _element(self, {}, 1, 0, 0, True)
 
     def one(self) -> TElement:
-        return TElement(self, {self._unit: self.field.one})
+        return _element(self, {0: 1}, 1, 0, 0, True)
 
     def scalar(self, c: Scalar) -> TElement:
-        return self.element({self._unit: c})
+        shift = self.q_shift
+        num = {j << shift: x for j, x in enumerate(c.num) if x}
+        return _element(self, num, c.den, 0, self.field.degree - 1, True)
 
     def var(self, index: int, exp: int = 1) -> TElement:
-        return TElement(self, {self.monomial([(index, exp)]): self.field.one})
+        if exp == 1 and 0 <= index < len(self._vars):
+            return self._vars[index]
+        return self._var(index, exp)
+
+    def _var(self, index: int, exp: int) -> TElement:
+        m = self.monomial([(index, exp)])
+        return _element(self, {m.key: 1}, 1, m.bound, 0, True)
 
     def t_inverse(self, index: int) -> TElement:
         if self._tinv is None:
@@ -460,12 +659,6 @@ def t_ring(hopf: HopfAlgebra) -> TRing:
 def t_inverse_map(hopf: HopfAlgebra) -> tuple[TElement, ...]:
     ring = t_ring(hopf)
     return tuple(ring.t_inverse(i) for i in range(hopf.dim))
-
-
-def s_coproduct(hopf: HopfAlgebra, elem: TElement) -> dict[tuple[TMonomial, TMonomial], Scalar]:
-    if elem.ring.hopf is not hopf:
-        raise RangeError("element belongs to a different algebra's coordinate ring")
-    return elem.ring.coproduct(elem)
 
 
 def verify_t_inverse(hopf: HopfAlgebra) -> Report:
@@ -617,9 +810,6 @@ class TensorOps:
 
     def term(self, coeff: TElement, index: int) -> TensorH:
         return TensorH.from_element(self.ring, self.algebra, coeff, index)
-
-    def var_tensor(self, var_index: int, basis_index: int) -> TensorH:
-        return self.term(self.ring.var(var_index), basis_index)
 
 
 def tensor_ops(algebra) -> TensorOps:

@@ -9,8 +9,8 @@ differential tests in `test_fast_paths.py`, `test_packed_monomials.py`,
 - `reference_scaled`: every coefficient times the scalar, through `collect`.
 - `ReferenceMonomial`: the coordinate monomial as a sorted tuple of
   (variable, exponent) pairs, merged on every product, which the packed
-  integer key of `tring.TMonomial` replaced; with `reference_to_text` and
-  `reference_to_json`, the text and JSON of an element over such monomials.
+  integer key of `tring.TMonomial` replaced; with `reference_to_text`, the
+  text of an element over such monomials.
 - `reference_remultiply`: a decomposition witness multiplied back through
   ring arithmetic, one `TElement` power and product per generator.
 - `reference_degree_of`: the grading degree of an exponent vector folded
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hopfgen.arith import Scalar, format_terms, q_binomial, scalar_to_strings
+from hopfgen.arith import Scalar, format_terms, q_binomial
 from hopfgen.errors import IndexMismatch
 from hopfgen.groups import FiniteAbelianGroup, abelianization
 from hopfgen.identities import NCPoly, symbol
@@ -167,15 +167,6 @@ def reference_to_text(labels, terms: dict[ReferenceMonomial, Scalar]) -> str:
         )
         for m in sorted(terms)
     )
-
-
-def reference_to_json(terms: dict[ReferenceMonomial, Scalar]) -> dict:
-    return {
-        "terms": [
-            {"coeff": scalar_to_strings(c), "exps": [list(p) for p in m.exps]}
-            for m, c in sorted(terms.items(), key=lambda kv: kv[0].exps)
-        ]
-    }
 
 
 def reference_remultiply(witness) -> TElement:

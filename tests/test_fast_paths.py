@@ -28,7 +28,7 @@ from hopfgen.errors import OutOfLocalization, RangeError
 from hopfgen.groups import symmetric
 from hopfgen.hopf import check_product, e_algebra, group_algebra, taft
 from hopfgen.selftest import standard_instances
-from hopfgen.tring import TElement, TMonomial, t_inverse_map, t_ring, telement_from_json
+from hopfgen.tring import TElement, TMonomial, t_inverse_map, t_ring
 
 # -- check_product -------------------------------------------------------------
 
@@ -241,8 +241,8 @@ def test_no_coordinate_ring_constructor_stores_a_zero(data, name):
         gl.inverse(),
         a / gl,
         a / field.q,
-        telement_from_json(ring, (a - a).to_json()),
-        telement_from_json(ring, (a + b).to_json()),
+        ring.element((a - a).terms),
+        ring.element((a + b).terms),
         *t_inverse_map(h),
     ]
     for elem in built:

@@ -93,13 +93,27 @@ def cancelling_pairs(draw, field, keys):
     return draw(st.permutations(pairs + [(k, -c) for k, c in cancel]))
 
 
+def sweep_everything_collect(pairs, base=None):
+    """Reference: `collect` as it was before it swept only the keys that
+    `pairs` touch, testing every entry of the result for zero."""
+    out = {} if base is None else dict(base)
+    get = out.get
+    for k, c in pairs:
+        cur = get(k)
+        out[k] = c if cur is None else cur + c
+    for k in [k for k, c in out.items() if not c]:
+        del out[k]
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.sampled_from([1, 3, 4]), with_base=st.booleans())
 def test_collect_matches_the_parent_accumulator(data, n, with_base):
     field = make_field(n)
     keys = st.integers(0, 5)
     pairs = data.draw(cancelling_pairs(field, keys))
-    base = dict(data.draw(cancelling_pairs(field, keys))) if with_base else None
+    # collect's precondition: a base holds no zero
+    base = parent_accumulate(data.draw(cancelling_pairs(field, keys))) if with_base else None
     frozen = dict(base) if base is not None else None
     got = collect(iter(pairs), base)
     want = parent_accumulate(pairs, base)
@@ -108,10 +122,35 @@ def test_collect_matches_the_parent_accumulator(data, n, with_base):
     assert base == frozen
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 3, 4]), keys=st.integers(1, 40))
+def test_collect_matches_the_sweep_everything_reference(data, n, keys):
+    """Long bases and few pairs, integer or Scalar coefficients: the same
+    items in the same order as sweeping every entry."""
+    field = make_field(n)
+    key = st.integers(0, keys)
+    if data.draw(st.booleans()):
+        coeffs = st.integers(-2, 2)
+        pairs = data.draw(st.lists(st.tuples(key, coeffs), max_size=6))
+        base = {k: c for k, c in data.draw(st.dictionaries(key, coeffs)).items() if c}
+    else:
+        pairs = data.draw(cancelling_pairs(field, key))
+        base = parent_accumulate(data.draw(cancelling_pairs(field, key)))
+    if base:
+        # pairs that cancel entries of the base
+        cancel = data.draw(st.lists(st.sampled_from(sorted(base)), max_size=4))
+        pairs = pairs + [(k, -base[k]) for k in cancel]
+    pairs = data.draw(st.permutations(pairs))
+    for b in (base, None):
+        got = collect(iter(pairs), b)
+        assert list(got.items()) == list(sweep_everything_collect(pairs, b).items())
+        assert all(got.values())
+
+
 def test_collect_drops_cancelled_and_zero_terms():
     f = make_field(3)
     q = f.q
-    got = collect([(1, q), (2, f.one), (1, -q), (3, f.zero)], base={4: f.zero, 2: q})
+    got = collect([(1, q), (2, f.one), (1, -q), (3, f.zero), (4, -q)], base={4: q, 2: q})
     assert got == {2: q + f.one}
 
 
