@@ -48,6 +48,8 @@ COMMANDS = (
     + [["ygroup", "--check", "--group", spec]
        for spec in ("sym:4", "cyclic:20", "product:cyclic:2,alt:4", "dihedral:9")]
     + [[verb, *KLEIN] for verb in ("describe", "axioms")]
+    # the axiom battery where its generating middle factors are fewest for the dimension
+    + [["axioms", "--family", fam] for fam in ("taft:5", "e:4", "group:sym:4")]
     + [["base", "--check", "all", *KLEIN], ["base", "--check", "all", *CYCLIC4]]
 )
 

@@ -211,9 +211,6 @@ class FiniteAbelianGroup:
             (x + y) % d for x, y, d in zip(a, b, self.invariant_factors)
         )
 
-    def scale(self, a: tuple[int, ...], k: int) -> tuple[int, ...]:
-        return tuple((x * k) % d for x, d in zip(a, self.invariant_factors))
-
     def combination(self, terms) -> tuple[int, ...]:
         """The element sum(e * img) over (img, e) pairs: integer sums per
         cyclic factor, each reduced modulo its factor once."""

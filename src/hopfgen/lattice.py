@@ -98,10 +98,6 @@ def hnf_basis(rows: list[list[int]]) -> list[list[int]]:
     return [r for r in h if any(r)]
 
 
-def lattices_equal(gens_a: list[list[int]], gens_b: list[list[int]]) -> bool:
-    return hnf_basis(gens_a) == hnf_basis(gens_b)
-
-
 class ReducedBasis:
     """The Hermite form of one lattice basis, kept to solve x @ basis == v
     for many right-hand sides v (Cohen, GTM 138, section 2.4)."""

@@ -628,13 +628,19 @@ class TRing:
 
     def evaluate(self, elem: TElement, values: list[Scalar]) -> Scalar:
         """Substitute one field value per variable; negative exponents
-        require the substituted value to be invertible."""
+        require the substituted value to be invertible.  Each power of a
+        value is computed once per call, however many terms share it."""
+        powers: dict[tuple[int, int], Scalar] = {}
         total = self.field.zero
         for m, c in elem.terms.items():
             term = c
-            for i, e in m.exps:
-                v = values[i]
-                term = term * (v.inverse() ** (-e) if e < 0 else v**e)
+            for ie in m.exps:
+                p = powers.get(ie)
+                if p is None:
+                    i, e = ie
+                    v = values[i]
+                    p = powers[ie] = v.inverse() ** (-e) if e < 0 else v**e
+                term = term * p
             total = total + term
         return total
 

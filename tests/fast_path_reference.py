@@ -4,6 +4,10 @@ differential tests in `test_fast_paths.py`, `test_packed_monomials.py`,
 `test_lattice_once.py` and `test_one_elimination.py`.
 
 - `reference_check_product`: one `collect` per basis triple (i, j, k).
+- `reference_verify_hopf_axioms`: the axiom battery with every pair check
+  over all dim^2 basis pairs, which the generating middle factors of
+  `hopf.generating_middles` replaced; its associativity check is
+  `reference_check_product`.
 - `reference_mul` and `reference_pow`: every `TElement` product through
   `collect`, every power by repeated squaring from the ring's one.
 - `reference_scaled`: every coefficient times the scalar, through `collect`.
@@ -14,8 +18,11 @@ differential tests in `test_fast_paths.py`, `test_packed_monomials.py`,
 - `reference_remultiply`: a decomposition witness multiplied back through
   ring arithmetic, one `TElement` power and product per generator.
 - `reference_degree_of`: the grading degree of an exponent vector folded
-  through the group, one `scale` and one `add` per entry, which
+  through the group, one `reference_scale` (the former
+  `FiniteAbelianGroup.scale`) and one `add` per entry, which
   `FiniteAbelianGroup.combination` replaced.
+- `lattices_equal`: whether two generating sets span the same lattice,
+  by comparing their `hnf_basis`; only the lattice tests use it.
 - `reference_det_int` (Bareiss elimination) and
   `reference_int_inverse_unimodular` (Gauss-Jordan over `Fraction`), which
   the pivots and the `U` of the Hermite form replaced.
@@ -34,8 +41,11 @@ from fractions import Fraction
 from hopfgen.arith import Scalar, format_terms, q_binomial
 from hopfgen.errors import IndexMismatch
 from hopfgen.groups import FiniteAbelianGroup, abelianization
+from hopfgen.hopf import hab_grading
 from hopfgen.identities import NCPoly, symbol
+from hopfgen.lattice import hnf_basis
 from hopfgen.linalg import collect
+from hopfgen.report import Report
 from hopfgen.tring import TElement, t_ring
 
 
@@ -61,6 +71,111 @@ def reference_check_product(
                 if left != right:
                     return unital, (i, j, k)
     return unital, None
+
+
+def reference_verify_hopf_axioms(h, include_grading: bool = True) -> Report:
+    """Exhaustive exact check of every Hopf axiom on the tables.  A failing
+    check names its first counterexample in loop order: a basis element,
+    pair or triple."""
+    rep = Report(title=h.name or "hopf")
+    field = h.field
+    dim = h.dim
+    elements = [(i,) for i in range(dim)]
+    pairs = [(i, j) for i in range(dim) for j in range(dim)]
+
+    def first(keys, fails):
+        return next((key for key in keys if fails(*key)), None)
+
+    def add(name: str, bad) -> None:
+        if bad is None:
+            rep.add(name, True)
+        else:
+            rep.add(name, False, "fails at ({})".format(", ".join(h.labels[i] for i in bad)))
+
+    unital, bad = reference_check_product(dim, h.mult, h.unit_index, field.one)
+    add("associativity", bad)
+    rep.add("unit", unital)
+
+    def coassociativity_fails(i):
+        left = collect(
+            ((a, b, k), c * cc) for j, k, c in h.comult[i] for a, b, cc in h.comult[j]
+        )
+        right = collect(
+            ((j, a, b), c * cc) for j, k, c in h.comult[i] for a, b, cc in h.comult[k]
+        )
+        return left != right
+
+    add("coassociativity", first(elements, coassociativity_fails))
+
+    def counit_fails(i):
+        lhs = collect((k, c * h.counit[j]) for j, k, c in h.comult[i])
+        rhs = collect((j, c * h.counit[k]) for j, k, c in h.comult[i])
+        return lhs != {i: field.one} or rhs != {i: field.one}
+
+    add("counit", first(elements, counit_fails))
+
+    def comult_multiplicative_fails(i, j):
+        want = collect(
+            ((k1, k2), ca * cb * c1 * c2)
+            for a, b, ca in h.comult[i]
+            for c_, d_, cb in h.comult[j]
+            for k1, c1 in h.mult.get((a, c_), ())
+            for k2, c2 in h.mult.get((b, d_), ())
+        )
+        return want != h.comult_dict(dict(h.mult.get((i, j), ())))
+
+    add("comult-multiplicative", first(pairs, comult_multiplicative_fails))
+
+    bad = first(
+        pairs,
+        lambda i, j: h.counit_dict(dict(h.mult.get((i, j), ()))) != h.counit[i] * h.counit[j],
+    )
+    if bad is None and h.counit[h.unit_index] != field.one:
+        bad = (h.unit_index,)
+    add("counit-multiplicative", bad)
+
+    def add_antipode(name: str, product) -> None:
+        def fails(i):
+            acc = collect(kv for j, k, c in h.comult[i] for kv in product(j, k, c).items())
+            return acc != ({h.unit_index: h.counit[i]} if not h.counit[i].is_zero else {})
+
+        add(name, first(elements, fails))
+
+    add_antipode(
+        "antipode-left",
+        lambda j, k, c: h.multiply_dicts(h.antipode_dict({j: c}), {k: field.one}),
+    )
+    add_antipode(
+        "antipode-right",
+        lambda j, k, c: h.multiply_dicts({j: field.one}, h.antipode_dict({k: c})),
+    )
+
+    gl = set(h.grouplikes)
+    ok = h.unit_index in gl and all(
+        set(k for k, _ in h.mult.get((g, g2), ())) <= gl for g in gl for g2 in gl
+    )
+    rep.add("grouplikes-closed", ok)
+
+    if include_grading and h.family.get("kind") in ("taft", "e", "monomial", "group"):
+        ab, deg = hab_grading(h)
+        bad = first(
+            h.mult,
+            lambda i, j: any(deg[k] != ab.add(deg[i], deg[j]) for k, _ in h.mult[(i, j)]),
+        )
+
+        def coaction_fails(i):
+            # the grading is the coaction along the group-like quotient:
+            # projecting the right comult leg must give b_i tensor its class
+            diag = [(j, k, c) for j, k, c in h.comult[i] if k in gl]
+            if len(diag) != 1:
+                return True
+            j, k, c = diag[0]
+            return j != i or c != field.one or deg[k] != deg[i]
+
+        if bad is None:
+            bad = first(elements, coaction_fails)
+        add("grading", bad)
+    return rep
 
 
 def reference_mul(self: TElement, other: TElement) -> TElement:
@@ -185,11 +300,19 @@ def reference_remultiply(witness) -> TElement:
     return out
 
 
+def reference_scale(ab: FiniteAbelianGroup, a: tuple[int, ...], k: int) -> tuple[int, ...]:
+    return tuple((x * k) % d for x, d in zip(a, ab.invariant_factors))
+
+
 def reference_degree_of(ab, proj, v: list[int]):
     total = ab.identity
     for g, e in enumerate(v):
-        total = ab.add(total, ab.scale(proj[g], e))
+        total = ab.add(total, reference_scale(ab, proj[g], e))
     return total
+
+
+def lattices_equal(gens_a: list[list[int]], gens_b: list[list[int]]) -> bool:
+    return hnf_basis(gens_a) == hnf_basis(gens_b)
 
 
 def reference_det_int(m: list[list[int]]) -> int:

@@ -1,9 +1,16 @@
 """Differential tests of the no-op fast paths against the general routines
 they bypass (`fast_path_reference.py`, `scalar_reference.py`).
 
-- `check_product` sums each basis pair (i, j) once over all k and must
-  report the same unit flag and the same first non-associative triple as
-  the triple loop, on every roster table and on corrupted tables.
+- `check_product` sums each basis pair (i, j) once over all k, with j in
+  the generating middle set first, and must report the same unit flag and
+  the same first non-associative triple as the triple loop, on every
+  roster table, on a table whose products have several terms and on
+  corrupted tables.  `generating_middles` must reach every basis element
+  from the unit.
+- `verify_hopf_axioms` checks its pair identities on the generating
+  middle factors only; its report must equal that of the battery over all
+  basis pairs, on intact tables and with one mult, comult or counit entry
+  corrupted.
 - A product of two single-term `TElement`s, and a power of one, skip
   `collect`; they must give the same dict as the general path.  So does a
   `TElement` times a scalar: zero, the field's one, or any other.
@@ -13,24 +20,63 @@ they bypass (`fast_path_reference.py`, `scalar_reference.py`).
   zero coefficient, which the single-term product relies on.
 """
 
+import re
 from fractions import Fraction
 
 import fast_path_reference as ref
 import pytest
 import scalar_reference
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_scalar_reference import assert_same, scalar_pairs
 
 from hopfgen.arith import make_field
 from hopfgen.cocycle import coboundary_cocycle, twisted_algebra
-from hopfgen.errors import OutOfLocalization, RangeError
+from hopfgen.errors import NotPointedOrder, OutOfLocalization, RangeError
 from hopfgen.groups import symmetric
-from hopfgen.hopf import check_product, e_algebra, group_algebra, taft
+from hopfgen.hopf import (
+    HopfAlgebra,
+    check_product,
+    e_algebra,
+    generating_middles,
+    group_algebra,
+    taft,
+    verify_hopf_axioms,
+)
 from hopfgen.selftest import standard_instances
 from hopfgen.tring import TElement, TMonomial, t_inverse_map, t_ring
 
-# -- check_product -------------------------------------------------------------
+# -- check_product, generating_middles and the axiom battery -------------------
+
+
+def two_term_table(order: int) -> tuple[int, dict]:
+    """The product of k[Z/order] on the basis 1, 1 + a, ..., 1 + a^(order-1):
+    for odd order no product of two basis elements other than 1 is a single
+    term, so the greedy middle set is the whole basis."""
+    field = make_field(1)
+    one, zero = field.one, field.zero
+
+    def vec(g):  # the basis element 1 + a^g (the unit for g = 0) over the group basis
+        return {0: one} if g == 0 else {0: one, g: one}
+
+    def in_basis(v):  # group coordinates back to the shifted basis
+        out = {g: c for g, c in v.items() if g}
+        out[0] = v.get(0, zero) - sum(out.values(), zero)
+        return tuple(sorted((g, c) for g, c in out.items() if not c.is_zero))
+
+    mult = {}
+    for i in range(order):
+        for j in range(order):
+            prod = {}
+            for g, c in vec(i).items():
+                for h, d in vec(j).items():
+                    k = (g + h) % order
+                    prod[k] = prod.get(k, zero) + c * d
+            mult[(i, j)] = in_basis(prod)
+    return order, mult
+
+
+TWO_TERM = two_term_table(5)
 
 
 @pytest.mark.parametrize("name,h", standard_instances(), ids=[n for n, _ in standard_instances()])
@@ -47,40 +93,172 @@ def test_check_product_matches_the_triple_loop_on_twisted_tables(seed):
     assert check_product(*args) == ref.reference_check_product(*args)
 
 
-SMALL = {"taft3": taft(3), "e2": e_algebra(2), "kS3": group_algebra(symmetric(3))}
+def test_check_product_matches_the_triple_loop_on_a_table_of_two_term_products():
+    dim, mult = TWO_TERM
+    assert generating_middles(dim, mult, 0) == list(range(dim))
+    args = (dim, mult, 0, make_field(1).one)
+    assert check_product(*args) == ref.reference_check_product(*args) == (True, None)
+
+
+def reached_from_unit(dim, mult, unit_index, middles):
+    """The basis indices reached from the unit by single-term left products
+    b_s b_j = c b_k, c != 0, with s in middles: an independent closure."""
+    reached = {unit_index}
+    grew = True
+    while grew:
+        grew = False
+        for s in middles:
+            for j in list(reached):
+                terms = mult.get((s, j), ())
+                if len(terms) == 1 and not terms[0][1].is_zero and terms[0][0] not in reached:
+                    reached.add(terms[0][0])
+                    grew = True
+    return reached
+
+
+def certificate_cases():
+    cases = [(name, h.dim, h.mult, h.unit_index) for name, h in standard_instances()]
+    h = group_algebra(symmetric(3))
+    for seed in (1, 3, 5):
+        mult = twisted_algebra(h, coboundary_cocycle(h, seed), verify=False).mult
+        cases.append((f"twisted k[S3] seed {seed}", h.dim, mult, h.unit_index))
+    return cases
+
+
+@pytest.mark.parametrize("case", certificate_cases(), ids=lambda case: case[0])
+def test_generating_middles_reach_every_basis_element(case):
+    name, dim, mult, unit = case
+    middles = generating_middles(dim, mult, unit)
+    assert middles[0] == unit and len(set(middles)) == len(middles)
+    assert reached_from_unit(dim, mult, unit, middles) == set(range(dim))
+    # greedy in basis order: each generator after the unit is the first
+    # index that the generators before it do not reach
+    for t in range(1, len(middles)):
+        unreached = set(range(dim)) - reached_from_unit(dim, mult, unit, middles[:t])
+        assert middles[t] == min(unreached)
+    if name.startswith("taft("):
+        assert len(middles) == 3
+    elif name.startswith("e("):
+        assert len(middles) == int(name[2:-1]) + 2
+    elif re.fullmatch(r"k\[Z/\d+\]", name) and dim > 1:
+        assert len(middles) == 2
+
+
+SMALL = {
+    "taft3": taft(3),
+    "e2": e_algebra(2),
+    "kS3": group_algebra(symmetric(3)),
+    "monomial": dict(standard_instances())["monomial(Klein,2)"],
+}
 
 
 @st.composite
-def corrupted_tables(draw):
-    """A structure table of a small algebra with one entry changed: its
-    coefficient scaled, its target moved, the entry dropped, or an entry
-    added where the product was zero."""
+def corrupted_tables(draw, parts=("mult",)):
+    """A small algebra and its tables with one entry of one table in parts
+    changed.  A mult entry: its coefficient scaled, its target moved, the
+    entry dropped, or an entry added where the product was zero.  A comult
+    term: its coefficient scaled, one of its legs moved, or the term
+    dropped.  A counit value: replaced by another."""
     h = SMALL[draw(st.sampled_from(sorted(SMALL)))]
     field, dim = h.field, h.dim
-    mult = dict(h.mult)
-    key = (draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)))
-    terms = mult.get(key, ())
-    kind = draw(st.sampled_from(["scale", "move", "drop"]) if terms else st.just("add"))
-    if kind == "scale":
-        factor = draw(st.sampled_from([field.q, -field.one, field.scalar(2)]))
-        (k, c), *rest = terms
-        mult[key] = ((k, c * factor), *rest)
-    elif kind == "move":
-        (k, c), *rest = terms
-        mult[key] = ((draw(st.integers(0, dim - 1)), c), *rest)
-    elif kind == "drop":
-        del mult[key]
+    tables = {"mult": dict(h.mult), "comult": list(h.comult), "counit": list(h.counit)}
+    factors = st.sampled_from([field.q, -field.one, field.scalar(2)])
+    index = st.integers(0, dim - 1)
+    part = draw(st.sampled_from(parts))
+    if part == "mult":
+        mult = tables["mult"]
+        key = (draw(index), draw(index))
+        terms = mult.get(key, ())
+        kind = draw(st.sampled_from(["scale", "move", "drop"]) if terms else st.just("add"))
+        if kind == "scale":
+            (k, c), *rest = terms
+            mult[key] = ((k, c * draw(factors)), *rest)
+        elif kind == "move":
+            (k, c), *rest = terms
+            mult[key] = ((draw(index), c), *rest)
+        elif kind == "drop":
+            del mult[key]
+        else:
+            mult[key] = ((draw(index), field.one),)
+    elif part == "comult":
+        i = draw(index)
+        row = list(tables["comult"][i])
+        t = draw(st.integers(0, len(row) - 1))
+        j, k, c = row[t]
+        kind = draw(st.sampled_from(["scale", "move left", "move right", "drop"]))
+        if kind == "scale":
+            row[t] = (j, k, c * draw(factors))
+        elif kind == "move left":
+            row[t] = (draw(index), k, c)
+        elif kind == "move right":
+            row[t] = (j, draw(index), c)
+        else:
+            del row[t]
+        tables["comult"][i] = tuple(row)
     else:
-        mult[key] = ((draw(st.integers(0, dim - 1)), field.one),)
-    return h, mult
+        i = draw(index)
+        tables["counit"][i] = draw(st.sampled_from([field.zero, field.one, field.q]))
+    return h, tables
 
 
 @settings(max_examples=60, deadline=None)
 @given(corrupted_tables())
 def test_check_product_matches_the_triple_loop_on_corrupted_tables(case):
-    h, mult = case
-    args = (h.dim, mult, h.unit_index, h.field.one)
+    h, tables = case
+    args = (h.dim, tables["mult"], h.unit_index, h.field.one)
     assert check_product(*args) == ref.reference_check_product(*args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_check_product_matches_the_triple_loop_on_corrupted_two_term_tables(data):
+    dim, mult = TWO_TERM
+    one = make_field(1).one
+    mult = dict(mult)
+    key = (data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1)))
+    (k, c), *rest = mult[key]
+    mult[key] = ((k, c * data.draw(st.sampled_from([-one, one + one]))), *rest)
+    args = (dim, mult, 0, one)
+    assert check_product(*args) == ref.reference_check_product(*args)
+
+
+def axiom_outcome(verify, h):
+    """The report of a battery as a dict, or the exception it raised: a
+    corrupted table may break the grading rule of its family."""
+    try:
+        return verify(h).to_dict()
+    except Exception as exc:  # noqa: BLE001 - both batteries must fail alike
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(corrupted_tables(parts=("mult", "comult", "counit")))
+def test_axiom_battery_matches_the_full_pair_scan_on_corrupted_tables(case):
+    h, tables = case
+    try:
+        broken = HopfAlgebra(
+            h.field,
+            h.labels,
+            tables["mult"],
+            tables["comult"],
+            tables["counit"],
+            h.unit_index,
+            h.family,
+            name=h.name,
+            antipode=h.antipode,
+        )
+    except NotPointedOrder:
+        # a group-like that lost its group-like inverse: no instance to check
+        assume(False)
+    assert axiom_outcome(verify_hopf_axioms, broken) == axiom_outcome(
+        ref.reference_verify_hopf_axioms, broken
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_axiom_battery_matches_the_full_pair_scan_on_intact_tables(name):
+    rep = verify_hopf_axioms(SMALL[name])
+    assert rep.ok and rep.to_dict() == ref.reference_verify_hopf_axioms(SMALL[name]).to_dict()
 
 
 # -- TElement and TMonomial ----------------------------------------------------

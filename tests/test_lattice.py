@@ -5,6 +5,7 @@ import signal
 from fractions import Fraction
 
 import pytest
+from fast_path_reference import lattices_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,6 @@ from hopfgen.lattice import (
     hnf,
     hnf_basis,
     int_inverse_unimodular,
-    lattices_equal,
     matmul_int,
     named_basis,
     pq_generation_check,
