@@ -16,10 +16,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .arith import Scalar, scalar_from_strings, scalar_to_strings
+from .arith import Scalar
 from .errors import CocycleMismatch, NotInvertible, RangeError, UnsupportedFamily
 from .hopf import HopfAlgebra, _canonical_terms, check_product
-from .linalg import collect, nullspace, solve_unique
+from .linalg import collect, solve_unique
 from .report import Report
 
 
@@ -65,24 +65,6 @@ class TwoCocycle:
 
     def inverse(self, i: int, j: int) -> Scalar:
         return self.inverse_values[i][j]
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "values": [[scalar_to_strings(v) for v in row] for row in self.values],
-        }
-
-    @classmethod
-    def from_json(cls, hopf: HopfAlgebra, data: dict, check: bool = True) -> "TwoCocycle":
-        """The cocycle of a `to_json` payload; its shape is checked before
-        any scalar is parsed."""
-        field = hopf.field
-        rows = data["values"]
-        dim = hopf.dim
-        if len(rows) != dim or any(len(row) != dim for row in rows):
-            raise RangeError("cocycle matrix must be dim x dim")
-        values = [[scalar_from_strings(field, v) for v in row] for row in rows]
-        return cls(hopf, values, check=check)
 
 
 def _values_of(alpha) -> list[list[Scalar]]:
@@ -312,15 +294,6 @@ class TwistedAlgebra:
     def is_coinvariant(self, a: dict[int, Scalar]) -> bool:
         want = {(i, self.hopf.unit_index): c for i, c in a.items() if not c.is_zero}
         return self.coaction(a) == want
-
-    def coinvariants(self) -> list[dict[int, Scalar]]:
-        hopf = self.hopf
-        dim = hopf.dim
-        # ((row, column), coeff): row j*dim + k is the b_j (x) b_k coordinate
-        # of coaction(a) - a (x) 1
-        entries = [((j * dim + k, i), c) for i in range(dim) for j, k, c in hopf.comult[i]]
-        entries += [((i * dim + hopf.unit_index, i), -hopf.field.one) for i in range(dim)]
-        return nullspace(dim, entries, hopf.field)
 
 
 def twisted_algebra(hopf: HopfAlgebra, alpha: TwoCocycle, verify: bool = True) -> TwistedAlgebra:

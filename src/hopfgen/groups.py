@@ -130,18 +130,8 @@ class FiniteGroup:
         self._order_cache[a] = k
         return k
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a)
-        )
-
     def is_central(self, x: int) -> bool:
         return all(self.mul(x, g) == self.mul(g, x) for g in range(self.order))
-
-    def conjugate(self, g: int, h: int) -> int:
-        return self.mul(self.mul(g, h), self.inv(g))
 
     def commutator(self, a: int, b: int) -> int:
         return self.mul(
@@ -457,34 +447,6 @@ def semidirect_product(
                         h.mul(i1, action[j1][i2]), k.mul(j1, j2)
                     )
     return FiniteGroup(labels, table, name=f"{h.name}:{k.name}")
-
-
-def embed_by_labels(sub: FiniteGroup, big: FiniteGroup) -> list[int]:
-    """Index map sub -> big matching elements by label; checked to be a
-    homomorphism."""
-    emb = [big.index_of(lbl) for lbl in sub.labels]
-    for a in range(sub.order):
-        for b in range(sub.order):
-            if emb[sub.mul(a, b)] != big.mul(emb[a], emb[b]):
-                raise UnknownLabel("label matching is not multiplicative")
-    return emb
-
-
-def conjugation_action(
-    big: FiniteGroup, sub: FiniteGroup, t_label: str
-) -> list[int]:
-    """Permutation of sub induced by conjugation by the element of big
-    with the given label.  Raises if conjugation does not preserve sub."""
-    emb = embed_by_labels(sub, big)
-    back = {e: i for i, e in enumerate(emb)}
-    t = big.index_of(t_label)
-    perm = []
-    for i in range(sub.order):
-        image = big.conjugate(t, emb[i])
-        if image not in back:
-            raise InvalidAction("conjugation leaves the subgroup")
-        perm.append(back[image])
-    return perm
 
 
 def group_from_spec(spec: str) -> FiniteGroup:

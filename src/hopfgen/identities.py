@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import Scalar, binary_power, format_terms, scalar_from_strings, scalar_to_strings
+from .arith import Scalar, binary_power, format_terms
 from .cocycle import TwoCocycle, TwistedAlgebra, require_cocycle_of, twisted_algebra
 from .errors import (
-    CocycleMismatch,
     NotHopfMap,
     ParseError,
     RangeError,
@@ -26,7 +25,7 @@ from .errors import (
 )
 from .hopf import HopfAlgebra, group_algebra
 from .linalg import Sparse, collect
-from .tring import PRODUCT_BUDGET, TElement, TensorH, check_product_budget, t_ring, tensor_ops
+from .tring import TensorH, check_product_budget, t_ring
 
 DEFAULT_WORD_CAP = 64
 
@@ -132,32 +131,8 @@ class NCPoly(Sparse):
             terms.append((self.terms[w], factors))
         return format_terms(terms)
 
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"word": list(w), "coeff": scalar_to_strings(c)}
-                for w, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-            ]
-        }
-
     def __repr__(self):
         return f"<NCPoly {self.to_text()}>"
-
-
-def ncpoly_from_json(hopf: HopfAlgebra, data: dict, cap: int = DEFAULT_WORD_CAP) -> NCPoly:
-    """The polynomial of a JSON payload.  The number of terms and the length
-    of every word are checked (RangeError) before any coefficient is
-    parsed."""
-    terms = data["terms"]
-    if len(terms) > PRODUCT_BUDGET:
-        raise RangeError(f"{len(terms)} terms exceed the budget of {PRODUCT_BUDGET}")
-    for term in terms:
-        _check_cap(len(term["word"]), cap)
-    pairs = (
-        (tuple(int(i) for i in term["word"]), scalar_from_strings(hopf.field, term["coeff"]))
-        for term in terms
-    )
-    return NCPoly(hopf, collect(pairs), cap)
 
 
 def basis_index(hopf: HopfAlgebra, label_or_index) -> int:
@@ -371,12 +346,13 @@ def mu(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> TensorH:
     if algebra._mu_images is None:
         algebra._mu_images = _letter_images(hopf, algebra)
     gen_images = algebra._mu_images
-    ops = tensor_ops(algebra)
+    zero = TensorH.zero(t_ring(hopf), algebra)
+    one = zero.one()
 
     def words(p: NCPoly) -> TensorH:
-        total = ops.zero()
+        total = zero
         for word, coeff in p.terms.items():
-            img = ops.one()
+            img = one
             for i in word:
                 img = img * gen_images[i]
             total = total + img.scale(coeff)
@@ -384,7 +360,7 @@ def mu(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> TensorH:
 
     if poly._tree is None:
         return words(poly)
-    return _evaluate(poly._tree, words, ops.one())
+    return _evaluate(poly._tree, words, one)
 
 
 def is_identity(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> bool:
@@ -404,37 +380,6 @@ def classify(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> dict:
         # one-dimensional centre: coinvariant forces central
         assert flags["central"], "coinvariant image escaped the centre"
     return flags
-
-
-def tautological_coaction(hopf: HopfAlgebra, poly: NCPoly) -> dict[tuple[Word, int], Scalar]:
-    """Coaction on words: each symbol splits through the coproduct, words
-    multiply componentwise (word concatenation, algebra product)."""
-    pairs = []
-    for word, coeff in poly.terms.items():
-        cur: dict[tuple[Word, int], Scalar] = {((), hopf.unit_index): hopf.field.one}
-        for i in word:
-            cur = collect(
-                ((w + (j,), m), c * cc * cm)
-                for (w, h), c in cur.items()
-                for j, k, cc in hopf.comult[i]
-                for m, cm in hopf.mult.get((h, k), ())
-            )
-        pairs.extend((key, coeff * c) for key, c in cur.items())
-    return collect(pairs)
-
-
-def comodule_map_check(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> bool:
-    """mu intertwines the word coaction with the coaction on its image."""
-    image = mu(hopf, alpha, poly)
-    left = collect(
-        ((m, j, k), c * cc) for (m, i), c in image.terms.items() for j, k, cc in hopf.comult[i]
-    )
-    right = collect(
-        ((m, i, h), cc)
-        for (word, h), c in tautological_coaction(hopf, poly).items()
-        for (m, i), cc in mu(hopf, alpha, NCPoly(hopf, {word: c}, poly.cap)).terms.items()
-    )
-    return left == right
 
 
 class LocalizedDenominator:
@@ -515,7 +460,6 @@ class HopfMap:
         source: HopfAlgebra,
         target: HopfAlgebra,
         images: list[dict[int, Scalar]],
-        check: bool = True,
     ):
         if len(images) != source.dim:
             raise NotHopfMap("one image per source basis element required")
@@ -524,8 +468,7 @@ class HopfMap:
         self.images = [
             {i: c for i, c in img.items() if not c.is_zero} for img in images
         ]
-        if check:
-            self._verify()
+        self._verify()
 
     def apply(self, vec: dict[int, Scalar]) -> dict[int, Scalar]:
         return collect((j, c * cj) for i, c in vec.items() for j, cj in self.images[i].items())
@@ -561,33 +504,6 @@ class HopfMap:
                 raise NotHopfMap(f"counit broken at {src.labels[a]}")
 
 
-def identity_map(hopf: HopfAlgebra) -> HopfMap:
-    return HopfMap(
-        hopf,
-        hopf,
-        [{i: hopf.field.one} for i in range(hopf.dim)],
-        check=False,
-    )
-
-
-def check_cocycle_compatibility(
-    phi: HopfMap, alpha_src: TwoCocycle, alpha_tgt: TwoCocycle
-) -> None:
-    """alpha_tgt pulled back along phi must agree with alpha_src."""
-    src = phi.source
-    f = src.field
-    for a in range(src.dim):
-        for b in range(src.dim):
-            pulled = f.zero
-            for i, ci in phi.images[a].items():
-                for j, cj in phi.images[b].items():
-                    pulled = pulled + ci * cj * alpha_tgt(i, j)
-            if pulled != alpha_src(a, b):
-                raise CocycleMismatch(
-                    f"cocycles disagree at ({src.labels[a]}, {src.labels[b]})"
-                )
-
-
 def push_forward(phi: HopfMap, poly: NCPoly) -> NCPoly:
     """Relabel symbols through the map, expanding words multilinearly."""
     if poly.hopf is not phi.source:
@@ -603,38 +519,6 @@ def push_forward(phi: HopfMap, poly: NCPoly) -> NCPoly:
             ]
         pairs.extend(expansions)
     return NCPoly._of(phi.target, collect(pairs), poly.cap)
-
-
-def push_t(phi: HopfMap, elem: TElement) -> TElement:
-    """Coordinate-side push-forward; negative exponents ride along the
-    group-like image of their variable."""
-    if elem.ring.hopf is not phi.source:
-        raise RangeError("element not over the map's source")
-    tgt_ring = t_ring(phi.target)
-    out = tgt_ring.zero()
-    for m, coeff in elem.terms.items():
-        part = tgt_ring.scalar(coeff)
-        for i, e in m.exps:
-            img = phi.images[i]
-            if e >= 0:
-                factor = sum(
-                    (cj * tgt_ring.var(j) for j, cj in img.items()),
-                    tgt_ring.zero(),
-                )
-                part = part * factor**e
-                continue
-            if len(img) != 1:
-                raise NotHopfMap(
-                    f"negative power of {phi.source.labels[i]} needs a single image"
-                )
-            (j, cj), = tuple(img.items())
-            if j not in tgt_ring.grouplike_set:
-                raise NotHopfMap(
-                    f"negative power of {phi.source.labels[i]} maps outside group-likes"
-                )
-            part = part * (cj.inverse() * tgt_ring.var(j, -1)) ** (-e)
-        out = out + part
-    return out
 
 
 def monomial_group_maps(hopf: HopfAlgebra, group_hopf: HopfAlgebra | None = None):

@@ -240,9 +240,6 @@ class YLattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: list[int]) -> bool:
-        return solve_in_lattice(self.basis, v) is not None
-
 
 def _unit_vector(n: int, i: int, scale: int = 1) -> list[int]:
     v = [0] * n

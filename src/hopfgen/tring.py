@@ -115,10 +115,6 @@ class TMonomial:
         variables summed."""
         return _pack(_canonical(pairs), width)
 
-    @staticmethod
-    def from_pairs(pairs, width: int = DEFAULT_WIDTH) -> TMonomial:
-        return TMonomial(pairs, width)
-
     @property
     def exps(self) -> tuple[tuple[int, int], ...]:
         """(variable, exponent) pairs sorted by variable, no zero exponent;
@@ -146,13 +142,6 @@ class TMonomial:
         out._hash = hash(key)
         out._exps = None
         return out
-
-    def pow(self, k: int) -> TMonomial:
-        w = self.width
-        bound = self.bound * abs(k)
-        if bound >> (w - 1):
-            return TMonomial([(i, e * k) for i, e in self.exps], w)
-        return _packed(self.key * k, bound, w)
 
     def inverse(self) -> TMonomial:
         return _packed(-self.key, self.bound, self.width)
@@ -797,32 +786,6 @@ class TensorH(Sparse):
 
     def __repr__(self):
         return f"<TensorH {self.to_text()}>"
-
-
-class TensorOps:
-    """Bound constructors for tensors over one algebra (plain or twisted)."""
-
-    __slots__ = ("ring", "algebra")
-
-    def __init__(self, ring: TRing, algebra):
-        self.ring = ring
-        self.algebra = algebra
-
-    def zero(self) -> TensorH:
-        return TensorH.zero(self.ring, self.algebra)
-
-    def one(self) -> TensorH:
-        return self.zero().one()
-
-    def term(self, coeff: TElement, index: int) -> TensorH:
-        return TensorH.from_element(self.ring, self.algebra, coeff, index)
-
-
-def tensor_ops(algebra) -> TensorOps:
-    """Tensor arithmetic over `algebra`; a twisted algebra contributes its
-    own mult table while coordinates come from the untwisted instance."""
-    hopf = algebra if isinstance(algebra, HopfAlgebra) else algebra.hopf
-    return TensorOps(t_ring(hopf), algebra)
 
 
 def _center_span(algebra, field: FieldSpec) -> tuple[list[dict], list[int]]:

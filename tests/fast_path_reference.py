@@ -32,6 +32,16 @@ differential tests in `test_fast_paths.py`, `test_packed_monomials.py`,
 - `reference_taft_lift` and `reference_monomial_lift`: the two copies of
   the level lift of the niceness witnesses, which `_level_lift` replaced;
   each returns its lift and the letters, stride, W, Y and field it uses.
+
+The package helpers below left `src/hopfgen` because no user path reaches
+them; the tests that check a fact of the paper through them call them here.
+
+- `tautological_coaction` and `comodule_map_check`: the coaction on words,
+  and whether `mu` intertwines it with the coaction on its image.
+- `twisted_coinvariants`: the coinvariants of a twisted algebra as a
+  nullspace.
+- `embed_by_labels` and `conjugation_action`: a subgroup matched into a
+  group by labels, and the permutation that conjugation induces on it.
 """
 
 from __future__ import annotations
@@ -39,12 +49,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from hopfgen.arith import Scalar, format_terms, q_binomial
-from hopfgen.errors import IndexMismatch
+from hopfgen.errors import IndexMismatch, InvalidAction, UnknownLabel
 from hopfgen.groups import FiniteAbelianGroup, abelianization
 from hopfgen.hopf import hab_grading
-from hopfgen.identities import NCPoly, symbol
+from hopfgen.identities import NCPoly, mu, symbol
 from hopfgen.lattice import hnf_basis
-from hopfgen.linalg import collect
+from hopfgen.linalg import collect, nullspace
 from hopfgen.report import Report
 from hopfgen.tring import TElement, t_ring
 
@@ -437,3 +447,72 @@ def reference_monomial_lift(hopf, cap: int):
         return out
 
     return lift, (X, order, W, Ym, field)
+
+
+def tautological_coaction(hopf, poly: NCPoly) -> dict:
+    """Coaction on words: each symbol splits through the coproduct, words
+    multiply componentwise (word concatenation, algebra product)."""
+    pairs = []
+    for word, coeff in poly.terms.items():
+        cur = {((), hopf.unit_index): hopf.field.one}
+        for i in word:
+            cur = collect(
+                ((w + (j,), m), c * cc * cm)
+                for (w, h), c in cur.items()
+                for j, k, cc in hopf.comult[i]
+                for m, cm in hopf.mult.get((h, k), ())
+            )
+        pairs.extend((key, coeff * c) for key, c in cur.items())
+    return collect(pairs)
+
+
+def comodule_map_check(hopf, alpha, poly: NCPoly) -> bool:
+    """mu intertwines the word coaction with the coaction on its image."""
+    image = mu(hopf, alpha, poly)
+    left = collect(
+        ((m, j, k), c * cc) for (m, i), c in image.terms.items() for j, k, cc in hopf.comult[i]
+    )
+    right = collect(
+        ((m, i, h), cc)
+        for (word, h), c in tautological_coaction(hopf, poly).items()
+        for (m, i), cc in mu(hopf, alpha, NCPoly(hopf, {word: c}, poly.cap)).terms.items()
+    )
+    return left == right
+
+
+def twisted_coinvariants(tw) -> list[dict]:
+    """A basis of the coinvariants of a twisted algebra: the nullspace of
+    a -> coaction(a) - a (x) 1."""
+    hopf = tw.hopf
+    dim = hopf.dim
+    # ((row, column), coeff): row j*dim + k is the b_j (x) b_k coordinate
+    # of coaction(a) - a (x) 1
+    entries = [((j * dim + k, i), c) for i in range(dim) for j, k, c in hopf.comult[i]]
+    entries += [((i * dim + hopf.unit_index, i), -hopf.field.one) for i in range(dim)]
+    return nullspace(dim, entries, hopf.field)
+
+
+def embed_by_labels(sub, big) -> list[int]:
+    """Index map sub -> big matching elements by label; checked to be a
+    homomorphism."""
+    emb = [big.index_of(lbl) for lbl in sub.labels]
+    for a in range(sub.order):
+        for b in range(sub.order):
+            if emb[sub.mul(a, b)] != big.mul(emb[a], emb[b]):
+                raise UnknownLabel("label matching is not multiplicative")
+    return emb
+
+
+def conjugation_action(big, sub, t_label: str) -> list[int]:
+    """Permutation of sub induced by conjugation by the element of big
+    with the given label.  Raises if conjugation does not preserve sub."""
+    emb = embed_by_labels(sub, big)
+    back = {e: i for i, e in enumerate(emb)}
+    t = big.index_of(t_label)
+    perm = []
+    for i in range(sub.order):
+        image = big.mul(big.mul(t, emb[i]), big.inv(t))
+        if image not in back:
+            raise InvalidAction("conjugation leaves the subgroup")
+        perm.append(back[image])
+    return perm

@@ -16,7 +16,7 @@ from hopfgen.errors import ParseError, RangeError, UnknownLabel
 from hopfgen.hopf import HopfAlgebra
 from hopfgen.identities import DEFAULT_WORD_CAP, NCPoly, mu_algebra, ncpoly_scalar, symbol
 from hopfgen.linalg import collect
-from hopfgen.tring import TensorH, TMonomial, t_ring, tensor_ops
+from hopfgen.tring import TensorH, TMonomial, t_ring
 
 
 class _Parser:
@@ -135,18 +135,17 @@ def reference_mu(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> TensorH:
         raise RangeError("polynomial belongs to a different algebra")
     ring = t_ring(hopf)
     algebra = mu_algebra(hopf, alpha)
-    ops = tensor_ops(algebra)
     gen_images = [
         TensorH(
             ring,
             algebra,
-            collect(((TMonomial.from_pairs([(j, 1)]), k), c) for j, k, c in hopf.comult[i]),
+            collect(((TMonomial([(j, 1)]), k), c) for j, k, c in hopf.comult[i]),
         )
         for i in range(hopf.dim)
     ]
-    total = ops.zero()
+    total = TensorH.zero(ring, algebra)
     for word, coeff in poly.terms.items():
-        img = ops.one()
+        img = total.one()
         for i in word:
             img = img * gen_images[i]
         total = total + img.scale(coeff)

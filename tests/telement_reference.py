@@ -77,7 +77,8 @@ class ReferenceTElement(Sparse):
             return self.inverse() ** (-k)
         if len(self.terms) == 1:
             ((m, c),) = self.terms.items()
-            return ReferenceTElement(self.ring, {m.pow(k): c**k})
+            power = TMonomial([(i, e * k) for i, e in m.exps], m.width)
+            return ReferenceTElement(self.ring, {power: c**k})
         return super().__pow__(k)
 
     def inverse(self) -> ReferenceTElement:

@@ -44,7 +44,7 @@ from hopfgen.hopf import (
     verify_hopf_axioms,
 )
 from hopfgen.selftest import standard_instances
-from hopfgen.tring import TElement, TMonomial, t_inverse_map, t_ring
+from hopfgen.tring import TElement, TMonomial, power_product, t_inverse_map, t_ring
 
 # -- check_product, generating_middles and the axiom battery -------------------
 
@@ -222,15 +222,6 @@ def test_check_product_matches_the_triple_loop_on_corrupted_two_term_tables(data
     assert check_product(*args) == ref.reference_check_product(*args)
 
 
-def axiom_outcome(verify, h):
-    """The report of a battery as a dict, or the exception it raised: a
-    corrupted table may break the grading rule of its family."""
-    try:
-        return verify(h).to_dict()
-    except Exception as exc:  # noqa: BLE001 - both batteries must fail alike
-        return type(exc).__name__, str(exc)
-
-
 @settings(max_examples=80, deadline=None)
 @given(corrupted_tables(parts=("mult", "comult", "counit")))
 def test_axiom_battery_matches_the_full_pair_scan_on_corrupted_tables(case):
@@ -250,9 +241,8 @@ def test_axiom_battery_matches_the_full_pair_scan_on_corrupted_tables(case):
     except NotPointedOrder:
         # a group-like that lost its group-like inverse: no instance to check
         assume(False)
-    assert axiom_outcome(verify_hopf_axioms, broken) == axiom_outcome(
-        ref.reference_verify_hopf_axioms, broken
-    )
+    got = verify_hopf_axioms(broken).to_dict()
+    assert got == ref.reference_verify_hopf_axioms(broken).to_dict()
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))
@@ -344,10 +334,10 @@ def test_powers_of_a_sum_still_take_the_general_path():
 
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(-5, 5).filter(bool)), max_size=6))
 def test_equal_monomials_hash_equal(pairs):
-    m = TMonomial.from_pairs(pairs)
+    m = TMonomial(pairs)
     assert TMonomial(m.exps) == m and hash(TMonomial(m.exps)) == hash(m)
     for k in range(-3, 4):
-        p = m.pow(k)
+        p = power_product([(m, k)], m.width)
         q = TMonomial([(i, e * k) for i, e in m.exps])
         assert p == q and hash(p) == hash(q)
 

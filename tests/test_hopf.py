@@ -16,6 +16,7 @@ from hopfgen.groups import (
     symmetric,
 )
 from hopfgen.hopf import (
+    AlgebraElement,
     HopfAlgebra,
     center,
     e_algebra,
@@ -26,6 +27,12 @@ from hopfgen.hopf import (
     taft,
     verify_hopf_axioms,
 )
+
+
+def basis(h, key):
+    """The basis element of h with the given label or index."""
+    i = key if isinstance(key, int) else h.index_of(key)
+    return AlgebraElement(h, {i: h.field.one})
 
 
 def klein_monomial():
@@ -50,7 +57,7 @@ def test_taft_labels_and_indexing():
 def test_taft_commutation_and_truncation():
     h = taft(3)
     q = h.field.q
-    x, y = h.by_label("x"), h.by_label("y")
+    x, y = basis(h, "x"), basis(h, "y")
     assert y * x == q * (x * y)
     assert (x ** 3) == h.one()
     assert (y ** 3).is_zero
@@ -75,7 +82,7 @@ def test_taft_antipode_values():
     f = h.field
     assert h.antipode_dict({h.index_of("x"): f.one}) == {h.index_of("x^2"): f.one}
     # S(y) = -y x^2, expanded into the basis
-    want = -(h.by_label("y") * h.by_label("x^2"))
+    want = -(basis(h, "y") * basis(h, "x^2"))
     assert h.antipode_dict({h.index_of("y"): f.one}) == want.terms
     # Sweedler case: S(y) = x y
     h2 = taft(2)
@@ -99,8 +106,8 @@ def test_e_algebra_labels_and_signs():
     h = e_algebra(2)
     assert h.labels == ["1", "x", "y_1", "y_2", "x y_1", "x y_2", "y_{1,2}", "x y_{1,2}"]
     one = h.field.one
-    x = h.by_label("x")
-    y1, y2 = h.by_label("y_1"), h.by_label("y_2")
+    x = basis(h, "x")
+    y1, y2 = basis(h, "y_1"), basis(h, "y_2")
     assert (y1 * y1).is_zero
     assert y1 * y2 == -(y2 * y1)
     assert y1 * x == -(x * y1)
@@ -228,16 +235,16 @@ def test_center_e2_contains_claimed_basis_and_volume_term():
     h = e_algebra(2)
     zs = center(h)
     # direct commutator oracle, independent of the nullspace path
-    vol = h.by_label("x y_{1,2}")
+    vol = basis(h, "x y_{1,2}")
     for i in range(h.dim):
-        b = h.basis_element(i)
+        b = basis(h, i)
         assert (vol * b - b * vol).is_zero
     from hopfgen.linalg import in_span, row_reduce
 
     rows = [dict(z.terms) for z in zs]
     reduced, pivots = row_reduce(rows, h.field)
     for lbl in ("1", "y_{1,2}", "x y_{1,2}"):
-        assert in_span(reduced, pivots, dict(h.by_label(lbl).terms))
+        assert in_span(reduced, pivots, dict(basis(h, lbl).terms))
     assert len(zs) == 3
 
 
@@ -263,6 +270,20 @@ def test_hab_grading_examples():
     g = s3.family["group"]
     comm = g.mul(g.index_of("(1 2)"), g.index_of("(1 2)"))
     assert deg3[comm] == ab3.identity
+
+
+def test_e_row_without_its_diagonal_term_fails_the_grading_check():
+    """e(1) loaded with the term y_1 (x) x dropped from the coproduct of
+    y_1: the battery reports failed checks instead of raising."""
+    h = e_algebra(1)
+    data = h.to_json()
+    y = h.index_of("y_1")
+    data["comult"][y] = [term for term in data["comult"][y] if term[0] != y]
+    broken = HopfAlgebra.from_json(data)
+    assert hab_grading(broken)[1][y] == (0,)
+    checks = {c.name: c for c in verify_hopf_axioms(broken).checks}
+    assert not checks["grading"].passed
+    assert checks["grading"].details == "fails at (x, y_1)"
 
 
 def test_comult_power_matches_nested():
@@ -311,7 +332,7 @@ def test_algebra_element_ring_axioms(data):
             c = data.draw(st.integers(min_value=-4, max_value=4))
             coeffs[i] = coeffs.get(i, f.zero) + f.scalar(c)
         return h.zero() + sum(
-            (h.basis_element(i) * c for i, c in coeffs.items()), h.zero()
+            (basis(h, i) * c for i, c in coeffs.items()), h.zero()
         )
 
     a, b, c = rand_el(), rand_el(), rand_el()
@@ -336,7 +357,7 @@ def test_antipode_is_anti_multiplicative():
 
 def test_algebra_elements_refuse_floats():
     h = taft(3)
-    y = h.by_label("y")
+    y = basis(h, "y")
     for bad in (0.5, 1e-3):
         with pytest.raises(RangeError):
             y * bad

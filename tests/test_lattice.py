@@ -303,10 +303,10 @@ def test_y_group_membership():
     v[a] += 1
     v[b] += 1
     v[g.mul(a, b)] -= 1
-    assert y.contains(v)
+    assert solve_in_lattice(y.basis, v) is not None
     w = [0] * g.order
     w[g.index_of("(1 2)")] = 1
-    assert not y.contains(w)
+    assert solve_in_lattice(y.basis, w) is None
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -402,7 +402,7 @@ def test_named_basis_vectors_live_in_y_group():
         y = y_group(group)
         named = named_basis(group, kind, **kw)
         for v in named.basis:
-            assert y.contains(v)
+            assert solve_in_lattice(y.basis, v) is not None
         assert lattices_equal(named.basis, y.basis)
 
 
@@ -412,7 +412,7 @@ def test_wrong_length_vectors_are_rejected():
     with pytest.raises(RangeError):
         ReducedBasis([[1, 0], [0, 2]]).solve([2])
     with pytest.raises(RangeError):
-        y_group(cyclic(2)).contains([1, 0, 0])
+        solve_in_lattice(y_group(cyclic(2)).basis, [1, 0, 0])
     assert solve_in_lattice([], [0, 0]) == []
     assert solve_in_lattice([], [0, 1]) is None
 
