@@ -51,6 +51,10 @@ COMMANDS = (
     # the axiom battery where its generating middle factors are fewest for the dimension
     + [["axioms", "--family", fam] for fam in ("taft:5", "e:4", "group:sym:4")]
     + [["base", "--check", "all", *KLEIN], ["base", "--check", "all", *CYCLIC4]]
+    # the degree-6 field of q a seventh root of unity: q-binomial tables,
+    # and a coinvariant image checked against the centre span
+    + [["describe", "--family", "taft:7"],
+       ["identity", "--family", "taft:7", "--poly", "X[y]^7"]]
 )
 
 

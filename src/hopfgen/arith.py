@@ -9,7 +9,11 @@ A Scalar is a fully reduced residue num/den: a tuple of integer numerators
 of 1, q, ..., q^(d-1) over one positive common denominator, in lowest terms
 (zero is 0/1).  Phi_n is monic with integer coefficients, so sums and
 products run on Python ints and only the final gcd touches the
-denominator.  Equality is plain comparison of (num, den), and nothing here
+denominator.  Inverses stay in integers too: the inverse of a numerator is
+the product of its other Galois conjugates over its norm, an integer.
+Fractions appear only where values enter or leave (`scalar`, `from_coeffs`,
+`coeffs`).  The Gaussian binomials come from the q-Pascal rule, with no
+division.  Equality is plain comparison of (num, den), and nothing here
 ever touches floating point: only ints, Fractions and Scalars are accepted
 as exact values.
 """
@@ -24,8 +28,6 @@ from typing import Iterable
 
 from .errors import DivisionByZero, RangeError
 
-_F1 = Fraction(1)
-
 
 def _trim(p: list) -> list:
     while p and not p[-1]:
@@ -39,11 +41,12 @@ def _divmod_monic(num: Iterable, den: list) -> tuple[list, list]:
     if len(num) < len(den):
         return [], _trim(num)
     quot = [0] * (len(num) - len(den) + 1)
+    terms = [(i, d) for i, d in enumerate(den) if d]
     for k in range(len(quot) - 1, -1, -1):
         c = num[len(den) - 1 + k]
         quot[k] = c
         if c:
-            for i, d in enumerate(den):
+            for i, d in terms:
                 num[i + k] -= c * d
     return quot, _trim(num)
 
@@ -64,7 +67,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 class FieldSpec:
     """Q(q) for q a primitive n-th root of unity.  Create via make_field(n)."""
 
-    __slots__ = ("n", "modulus", "degree", "_red", "_pad", "zero", "one", "q")
+    __slots__ = ("n", "modulus", "degree", "_red", "_pad", "_units", "zero", "one", "q")
 
     def __init__(self, n: int):
         self.n = n
@@ -84,6 +87,8 @@ class FieldSpec:
             red.append(tuple(row))
         self._red = tuple(red)
         self._pad = (0,) * (d - 1)
+        # the k of the conjugations sigma_k other than the identity
+        self._units = tuple(k for k in range(2, n) if gcd(k, n) == 1)
         self.zero = Scalar(self, (0,) * d)
         self.one = Scalar(self, (1,) + self._pad)
         if d == 1:
@@ -130,6 +135,17 @@ def make_field(n: int) -> FieldSpec:
     if n < 1:
         raise RangeError(f"root-of-unity order must be >= 1, got {n}")
     return FieldSpec(n)
+
+
+def _mul_mod(p: list, terms: list, n: int, modulus: tuple) -> list:
+    """p times the sum of c X^e over the (e, c) in terms, modulo X^n - 1 and
+    then modulo Phi_n."""
+    out = [0] * n
+    for i, pi in enumerate(p):
+        if pi:
+            for e, c in terms:
+                out[(i + e) % n] += pi * c
+    return _divmod_monic(out, modulus)[1]
 
 
 def _lowest(field: FieldSpec, num: tuple, den: int) -> Scalar:
@@ -259,8 +275,10 @@ class Scalar:
         return binary_power(self, k, self.field.one)
 
     def inverse(self) -> Scalar:
-        """Multiplicative inverse: den times the inverse of the numerator
-        polynomial, found by the extended Euclidean algorithm in Q[X]."""
+        """Multiplicative inverse, in integers: for the numerator a,
+        1/a = prod_{k != 1} sigma_k(a) / N(a), where sigma_k sends q to q^k
+        for the k prime to n and the norm N(a) is the constant coefficient of
+        a times that product (Cohen, GTM 138, section 4.3)."""
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
         field = self.field
@@ -271,30 +289,18 @@ class Scalar:
             # one is its own inverse (the counit value that verify_sigma
             # substitutes for every group-like letter)
             return self
-        # r0 = modulus, r1 = numerator; keep Bezout coefficient for r1 only
-        r0 = [Fraction(c) for c in field.modulus]
-        r1 = _trim([Fraction(c) for c in self.num])
-        t0: list = []
-        t1: list = [_F1]
-        while r1:
-            lead = r1[-1]
-            if lead != 1:
-                r1 = [c / lead for c in r1]
-                t1 = [c / lead for c in t1]
-            quot, rem = _divmod_monic(r0, r1)
-            # t2 = t0 - quot * t1
-            t2 = list(t0)
-            for i, qc in enumerate(quot):
-                if qc:
-                    for j, tc in enumerate(t1):
-                        while len(t2) <= i + j:
-                            t2.append(0)
-                        t2[i + j] -= qc * tc
-            r0, r1 = r1, rem
-            t0, t1 = t1, _trim(t2)
-        # here r0 = gcd (a nonzero constant is impossible: r0 is monic, so == [1])
-        assert r0 == [_F1], "cyclotomic modulus is irreducible over Q"
-        return field.from_coeffs([self.den * c for c in t0])
+        # the conjugates sigma_k(num) are the terms c q^(ik mod n), exact
+        # modulo X^n - 1 and so modulo its divisor Phi_n
+        n, modulus = field.n, field.modulus
+        terms = [(i, c) for i, c in enumerate(self.num) if c]
+        conj = [1]
+        for k in field._units:
+            conj = _mul_mod(conj, [(i * k % n, c) for i, c in terms], n, modulus)
+        # N(num) > 0: the field is totally complex for n > 2, so the norm is
+        # a product of squared absolute values
+        norm = _mul_mod(conj, terms, n, modulus)[0]
+        num = [c * self.den for c in conj] + [0] * (field.degree - len(conj))
+        return _lowest(field, tuple(num), norm)
 
     @property
     def is_zero(self) -> bool:
@@ -396,33 +402,22 @@ def scalar_from_strings(field: FieldSpec, parts: Iterable[str]) -> Scalar:
     return field.from_coeffs(Fraction(p) for p in parts)
 
 
-def q_int(j: int, field: FieldSpec) -> Scalar:
-    """The q-integer [j] = 1 + q + ... + q^(j-1)."""
-    if j < 0:
-        raise RangeError(f"q-integer needs j >= 0, got {j}")
-    acc = field.zero
-    p = field.one
-    for _ in range(j):
-        acc = acc + p
-        p = p * field.q
-    return acc
-
-
-def q_factorial(j: int, field: FieldSpec) -> Scalar:
-    """[j]! = [1][2]...[j]."""
-    if j < 0:
-        raise RangeError(f"q-factorial needs j >= 0, got {j}")
-    acc = field.one
-    for i in range(1, j + 1):
-        acc = acc * q_int(i, field)
-    return acc
+def q_binomial_rows(m: int, field: FieldSpec) -> list[list[Scalar]]:
+    """The rows j < m of the triangle of Gaussian binomials [j, r],
+    0 <= r <= j, by the q-Pascal rule [j, r] = [j-1, r-1] + q^r [j-1, r]:
+    sums and products by powers of q, no division."""
+    q_pow = [field.q_power(r) for r in range(m)]
+    rows: list[list[Scalar]] = []
+    for j in range(m):
+        row = [field.one] * (j + 1)
+        for r in range(1, j):
+            row[r] = rows[j - 1][r - 1] + q_pow[r] * rows[j - 1][r]
+        rows.append(row)
+    return rows
 
 
 def q_binomial(j: int, r: int, field: FieldSpec) -> Scalar:
     """Gaussian binomial coefficient, defined for 0 <= r <= j < n."""
     if not (0 <= r <= j < field.n):
         raise RangeError(f"q-binomial needs 0 <= r <= j < {field.n}, got j={j} r={r}")
-    num = field.one
-    for i in range(j - r + 1, j + 1):
-        num = num * q_int(i, field)
-    return num / q_factorial(r, field)
+    return q_binomial_rows(j + 1, field)[j][r]

@@ -15,7 +15,7 @@ from itertools import permutations
 from math import factorial, prod
 
 from .arith import FieldSpec, Scalar
-from .errors import DatumError, InvalidAction, RangeError, UnknownLabel
+from .errors import DatumError, IndexMismatch, InvalidAction, RangeError, UnknownLabel
 from .lattice import smith_normal_form
 
 DEFAULT_MAX_GROUP_ORDER = 48
@@ -264,7 +264,8 @@ def _abelianize(group: FiniteGroup) -> tuple[FiniteAbelianGroup, list[tuple[int,
             rows.append(row)
     d, v = smith_normal_form(rows)
     diag = [d[t][t] for t in range(m)]
-    assert all(x >= 1 for x in diag), "quotient is not finite"
+    if not all(x >= 1 for x in diag):
+        raise IndexMismatch("quotient is not finite")
     keep = [t for t in range(m) if diag[t] > 1]
     factors = tuple(diag[t] for t in keep)
     ab = FiniteAbelianGroup(factors)

@@ -13,7 +13,14 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .arith import FieldSpec, Scalar, make_field, q_binomial, scalar_from_strings, scalar_to_strings
+from .arith import (
+    FieldSpec,
+    Scalar,
+    make_field,
+    q_binomial_rows,
+    scalar_from_strings,
+    scalar_to_strings,
+)
 from .errors import NotPointedOrder, RangeError, UnknownLabel, UnsupportedFamily
 from .groups import (
     Character,
@@ -424,6 +431,7 @@ def _skew_tables(field: FieldSpec, order: int, mul, x: int, chi):
         return lvl * order + g
 
     chi_powers = [[chi(g) ** lvl for g in range(order)] for lvl in range(n)]
+    binomials = q_binomial_rows(n, field)
     mult: dict[tuple[int, int], Terms] = {}
     for g1 in range(order):
         for l1 in range(n):
@@ -439,7 +447,7 @@ def _skew_tables(field: FieldSpec, order: int, mul, x: int, chi):
         row = []
         target = g
         for r in range(lvl + 1):
-            row.append((idx(g, r), idx(target, lvl - r), q_binomial(lvl, r, field)))
+            row.append((idx(g, r), idx(target, lvl - r), binomials[lvl][r]))
             target = mul(target, x)
         comult.append(tuple(row))
         counit.append(field.one if lvl == 0 else field.zero)

@@ -22,6 +22,7 @@ from .errors import (
     RangeError,
     UnknownLabel,
     UnsupportedFamily,
+    WitnessFailure,
 )
 from .hopf import HopfAlgebra, group_algebra
 from .linalg import Sparse, collect
@@ -376,9 +377,9 @@ def classify(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> dict:
         "coinvariant": image.is_coinvariant(),
         "central": image.is_central(),
     }
-    if hopf.family.get("kind") == "taft" and flags["coinvariant"]:
+    if hopf.family.get("kind") == "taft" and flags["coinvariant"] and not flags["central"]:
         # one-dimensional centre: coinvariant forces central
-        assert flags["central"], "coinvariant image escaped the centre"
+        raise WitnessFailure("coinvariant image escaped the centre")
     return flags
 
 

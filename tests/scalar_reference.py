@@ -5,6 +5,10 @@ differential tests in `test_scalar_reference.py`.
 Every coefficient is a `fractions.Fraction`; products reduce through a
 Fraction table of X^(d+j) mod Phi_n, inverses run the extended Euclidean
 algorithm in Q[X].
+
+At the end, the q-integers, q-factorials and the product-over-factorial
+Gaussian binomial that the q-Pascal rule of `hopfgen.arith.q_binomial`
+replaced, also verbatim; they run over either kind of field.
 """
 
 from __future__ import annotations
@@ -276,3 +280,35 @@ def format_scalar(s: Scalar) -> str:
 def scalar_to_strings(s: Scalar) -> list[str]:
     """JSON form: coefficient strings in lowest terms, lowest degree first."""
     return [str(c) for c in s.coeffs]
+
+
+def q_int(j: int, field: FieldSpec) -> Scalar:
+    """The q-integer [j] = 1 + q + ... + q^(j-1)."""
+    if j < 0:
+        raise RangeError(f"q-integer needs j >= 0, got {j}")
+    acc = field.zero
+    p = field.one
+    for _ in range(j):
+        acc = acc + p
+        p = p * field.q
+    return acc
+
+
+def q_factorial(j: int, field: FieldSpec) -> Scalar:
+    """[j]! = [1][2]...[j]."""
+    if j < 0:
+        raise RangeError(f"q-factorial needs j >= 0, got {j}")
+    acc = field.one
+    for i in range(1, j + 1):
+        acc = acc * q_int(i, field)
+    return acc
+
+
+def q_binomial(j: int, r: int, field: FieldSpec) -> Scalar:
+    """Gaussian binomial coefficient, defined for 0 <= r <= j < n."""
+    if not (0 <= r <= j < field.n):
+        raise RangeError(f"q-binomial needs 0 <= r <= j < {field.n}, got j={j} r={r}")
+    num = field.one
+    for i in range(j - r + 1, j + 1):
+        num = num * q_int(i, field)
+    return num / q_factorial(r, field)

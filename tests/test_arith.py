@@ -17,12 +17,11 @@ from hopfgen.arith import (
     format_scalar,
     make_field,
     q_binomial,
-    q_factorial,
-    q_int,
     scalar_from_strings,
     scalar_to_strings,
 )
 from hopfgen.errors import DivisionByZero, RangeError
+from scalar_reference import q_factorial, q_int
 
 
 def poly_mul(a, b):

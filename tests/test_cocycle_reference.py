@@ -4,13 +4,16 @@ their names) as references.
 
 The references are the scalar cocycle-condition loop, the scalar
 convolution check, the two coordinate-ring loops of `verify_sigma`, the
-per-triple `cocycle_failure` that the twisted-product table replaced, and
-the two-stage `cotwist_hopf`.  Each corrupted matrix must be reported at the
-same first triple or pair, with the same message, and every cotwisted
-table must be the same.
+per-triple `cocycle_failure` that the twisted-product table replaced, the
+two-stage `cotwist_hopf`, and the `convolution_failure` and `_twist` that
+ran over every pair of coproduct legs before they were filtered by the
+support of the matrix.  Each corrupted matrix must be reported at the same
+first triple or pair, with the same message, and every twisted or
+cotwisted table must be the same.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +22,7 @@ from hopfgen.arith import Scalar
 from hopfgen.cocycle import (
     TwoCocycle,
     _check_convolution_pair,
+    _twist,
     _values_of,
     coboundary_cocycle,
     cocycle_failure,
@@ -258,6 +262,53 @@ def reference_cotwist_hopf(hopf: HopfAlgebra, alpha: TwoCocycle) -> HopfAlgebra:
 
 
 
+def reference_convolution_failure(hopf: HopfAlgebra, a, b, zero):
+    """The first basis pair (x, y) at which the convolution a * b, or else
+    b * a, differs from counit(x) counit(y), as (x, y, reverse) with
+    reverse true when only b * a fails; None if a and b are two-sided
+    convolution inverses.  Entries as for cocycle_failure."""
+    comult, counit = hopf.comult, hopf.counit
+    for x in range(hopf.dim):
+        for y in range(hopf.dim):
+            want = counit[x] * counit[y]
+            for reverse, f, g in ((False, a, b), (True, b, a)):
+                acc = zero
+                for x1, x2, cx in comult[x]:
+                    for y1, y2, cy in comult[y]:
+                        u = f[x1][y1]
+                        if u.is_zero:
+                            continue
+                        v = g[x2][y2]
+                        if not v.is_zero:
+                            acc = acc + u * v * (cx * cy)
+                if acc != want:
+                    return x, y, reverse
+    return None
+
+
+def reference_twist(hopf: HopfAlgebra, mult, vals, right: bool = False) -> dict:
+    """The product table x . y = sum vals(x1, y1) m(x2, y2), or
+    sum m(x1, y1) vals(x2, y2) when right is set, where m is the product
+    of the table mult."""
+    comult = hopf.comult
+    # a coproduct leg is (first, second, coeff): vals reads the legs at
+    # position v and the table those at position m
+    v, m = (1, 0) if right else (0, 1)
+    out: dict[tuple[int, int], tuple] = {}
+    for x in range(hopf.dim):
+        for y in range(hopf.dim):
+            terms = _canonical_terms(
+                (k, lx[2] * ly[2] * vals[lx[v]][ly[v]] * cm)
+                for lx in comult[x]
+                for ly in comult[y]
+                if not vals[lx[v]][ly[v]].is_zero
+                for k, cm in mult.get((lx[m], ly[m]), ())
+            )
+            if terms:
+                out[(x, y)] = terms
+    return out
+
+
 # --- inputs -----------------------------------------------------------------
 
 # Three non-lazy normalized cocycles on taft(2), as their entries off the
@@ -427,3 +478,95 @@ def test_cotwist_matches_the_two_stage_reference():
         assert (got.family, got.name) == (want.family, want.name), name
         changed += got.mult != h.mult
     assert changed == len(TAFT2_COCYCLES)
+
+
+# --- the convolution check and the twist over the support ------------------
+
+
+def corrupted_algebras():
+    """taft(3) and e(2) read back from JSON with one counit value, or one
+    coproduct leg of the top basis element, changed: tables that
+    `HopfAlgebra.from_json` accepts unchecked."""
+    for h in (taft(3), e_algebra(2)):
+        top = h.dim - 1
+        payloads = [h.to_json() for _ in range(3)]
+        payloads[0]["counit"][top] = payloads[0]["counit"][h.unit_index]
+        payloads[1]["comult"][top] = payloads[1]["comult"][top][1:]
+        leg = payloads[2]["comult"][top][0]
+        leg[2] = [str(2 * Fraction(c)) for c in leg[2]]
+        for p in payloads:
+            yield HopfAlgebra.from_json(p)
+
+
+def support_cases():
+    """(hopf, values, inverse values, zero, bump): the scalar cases, and
+    counit (x) counit, its own inverse, on each corrupted algebra."""
+    for h, alpha in scalar_cases():
+        yield h, alpha.values, alpha.inverse_values, h.field.zero, h.field.one
+    for h in corrupted_algebras():
+        vals = [[ci * cj for cj in h.counit] for ci in h.counit]
+        yield h, vals, vals, h.field.zero, h.field.scalar(-2)
+
+
+def variants(matrix, zero, bump, seed):
+    """The matrix, then at seeded positions copies with one entry bumped,
+    one entry zeroed, one row zeroed and one column zeroed: the last three
+    shrink the support that the filtered loops read."""
+    dim = len(matrix)
+    rng = random.Random(seed)
+    yield matrix
+    for _ in range(3):
+        i, j = rng.randrange(dim), rng.randrange(dim)
+        yield corrupted(matrix, i, j, bump)
+        yield corrupted(matrix, i, j, -matrix[i][j])
+        yield [[zero] * dim if k == i else row[:] for k, row in enumerate(matrix)]
+        yield [[zero if k == j else v for k, v in enumerate(row)] for row in matrix]
+
+
+def assert_support_loops_match(h, vals, inv, zero, bump, seed):
+    """Both filtered routines against their references on every variant
+    of either matrix; returns the number of failing convolution pairs."""
+    failures = 0
+    pairs = [(a, inv) for a in variants(vals, zero, bump, seed)]
+    pairs += [(vals, b) for b in variants(inv, zero, bump, seed + 1)]
+    for a, b in pairs:
+        want = reference_convolution_failure(h, a, b, zero)
+        assert convolution_failure(h, a, b, zero) == want
+        failures += want is not None
+        for right in (False, True):
+            got = _twist(h, h.mult, a, right)
+            assert list(got.items()) == list(reference_twist(h, h.mult, a, right).items())
+    # the second stage of cotwist_hopf twists a twisted table
+    left = reference_twist(h, h.mult, vals)
+    for b in variants(inv, zero, bump, seed + 2):
+        got = _twist(h, left, b, right=True)
+        assert list(got.items()) == list(reference_twist(h, left, b, right=True).items())
+    return failures
+
+
+def test_support_filtered_loops_match_the_reference_on_scalar_matrices():
+    failures = 0
+    for n, (h, vals, inv, zero, bump) in enumerate(support_cases()):
+        failures += assert_support_loops_match(h, vals, inv, zero, bump, seed=n)
+    assert failures >= 60
+
+
+def test_corrupted_counit_is_reported_at_the_reference_pair():
+    h = next(corrupted_algebras())
+    vals = [[ci * cj for cj in h.counit] for ci in h.counit]
+    bad = reference_convolution_failure(h, vals, vals, h.field.zero)
+    assert bad is not None
+    assert convolution_failure(h, vals, vals, h.field.zero) == bad
+    with pytest.raises(NotInvertible, match="convolution identity fails"):
+        trivial_cocycle(h)
+
+
+def test_support_filtered_loops_match_the_reference_on_sigma_of_taft3():
+    h = taft(3)
+    alpha = trivial_cocycle(h)
+    ring = t_ring(h)
+    sig = [[generic_cocycle(h, alpha, i, j) for j in range(h.dim)] for i in range(h.dim)]
+    inv = [[generic_cocycle_inverse(h, alpha, i, j) for j in range(h.dim)] for i in range(h.dim)]
+    assert convolution_failure(h, sig, inv, ring.zero()) is None
+    failures = assert_support_loops_match(h, sig, inv, ring.zero(), ring.var(1), seed=3)
+    assert failures >= 20

@@ -1,6 +1,9 @@
 """Differential tests: the integer-backed `hopfgen.arith.Scalar` against the
 Fraction-backed scalars it replaced (`scalar_reference.py`), over
-Q(q) for n = 1..12, with integer and non-integer coefficients.
+Q(q) for n = 1..12, with integer and non-integer coefficients.  The norm
+inverse is compared with the reference's extended Euclid at every order
+that `HopfAlgebra.from_json` admits, and the q-Pascal binomials with the
+product-over-factorial formula for every order up to 16.
 
 Every operation must give the same Fraction coefficients, the same hash,
 the same truth value and the same text; every result must be in lowest
@@ -9,6 +12,7 @@ the cyclotomic polynomial, and the sort-free monomial product is checked
 against the sort-and-sum construction it replaced.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -21,10 +25,13 @@ from hopfgen.arith import (
     Scalar,
     format_scalar,
     make_field,
+    q_binomial,
+    q_binomial_rows,
     scalar_from_strings,
     scalar_to_strings,
 )
 from hopfgen.errors import DivisionByZero
+from hopfgen.hopf import MAX_DIM
 from hopfgen.tring import TMonomial
 
 ORDERS = st.integers(1, 12)
@@ -179,6 +186,52 @@ def test_product_reduction_matches_sympy(data, n):
     want = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
     want += [Fraction(0)] * (a.field.degree - len(want))
     assert list((a * b).coeffs) == want
+
+
+def inverse_inputs(n):
+    """A seeded dense element with integer coefficients, one with
+    fractional coefficients up to order 16 (the reference is slowest on
+    those), and sparse ones: 1 + q, q^3 - 2, a power of q and
+    3 - (5/2) q^(d-1)."""
+    d = make_field(n).degree
+    rng = random.Random(n)
+    yield [rng.choice([c for c in range(-9, 10) if c]) for _ in range(d)]
+    if n <= 16:
+        yield [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(d)]
+    yield [1, 1]
+    yield [-2, 0, 0, 1]
+    yield [0] * (d - 1) + [1]
+    yield [3] + [0] * (d - 2) + [Fraction(-5, 2)]
+
+
+@pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
+def test_norm_inverse_matches_the_euclidean_reference(n):
+    f, rf = make_field(n), ref.make_field(n)
+    for cs in inverse_inputs(n):
+        a = f.from_coeffs(cs)
+        if a.is_zero:
+            continue
+        # the reference scalar is built from the reduced coefficients: its
+        # from_coeffs runs a Horner scheme too slow for degree 60
+        ra = ref.Scalar(rf, a.coeffs)
+        assert_same(a.inverse(), ra.inverse())
+        assert a * a.inverse() == f.one
+
+
+def test_q_pascal_binomials_match_the_factorial_formula():
+    # the formula over the integer scalars, whose inverse the test above
+    # checks; over the Fraction scalars for the smaller orders
+    for n in range(1, 17):
+        f, rf = make_field(n), ref.make_field(n)
+        rows = q_binomial_rows(n, f)
+        assert [len(row) for row in rows] == list(range(1, n + 1))
+        for j in range(n):
+            for r in range(j + 1):
+                want = ref.q_binomial(j, r, f)
+                assert rows[j][r] == want
+                assert q_binomial(j, r, f) == want
+                if n <= 8:
+                    assert_same(want, ref.q_binomial(j, r, rf))
 
 
 EXPS = st.lists(
