@@ -28,7 +28,7 @@ def main() -> None:
             i for i, (a, s) in enumerate(basis) if a == 0 and len(s) % 2 == 0
         }
         extra = sorted(
-            {i for z in cen for i in z.terms if i not in even}
+            {i for z in cen for i in z if i not in even}
         )
         names = ", ".join(h.labels[i] for i in extra) or "-"
         print(f"  {n:>3} {len(cen):>9} {2 ** (n - 1):>8}  {names}")

@@ -7,9 +7,9 @@ that holds this script, in a fresh interpreter.  A line reads
     <sha256 of stdout>  exit=<code>  <arguments>
 
 The selftest output is hashed after blanking the wall-time detail of
-criterion 3, the only part of it that changes from run to run.  To compare
-two commits, put this script into both checkouts, run it in each and
-`diff` the two outputs.
+criterion 3, the only part of it that changes from run to run.  The
+children write no `__pycache__`.  To compare two commits, put this script
+into both checkouts, run it in each and `diff` the two outputs.
 """
 
 import hashlib
@@ -69,7 +69,9 @@ def blank_runtime(stdout: bytes) -> bytes:
 
 
 def main() -> None:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # no bytecode cache is written into the checkout, so a later benchmark
+    # run there starts as cold as one in a fresh checkout
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     for args in COMMANDS:
         proc = subprocess.run(
             [sys.executable, "-m", "hopfgen", *args, "--format", "json"],

@@ -322,12 +322,6 @@ class Scalar:
             return hash((self.field.n, self.num))
         return hash((self.field.n, self.coeffs))
 
-    def rational(self) -> Fraction:
-        """The value as a Fraction; raises RangeError if q genuinely appears."""
-        if any(self.num[1:]):
-            raise RangeError("scalar is not rational")
-        return Fraction(self.num[0], self.den)
-
     def __repr__(self):
         return f"Scalar({format_scalar(self)})"
 

@@ -9,10 +9,6 @@ class RangeError(ValueError):
     """An integer argument fell outside its documented range."""
 
 
-class InvalidAction(ValueError):
-    """A semidirect-product action table is not a homomorphism into Aut(H)."""
-
-
 class DatumError(ValueError):
     """A datum for the monomial family violates one of its defining conditions."""
 
@@ -71,10 +67,6 @@ class WitnessFailure(RuntimeError):
 
 class UnsupportedKind(ValueError):
     """Unknown named-basis kind."""
-
-
-class TrivialActionViolated(ValueError):
-    """The semidirect basis recipe needs the action to be trivial on H_ab."""
 
 
 class IndexMismatch(RuntimeError):

@@ -1,8 +1,8 @@
 """Finite groups as explicit multiplication tables.
 
 Every group is a validated Cayley table over indices 0..n-1 with printable
-labels.  Constructors cover cyclic, dihedral, symmetric, alternating,
-direct and semidirect products.  Abelianization is computed exactly via
+labels.  Constructors cover cyclic, dihedral, symmetric and alternating
+groups and direct products.  Abelianization is computed exactly via
 the Smith normal form of the relation lattice of the quotient by the
 commutator subgroup.
 """
@@ -15,7 +15,7 @@ from itertools import permutations
 from math import factorial, prod
 
 from .arith import FieldSpec, Scalar
-from .errors import DatumError, IndexMismatch, InvalidAction, RangeError, UnknownLabel
+from .errors import DatumError, IndexMismatch, RangeError, UnknownLabel
 from .lattice import smith_normal_form
 
 DEFAULT_MAX_GROUP_ORDER = 48
@@ -404,50 +404,6 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
                         a.mul(i1, i2), b.mul(j1, j2)
                     )
     return FiniteGroup(labels, table, name=f"{a.name}x{b.name}")
-
-
-def semidirect_product(
-    h: FiniteGroup, k: FiniteGroup, action: list[list[int]]
-) -> FiniteGroup:
-    """Split extension of h by k; action[t] is the automorphism of h
-    attached to element t of k.  The action is validated as a
-    homomorphism k -> Aut(h) before any table is built."""
-    if len(action) != k.order:
-        raise InvalidAction("need one permutation of h per element of k")
-    for t, perm in enumerate(action):
-        if sorted(perm) != list(range(h.order)):
-            raise InvalidAction(f"action[{t}] is not a permutation")
-        if perm[h.identity] != h.identity:
-            raise InvalidAction(f"action[{t}] moves the identity")
-        for x in range(h.order):
-            for y in range(h.order):
-                if perm[h.mul(x, y)] != h.mul(perm[x], perm[y]):
-                    raise InvalidAction(
-                        f"action[{t}] is not an automorphism"
-                    )
-    if action[k.identity] != list(range(h.order)):
-        raise InvalidAction("identity of k must act trivially")
-    for t1 in range(k.order):
-        for t2 in range(k.order):
-            t12 = k.mul(t1, t2)
-            for x in range(h.order):
-                if action[t12][x] != action[t1][action[t2][x]]:
-                    raise InvalidAction("action is not a homomorphism")
-    n = h.order * k.order
-    labels = [f"({lh},{lk})" for lh in h.labels for lk in k.labels]
-
-    def idx(i: int, j: int) -> int:
-        return i * k.order + j
-
-    table = [[0] * n for _ in range(n)]
-    for i1 in range(h.order):
-        for j1 in range(k.order):
-            for i2 in range(h.order):
-                for j2 in range(k.order):
-                    table[idx(i1, j1)][idx(i2, j2)] = idx(
-                        h.mul(i1, action[j1][i2]), k.mul(j1, j2)
-                    )
-    return FiniteGroup(labels, table, name=f"{h.name}:{k.name}")
 
 
 def group_from_spec(spec: str) -> FiniteGroup:

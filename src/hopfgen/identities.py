@@ -522,22 +522,19 @@ def push_forward(phi: HopfMap, poly: NCPoly) -> NCPoly:
     return NCPoly._of(phi.target, collect(pairs), poly.cap)
 
 
-def monomial_group_maps(hopf: HopfAlgebra, group_hopf: HopfAlgebra | None = None):
+def monomial_group_maps(hopf: HopfAlgebra):
     """For the level-graded family over a group: the inclusion of the group
     algebra as level zero and the projection killing positive levels;
     projection after inclusion is the identity."""
     if hopf.family.get("kind") != "monomial":
         raise UnsupportedFamily("group maps exist for the monomial family only")
     group = hopf.family["group"]
-    if group_hopf is None:
-        group_hopf = group_algebra(group, hopf.field)
-    if group_hopf.dim != group.order:
-        raise NotHopfMap("group algebra does not match the family's group")
+    kg = group_algebra(group, hopf.field)
     one = hopf.field.one
-    iota = HopfMap(group_hopf, hopf, [{g: one} for g in range(group.order)])
+    iota = HopfMap(kg, hopf, [{g: one} for g in range(group.order)])
     proj_images: list[dict[int, Scalar]] = []
     for i in range(hopf.dim):
         g, lvl = i % group.order, i // group.order
         proj_images.append({g: one} if lvl == 0 else {})
-    pi = HopfMap(hopf, group_hopf, proj_images)
+    pi = HopfMap(hopf, kg, proj_images)
     return iota, pi

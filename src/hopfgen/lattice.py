@@ -10,27 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    IndexMismatch,
-    RangeError,
-    TrivialActionViolated,
-    UnsupportedKind,
-)
+from .errors import IndexMismatch, RangeError, UnsupportedKind
 from .report import Report
 
-DEFAULT_MAX_LATTICE_ORDER = 24
+MAX_LATTICE_ORDER = 24
 
 
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def matmul_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(ra[k] * b[k][j] for k in range(len(ra))) for j in range(cols)]
-        for ra in a
-    ]
 
 
 def _echelon(
@@ -144,17 +131,6 @@ def solve_in_lattice(basis: list[list[int]], v: list[int]) -> list[int] | None:
     return ReducedBasis(basis).solve(v)
 
 
-def int_inverse_unimodular(u: list[list[int]]) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix: its HNF is the identity, and
-    the U of hnf(u) is then the inverse (Cohen, GTM 138, section 2.4.3)."""
-    h, inv = hnf(u)
-    if not all(any(row) for row in h):
-        raise IndexMismatch("matrix not unimodular: it is singular")
-    if h != _identity(len(u)):
-        raise IndexMismatch("matrix not unimodular: its inverse is not integral")
-    return inv
-
-
 def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Smith normal form: returns (D, V) with D diagonal, its positive
     diagonal entries in a divisibility chain, and V unimodular such that
@@ -255,15 +231,13 @@ def _sigma_vector(n: int, g: int, h: int, gh: int) -> list[int]:
     return v
 
 
-def y_group(group, max_order: int = DEFAULT_MAX_LATTICE_ORDER) -> YLattice:
+def y_group(group) -> YLattice:
     """Basis and index of ker(Z^G -> G_ab) from the full relation set.  The
     HNF is built and checked once per group and kept on it; every call
     checks the cap first and returns its own copy of the basis."""
     n = group.order
-    if n > max_order:
-        raise RangeError(
-            f"group order {n} exceeds the lattice cap {max_order}"
-        )
+    if n > MAX_LATTICE_ORDER:
+        raise RangeError(f"group order {n} exceeds the lattice cap {MAX_LATTICE_ORDER}")
     if group._y is None:
         group._y = _y_basis(group)
     basis, index = group._y
@@ -298,18 +272,6 @@ def _y_basis(group) -> tuple[tuple[tuple[int, ...], ...], int]:
             f"lattice index {index} != abelianization order {ab.order}"
         )
     return tuple(map(tuple, basis)), index
-
-
-def basis_containing_unit(basis: list[list[int]], target: list[int]) -> list[list[int]]:
-    """Rewrite a lattice basis so that its first element is the given vector."""
-    coords = solve_in_lattice(basis, target)
-    if coords is None:
-        raise IndexMismatch("target vector outside the lattice")
-    col = [[c] for c in coords]
-    _, uc = hnf(col)
-    vmat = [list(row) for row in zip(*int_inverse_unimodular(uc))]
-    assert vmat[0] == coords
-    return matmul_int(vmat, basis)
 
 
 def _verify_named(group, vectors: list[list[int]]) -> YLattice:
@@ -408,8 +370,6 @@ def named_basis(group, kind: str, **kw) -> YLattice:
             v[tau] -= 1
             vectors.append(v)
         return _verify_named(group, vectors)
-    if kind == "semidirect":
-        return _semidirect_basis(group, kw["h"], kw["k"], kw["action"])
     raise UnsupportedKind(f"unknown named basis kind {kind!r}")
 
 
@@ -431,48 +391,6 @@ def _find_product_pair(group, m: int, k: int):
             if len(span) == n:
                 return a, b
     return None
-
-
-def _semidirect_basis(group, h, k, action) -> YLattice:
-    from .groups import abelianization, semidirect_product
-
-    built = semidirect_product(h, k, action)
-    if built.table != group.table or built.labels != group.labels:
-        raise UnsupportedKind("group does not match semidirect_product(h, k, action)")
-    _, proj_h = abelianization(h)
-    for perm in action:
-        for i in range(h.order):
-            if proj_h[perm[i]] != proj_h[i]:
-                raise TrivialActionViolated(
-                    "action moves classes of the abelianized normal factor"
-                )
-    bh = basis_containing_unit(y_group(h).basis, _unit_vector(h.order, h.identity))
-    bk = basis_containing_unit(y_group(k).basis, _unit_vector(k.order, k.identity))
-    n = group.order
-
-    def emb(vec, from_h: bool) -> list[int]:
-        out = [0] * n
-        for i, c in enumerate(vec):
-            if c:
-                idx = i * k.order + k.identity if from_h else h.identity * k.order + i
-                out[idx] += c
-        return out
-
-    vectors = [emb(bh[0], True)]
-    vectors += [emb(v, True) for v in bh[1:]]
-    vectors += [emb(v, False) for v in bk[1:]]
-    for hi in range(h.order):
-        if hi == h.identity:
-            continue
-        for ki in range(k.order):
-            if ki == k.identity:
-                continue
-            v = [0] * n
-            v[hi * k.order + ki] += 1
-            v[hi * k.order + k.identity] -= 1
-            v[h.identity * k.order + ki] -= 1
-            vectors.append(v)
-    return _verify_named(group, vectors)
 
 
 def pair_and_triple_vectors(group) -> list[tuple[list[int], tuple[int, ...]]]:

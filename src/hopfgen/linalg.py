@@ -46,8 +46,8 @@ class Sparse:
     """A finite linear combination over one owner, the algebra or ring it
     lives in: `terms` maps keys to nonzero Scalars and is never mutated.
 
-    The linear structure of the element types (`hopf.AlgebraElement`,
-    `tring.TensorH`, `identities.NCPoly`) is written here once.  Each
+    The linear structure of the element types (`tring.TensorH`,
+    `identities.NCPoly`) is written here once.  Each
     subclass supplies `_owner()`, `_like(terms)` (an element over the same
     owner from terms that hold no zero), `one()`, its own product and its
     text; one that accepts scalar operands also supplies `_lift`.  Operands

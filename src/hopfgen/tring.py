@@ -675,22 +675,6 @@ def verify_t_inverse(hopf: HopfAlgebra) -> Report:
     return rep
 
 
-def hab_degree(hopf: HopfAlgebra, x) -> tuple[int, ...]:
-    """Grading degree of a monomial, or the common degree of an element
-    (mixed-degree elements raise)."""
-    ring = t_ring(hopf)
-    if isinstance(x, TMonomial):
-        return ring.hab_degree(x)
-    if isinstance(x, TElement):
-        degs = {ring.hab_degree(m) for m in x.terms}
-        if not degs:
-            return ring.grading_group().identity
-        if len(degs) > 1:
-            raise RangeError(f"mixed degrees {sorted(degs)}")
-        return degs.pop()
-    raise RangeError("expected a TMonomial or TElement")
-
-
 class TensorH(Sparse):
     """Sum of (coordinate monomial) tensor (algebra basis element) terms.
 

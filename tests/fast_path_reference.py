@@ -23,9 +23,8 @@ differential tests in `test_fast_paths.py`, `test_packed_monomials.py`,
   `FiniteAbelianGroup.combination` replaced.
 - `lattices_equal`: whether two generating sets span the same lattice,
   by comparing their `hnf_basis`; only the lattice tests use it.
-- `reference_det_int` (Bareiss elimination) and
-  `reference_int_inverse_unimodular` (Gauss-Jordan over `Fraction`), which
-  the pivots and the `U` of the Hermite form replaced.
+- `reference_det_int` (Bareiss elimination), which the pivots of the
+  Hermite form replaced.
 - `reference_hab_grading`: the taft and monomial branches of `hab_grading`,
   a closed form for taft and one `add` per level for monomial, which one
   `combination` per basis element replaced.
@@ -42,15 +41,15 @@ them; the tests that check a fact of the paper through them call them here.
   nullspace.
 - `embed_by_labels` and `conjugation_action`: a subgroup matched into a
   group by labels, and the permutation that conjugation induces on it.
+- `semidirect_product` and its error `InvalidAction`: the split extension
+  of one group by another through a validated action table.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from hopfgen.arith import Scalar, format_terms, q_binomial
-from hopfgen.errors import IndexMismatch, InvalidAction, UnknownLabel
-from hopfgen.groups import FiniteAbelianGroup, abelianization
+from hopfgen.errors import UnknownLabel
+from hopfgen.groups import FiniteAbelianGroup, FiniteGroup, abelianization
 from hopfgen.hopf import hab_grading
 from hopfgen.identities import NCPoly, mu, symbol
 from hopfgen.lattice import hnf_basis
@@ -347,28 +346,6 @@ def reference_det_int(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def reference_int_inverse_unimodular(u: list[list[int]]) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix (integral by Cramer)."""
-    n = len(u)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(u)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c]), None)
-        if piv is None:
-            raise IndexMismatch("matrix not unimodular: it is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        scale = aug[c][c]
-        aug[c] = [x / scale for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    out = [[x for x in row[n:]] for row in aug]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise IndexMismatch("matrix not unimodular: its inverse is not integral")
-    return [[int(x) for x in row] for row in out]
-
-
 def reference_hab_grading(h):
     kind = h.family.get("kind")
     if kind == "taft":
@@ -516,3 +493,51 @@ def conjugation_action(big, sub, t_label: str) -> list[int]:
             raise InvalidAction("conjugation leaves the subgroup")
         perm.append(back[image])
     return perm
+
+
+class InvalidAction(ValueError):
+    """A semidirect-product action table is not a homomorphism into Aut(H)."""
+
+
+def semidirect_product(
+    h: FiniteGroup, k: FiniteGroup, action: list[list[int]]
+) -> FiniteGroup:
+    """Split extension of h by k; action[t] is the automorphism of h
+    attached to element t of k.  The action is validated as a
+    homomorphism k -> Aut(h) before any table is built."""
+    if len(action) != k.order:
+        raise InvalidAction("need one permutation of h per element of k")
+    for t, perm in enumerate(action):
+        if sorted(perm) != list(range(h.order)):
+            raise InvalidAction(f"action[{t}] is not a permutation")
+        if perm[h.identity] != h.identity:
+            raise InvalidAction(f"action[{t}] moves the identity")
+        for x in range(h.order):
+            for y in range(h.order):
+                if perm[h.mul(x, y)] != h.mul(perm[x], perm[y]):
+                    raise InvalidAction(
+                        f"action[{t}] is not an automorphism"
+                    )
+    if action[k.identity] != list(range(h.order)):
+        raise InvalidAction("identity of k must act trivially")
+    for t1 in range(k.order):
+        for t2 in range(k.order):
+            t12 = k.mul(t1, t2)
+            for x in range(h.order):
+                if action[t12][x] != action[t1][action[t2][x]]:
+                    raise InvalidAction("action is not a homomorphism")
+    n = h.order * k.order
+    labels = [f"({lh},{lk})" for lh in h.labels for lk in k.labels]
+
+    def idx(i: int, j: int) -> int:
+        return i * k.order + j
+
+    table = [[0] * n for _ in range(n)]
+    for i1 in range(h.order):
+        for j1 in range(k.order):
+            for i2 in range(h.order):
+                for j2 in range(k.order):
+                    table[idx(i1, j1)][idx(i2, j2)] = idx(
+                        h.mul(i1, action[j1][i2]), k.mul(j1, j2)
+                    )
+    return FiniteGroup(labels, table, name=f"{h.name}:{k.name}")

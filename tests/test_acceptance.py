@@ -16,7 +16,7 @@ n*t[x]^(1-n(n-1)/2)*t[x^(n-1)], and the centre spanned by the y_S with
 
 from hopfgen import selftest
 from hopfgen.generic_base import jacobian_check, torus_minor_determinant
-from hopfgen.hopf import AlgebraElement, center, e_basis
+from hopfgen.hopf import center, e_basis
 from hopfgen.linalg import in_span, row_reduce
 from hopfgen.tring import t_ring
 
@@ -107,18 +107,19 @@ def test_criterion_10_centers():
         cen = center(h)
         assert len(cen) == dim
         for i in claim:
-            z = AlgebraElement(h, {i: h.field.one})
+            z = {i: h.field.one}
             for j in range(h.dim):
-                b = AlgebraElement(h, {j: h.field.one})
-                assert (z * b - b * z).is_zero, (h.labels[i], h.labels[j])
-        reduced, pivots = row_reduce([dict(z.terms) for z in cen], h.field)
+                b = {j: h.field.one}
+                zb, bz = h.multiply_dicts(z, b), h.multiply_dicts(b, z)
+                assert zb == bz, (h.labels[i], h.labels[j])
+        reduced, pivots = row_reduce(cen, h.field)
         assert len(pivots) == dim
         for i in claim:
             assert in_span(reduced, pivots, {i: h.field.one}), h.labels[i]
     for n in (2, 3, 4):
         h = selftest._instance(f"taft({n})")
         cen = center(h)
-        assert len(cen) == 1 and set(cen[0].terms) == {h.unit_index}, n
+        assert len(cen) == 1 and set(cen[0]) == {h.unit_index}, n
 
 
 def test_criterion_11_lattices():

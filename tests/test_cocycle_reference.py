@@ -570,3 +570,26 @@ def test_support_filtered_loops_match_the_reference_on_sigma_of_taft3():
     assert convolution_failure(h, sig, inv, ring.zero()) is None
     failures = assert_support_loops_match(h, sig, inv, ring.zero(), ring.var(1), seed=3)
     assert failures >= 20
+
+
+def test_an_empty_sum_is_checked_against_a_nonzero_counit_product():
+    """x is group-like, so the convolution at (x, x) is the one product
+    alpha(x, x) beta(x, x); with beta(x, x) zeroed the sum is empty while
+    counit(x) counit(x) = 1, and (x, x) must be reported.  The pairs with a
+    zero counit value, whose sums are empty too, must still pass: the
+    check skips them without a comparison."""
+    for h in (taft(3), taft(2)):
+        alpha = trivial_cocycle(h)
+        x = h.index_of("x")
+        ring = t_ring(h)
+        basis = range(h.dim)
+        sig = [[generic_cocycle(h, alpha, i, j) for j in basis] for i in basis]
+        inv = [[generic_cocycle_inverse(h, alpha, i, j) for j in basis] for i in basis]
+        for vals, inverse, zero in (
+            (alpha.values, alpha.inverse_values, h.field.zero),
+            (sig, inv, ring.zero()),
+        ):
+            assert convolution_failure(h, vals, inverse, zero) is None
+            emptied = corrupted(inverse, x, x, -inverse[x][x])
+            assert reference_convolution_failure(h, vals, emptied, zero) == (x, x, False)
+            assert convolution_failure(h, vals, emptied, zero) == (x, x, False)

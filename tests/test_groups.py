@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fast_path_reference import conjugation_action, embed_by_labels
+from fast_path_reference import (
+    InvalidAction,
+    conjugation_action,
+    embed_by_labels,
+    semidirect_product,
+)
 from hopfgen import groups
 from hopfgen.arith import make_field
-from hopfgen.errors import DatumError, InvalidAction, RangeError, UnknownLabel
+from hopfgen.errors import DatumError, RangeError, UnknownLabel
 from hopfgen.groups import (
     Character,
     FiniteGroup,
@@ -21,7 +26,6 @@ from hopfgen.groups import (
     dihedral,
     direct_product,
     group_from_spec,
-    semidirect_product,
     subgroup_closure,
     symmetric,
     trivial,

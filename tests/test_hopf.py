@@ -16,7 +16,6 @@ from hopfgen.groups import (
     symmetric,
 )
 from hopfgen.hopf import (
-    AlgebraElement,
     HopfAlgebra,
     center,
     e_algebra,
@@ -27,12 +26,29 @@ from hopfgen.hopf import (
     taft,
     verify_hopf_axioms,
 )
+from hopfgen.linalg import collect
 
 
 def basis(h, key):
-    """The basis element of h with the given label or index."""
+    """The basis element of h with the given label or index, as the
+    {index: Scalar} dict of every algebra element."""
     i = key if isinstance(key, int) else h.index_of(key)
-    return AlgebraElement(h, {i: h.field.one})
+    return {i: h.field.one}
+
+
+def power(h, a, k):
+    out = {h.unit_index: h.field.one}
+    for _ in range(k):
+        out = h.multiply_dicts(out, a)
+    return out
+
+
+def scaled(a, c):
+    return collect((i, c * v) for i, v in a.items())
+
+
+def plus(*elems):
+    return collect(kv for a in elems for kv in a.items())
 
 
 def klein_monomial():
@@ -58,10 +74,10 @@ def test_taft_commutation_and_truncation():
     h = taft(3)
     q = h.field.q
     x, y = basis(h, "x"), basis(h, "y")
-    assert y * x == q * (x * y)
-    assert (x ** 3) == h.one()
-    assert (y ** 3).is_zero
-    assert not (y ** 2).is_zero
+    assert h.multiply_dicts(y, x) == scaled(h.multiply_dicts(x, y), q)
+    assert power(h, x, 3) == basis(h, h.unit_index)
+    assert power(h, y, 3) == {}
+    assert power(h, y, 2) != {}
 
 
 def test_taft_comult_of_y_squared():
@@ -82,8 +98,8 @@ def test_taft_antipode_values():
     f = h.field
     assert h.antipode_dict({h.index_of("x"): f.one}) == {h.index_of("x^2"): f.one}
     # S(y) = -y x^2, expanded into the basis
-    want = -(basis(h, "y") * basis(h, "x^2"))
-    assert h.antipode_dict({h.index_of("y"): f.one}) == want.terms
+    want = scaled(h.multiply_dicts(basis(h, "y"), basis(h, "x^2")), -f.one)
+    assert h.antipode_dict({h.index_of("y"): f.one}) == want
     # Sweedler case: S(y) = x y
     h2 = taft(2)
     assert h2.antipode_dict({h2.index_of("y"): h2.field.one}) == {
@@ -108,11 +124,12 @@ def test_e_algebra_labels_and_signs():
     one = h.field.one
     x = basis(h, "x")
     y1, y2 = basis(h, "y_1"), basis(h, "y_2")
-    assert (y1 * y1).is_zero
-    assert y1 * y2 == -(y2 * y1)
-    assert y1 * x == -(x * y1)
-    assert (x * x) == h.one()
-    assert (y1 * y2).terms == {h.index_of("y_{1,2}"): one}
+    mul = h.multiply_dicts
+    assert mul(y1, y1) == {}
+    assert mul(y1, y2) == scaled(mul(y2, y1), -one)
+    assert mul(y1, x) == scaled(mul(x, y1), -one)
+    assert mul(x, x) == basis(h, h.unit_index)
+    assert mul(y1, y2) == {h.index_of("y_{1,2}"): one}
 
 
 def test_e_algebra_comult_on_pair():
@@ -131,7 +148,9 @@ def test_e_algebra_comult_on_pair():
 
 
 def test_sweedler_is_e_one():
-    assert structure_equal(e_algebra(1), taft(2), check_labels=False)
+    e1 = e_algebra(1)
+    assert structure_equal(e1, _with_tables(taft(2), labels=e1.labels))
+    assert not structure_equal(e1, taft(2))
 
 
 def test_monomial_on_cyclic_group_matches_taft():
@@ -142,7 +161,7 @@ def test_monomial_on_cyclic_group_matches_taft():
         chi = character_from_exponents(g, f, list(range(n)))
         h = monomial_type_i(g, 1, chi, f)
         t = taft(n)
-        assert structure_equal(h, t, check_labels=False)
+        assert structure_equal(h, _with_tables(t, labels=h.labels))
         assert list(h.mult.items()) == list(t.mult.items())
         assert (h.comult, h.counit, h.antipode) == (t.comult, t.counit, t.antipode)
         assert h.labels[0] == "e"
@@ -192,7 +211,7 @@ def test_axioms_catch_corruption():
         {"kind": "generic"},
         antipode=h.antipode,
     )
-    rep = verify_hopf_axioms(broken, include_grading=False)
+    rep = verify_hopf_axioms(broken)
     assert not rep.ok
     one = broken.field.one
     first = next(
@@ -223,7 +242,7 @@ def test_center_taft_is_scalars():
     for n in (2, 3, 4):
         zs = center(taft(n))
         assert len(zs) == 1
-        assert set(zs[0].terms) == {0}
+        assert set(zs[0]) == {0}
 
 
 def test_center_group_algebra_abelian():
@@ -238,13 +257,12 @@ def test_center_e2_contains_claimed_basis_and_volume_term():
     vol = basis(h, "x y_{1,2}")
     for i in range(h.dim):
         b = basis(h, i)
-        assert (vol * b - b * vol).is_zero
+        assert h.multiply_dicts(vol, b) == h.multiply_dicts(b, vol)
     from hopfgen.linalg import in_span, row_reduce
 
-    rows = [dict(z.terms) for z in zs]
-    reduced, pivots = row_reduce(rows, h.field)
+    reduced, pivots = row_reduce(zs, h.field)
     for lbl in ("1", "y_{1,2}", "x y_{1,2}"):
-        assert in_span(reduced, pivots, dict(basis(h, lbl).terms))
+        assert in_span(reduced, pivots, basis(h, lbl))
     assert len(zs) == 3
 
 
@@ -331,16 +349,15 @@ def test_algebra_element_ring_axioms(data):
             i = data.draw(st.integers(min_value=0, max_value=h.dim - 1))
             c = data.draw(st.integers(min_value=-4, max_value=4))
             coeffs[i] = coeffs.get(i, f.zero) + f.scalar(c)
-        return h.zero() + sum(
-            (basis(h, i) * c for i, c in coeffs.items()), h.zero()
-        )
+        return plus(*(scaled(basis(h, i), c) for i, c in coeffs.items()))
 
+    mul, one = h.multiply_dicts, basis(h, h.unit_index)
     a, b, c = rand_el(), rand_el(), rand_el()
-    assert (a + b) * c == a * c + b * c
-    assert a * (b + c) == a * b + a * c
-    assert (a * b) * c == a * (b * c)
-    assert a * h.one() == a
-    assert h.one() * a == a
+    assert mul(plus(a, b), c) == plus(mul(a, c), mul(b, c))
+    assert mul(a, plus(b, c)) == plus(mul(a, b), mul(a, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, one) == a
+    assert mul(one, a) == a
 
 
 def test_antipode_is_anti_multiplicative():
@@ -356,20 +373,20 @@ def test_antipode_is_anti_multiplicative():
 
 
 def test_algebra_elements_refuse_floats():
+    # an element's coefficients are Scalars, and the field refuses a float
     h = taft(3)
     y = basis(h, "y")
     for bad in (0.5, 1e-3):
         with pytest.raises(RangeError):
-            y * bad
-        with pytest.raises(RangeError):
-            bad * y
-    assert (y * Fraction(1, 2)) * 2 == y
+            h.field.scalar(bad)
+    half = h.field.scalar(Fraction(1, 2))
+    assert scaled(scaled(y, half), h.field.scalar(2)) == y
 
 
-def _with_tables(h, mult=None, comult=None):
+def _with_tables(h, mult=None, comult=None, labels=None):
     return HopfAlgebra(
         h.field,
-        h.labels,
+        h.labels if labels is None else labels,
         h.mult if mult is None else mult,
         h.comult if comult is None else comult,
         h.counit,
@@ -409,7 +426,7 @@ def test_axioms_name_a_corrupted_comult_entry(label, term):
     row[term] = (j, k, c * h.field.q)
     comult = list(h.comult)
     comult[i] = tuple(row)
-    rep = verify_hopf_axioms(_with_tables(h, comult=comult), include_grading=False)
+    rep = verify_hopf_axioms(_with_tables(h, comult=comult))
     element_checks = ("coassociativity", "counit", "antipode-left", "antipode-right")
     failed = {c.name: c.details for c in rep.failures()}
     assert set(failed) & set(element_checks)

@@ -9,28 +9,29 @@ from fast_path_reference import lattices_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfgen.errors import IndexMismatch, RangeError, TrivialActionViolated, UnsupportedKind
+from hopfgen.errors import RangeError, UnsupportedKind
 from hopfgen.groups import (
     alternating,
     cyclic,
     direct_product,
-    semidirect_product,
     symmetric,
     trivial,
 )
 from hopfgen.lattice import (
     ReducedBasis,
-    basis_containing_unit,
     hnf,
     hnf_basis,
-    int_inverse_unimodular,
-    matmul_int,
     named_basis,
     pq_generation_check,
     smith_normal_form,
     solve_in_lattice,
     y_group,
 )
+
+
+def matmul_int(a, b):
+    cols = len(b[0]) if b else 0
+    return [[sum(ra[k] * b[k][j] for k in range(len(ra))) for j in range(cols)] for ra in a]
 
 
 def frac_det(m):
@@ -261,16 +262,6 @@ def test_lattices_equal():
     assert lattices_equal([[1, 1], [1, -1]], [[1, 1], [0, 2]])
 
 
-def test_int_inverse_unimodular():
-    u = [[1, 2], [1, 3]]
-    ui = int_inverse_unimodular(u)
-    assert matmul_int(u, ui) == [[1, 0], [0, 1]]
-    with pytest.raises(IndexMismatch, match="not integral"):
-        int_inverse_unimodular([[2, 0], [0, 1]])
-    with pytest.raises(IndexMismatch, match="singular"):
-        int_inverse_unimodular([[1, 2], [2, 4]])
-
-
 def test_y_group_trivial_and_cyclic2():
     y = y_group(trivial())
     assert y.basis == [[1]]
@@ -357,33 +348,6 @@ def test_named_symmetric_rejects_alternating4():
         named_basis(alternating(4), "symmetric")
 
 
-def test_named_semidirect_trivial_action():
-    c2, c3 = cyclic(2), cyclic(3)
-    act = [list(range(2)) for _ in range(3)]
-    g = semidirect_product(c2, c3, act)
-    y = named_basis(g, "semidirect", h=c2, k=c3, action=act)
-    assert y.index == 6
-
-
-def test_named_semidirect_rejects_inverting_action():
-    c3, c2 = cyclic(3), cyclic(2)
-    invert = [0, 2, 1]
-    act = [list(range(3)), invert]
-    g = semidirect_product(c3, c2, act)
-    with pytest.raises(TrivialActionViolated):
-        named_basis(g, "semidirect", h=c3, k=c2, action=act)
-
-
-def test_basis_containing_unit():
-    g = symmetric(3)
-    y = y_group(g)
-    e_vec = [0] * g.order
-    e_vec[g.identity] = 1
-    new = basis_containing_unit(y.basis, e_vec)
-    assert new[0] == e_vec
-    assert lattices_equal(new, y.basis)
-
-
 @pytest.mark.parametrize(
     "group",
     [cyclic(2), cyclic(5), direct_product(cyclic(2), cyclic(2)), symmetric(3), alternating(4)],
@@ -415,11 +379,6 @@ def test_wrong_length_vectors_are_rejected():
         solve_in_lattice(y_group(cyclic(2)).basis, [1, 0, 0])
     assert solve_in_lattice([], [0, 0]) == []
     assert solve_in_lattice([], [0, 1]) is None
-
-
-def test_basis_containing_unit_rejects_target_outside():
-    with pytest.raises(IndexMismatch, match="outside the lattice"):
-        basis_containing_unit([[2, 0], [0, 1]], [1, 0])
 
 
 # --- differential tests against the elimination and solver kept verbatim

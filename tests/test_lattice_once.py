@@ -32,12 +32,15 @@ from hopfgen.tring import t_ring
 
 
 def test_the_cap_is_checked_even_after_the_lattice_is_stored():
-    g = symmetric(4)
-    y = y_group(g)
-    assert g._y is not None
-    with pytest.raises(RangeError, match="group order 24 exceeds the lattice cap 23"):
-        y_group(g, max_order=23)
-    assert y_group(g, max_order=24) == y
+    at_cap = symmetric(4)
+    y = y_group(at_cap)
+    assert at_cap._y is not None and y_group(at_cap) == y
+    g = cyclic(25)
+    with pytest.raises(RangeError, match="group order 25 exceeds the lattice cap 24"):
+        y_group(g)
+    g._y = lattice._y_basis(g)
+    with pytest.raises(RangeError, match="group order 25 exceeds the lattice cap 24"):
+        y_group(g)
 
 
 def test_changing_a_returned_basis_leaves_the_next_result_alone():

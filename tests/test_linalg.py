@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hopfgen.arith import make_field
 from hopfgen.errors import RangeError
-from hopfgen.hopf import AlgebraElement, taft
+from hopfgen.hopf import taft
 from hopfgen.identities import NCPoly
 from hopfgen.linalg import collect, scalar_det
 from hopfgen.tring import TensorH, t_ring
@@ -181,24 +181,11 @@ def _ncpoly(terms):
     return NCPoly(H, terms)
 
 
-def _algebra_element(terms):
-    return AlgebraElement(H, terms)
-
-
 def _tensor_products(a, b):
     return (
         ((m1.mul(m2), k), c1 * c2 * c)
         for (m1, i), c1 in a.items()
         for (m2, j), c2 in b.items()
-        for k, c in H.mult.get((i, j), ())
-    )
-
-
-def _basis_products(a, b):
-    return (
-        (k, ci * cj * c)
-        for i, ci in a.items()
-        for j, cj in b.items()
         for k, c in H.mult.get((i, j), ())
     )
 
@@ -219,7 +206,6 @@ KINDS = {
         st.lists(st.sampled_from(SLOTS), max_size=2).map(tuple),
         lambda a, b: ((w1 + w2, c1 * c2) for w1, c1 in a.items() for w2, c2 in b.items()),
     ),
-    "AlgebraElement": (_algebra_element, st.integers(0, H.dim - 1), _basis_products),
 }
 
 
@@ -284,7 +270,6 @@ OWNED = {
     "TElement": (lambda h, terms: t_ring(h).element(terms), MONOMIALS[4]),
     "TensorH": (lambda h, terms: TensorH(t_ring(h), h, terms), (MONOMIALS[4], Y)),
     "NCPoly": (NCPoly, (Y,)),
-    "AlgebraElement": (AlgebraElement, Y),
 }
 
 

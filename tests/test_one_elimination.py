@@ -3,24 +3,20 @@ replaced (`fast_path_reference.py`).
 
 - The pivot product of the Hermite form is |det| of a square matrix, and a
   rank below its size stands for a zero determinant (Bareiss reference).
-- The `U` of the Hermite form of a unimodular matrix is its inverse, and a
-  singular or non-unimodular matrix is refused with the same message as the
-  Gauss-Jordan reference.
 - One grading formula gives the taft and the monomial degrees of the old
   branches, and one level lift gives the words of the two old recursions.
 """
 
 import fast_path_reference as ref
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgen.arith import make_field
-from hopfgen.errors import IndexMismatch
 from hopfgen.generic_base import WITNESS_CAP, _level_lift
 from hopfgen.groups import character_from_exponents, cyclic
 from hopfgen.hopf import hab_grading, monomial_type_i, taft
-from hopfgen.lattice import _hnf_index, int_inverse_unimodular
+from hopfgen.lattice import _hnf_index
 from hopfgen.selftest import klein_monomial
 
 square_matrices = st.integers(min_value=1, max_value=6).flatmap(
@@ -30,26 +26,6 @@ square_matrices = st.integers(min_value=1, max_value=6).flatmap(
         max_size=n,
     )
 )
-
-
-@st.composite
-def unimodular_matrices(draw):
-    """The identity after a run of elementary row operations: adding a
-    multiple of one row to another, swapping two rows, negating one."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(draw(st.integers(min_value=0, max_value=12))):
-        i = draw(st.integers(min_value=0, max_value=n - 1))
-        j = draw(st.integers(min_value=0, max_value=n - 1))
-        op = draw(st.sampled_from(["add", "swap", "negate"]))
-        if op == "add" and i != j:
-            k = draw(st.integers(min_value=-4, max_value=4))
-            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
-        elif op == "swap":
-            m[i], m[j] = m[j], m[i]
-        elif op == "negate":
-            m[i] = [-a for a in m[i]]
-    return m
 
 
 def named_index(m):
@@ -74,27 +50,6 @@ def test_pivot_product_known_examples():
     # a repeated row is dropped before the elimination, and still counts
     # as a dependent one
     assert named_index([[1, 2], [1, 2]]) == 0
-
-
-@given(unimodular_matrices())
-@settings(max_examples=200)
-def test_unimodular_inverse_matches_the_reference(u):
-    assert int_inverse_unimodular(u) == ref.reference_int_inverse_unimodular(u)
-
-
-@given(square_matrices)
-@settings(max_examples=200)
-@example([[1, 2], [2, 4]])  # singular
-@example([[2, 1], [1, 2]])  # not unimodular
-def test_refusals_match_the_reference(m):
-    try:
-        want = ref.reference_int_inverse_unimodular(m)
-    except IndexMismatch as exc:
-        with pytest.raises(IndexMismatch) as got:
-            int_inverse_unimodular(m)
-        assert str(got.value) == str(exc)
-    else:
-        assert int_inverse_unimodular(m) == want
 
 
 def cyclic4_monomial():

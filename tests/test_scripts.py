@@ -1,6 +1,9 @@
-"""The scan scripts run at their defaults against the checkout's package."""
+"""The scan scripts run at their defaults against the checkout's package,
+and the JSON parity script writes no bytecode cache into it."""
 
+import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +25,18 @@ def test_scan_script_runs_at_its_defaults(script):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout
+
+
+def test_json_parity_leaves_no_bytecode_cache(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("json_parity", ROOT / "scripts" / "json_parity.py")
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(parity, "SRC", src)
+    monkeypatch.setattr(parity, "COMMANDS", [["describe", "--family", "taft:2"]])
+    # without the script's own setting the children would write the cache
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    parity.main()
+    assert capsys.readouterr().out.split()[1:] == ["exit=0", "describe", "--family", "taft:2"]
+    assert not list(src.rglob("__pycache__"))
