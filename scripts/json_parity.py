@@ -46,10 +46,13 @@ COMMANDS = (
         ["selftest"],
     ]
     + [["ygroup", "--check", "--group", spec]
-       for spec in ("sym:4", "cyclic:20", "product:cyclic:2,alt:4", "dihedral:9")]
+       for spec in ("sym:4", "cyclic:20", "product:cyclic:2,alt:4", "dihedral:9",
+                    "product:cyclic:2,cyclic:2,cyclic:2,cyclic:3")]
     + [[verb, *KLEIN] for verb in ("describe", "axioms")]
     # the axiom battery where its generating middle factors are fewest for the dimension
     + [["axioms", "--family", fam] for fam in ("taft:5", "e:4", "group:sym:4")]
+    # a grading by Z/4 x Z/12, whose decomposition takes two generators
+    + [["axioms", "--family", "group:product:cyclic:4,cyclic:12"]]
     + [["base", "--check", "all", *KLEIN], ["base", "--check", "all", *CYCLIC4]]
     # the degree-6 field of q a seventh root of unity: q-binomial tables,
     # and a coinvariant image checked against the centre span

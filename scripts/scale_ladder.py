@@ -5,7 +5,8 @@
 
 Prints one JSON line that maps each rung to its wall seconds:
 
-- `verify_hopf_axioms` on taft(6), taft(7) and e(5);
+- `verify_hopf_axioms` on taft(6), taft(7) and e(5), and on k[Z/4 x Z/12],
+  where the grading check decomposes the abelianization;
 - `verify_sigma` on taft(4) and e(3), with the trivial cocycle;
 - `identity` on (X[1]+X[x])^64 over taft(2): cocycle, parse and classify.
 
@@ -23,7 +24,8 @@ import time
 
 from hopfgen.cocycle import trivial_cocycle
 from hopfgen.generic_base import verify_sigma
-from hopfgen.hopf import e_algebra, taft, verify_hopf_axioms
+from hopfgen.groups import group_from_spec
+from hopfgen.hopf import e_algebra, group_algebra, taft, verify_hopf_axioms
 from hopfgen.identities import classify, parse_ncpoly
 
 
@@ -38,6 +40,8 @@ RUNGS = (
     ("axioms taft(6)", lambda: taft(6), lambda h: verify_hopf_axioms(h).ok),
     ("axioms taft(7)", lambda: taft(7), lambda h: verify_hopf_axioms(h).ok),
     ("axioms e(5)", lambda: e_algebra(5), lambda h: verify_hopf_axioms(h).ok),
+    ("axioms k[Z/4xZ/12]", lambda: group_algebra(group_from_spec("product:cyclic:4,cyclic:12")),
+     lambda h: verify_hopf_axioms(h).ok),
     ("sigma taft(4)", lambda: taft(4), lambda h: verify_sigma(h).ok),
     ("sigma e(3)", lambda: e_algebra(3), lambda h: verify_sigma(h).ok),
     ("identity (X[1]+X[x])^64 taft(2)", lambda: taft(2), _identity_power),

@@ -2,9 +2,9 @@
 
 Every group is a validated Cayley table over indices 0..n-1 with printable
 labels.  Constructors cover cyclic, dihedral, symmetric and alternating
-groups and direct products.  Abelianization is computed exactly via
-the Smith normal form of the relation lattice of the quotient by the
-commutator subgroup.
+groups and direct products.  The abelianization is decomposed into
+cyclic factors on the addition table of the cosets of the commutator
+subgroup, so no integer matrix is reduced.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from itertools import permutations
 from math import factorial, prod
 
 from .arith import FieldSpec, Scalar
-from .errors import DatumError, IndexMismatch, RangeError, UnknownLabel
-from .lattice import smith_normal_form
+from .errors import DatumError, RangeError, UnknownLabel
 
 DEFAULT_MAX_GROUP_ORDER = 48
 
@@ -227,10 +226,17 @@ def abelianization(
 ) -> tuple[FiniteAbelianGroup, list[tuple[int, ...]]]:
     """The largest abelian quotient together with the projection map.
 
-    Returns (A, proj) where proj[g] is the image of element g in A.  The
-    quotient by the commutator subgroup is presented on its cosets and
-    the relation matrix is put into Smith normal form, once per group;
-    every call returns its own proj list.
+    Returns (A, proj) where proj[g] is the image of element g in A.  A is
+    decomposed on the addition table of the cosets of the commutator
+    subgroup, once per group; every call returns its own proj list.
+
+    The rule that fixes proj: repeatedly take the coset c of largest order
+    k modulo the span of the generators chosen so far, the smallest coset
+    index winning ties, and write k c = s with s in that span.  Each
+    coordinate of s is divisible by k, because k divides every earlier
+    order, so c - s/k has order exactly k and becomes the next generator.
+    The invariant factors are the generator orders in reverse, and proj[g]
+    is the coordinate vector of the coset of g in that same order.
     """
     if group._ab is None:
         group._ab = _abelianize(group)
@@ -249,32 +255,33 @@ def _abelianize(group: FiniteGroup) -> tuple[FiniteAbelianGroup, list[tuple[int,
         reps.append(g)
         for n_ in comm:
             coset_of[group.mul(g, n_)] = cid
-    m = len(reps)
-    rows = []
-    e_row = [0] * m
-    e_row[coset_of[group.identity]] = 1
-    rows.append(e_row)
-    for i in range(m):
-        for j in range(m):
-            k = coset_of[group.mul(reps[i], reps[j])]
-            row = [0] * m
-            row[i] += 1
-            row[j] += 1
-            row[k] -= 1
-            rows.append(row)
-    d, v = smith_normal_form(rows)
-    diag = [d[t][t] for t in range(m)]
-    if not all(x >= 1 for x in diag):
-        raise IndexMismatch("quotient is not finite")
-    keep = [t for t in range(m) if diag[t] > 1]
-    factors = tuple(diag[t] for t in keep)
-    ab = FiniteAbelianGroup(factors)
-    proj = []
-    for g in range(group.order):
-        c = coset_of[g]
-        image = tuple(v[c][t] % diag[t] for t in keep)
-        proj.append(image)
-    return ab, proj
+    add = [[coset_of[group.mul(a, b)] for b in reps] for a in reps]
+    zero = coset_of[group.identity]
+    # the cosets in the span, each with its coordinates, one per generator
+    coords = {zero: ()}
+    orders = []
+    while len(coords) < len(reps):
+        best = None
+        for c in range(len(reps)):
+            k, kc = 1, c
+            while kc not in coords:
+                k, kc = k + 1, add[kc][c]
+            if best is None or k > best[0]:
+                best = (k, c, kc)
+        # the next generator is c - s/k with s = kc in the span
+        k, c, kc = best
+        at = {v: x for x, v in coords.items()}
+        shift = tuple(-(a // k) % d for a, d in zip(coords[kc], orders))
+        gen = add[c][at[shift]]
+        multiple, new = zero, {}
+        for j in range(k):
+            for x, v in coords.items():
+                new[add[x][multiple]] = v + (j,)
+            multiple = add[multiple][gen]
+        coords = new
+        orders.append(k)
+    ab = FiniteAbelianGroup(tuple(reversed(orders)))
+    return ab, [coords[coset_of[g]][::-1] for g in range(group.order)]
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -466,9 +473,6 @@ class Character:
 
     def __call__(self, g: int) -> Scalar:
         return self.values[g]
-
-    def power(self, g: int, k: int) -> Scalar:
-        return self.values[g] ** k
 
 
 def character_from_exponents(

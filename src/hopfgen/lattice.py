@@ -1,6 +1,6 @@
 """Integer lattice computations.
 
-Hermite and Smith normal forms over Z, plus the degree-zero lattice of a
+The Hermite normal form over Z, plus the degree-zero lattice of a
 group-algebra torus: the kernel of the exponent-sum map Z^G -> G_ab.  All
 named bases are verified computationally (membership and determinant)
 rather than trusted.
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexMismatch, RangeError, UnsupportedKind
+from .groups import abelianization, commutator_subgroup
 from .report import Report
 
 MAX_LATTICE_ORDER = 24
@@ -131,79 +132,6 @@ def solve_in_lattice(basis: list[list[int]], v: list[int]) -> list[int] | None:
     return ReducedBasis(basis).solve(v)
 
 
-def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Smith normal form: returns (D, V) with D diagonal, its positive
-    diagonal entries in a divisibility chain, and V unimodular such that
-    U @ m @ V == D for some unimodular U.  U itself is not built: rows of
-    m are only combined with each other, so m @ V and D span the same
-    lattice."""
-    a = [list(r) for r in m]
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    v = _identity(nc)
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(dst, src, mult):
-        for row in a:
-            row[dst] += mult * row[src]
-        for row in v:
-            row[dst] += mult * row[src]
-
-    t = 0
-    while t < min(nr, nc):
-        cand = [
-            (abs(a[i][j]), i, j)
-            for i in range(t, nr)
-            for j in range(t, nc)
-            if a[i][j]
-        ]
-        if not cand:
-            break
-        _, pi, pj = min(cand)
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            swap_cols(t, pj)
-        while True:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            bad = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, nr)
-                    for j in range(t + 1, nc)
-                    if a[i][j] % a[t][t]
-                ),
-                None,
-            )
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad[0]])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        t += 1
-    return a, v
-
-
 @dataclass
 class YLattice:
     """A verified basis of the degree-zero exponent lattice inside Z^G."""
@@ -256,8 +184,6 @@ def _hnf_index(rows: list[list[int]]) -> tuple[list[list[int]], int]:
 
 
 def _y_basis(group) -> tuple[tuple[tuple[int, ...], ...], int]:
-    from .groups import abelianization
-
     n = group.order
     gens = [_unit_vector(n, group.identity)]
     for g in range(n):
@@ -275,8 +201,6 @@ def _y_basis(group) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 
 def _verify_named(group, vectors: list[list[int]]) -> YLattice:
-    from .groups import abelianization
-
     ab, proj = abelianization(group)
     n = group.order
     for v in vectors:
@@ -341,8 +265,6 @@ def named_basis(group, kind: str, **kw) -> YLattice:
                 vectors.append(v)
         return _verify_named(group, vectors)
     if kind == "symmetric":
-        from .groups import commutator_subgroup
-
         h0 = commutator_subgroup(group)
         if 2 * len(h0) != n:
             raise UnsupportedKind("commutator subgroup does not have index 2")
@@ -410,8 +332,6 @@ def pair_and_triple_vectors(group) -> list[tuple[list[int], tuple[int, ...]]]:
 
 def pq_generation_check(group) -> Report:
     """The palindrome and triangle vectors generate the whole degree-zero lattice."""
-    from .groups import abelianization
-
     n = group.order
     rep = Report(title=f"pq-generation({group.name or n})")
     ab, proj = abelianization(group)

@@ -1,7 +1,6 @@
 """Integer lattice layer: normal forms, degree-zero lattices, named bases."""
 
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -23,7 +22,6 @@ from hopfgen.lattice import (
     hnf_basis,
     named_basis,
     pq_generation_check,
-    smith_normal_form,
     solve_in_lattice,
     y_group,
 )
@@ -87,161 +85,6 @@ def test_hnf_properties(m):
             assert 0 <= above[p] < r[p]
     # idempotence on the nonzero part
     assert hnf_basis(rows) == rows
-
-
-@given(small_matrices)
-@settings(max_examples=100)
-def test_smith_properties(m):
-    d, v = smith_normal_form(m)
-    # certificate without U: V is unimodular and only row operations
-    # separate m @ V from D, so both span the same lattice
-    assert abs(frac_det(v)) == 1
-    assert hnf_basis(matmul_int(m, v)) == hnf_basis(d)
-    nr, nc = len(d), len(d[0])
-    diag = [d[t][t] for t in range(min(nr, nc))]
-    for i in range(nr):
-        for j in range(nc):
-            if i != j:
-                assert d[i][j] == 0
-    nz = [x for x in diag if x]
-    assert all(x > 0 for x in nz)
-    for a, b in zip(nz, nz[1:]):
-        assert b % a == 0
-    assert diag[len(nz):] == [0] * (len(diag) - len(nz))
-
-
-def test_smith_known_example():
-    d, _ = smith_normal_form([[2, 4], [6, 8]])
-    assert [d[0][0], d[1][1]] == [2, 4]
-
-
-def smith_reference(
-    m: list[list[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """smith_normal_form as it was while it also built U, kept verbatim as
-    the reference for the U-free routine: returns (D, U, V) with
-    U @ m @ V == D."""
-    a = [list(r) for r in m]
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, mult):
-        a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, mult):
-        for row in a:
-            row[dst] += mult * row[src]
-        for row in v:
-            row[dst] += mult * row[src]
-
-    t = 0
-    while t < min(nr, nc):
-        cand = [
-            (abs(a[i][j]), i, j)
-            for i in range(t, nr)
-            for j in range(t, nc)
-            if a[i][j]
-        ]
-        if not cand:
-            break
-        _, pi, pj = min(cand)
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        while True:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            bad = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, nr)
-                    for j in range(t + 1, nc)
-                    if a[i][j] % a[t][t]
-                ),
-                None,
-            )
-            if bad is None:
-                break
-            add_row(t, bad[0], 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return a, u, v
-
-
-
-tall_matrices = st.integers(min_value=1, max_value=6).flatmap(
-    lambda r: st.integers(min_value=1, max_value=3).flatmap(
-        lambda c: st.lists(
-            st.lists(st.integers(min_value=-9, max_value=9), min_size=c, max_size=c),
-            min_size=r,
-            max_size=r,
-        )
-    )
-)
-
-
-@given(st.one_of(small_matrices, tall_matrices))
-@settings(max_examples=150)
-def test_smith_matches_the_reference_that_built_u(m):
-    d_ref, u_ref, v_ref = smith_reference(m)
-    assert matmul_int(matmul_int(u_ref, m), v_ref) == d_ref
-    assert smith_normal_form(m) == (d_ref, v_ref)
-
-
-def test_smith_matches_the_reference_on_relation_matrices(monkeypatch):
-    from hopfgen import groups
-
-    seen = []
-    real = groups.smith_normal_form
-
-    def recorded(rows):
-        seen.append(rows)
-        return real(rows)
-
-    monkeypatch.setattr(groups, "smith_normal_form", recorded)
-    for g in (
-        cyclic(12),
-        symmetric(3),
-        groups.dihedral(4),
-        direct_product(cyclic(2), cyclic(6)),
-        direct_product(cyclic(3), symmetric(3)),
-    ):
-        groups.abelianization(g)
-    assert len(seen) == 5
-    for rows in seen:
-        d_ref, _, v_ref = smith_reference(rows)
-        assert real(rows) == (d_ref, v_ref)
 
 
 def test_solve_in_lattice_round_trip():
@@ -517,74 +360,3 @@ def test_hnf_rank_and_index_match_sympy():
             for i, row in enumerate(basis):
                 index *= row[i]
             assert index == abs(hermite_normal_form(a.T).det())
-
-
-# smith_normal_form does not keep its entries small.  On these two 7x5
-# matrices, the 9th and the 27th that the generator below draws, they grow
-# to thousands of digits: the first reduction does not finish, the second
-# takes about 45 s.  test_smith_finishes_on_dense_input keeps them in view.
-SMITH_BLOWUPS = [
-    [
-        [2, 7, -7, 9, -2],
-        [5, -8, -7, -8, 3],
-        [3, 6, 9, 4, -8],
-        [2, -8, 4, 6, -5],
-        [0, 2, -6, 6, 8],
-        [-7, 0, -4, 4, -5],
-        [11, 14, -10, 14, 1],
-    ],
-    [
-        [6, 3, -9, 2, -7],
-        [-5, -5, 6, -6, -8],
-        [-4, 3, 0, 2, -2],
-        [1, -4, -9, -8, 4],
-        [5, 7, -8, -4, -5],
-        [-7, 2, 0, -6, -2],
-        [-5, -6, 7, -6, -5],
-    ],
-]
-
-
-def test_smith_diagonal_matches_sympy_invariant_factors():
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import invariant_factors
-
-    rng = random.Random(20132)
-    for _ in range(60):
-        m = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 5))
-        if m in SMITH_BLOWUPS:
-            continue
-        d, _ = smith_normal_form(m)
-        diag = [d[t][t] for t in range(min(len(m), len(m[0])))]
-        assert diag == [abs(x) for x in invariant_factors(sympy.Matrix(m))]
-
-
-def _on_alarm(signum, frame):
-    raise TimeoutError("smith_normal_form did not finish in 1 s")
-
-
-@pytest.mark.xfail(
-    raises=TimeoutError,
-    strict=True,
-    reason="smith_normal_form has no control of entry growth",
-)
-@pytest.mark.parametrize("m", SMITH_BLOWUPS)
-def test_smith_finishes_on_dense_input(m):
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import invariant_factors
-
-    want = [abs(x) for x in invariant_factors(sympy.Matrix(m))]
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
-        d, _ = smith_normal_form(m)
-    except TimeoutError as err:
-        # The alarm can land on an instruction that has no line number, and
-        # pytest fails with an internal error while rendering a traceback
-        # through it; raised afresh here, without that context, the error
-        # carries the line numbers of this test only.
-        raise TimeoutError(str(err)) from None
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    assert [d[t][t] for t in range(5)] == want
