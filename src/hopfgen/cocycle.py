@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .arith import Scalar
 from .errors import CocycleMismatch, NotInvertible, RangeError, UnsupportedFamily
-from .hopf import HopfAlgebra, _canonical_terms, check_product
+from .hopf import HopfAlgebra, _canonical_terms, fails_at
 from .linalg import collect, solve_unique
 from .report import Report
 
@@ -117,14 +117,6 @@ def verify_normalization(hopf: HopfAlgebra, values) -> Report:
         "" if bad is None else f"fails at basis element {hopf.labels[bad]}",
     )
     return rep
-
-
-def fails_at(hopf: HopfAlgebra, bad) -> str:
-    """The details of a check: empty when it holds, else its first
-    counterexample as a tuple of basis labels."""
-    if bad is None:
-        return ""
-    return "fails at ({})".format(", ".join(hopf.labels[i] for i in bad))
 
 
 def cocycle_failure(hopf: HopfAlgebra, vals, zero):
@@ -313,21 +305,10 @@ class TwistedAlgebra:
     multiply_dicts = HopfAlgebra.multiply_dicts
 
 
-def twisted_algebra(hopf: HopfAlgebra, alpha: TwoCocycle, verify: bool = True) -> TwistedAlgebra:
+def twisted_algebra(hopf: HopfAlgebra, alpha: TwoCocycle) -> TwistedAlgebra:
     """Product u_x u_y = alpha(x1, y1) u_{x2 y2} on the u-basis."""
     mult = _twist(hopf, hopf.mult, require_cocycle_of(hopf, alpha).values)
-    out = TwistedAlgebra(hopf, mult, hopf.unit_index)
-    if verify:
-        unital, bad = check_product(hopf.dim, mult, hopf.unit_index, hopf.field.one)
-        if not unital:
-            raise NotInvertible("twisted product is not unital")
-        if bad is not None:
-            raise NotInvertible(
-                "twisted product is not associative at ({}, {}, {})".format(
-                    *(hopf.labels[i] for i in bad)
-                )
-            )
-    return out
+    return TwistedAlgebra(hopf, mult, hopf.unit_index)
 
 
 def cotwist_hopf(hopf: HopfAlgebra, alpha: TwoCocycle) -> HopfAlgebra:

@@ -265,20 +265,6 @@ class HopfAlgebra:
             ((j, k), ci * c) for i, ci in a.items() for j, k, c in self.comult[i]
         )
 
-    def comult_power(self, i: int, legs: int) -> dict[tuple[int, ...], Scalar]:
-        """Iterated comultiplication of a basis element into the given
-        number of tensor legs."""
-        if legs < 1:
-            raise RangeError("need at least one tensor leg")
-        cur: dict[tuple[int, ...], Scalar] = {(i,): self.field.one}
-        for _ in range(legs - 1):
-            cur = collect(
-                ((j, k) + key[1:], c * cc)
-                for key, c in cur.items()
-                for j, k, cc in self.comult[key[0]]
-            )
-        return cur
-
     def counit_dict(self, a: dict[int, Scalar]) -> Scalar:
         out = self.field.zero
         for i, ci in a.items():
@@ -573,6 +559,14 @@ def group_algebra(group: FiniteGroup, field: FieldSpec | None = None) -> HopfAlg
 # -- verification ------------------------------------------------------------
 
 
+def fails_at(hopf: HopfAlgebra, bad) -> str:
+    """The details of a check: empty when it holds, else its first
+    counterexample as a tuple of basis labels."""
+    if bad is None:
+        return ""
+    return "fails at ({})".format(", ".join(hopf.labels[i] for i in bad))
+
+
 def verify_hopf_axioms(h: HopfAlgebra) -> Report:
     """Exact check of every Hopf axiom on the tables.  A failing check
     names its first counterexample in loop order: a basis element, pair or
@@ -595,10 +589,7 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
         return next((key for key in keys if fails(*key)), None)
 
     def add(name: str, bad) -> None:
-        if bad is None:
-            rep.add(name, True)
-        else:
-            rep.add(name, False, "fails at ({})".format(", ".join(h.labels[i] for i in bad)))
+        rep.add(name, bad is None, fails_at(h, bad))
 
     unital, bad = check_product(dim, h.mult, h.unit_index, field.one)
     add("associativity", bad)

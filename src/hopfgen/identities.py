@@ -311,7 +311,7 @@ def mu_algebra(hopf: HopfAlgebra, alpha: TwoCocycle) -> TwistedAlgebra | HopfAlg
     TwoCocycle of this very instance."""
     require_cocycle_of(hopf, alpha)
     if alpha._mu_target is None:
-        tw = twisted_algebra(hopf, alpha, verify=False)
+        tw = twisted_algebra(hopf, alpha)
         alpha._mu_target = hopf if tw.mult == hopf.mult else tw
     return alpha._mu_target
 

@@ -1,7 +1,8 @@
 """The general routines that the no-op fast paths now bypass, kept verbatim
 (apart from their names and the imports) as the references of the
-differential tests in `test_fast_paths.py`, `test_packed_monomials.py`,
-`test_lattice_once.py` and `test_one_elimination.py`.
+differential tests in `test_fast_paths.py`, `test_generic_base.py`,
+`test_packed_monomials.py`, `test_lattice_once.py` and
+`test_one_elimination.py`.
 
 - `reference_check_product`: one `collect` per basis triple (i, j, k).
 - `reference_verify_hopf_axioms`: the axiom battery with every pair check
@@ -31,6 +32,12 @@ differential tests in `test_fast_paths.py`, `test_packed_monomials.py`,
 - `reference_taft_lift` and `reference_monomial_lift`: the two copies of
   the level lift of the niceness witnesses, which `_level_lift` replaced;
   each returns its lift and the letters, stride, W, Y and field it uses.
+- `reference_generic_cocycle` and `reference_generic_cocycle_inverse`:
+  one entry of the lifted cocycle and of its convolution inverse, read
+  through two threefold coproducts from `reference_comult_power` (the former
+  `HopfAlgebra.comult_power`), which `generic_base.lifted_cocycle`
+  replaced; they call `reference_comult_power(hopf, ...)` where they called
+  the method.
 
 The package helpers below left `src/hopfgen` because no user path reaches
 them; the tests that check a fact of the paper through them call them here.
@@ -48,14 +55,14 @@ them; the tests that check a fact of the paper through them call them here.
 from __future__ import annotations
 
 from hopfgen.arith import Scalar, format_terms, q_binomial
-from hopfgen.errors import UnknownLabel
+from hopfgen.errors import RangeError, UnknownLabel
 from hopfgen.groups import FiniteAbelianGroup, FiniteGroup, abelianization
 from hopfgen.hopf import hab_grading
-from hopfgen.identities import NCPoly, mu, symbol
+from hopfgen.identities import NCPoly, basis_index, mu, symbol
 from hopfgen.lattice import hnf_basis
 from hopfgen.linalg import collect, nullspace
 from hopfgen.report import Report
-from hopfgen.tring import TElement, t_ring
+from hopfgen.tring import TElement, t_inverse_map, t_ring
 
 
 def reference_check_product(
@@ -424,6 +431,67 @@ def reference_monomial_lift(hopf, cap: int):
         return out
 
     return lift, (X, order, W, Ym, field)
+
+
+def reference_comult_power(self, i: int, legs: int) -> dict[tuple[int, ...], Scalar]:
+    """Iterated comultiplication of a basis element into the given
+    number of tensor legs."""
+    if legs < 1:
+        raise RangeError("need at least one tensor leg")
+    cur: dict[tuple[int, ...], Scalar] = {(i,): self.field.one}
+    for _ in range(legs - 1):
+        cur = collect(
+            ((j, k) + key[1:], c * cc)
+            for key, c in cur.items()
+            for j, k, cc in self.comult[key[0]]
+        )
+    return cur
+
+
+def reference_generic_cocycle(hopf, alpha, b, bp) -> TElement:
+    """One value of the cocycle lifted to the coordinate ring.
+
+    Both arguments are comultiplied twice; the outer legs contribute a
+    generator each, the middle legs feed the scalar cocycle, and the inner
+    legs are multiplied and closed off with the convolution inverse."""
+    ring = t_ring(hopf)
+    tinv = t_inverse_map(hopf)
+    i = basis_index(hopf, b)
+    j = basis_index(hopf, bp)
+    acc = ring.zero()
+    right = reference_comult_power(hopf, j, 3).items()
+    for (i1, i2, i3), ci in reference_comult_power(hopf, i, 3).items():
+        head = ring.var(i1)
+        for (j1, j2, j3), cj in right:
+            a = alpha(i2, j2)
+            if a.is_zero:
+                continue
+            part = head * ring.var(j1) * (ci * cj * a)
+            for m, cm in hopf.mult.get((i3, j3), ()):
+                acc = acc + part * tinv[m] * cm
+    return acc
+
+
+def reference_generic_cocycle_inverse(hopf, alpha, b, bp) -> TElement:
+    """Convolution inverse of the lifted cocycle, built leg by leg: outer
+    legs multiplied into one generator, middle legs through the inverse of
+    the scalar cocycle, inner legs each closed with the coordinate
+    inverse."""
+    ring = t_ring(hopf)
+    tinv = t_inverse_map(hopf)
+    i = basis_index(hopf, b)
+    j = basis_index(hopf, bp)
+    acc = ring.zero()
+    right = reference_comult_power(hopf, j, 3).items()
+    for (i1, i2, i3), ci in reference_comult_power(hopf, i, 3).items():
+        for (j1, j2, j3), cj in right:
+            a = alpha.inverse(i2, j2)
+            if a.is_zero:
+                continue
+            tail = tinv[i3] * tinv[j3] * (ci * cj * a)
+            for m, cm in hopf.mult.get((i1, j1), ()):
+                acc = acc + ring.var(m) * tail * cm
+    return acc
 
 
 def tautological_coaction(hopf, poly: NCPoly) -> dict:

@@ -34,7 +34,7 @@ from hopfgen.cocycle import (
     verify_normalization,
 )
 from hopfgen.errors import NotInvertible
-from hopfgen.generic_base import generic_cocycle, generic_cocycle_inverse, verify_sigma
+from hopfgen.generic_base import lifted_cocycle, verify_sigma
 from hopfgen.groups import cyclic, dihedral, symmetric
 from hopfgen.hopf import HopfAlgebra, _canonical_terms, e_algebra, group_algebra, taft
 from hopfgen.linalg import collect
@@ -424,8 +424,8 @@ def test_sigma_checks_name_the_reference_triple_and_pair(make, count):
     h = alpha.hopf
     ring = t_ring(h)
     dim = h.dim
-    sig = [[generic_cocycle(h, alpha, i, j) for j in range(dim)] for i in range(dim)]
-    inv = [[generic_cocycle_inverse(h, alpha, i, j) for j in range(dim)] for i in range(dim)]
+    sig = lifted_cocycle(h, alpha.values)
+    inv = lifted_cocycle(h, alpha.inverse_values, right=True)
     assert reference_sigma_failures(h, sig, inv) == (None, None)
     assert verify_sigma(h, alpha).ok
     bumps = (ring.one(), ring.var(0), ring.var(dim - 1) * h.field.scalar(-2))
@@ -448,7 +448,7 @@ def test_twisted_table_of_the_lifted_cocycle_holds_no_zero(make):
     # (3 of 810 on taft(4), 10 of 1,143 on e(3)); collect must drop them
     h = make()
     alpha = trivial_cocycle(h)
-    sig = [[generic_cocycle(h, alpha, i, j) for j in range(h.dim)] for i in range(h.dim)]
+    sig = lifted_cocycle(h, alpha.values)
     table = cocycle._twist(h, h.mult, sig)
     assert table and all(c and not c.is_zero for terms in table.values() for _, c in terms)
 
@@ -565,8 +565,8 @@ def test_support_filtered_loops_match_the_reference_on_sigma_of_taft3():
     h = taft(3)
     alpha = trivial_cocycle(h)
     ring = t_ring(h)
-    sig = [[generic_cocycle(h, alpha, i, j) for j in range(h.dim)] for i in range(h.dim)]
-    inv = [[generic_cocycle_inverse(h, alpha, i, j) for j in range(h.dim)] for i in range(h.dim)]
+    sig = lifted_cocycle(h, alpha.values)
+    inv = lifted_cocycle(h, alpha.inverse_values, right=True)
     assert convolution_failure(h, sig, inv, ring.zero()) is None
     failures = assert_support_loops_match(h, sig, inv, ring.zero(), ring.var(1), seed=3)
     assert failures >= 20
@@ -582,9 +582,8 @@ def test_an_empty_sum_is_checked_against_a_nonzero_counit_product():
         alpha = trivial_cocycle(h)
         x = h.index_of("x")
         ring = t_ring(h)
-        basis = range(h.dim)
-        sig = [[generic_cocycle(h, alpha, i, j) for j in basis] for i in basis]
-        inv = [[generic_cocycle_inverse(h, alpha, i, j) for j in basis] for i in basis]
+        sig = lifted_cocycle(h, alpha.values)
+        inv = lifted_cocycle(h, alpha.inverse_values, right=True)
         for vals, inverse, zero in (
             (alpha.values, alpha.inverse_values, h.field.zero),
             (sig, inv, ring.zero()),

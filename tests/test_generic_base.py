@@ -3,13 +3,16 @@ certificates, decomposition witnesses, the grading quotient, evaluation
 preimages, and freeness of the evaluation image."""
 
 import itertools
+import random
 
+import fast_path_reference as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfgen import generic_base
 from hopfgen.arith import make_field
-from hopfgen.cocycle import trivial_cocycle
+from hopfgen.cocycle import coboundary_cocycle, trivial_cocycle, verify_cocycle_condition
 from hopfgen.errors import NotDegreeZero, RangeError, UnsupportedFamily
 from hopfgen.generic_base import (
     DecompositionWitness,
@@ -17,17 +20,17 @@ from hopfgen.generic_base import (
     decompose,
     decompose_with_residue,
     gamma_generators,
-    generic_cocycle,
-    generic_cocycle_inverse,
     jacobian_check,
+    lifted_cocycle,
     niceness_witnesses,
     quotient_presentation_check,
     torus_minor_determinant,
     uprime_relations_check,
     verify_sigma,
 )
-from hopfgen.groups import character_from_exponents, cyclic, direct_product, symmetric
+from hopfgen.groups import character_from_exponents, cyclic, dihedral, direct_product, symmetric
 from hopfgen.hopf import HopfAlgebra, e_algebra, group_algebra, monomial_type_i, taft
+from hopfgen.selftest import standard_instances
 from hopfgen.tring import t_ring
 
 
@@ -45,36 +48,99 @@ def test_group_cocycle_is_torus_ratio():
     h = group_algebra(symmetric(3))
     group = h.family["group"]
     ring = t_ring(h)
-    alpha = trivial_cocycle(h)
+    sig = lifted_cocycle(h, trivial_cocycle(h).values)
     for g, k in itertools.product(range(group.order), repeat=2):
         expected = ring.var(g) * ring.var(k) * ring.var(group.mul(g, k), -1)
-        assert generic_cocycle(h, alpha, g, k) == expected
+        assert sig[g][k] == expected
 
 
 def test_unit_argument_scales_the_unit_generator():
     h = taft(3)
     ring = t_ring(h)
-    alpha = trivial_cocycle(h)
+    sig = lifted_cocycle(h, trivial_cocycle(h).values)
+    u = h.unit_index
     for b in range(h.dim):
-        expected = ring.var(h.unit_index) * h.counit[b]
-        assert generic_cocycle(h, alpha, h.unit_index, b) == expected
-        assert generic_cocycle(h, alpha, b, h.unit_index) == expected
+        expected = ring.var(u) * h.counit[b]
+        assert sig[u][b] == expected
+        assert sig[b][u] == expected
 
 
 def test_taft2_diagonal_value_and_inverse():
     h = taft(2)
     ring = t_ring(h)
     alpha = trivial_cocycle(h)
-    assert generic_cocycle(h, alpha, "x", "x") == ring.var(1, 2) * ring.var(0, -1)
-    assert generic_cocycle_inverse(h, alpha, "x", "x") == ring.var(0) * ring.var(1, -2)
+    x = h.index_of("x")
+    assert lifted_cocycle(h, alpha.values)[x][x] == ring.var(1, 2) * ring.var(0, -1)
+    inv = lifted_cocycle(h, alpha.inverse_values, right=True)
+    assert inv[x][x] == ring.var(0) * ring.var(1, -2)
 
 
-def test_cocycle_accepts_labels_and_rejects_bad_index():
-    h = taft(2)
-    alpha = trivial_cocycle(h)
-    assert generic_cocycle(h, alpha, "x", 1) == generic_cocycle(h, alpha, 1, "x")
-    with pytest.raises(RangeError):
-        generic_cocycle(h, alpha, 99, 0)
+class MatrixPair:
+    """Two basis matrices read as a cocycle alpha(i, j) and its inverse
+    alpha.inverse(i, j), the interface of the reference routines; they
+    need not be a cocycle and its inverse."""
+
+    def __init__(self, values, inverse_values):
+        self.values, self.inverse_values = values, inverse_values
+
+    def __call__(self, i, j):
+        return self.values[i][j]
+
+    def inverse(self, i, j):
+        return self.inverse_values[i][j]
+
+
+def assert_lifted_cocycle_matches_the_reference(h, alpha):
+    """Both matrices of `lifted_cocycle` equal the entry-by-entry
+    reference through threefold coproducts, in value and in text."""
+    basis = range(h.dim)
+    pairs = (
+        (lifted_cocycle(h, alpha.values), ref.reference_generic_cocycle),
+        (lifted_cocycle(h, alpha.inverse_values, right=True), ref.reference_generic_cocycle_inverse),
+    )
+    for got, reference in pairs:
+        for i in basis:
+            for j in basis:
+                want = reference(h, alpha, i, j)
+                assert got[i][j] == want, (h.name, i, j)
+                assert got[i][j].to_text() == want.to_text(), (h.name, i, j)
+
+
+@pytest.mark.parametrize("name,h", standard_instances(), ids=[n for n, _ in standard_instances()])
+def test_lifted_cocycle_matches_the_threefold_coproduct_reference(name, h):
+    assert_lifted_cocycle_matches_the_reference(h, trivial_cocycle(h))
+
+
+@pytest.mark.parametrize("make", [lambda: symmetric(3), lambda: dihedral(4), lambda: cyclic(6)])
+@pytest.mark.parametrize("seed", [3, 5])
+def test_lifted_cocycle_matches_the_reference_on_coboundaries(make, seed):
+    h = group_algebra(make())
+    assert_lifted_cocycle_matches_the_reference(h, coboundary_cocycle(h, seed))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: taft(3), lambda: e_algebra(2), klein_monomial], ids=["taft3", "e2", "klein"]
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lifted_cocycle_matches_the_reference_on_matrices_that_are_not_cocycles(make, seed):
+    """The regrouping behind `lifted_cocycle` needs only coassociativity,
+    so it holds for any pair of matrices: here seeded ones, about a third
+    zero, with powers of q among the other entries."""
+    h = make()
+    field = h.field
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() < 0.35:
+            return field.zero
+        return field.q ** rng.randrange(field.n) * rng.choice([-3, -2, -1, 1, 2, 3])
+
+    def matrix():
+        return [[entry() for _ in range(h.dim)] for _ in range(h.dim)]
+
+    alpha = MatrixPair(matrix(), matrix())
+    assert not verify_cocycle_condition(h, alpha.values).ok
+    assert_lifted_cocycle_matches_the_reference(h, alpha)
 
 
 @pytest.mark.parametrize(
@@ -515,6 +581,29 @@ def test_group_witness_solves_over_product_vectors():
 def test_uprime_relations_pass(make):
     rep = uprime_relations_check(make())
     assert rep.ok, [(c.name, c.details) for c in rep.failures()]
+
+
+def test_uprime_group_letters_name_the_first_pair_off_the_lifted_cocycle(monkeypatch):
+    """With two entries of the lifted cocycle altered, the group branch
+    names the first of the two pairs in loop order; intact, it passes with
+    empty details."""
+    h = group_algebra(symmetric(3))
+    name = "letters multiply by the lifted cocycle"
+    checks = {c.name: c for c in uprime_relations_check(h).checks}
+    assert checks[name].passed and checks[name].details == ""
+    real = generic_base.lifted_cocycle
+    g, k = h.index_of("(2 3)"), h.index_of("(1 3)")
+
+    def altered(hopf, vals, right=False):
+        sig = real(hopf, vals, right)
+        for a, b in ((k, g), (g, k)):
+            sig[a][b] = sig[a][b] * 2
+        return sig
+
+    monkeypatch.setattr(generic_base, "lifted_cocycle", altered)
+    checks = {c.name: c for c in uprime_relations_check(group_algebra(symmetric(3))).checks}
+    assert not checks[name].passed
+    assert checks[name].details == "fails at ((2 3), (1 3))"
 
 
 def test_uprime_reports_expected_rank():

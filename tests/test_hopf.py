@@ -304,21 +304,6 @@ def test_e_row_without_its_diagonal_term_fails_the_grading_check():
     assert checks["grading"].details == "fails at (x, y_1)"
 
 
-def test_comult_power_matches_nested():
-    h = taft(3)
-    f = h.field
-    i = h.index_of("x y^2")
-    three = h.comult_power(i, 3)
-    # expand (comult x id) on the two-leg expansion by hand
-    want = {}
-    for j, k, c in h.comult[i]:
-        for a, b, cc in h.comult[j]:
-            key = (a, b, k)
-            want[key] = want.get(key, f.zero) + c * cc
-    want = {k_: v for k_, v in want.items() if not v.is_zero}
-    assert three == want
-
-
 def test_json_round_trips():
     # taft(8): the largest dimension and root-of-unity order that from_json admits
     for h in (taft(3), e_algebra(2), klein_monomial(), group_algebra(symmetric(3)), taft(8)):

@@ -118,6 +118,16 @@ def test_unit_symbol_commutes_with_everything():
         assert is_identity(h, a0, p)
 
 
+def test_symbol_accepts_labels_and_rejects_bad_index():
+    h = taft(2)
+    for i, label in enumerate(h.labels):
+        assert symbol(h, label) == symbol(h, i)
+        assert symbol(h, label).to_text() == symbol(h, i).to_text()
+    for bad in (h.dim, 99, -1):
+        with pytest.raises(RangeError):
+            symbol(h, bad)
+
+
 def test_commutators_on_group_algebras():
     ab = group_algebra(direct_product(cyclic(2), cyclic(2)))
     p = parse_ncpoly("X[(a,e)]*X[(e,a)] - X[(e,a)]*X[(a,e)]", ab)
