@@ -58,11 +58,12 @@ COMMANDS = (
     # and a coinvariant image checked against the centre span
     + [["describe", "--family", "taft:7"],
        ["identity", "--family", "taft:7", "--poly", "X[y]^7"]]
-    # the lifted cocycle and its inverse on a coboundary, a Nichols algebra,
-    # and the letter relations of a group algebra, which read them
+    # the lifted cocycle and its inverse on a coboundary, two Nichols
+    # algebras, and the letter relations of a group algebra, which read them
     + [["sigma", "--family", "group:cyclic:6", "--cocycle", "coboundary",
         "--cocycle-seed", "3"],
        ["sigma", "--family", "e:3"],
+       ["sigma", "--family", "taft:4"],
        ["base", "--check", "uprime", "--family", "group:dihedral:4"]]
 )
 

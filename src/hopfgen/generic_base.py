@@ -92,7 +92,12 @@ def lifted_cocycle(hopf: HopfAlgebra, vals, right: bool = False) -> list[list[TE
 def verify_sigma(hopf: HopfAlgebra, alpha=None) -> Report:
     """Three exact facts about the lifted cocycle: it satisfies the cocycle
     identity with coordinate-ring values, it is convolution invertible, and
-    substituting the counit recovers the scalar cocycle."""
+    substituting the counit recovers the scalar cocycle.
+
+    The identity is certified by `cocycle.cocycle_failure`: Light's test on
+    the algebra twisted by sigma, whose middle factors are x and y on
+    taft(n) and x, y_1, ..., y_n on e(n), the unit being skipped because
+    it acts as sigma(1, 1) = t[1]; a failure scans every basis triple."""
     if alpha is None:
         alpha = trivial_cocycle(hopf)
     ring = t_ring(hopf)

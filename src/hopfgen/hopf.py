@@ -12,6 +12,7 @@ basis order, and every axiom can be re-checked from the tables.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import ne
 
 from .arith import (
     FieldSpec,
@@ -573,13 +574,14 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
     triple.
 
     The pair checks first try only the right-hand factors in
-    `generating_middles` (Light's test, see `check_product`).  Once
+    `generating_middles` (Light's test, see `associative`).  Once
     associativity holds, the y with Delta(xy) = Delta(x)Delta(y) for all x
     form a subalgebra, and so do the y with eps(xy) = eps(x)eps(y) for all
     x; so comult- and counit-multiplicativity hold on every pair once they
-    hold on the pairs (x, m) for m in the certified set.  Any failure, or a
-    failed associativity, sends the check through all dim^2 pairs, so the
-    pair it names is the first one in loop order."""
+    hold on the pairs (x, m) for m in the certified set.  The unit stays in
+    that set: neither Delta(1) = 1 (x) 1 nor eps(1) = 1 follows from the
+    others.  Any failure, or a failed associativity, sends the check through
+    all dim^2 pairs, so the pair it names is the first one in loop order."""
     rep = Report(title=h.name or "hopf")
     field = h.field
     dim = h.dim
@@ -693,25 +695,60 @@ def structure_equal(a: HopfAlgebra, b: HopfAlgebra) -> bool:
 
 
 def check_product(
-    dim: int, mult, unit_index: int, one: Scalar
+    dim: int, mult, unit_index: int, one
 ) -> tuple[bool, tuple[int, int, int] | None]:
     """Unit and associativity of a mult table on the basis: whether the
-    unit multiplies every basis element to itself on both sides, and the
-    lexicographically first triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k),
-    or None.  Each product is read from the table, not recomputed: one sum
-    per pair (i, j), keyed by (k, m) for the b_m coordinate of either side.
+    unit b_u acts on every basis element, on both sides, as the value one
+    (the field's one on H; vals(u, u) on the table that `cocycle._twist`
+    twists by vals), and the lexicographically first triple (i, j, k) with
+    (b_i b_j) b_k != b_i (b_j b_k), or None.  Each product is read from the
+    table, not recomputed: one sum per pair (i, j), keyed by (k, m) for the
+    b_m coordinate of either side.
 
-    The middle factor b_j runs over `generating_middles` first (Light's
-    associativity test; Clifford and Preston, The Algebraic Theory of
-    Semigroups I, section 1.2).  By bilinearity alone the y with
-    (xy)z = x(yz) for all x, z form a subalgebra, and the certified set
-    generates the algebra, so no triple fails once none fails with its
-    middle factor in that set.  If one does, the whole basis is scanned,
-    so the triple named is the first one of all dim^3."""
-    unital = all(
+    `associative` decides associativity first; only if it fails is the
+    whole basis scanned, so the triple named is the first one of all
+    dim^3."""
+    unital = acts_as_scalar(dim, mult, unit_index, one)
+    if associative(dim, mult, unit_index, one):
+        return unital, None
+    sides = _associator(dim, mult)
+    i, j = next((i, j) for i in range(dim) for j in range(dim) if ne(*sides(i, j)))
+    left, right = sides(i, j)
+    k = min(key[0] for key in left.keys() | right.keys() if left.get(key) != right.get(key))
+    return unital, (i, j, k)
+
+
+def acts_as_scalar(dim: int, mult, unit_index: int, one) -> bool:
+    """Whether b_u b_i = b_i b_u = one b_i for every basis index i."""
+    return all(
         mult.get((unit_index, i)) == ((i, one),) and mult.get((i, unit_index)) == ((i, one),)
         for i in range(dim)
     )
+
+
+def associative(dim: int, mult, unit_index: int, one) -> bool:
+    """Whether the mult table is associative, by Light's associativity test
+    (Clifford and Preston, The Algebraic Theory of Semigroups I, section
+    1.2): the middle factor runs over `generating_middles` only.
+
+    The table may hold scalars, or elements of a commutative domain B over
+    which the algebra is free with this basis (the coordinate ring, for the
+    twist by the lifted cocycle).  By the Teichmueller identity the y with
+    (xy)z = x(yz) for all x, z form a B-subalgebra, and c y in it with
+    c != 0 puts y in it, so no triple fails once none fails with its middle
+    factor in the certified set.  When the unit acts as the scalar one
+    (`acts_as_scalar`), every associator with the unit in the middle is
+    (one xz) - (one xz) = 0, so the unit is reached without a check."""
+    sides = _associator(dim, mult)
+    middles = generating_middles(
+        dim, mult, unit_index, with_unit=not acts_as_scalar(dim, mult, unit_index, one)
+    )
+    return not any(ne(*sides(i, m)) for m in middles for i in range(dim))
+
+
+def _associator(dim: int, mult):
+    """sides(i, j): (b_i b_j) b_k and b_i (b_j b_k) summed over all k,
+    each keyed by (k, m) for its b_m coordinate."""
     rows = [[mult.get((i, j), ()) for j in range(dim)] for i in range(dim)]
     basis = range(dim)
 
@@ -725,43 +762,59 @@ def check_product(
         )
         return left, right
 
-    def fails(i: int, j: int) -> bool:
-        left, right = sides(i, j)
-        return left != right
-
-    bad = _first_failing_pair(dim, generating_middles(dim, mult, unit_index), fails)
-    if bad is None:
-        return unital, None
-    left, right = sides(*bad)
-    k = min(key[0] for key in left.keys() | right.keys() if left.get(key) != right.get(key))
-    return unital, (*bad, k)
+    return sides
 
 
-def generating_middles(dim: int, mult, unit_index: int) -> list[int]:
-    """The unit index followed by a set S of basis indices, chosen greedily
-    in basis order, such that every basis element is reached from the unit
-    by left products b_s b_j = c b_k with s in the list, b_j reached and one
-    term c != 0 in the table; so the list generates the algebra.  When the
-    right-hand factors y for which a pair identity holds with every
-    left-hand factor form a subalgebra, the identity needs checking only
-    with y in the list.  When products have several terms, S can be the
-    whole rest of the basis."""
-    middles: list[int] = []
-    reached: set[int] = set()
-    for s in (unit_index, *range(dim)):
-        if s in reached:
-            continue
-        # b_s times every element reached so far, each generator times b_s,
-        # then every generator times each element reached on the way
-        middles.append(s)
-        todo = [(s, j) for j in reached] + [(g, s) for g in middles]
-        reached.add(s)
+def generating_middles(dim: int, mult, unit_index: int, with_unit: bool = True) -> list[int]:
+    """The unit index (left out when with_unit is false) followed by basis
+    indices chosen greedily in basis order, each the smallest index not yet
+    reached, such that the list and the unit reach every basis element.
+
+    The unit and the listed indices are reached, and so is b_k whenever a
+    product b_m b_r or b_r b_m, of a listed b_m and a reached b_r, has b_k
+    as its only term with a nonzero coefficient c outside the reached
+    indices.  A product with several such terms is read again each time
+    the reached set grows, until nothing changes.
+
+    Let S be the right-hand factors y for which a pair identity holds with
+    every left-hand factor.  If S is a subalgebra, and a submodule in which
+    c y with c != 0 puts y (over a field, or over a domain when the algebra
+    is free on the basis), then S holds every reached element once it holds
+    the list and the unit: the identity needs checking only with y in the
+    list.  Leave the unit out only where it lies in S without a check."""
+    middles = [unit_index] if with_unit else []
+    reached = {unit_index}
+    todo = [(unit_index, unit_index)] if with_unit else []
+    held: list[set[int]] = []  # the unreached indices of products not yet used
+
+    def reach(k: int) -> None:
+        reached.add(k)
+        todo.extend(pair for m in middles for pair in ((m, k), (k, m)))
+
+    def close() -> None:
         while todo:
-            terms = mult.get(todo.pop(), ())
-            if len(terms) == 1 and not terms[0][1].is_zero and terms[0][0] not in reached:
-                k = terms[0][0]
-                reached.add(k)
-                todo.extend((g, k) for g in middles)
+            while todo:
+                rest = {k for k, c in mult.get(todo.pop(), ()) if k not in reached and not c.is_zero}
+                if len(rest) == 1:
+                    reach(*rest)
+                elif rest:
+                    held.append(rest)
+            kept = []
+            for rest in held:
+                rest -= reached
+                if len(rest) == 1:
+                    reach(*rest)
+                elif rest:
+                    kept.append(rest)
+            held[:] = kept
+
+    close()
+    for s in range(dim):
+        if s not in reached:
+            middles.append(s)
+            todo.extend(pair for r in reached for pair in ((s, r), (r, s)))
+            reach(s)
+            close()
     return middles
 
 

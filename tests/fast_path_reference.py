@@ -5,6 +5,9 @@ differential tests in `test_fast_paths.py`, `test_generic_base.py`,
 `test_one_elimination.py`.
 
 - `reference_check_product`: one `collect` per basis triple (i, j, k).
+- `reference_generating_middles`: the greedy middle set that reached a
+  basis element only through a single-term left product, which the
+  fixpoint over products on both sides with one unreached term replaced.
 - `reference_verify_hopf_axioms`: the axiom battery with every pair check
   over all dim^2 basis pairs, which the generating middle factors of
   `hopf.generating_middles` replaced; its associativity check is
@@ -87,6 +90,34 @@ def reference_check_product(
                 if left != right:
                     return unital, (i, j, k)
     return unital, None
+
+
+def reference_generating_middles(dim: int, mult, unit_index: int) -> list[int]:
+    """The unit index followed by a set S of basis indices, chosen greedily
+    in basis order, such that every basis element is reached from the unit
+    by left products b_s b_j = c b_k with s in the list, b_j reached and one
+    term c != 0 in the table; so the list generates the algebra.  When the
+    right-hand factors y for which a pair identity holds with every
+    left-hand factor form a subalgebra, the identity needs checking only
+    with y in the list.  When products have several terms, S can be the
+    whole rest of the basis."""
+    middles: list[int] = []
+    reached: set[int] = set()
+    for s in (unit_index, *range(dim)):
+        if s in reached:
+            continue
+        # b_s times every element reached so far, each generator times b_s,
+        # then every generator times each element reached on the way
+        middles.append(s)
+        todo = [(s, j) for j in reached] + [(g, s) for g in middles]
+        reached.add(s)
+        while todo:
+            terms = mult.get(todo.pop(), ())
+            if len(terms) == 1 and not terms[0][1].is_zero and terms[0][0] not in reached:
+                k = terms[0][0]
+                reached.add(k)
+                todo.extend((g, k) for g in middles)
+    return middles
 
 
 def reference_verify_hopf_axioms(h, include_grading: bool = True) -> Report:

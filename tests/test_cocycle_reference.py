@@ -9,7 +9,10 @@ two-stage `cotwist_hopf`, and the `convolution_failure` and `_twist` that
 ran over every pair of coproduct legs before they were filtered by the
 support of the matrix.  Each corrupted matrix must be reported at the same
 first triple or pair, with the same message, and every twisted or
-cotwisted table must be the same.
+cotwisted table must be the same.  `cocycle_failure` first puts the
+twisted algebra through Light's test; the cases below include corruptions
+that change its middle factors, that put the unit back among them, and
+tables on which the counit condition of that test fails.
 """
 
 import random
@@ -33,10 +36,19 @@ from hopfgen.cocycle import (
     verify_cocycle_condition,
     verify_normalization,
 )
-from hopfgen.errors import NotInvertible
+from hopfgen.errors import NotInvertible, NotPointedOrder
 from hopfgen.generic_base import lifted_cocycle, verify_sigma
 from hopfgen.groups import cyclic, dihedral, symmetric
-from hopfgen.hopf import HopfAlgebra, _canonical_terms, e_algebra, group_algebra, taft
+from hopfgen.hopf import (
+    HopfAlgebra,
+    _canonical_terms,
+    acts_as_scalar,
+    associative,
+    e_algebra,
+    generating_middles,
+    group_algebra,
+    taft,
+)
 from hopfgen.linalg import collect
 from hopfgen.report import Report
 from hopfgen.selftest import standard_instances
@@ -451,6 +463,141 @@ def test_twisted_table_of_the_lifted_cocycle_holds_no_zero(make):
     sig = lifted_cocycle(h, alpha.values)
     table = cocycle._twist(h, h.mult, sig)
     assert table and all(c and not c.is_zero for terms in table.values() for _, c in terms)
+
+
+# --- Light's test on the twisted algebra -----------------------------------
+
+
+def light_middles(h, vals):
+    """The labels of the middle factors that Light's test reads on the
+    table twisted by vals: the unit among them unless it acts as vals(1, 1)."""
+    table = _twist(h, h.mult, vals)
+    u = h.unit_index
+    with_unit = not acts_as_scalar(h.dim, table, u, vals[u][u])
+    return [h.labels[m] for m in generating_middles(h.dim, table, u, with_unit)]
+
+
+def sigma_corruptions(h, y_label):
+    """(name, sigma) for the trivial cocycle of h, intact and then with one
+    entry changed, y being the basis element labelled y_label: diagonal
+    and off-diagonal entries zeroed or bumped, and entries of the unit row
+    and column changed, which puts the unit back among the middles."""
+    ring = t_ring(h)
+    sig = lifted_cocycle(h, trivial_cocycle(h).values)
+    u, x, y = h.unit_index, h.index_of("x"), h.index_of(y_label)
+    top = h.dim - 1
+    yield "intact", sig
+    for (i, j) in ((x, x), (y, y), (x, y), (y, x), (x, top)):
+        yield f"({h.labels[i]}, {h.labels[j]}) zeroed", corrupted(sig, i, j, -sig[i][j])
+        yield f"({h.labels[i]}, {h.labels[j]}) bumped", corrupted(sig, i, j, ring.var(x))
+    yield "unit row", corrupted(sig, u, y, ring.var(1))
+    yield "unit column", corrupted(sig, x, u, ring.one())
+    yield "unit diagonal", corrupted(sig, u, u, ring.one())
+
+
+@pytest.mark.parametrize(
+    "make,y_label", [(lambda: taft(3), "y"), (lambda: e_algebra(2), "y_2")], ids=["taft3", "e2"]
+)
+def test_light_test_on_sigma_names_the_reference_triple(make, y_label):
+    h = make()
+    zero = t_ring(h).zero()
+    for name, sig in sigma_corruptions(h, y_label):
+        want = reference_cocycle_failure(h, sig, zero)
+        assert cocycle_failure(h, sig, zero) == want, name
+        assert (want is None) == (name == "intact"), name
+        assert (light_middles(h, sig)[0] == "1") == name.startswith("unit"), name
+
+
+def test_a_corruption_that_changes_the_generating_set_names_the_reference_triple():
+    h = taft(3)
+    zero = t_ring(h).zero()
+    sig = lifted_cocycle(h, trivial_cocycle(h).values)
+    x = h.index_of("x")
+    assert light_middles(h, sig) == ["x", "y"]
+    # with sigma(x, x) = 0, u_x u_x no longer reaches u_{x^2}
+    bad = corrupted(sig, x, x, -sig[x][x])
+    assert light_middles(h, bad) == ["x", "x^2", "y"]
+    assert cocycle_failure(h, bad, zero) == reference_cocycle_failure(h, bad, zero) == (1, 1, 2)
+
+
+def test_sigma_on_corrupted_algebras_takes_the_full_scan():
+    """On a counit changed to 1 at the top element, the counit no longer
+    reduces the associator to the identity, and the routine scans every
+    triple.  A dropped coproduct leg leaves no group-like counit leg, so
+    no sigma can be lifted; a doubled leg keeps the precondition, and the
+    twisted algebra fails Light's test."""
+    kinds = []
+    for h in corrupted_algebras():
+        vals = [[ci * cj for cj in h.counit] for ci in h.counit]
+        try:
+            sig = lifted_cocycle(h, vals)
+        except NotPointedOrder:
+            kinds.append("no lift")
+            continue
+        zero = t_ring(h).zero()
+        table = _twist(h, h.mult, sig)
+        u = h.unit_index
+        assert not associative(h.dim, table, u, sig[u][u])
+        want = reference_cocycle_failure(h, sig, zero)
+        assert want is not None
+        assert cocycle_failure(h, sig, zero) == want
+        kinds.append("precondition" if cocycle._counit_reduces(h) else "scan")
+    assert kinds == ["scan", "no lift", "precondition"] * 2
+
+
+def test_an_associative_twist_certifies_nothing_where_the_counit_condition_fails():
+    """k[Z/2] read back with the leg 1 (x) 1 added to Delta(g), so that
+    g1 counit(g2) = g + 1.  With vals(1, 1) = 1 and zeros elsewhere, every
+    product of the twisted algebra is u_1, so it is associative, yet the
+    identity fails: without the counit condition the routine must scan."""
+    h = group_algebra(cyclic(2))
+    payload = h.to_json()
+    g = 1 - h.unit_index
+    payload["comult"][g].append([h.unit_index, h.unit_index, ["1"]])
+    h = HopfAlgebra.from_json(payload)
+    zero, one = h.field.zero, h.field.one
+    vals = [[one if i == j == h.unit_index else zero for j in range(2)] for i in range(2)]
+    table = _twist(h, h.mult, vals)
+    assert associative(h.dim, table, h.unit_index, one)
+    assert not cocycle._counit_reduces(h)
+    want = reference_cocycle_failure(h, vals, zero)
+    assert want is not None
+    assert cocycle_failure(h, vals, zero) == want
+
+
+def scalar_non_cocycles():
+    """The non-cocycles of test_cocycle.py: counit (x) counit on taft(2) with
+    alpha(x, y) = 1, and a normalized form on k[Z/3] with entries
+    1 + i + 2j off the unit row and column."""
+    h = taft(2)
+    vals = [row[:] for row in trivial_cocycle(h).values]
+    vals[h.index_of("x")][h.index_of("y")] = h.field.one
+    yield h, vals
+    h = group_algebra(cyclic(3))
+    u = h.unit_index
+    yield h, [
+        [h.counit[i] if u in (i, j) else h.field.scalar(1 + i + 2 * j) for j in range(h.dim)]
+        for i in range(h.dim)
+    ]
+
+
+def test_scalar_non_cocycles_name_the_reference_triple():
+    for h, vals in scalar_non_cocycles():
+        want = reference_cocycle_failure(h, vals, h.field.zero)
+        assert want is not None
+        assert cocycle_failure(h, vals, h.field.zero) == want
+        assert light_middles(h, vals)[0] != "1"
+
+
+def test_a_cocycle_whose_unit_acts_as_a_scalar_passes_without_the_unit_middle():
+    """Twice a cocycle is a cocycle (both sides scale by 4); its unit acts
+    as 2, which Light's test reads off the table and skips."""
+    for h, alpha in scalar_cases():
+        two = h.field.scalar(2)
+        vals = [[v * two for v in row] for row in alpha.values]
+        assert light_middles(h, vals)[0] != h.labels[h.unit_index]
+        assert cocycle_failure(h, vals, h.field.zero) is None
+        assert reference_cocycle_failure(h, vals, h.field.zero) is None
 
 
 # --- the cotwist ------------------------------------------------------------

@@ -6,7 +6,9 @@ they bypass (`fast_path_reference.py`, `scalar_reference.py`).
   the same first non-associative triple as the triple loop, on every
   roster table, on a table whose products have several terms and on
   corrupted tables.  `generating_middles` must reach every basis element
-  from the unit.
+  from the unit, equal an independent fixpoint closure, and be no longer
+  than the single-term rule it replaced; on the table twisted by the
+  lifted cocycle it skips the unit.
 - `verify_hopf_axioms` checks its pair identities on the generating
   middle factors only; its report must equal that of the battery over all
   basis pairs, on intact tables and with one mult, comult or counit entry
@@ -31,11 +33,14 @@ from hypothesis import strategies as st
 from test_scalar_reference import assert_same, scalar_pairs
 
 from hopfgen.arith import make_field
-from hopfgen.cocycle import coboundary_cocycle, twisted_algebra
+from hopfgen.cocycle import _twist, coboundary_cocycle, trivial_cocycle, twisted_algebra
 from hopfgen.errors import NotPointedOrder, OutOfLocalization, RangeError
+from hopfgen.generic_base import lifted_cocycle
 from hopfgen.groups import symmetric
 from hopfgen.hopf import (
     HopfAlgebra,
+    acts_as_scalar,
+    associative,
     check_product,
     e_algebra,
     generating_middles,
@@ -43,6 +48,7 @@ from hopfgen.hopf import (
     taft,
     verify_hopf_axioms,
 )
+from hopfgen.linalg import collect
 from hopfgen.selftest import standard_instances
 from hopfgen.tring import TElement, TMonomial, power_product, t_inverse_map, t_ring
 
@@ -52,7 +58,8 @@ from hopfgen.tring import TElement, TMonomial, power_product, t_inverse_map, t_r
 def two_term_table(order: int) -> tuple[int, dict]:
     """The product of k[Z/order] on the basis 1, 1 + a, ..., 1 + a^(order-1):
     for odd order no product of two basis elements other than 1 is a single
-    term, so the greedy middle set is the whole basis."""
+    term, so only products of several terms reach anything beyond the
+    generators."""
     field = make_field(1)
     one, zero = field.one, field.zero
 
@@ -79,6 +86,58 @@ def two_term_table(order: int) -> tuple[int, dict]:
 TWO_TERM = two_term_table(5)
 
 
+def truncated_polynomial_table() -> tuple[int, dict]:
+    """k[t]/(t^4) on the basis 1, t, t^2 + t^3, t^2 - t^3: t t = (b_2 + b_3)/2
+    and t b_2 = (b_2 - b_3)/2 each hold two unreached terms, so t alone
+    reaches neither b_2 nor b_3."""
+    field = make_field(1)
+    powers = [{0: 1}, {1: 1}, {2: 1, 3: 1}, {2: 1, 3: -1}]  # each basis element in 1, t, t^2, t^3
+    mult = {}
+    for i, vi in enumerate(powers):
+        for j, vj in enumerate(powers):
+            p = [0] * 4
+            for a, ca in vi.items():
+                for b, cb in vj.items():
+                    if a + b < 4:
+                        p[a + b] += ca * cb
+            coeffs = (p[0], p[1], Fraction(p[2] + p[3], 2), Fraction(p[2] - p[3], 2))
+            terms = tuple((k, field.scalar(c)) for k, c in enumerate(coeffs) if c)
+            if terms:
+                mult[(i, j)] = terms
+    return 4, mult
+
+
+def reached_from_unit(dim, mult, unit_index, middles):
+    """The basis indices reached from the unit and middles: b_k is reached
+    when a product b_m b_r or b_r b_m, of m in middles and a reached r, has
+    b_k as its only unreached index with a nonzero coefficient.  An
+    independent fixpoint closure: every product is read again on every
+    round until a round reaches nothing."""
+    reached = {unit_index, *middles}
+    grew = True
+    while grew:
+        grew = False
+        for m in middles:
+            for r in sorted(reached):
+                for pair in ((m, r), (r, m)):
+                    left = {k for k, c in mult.get(pair, ()) if not c.is_zero} - reached
+                    if len(left) == 1:
+                        reached |= left
+                        grew = True
+    return reached
+
+
+def greedy_middles(dim, mult, unit_index, with_unit=True):
+    """The unit (if with_unit), then each time the smallest index that the
+    list so far does not reach, by `reached_from_unit`."""
+    middles = [unit_index] if with_unit else []
+    while True:
+        unreached = set(range(dim)) - reached_from_unit(dim, mult, unit_index, middles)
+        if not unreached:
+            return middles
+        middles.append(min(unreached))
+
+
 @pytest.mark.parametrize("name,h", standard_instances(), ids=[n for n, _ in standard_instances()])
 def test_check_product_matches_the_triple_loop_on_the_roster(name, h):
     args = (h.dim, h.mult, h.unit_index, h.field.one)
@@ -95,25 +154,13 @@ def test_check_product_matches_the_triple_loop_on_twisted_tables(seed):
 
 def test_check_product_matches_the_triple_loop_on_a_table_of_two_term_products():
     dim, mult = TWO_TERM
-    assert generating_middles(dim, mult, 0) == list(range(dim))
+    # the single-term rule needed the whole basis; 1 + a and products of
+    # several terms reach the rest
+    assert ref.reference_generating_middles(dim, mult, 0) == list(range(dim))
+    assert generating_middles(dim, mult, 0) == greedy_middles(dim, mult, 0) == [0, 1]
+    assert generating_middles(dim, mult, 0, with_unit=False) == [1]
     args = (dim, mult, 0, make_field(1).one)
     assert check_product(*args) == ref.reference_check_product(*args) == (True, None)
-
-
-def reached_from_unit(dim, mult, unit_index, middles):
-    """The basis indices reached from the unit by single-term left products
-    b_s b_j = c b_k, c != 0, with s in middles: an independent closure."""
-    reached = {unit_index}
-    grew = True
-    while grew:
-        grew = False
-        for s in middles:
-            for j in list(reached):
-                terms = mult.get((s, j), ())
-                if len(terms) == 1 and not terms[0][1].is_zero and terms[0][0] not in reached:
-                    reached.add(terms[0][0])
-                    grew = True
-    return reached
 
 
 def certificate_cases():
@@ -122,26 +169,99 @@ def certificate_cases():
     for seed in (1, 3, 5):
         mult = twisted_algebra(h, coboundary_cocycle(h, seed)).mult
         cases.append((f"twisted k[S3] seed {seed}", h.dim, mult, h.unit_index))
+    cases.append(("k[t]/(t^4)", *truncated_polynomial_table(), 0))
     return cases
 
 
 @pytest.mark.parametrize("case", certificate_cases(), ids=lambda case: case[0])
 def test_generating_middles_reach_every_basis_element(case):
     name, dim, mult, unit = case
+    for with_unit in (True, False):
+        middles = generating_middles(dim, mult, unit, with_unit)
+        assert (middles[:1] == [unit]) == with_unit and len(set(middles)) == len(middles)
+        assert reached_from_unit(dim, mult, unit, middles) == set(range(dim))
+        # greedy in basis order: each generator after the unit is the first
+        # index that the generators before it do not reach
+        assert middles == greedy_middles(dim, mult, unit, with_unit)
     middles = generating_middles(dim, mult, unit)
-    assert middles[0] == unit and len(set(middles)) == len(middles)
-    assert reached_from_unit(dim, mult, unit, middles) == set(range(dim))
-    # greedy in basis order: each generator after the unit is the first
-    # index that the generators before it do not reach
-    for t in range(1, len(middles)):
-        unreached = set(range(dim)) - reached_from_unit(dim, mult, unit, middles[:t])
-        assert middles[t] == min(unreached)
     if name.startswith("taft("):
         assert len(middles) == 3
     elif name.startswith("e("):
         assert len(middles) == int(name[2:-1]) + 2
     elif re.fullmatch(r"k\[Z/\d+\]", name) and dim > 1:
         assert len(middles) == 2
+
+
+@pytest.mark.parametrize("case", certificate_cases(), ids=lambda case: case[0])
+def test_generating_middles_are_no_more_than_the_single_term_rule_gave(case):
+    _, dim, mult, unit = case
+    assert len(generating_middles(dim, mult, unit)) <= len(
+        ref.reference_generating_middles(dim, mult, unit)
+    )
+
+
+def failing_middles(dim, mult, one):
+    """The j of every basis triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k),
+    by products of basis dicts."""
+
+    def prod(a, b):
+        return collect(
+            (k, ca * cb * c)
+            for i, ca in a.items()
+            for j, cb in b.items()
+            for k, c in mult.get((i, j), ())
+        )
+
+    e = [{i: one} for i in range(dim)]
+    return {
+        j
+        for i in range(dim)
+        for j in range(dim)
+        for k in range(dim)
+        if prod(prod(e[i], e[j]), e[k]) != prod(e[i], prod(e[j], e[k]))
+    }
+
+
+@pytest.mark.parametrize(
+    "products,middle",
+    [
+        # b_0 b_j = b_0 for every j: b_0 is no unit, stays a middle, and is
+        # the only middle factor at which a triple fails
+        ({(0, 0): 0, (0, 1): 0, (0, 2): 0, (1, 0): 1, (1, 1): 1, (1, 2): 1,
+          (2, 0): 2, (2, 1): 1, (2, 2): 1}, 0),
+        # unital, b_1 b_1 = b_2 b_2 = 1 and b_1 b_2 = b_2 b_1 = b_2: every
+        # triple holds with b_1 in the middle, and (b_2 b_2) b_1 != b_2 (b_2 b_1)
+        ({**{(0, j): j for j in range(3)}, **{(j, 0): j for j in range(3)},
+          (1, 1): 0, (1, 2): 2, (2, 1): 2, (2, 2): 0}, 2),
+    ],
+    ids=["left-zero b_0", "unital"],
+)
+def test_light_test_reads_every_middle(products, middle):
+    one = make_field(1).one
+    mult = {key: ((k, one),) for key, k in products.items()}
+    assert failing_middles(3, mult, one) == {middle}
+    args = (3, mult, 0, one)
+    assert not associative(*args)
+    assert check_product(*args) == ref.reference_check_product(*args)
+
+
+@pytest.mark.parametrize(
+    "make,gens",
+    [(lambda n=n: taft(n), ("x", "y")) for n in (2, 3, 4)]
+    + [(lambda n=n: e_algebra(n), ("x", *(f"y_{i}" for i in range(1, n + 1)))) for n in (1, 2, 3)],
+    ids=[f"taft{n}" for n in (2, 3, 4)] + [f"e{n}" for n in (1, 2, 3)],
+)
+def test_middles_of_the_lifted_cocycle_table_skip_the_unit(make, gens):
+    h = make()
+    sig = lifted_cocycle(h, trivial_cocycle(h).values)
+    table = _twist(h, h.mult, sig)
+    u = h.unit_index
+    # u_1 u_y = u_y u_1 = t[1] u_y, so the unit needs no check
+    assert acts_as_scalar(h.dim, table, u, sig[u][u])
+    assert sig[u][u] == t_ring(h).var(u)
+    middles = generating_middles(h.dim, table, u, with_unit=False)
+    assert [h.labels[m] for m in middles] == list(gens)
+    assert middles == greedy_middles(h.dim, table, u, with_unit=False)
 
 
 SMALL = {
