@@ -65,6 +65,9 @@ COMMANDS = (
        ["sigma", "--family", "e:3"],
        ["sigma", "--family", "taft:4"],
        ["base", "--check", "uprime", "--family", "group:dihedral:4"]]
+    # the group lattices at the cap, reduced over a generating set
+    + [["base", "--check", "nice", "--family", "group:sym:4"],
+       ["ygroup", "--check", "--group", "cyclic:24"]]
 )
 
 

@@ -9,7 +9,11 @@ Prints one JSON line that maps each rung to its wall seconds:
   where the grading check decomposes the abelianization;
 - `verify_sigma` on taft(4), e(3), taft(5) and e(4), with the trivial
   cocycle;
-- `identity` on (X[1]+X[x])^64 over taft(2): cocycle, parse and classify.
+- `identity` on (X[1]+X[x])^64 over taft(2): cocycle, parse and classify;
+- `ygroup --check` on S4: the degree-zero lattice and the pair and triple
+  generation check;
+- `nice` on k[S4] and k[Z/24]: the niceness witnesses, each verified
+  through `mu`.
 
 Each rung builds its instance outside the timed call, fresh, so the
 coordinate ring and the other data kept on the instance start cold.  A
@@ -25,10 +29,11 @@ import sys
 import time
 
 from hopfgen.cocycle import trivial_cocycle
-from hopfgen.generic_base import verify_sigma
+from hopfgen.generic_base import niceness_witnesses, verify_sigma
 from hopfgen.groups import group_from_spec
 from hopfgen.hopf import e_algebra, group_algebra, taft, verify_hopf_axioms
 from hopfgen.identities import classify, parse_ncpoly
+from hopfgen.lattice import pq_generation_check
 
 
 def _identity_power(h) -> bool:
@@ -49,6 +54,12 @@ RUNGS = (
     ("sigma taft(5)", lambda: taft(5), lambda h: verify_sigma(h).ok),
     ("sigma e(4)", lambda: e_algebra(4), lambda h: verify_sigma(h).ok),
     ("identity (X[1]+X[x])^64 taft(2)", lambda: taft(2), _identity_power),
+    ("ygroup --check sym:4", lambda: group_from_spec("sym:4"),
+     lambda g: pq_generation_check(g).ok),
+    ("nice k[S4]", lambda: group_algebra(group_from_spec("sym:4")),
+     lambda h: bool(niceness_witnesses(h))),
+    ("nice k[Z/24]", lambda: group_algebra(group_from_spec("cyclic:24")),
+     lambda h: bool(niceness_witnesses(h))),
 )
 
 

@@ -758,7 +758,13 @@ def _e_witnesses(hopf: HopfAlgebra, pres: GammaPresentation):
 def _lattice_witnesses(hopf: HopfAlgebra, pres: GammaPresentation, out) -> None:
     """Witnesses for the torus generators of the group-built families: solve
     for each generator over the pairing and triple-product vectors, positive
-    coefficients become word letters and negative ones denominators."""
+    coefficients become word letters and negative ones denominators.
+
+    The vectors are those of pair_and_triple_vectors: the pairs p(g), the
+    triple t(e, e) and the triples t(g, s) over a generating set S, about
+    |G|·|S| rows.  They span Y(G) because v(g, h) = e_g + e_h - e_gh obeys
+    v(g, hk) = v(g, h) + v(gh, k) - v(h, k) and v(g, e) = e_e, while
+    v(g, h) = t(g, h) - p(gh) and e_e = t(e, e) - p(e)."""
     field = hopf.field
     vecs = pair_and_triple_vectors(hopf.family["group"])
     products = ReducedBasis([row for row, _ in vecs])

@@ -168,6 +168,18 @@ def subgroup_closure(group: FiniteGroup, gens: list[int]) -> set[int]:
     return seen
 
 
+def generating_set(group: FiniteGroup) -> list[int]:
+    """A generating set picked greedily: each element is the smallest index
+    outside the subgroup generated by those picked before it, until that
+    subgroup is the whole group; [] for the trivial group."""
+    gens: list[int] = []
+    reached = {group.identity}
+    while len(reached) < group.order:
+        gens.append(next(g for g in range(group.order) if g not in reached))
+        reached = subgroup_closure(group, gens)
+    return gens
+
+
 def commutator_subgroup(group: FiniteGroup) -> set[int]:
     gens = {
         group.commutator(a, b)

@@ -1,9 +1,23 @@
 """Integer lattice computations.
 
 The Hermite normal form over Z, plus the degree-zero lattice of a
-group-algebra torus: the kernel of the exponent-sum map Z^G -> G_ab.  All
+group-algebra torus: the kernel Y(G) of the exponent-sum map Z^G -> G_ab.  All
 named bases are verified computationally (membership and determinant)
 rather than trusted.
+
+Y(G) is spanned by e_e and the relation vectors v(g, h) = e_g + e_h - e_gh
+over all pairs, but a generating set S of G suffices.  Two identities,
+
+    v(g, hk) = v(g, h) + v(gh, k) - v(h, k),    v(g, e) = e_e,
+
+give every v(g, h) from e_e and the v(g, s) with s in S, by induction on
+the length of h as a word in S; and two more,
+
+    v(g, h) = t(g, h) - p(gh),    e_e = t(e, e) - p(e),
+
+with p(g) the vector of the word g g^-1 and t(g, h) that of g h (gh)^-1,
+give them from the pairs p(g), the triple t(e, e) and the triples t(g, s).
+So about |G|·|S| rows are reduced instead of |G|^2.
 """
 
 from __future__ import annotations
@@ -11,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexMismatch, RangeError, UnsupportedKind
-from .groups import abelianization, commutator_subgroup
+from .groups import abelianization, commutator_subgroup, generating_set
 from .report import Report
 
 MAX_LATTICE_ORDER = 24
@@ -160,7 +174,8 @@ def _sigma_vector(n: int, g: int, h: int, gh: int) -> list[int]:
 
 
 def y_group(group) -> YLattice:
-    """Basis and index of ker(Z^G -> G_ab) from the full relation set.  The
+    """Basis and index of ker(Z^G -> G_ab), from e_e and the relation
+    vectors v(g, s) over a generating set S (module docstring).  The
     HNF is built and checked once per group and kept on it; every call
     checks the cap first and returns its own copy of the basis."""
     n = group.order
@@ -184,11 +199,13 @@ def _hnf_index(rows: list[list[int]]) -> tuple[list[list[int]], int]:
 
 
 def _y_basis(group) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The rank and index checks refuse a span smaller than Y(G), so a
+    set S that did not generate G would raise IndexMismatch."""
     n = group.order
     gens = [_unit_vector(n, group.identity)]
-    for g in range(n):
-        for h in range(n):
-            gens.append(_sigma_vector(n, g, h, group.mul(g, h)))
+    for s in generating_set(group):
+        for g in range(n):
+            gens.append(_sigma_vector(n, g, s, group.mul(g, s)))
     basis, index = _hnf_index(gens)
     if len(basis) != n:
         raise IndexMismatch(f"degree-zero lattice rank {len(basis)} != {n}")
@@ -315,12 +332,23 @@ def _find_product_pair(group, m: int, k: int):
     return None
 
 
+def _pair_words(group) -> list[tuple[int, ...]]:
+    return [(g, group.inv(g)) for g in range(group.order)]
+
+
+def _triple_word(group, g: int, h: int) -> tuple[int, ...]:
+    return (g, h, group.inv(group.mul(g, h)))
+
+
 def pair_and_triple_vectors(group) -> list[tuple[list[int], tuple[int, ...]]]:
-    """The exponent vectors in Z^G of the words g g^-1, then of the words
-    g h (gh)^-1, in that order, each with its word."""
+    """The exponent vectors in Z^G, each with its word, of the words g g^-1
+    for every g, then of e e e, then of g s (gs)^-1 for every s of the
+    generating set and every g, in that order.  They span the lattice of
+    all pair and triple products, which is Y(G) (module docstring)."""
     n = group.order
-    words = [(g, group.inv(g)) for g in range(n)]
-    words += [(g, h, group.inv(group.mul(g, h))) for g in range(n) for h in range(n)]
+    e = group.identity
+    words = _pair_words(group) + [(e, e, e)]
+    words += [_triple_word(group, g, s) for s in generating_set(group) for g in range(n)]
     out = []
     for word in words:
         row = [0] * n
@@ -331,17 +359,23 @@ def pair_and_triple_vectors(group) -> list[tuple[list[int], tuple[int, ...]]]:
 
 
 def pq_generation_check(group) -> Report:
-    """The palindrome and triangle vectors generate the whole degree-zero lattice."""
+    """The palindrome and triangle vectors generate the whole degree-zero
+    lattice.  Every pair and triple word has degree zero, so the lattice P
+    they span lies in Y(G); the spanning subset of pair_and_triple_vectors
+    lies in P and has the Hermite basis of Y(G), so P = Y(G)."""
     n = group.order
     rep = Report(title=f"pq-generation({group.name or n})")
     ab, proj = abelianization(group)
-    gens = [row for row, _ in pair_and_triple_vectors(group)]
-    member = all(ab.combination(zip(proj, v)) == ab.identity for v in gens)
+    words = _pair_words(group)
+    words += [_triple_word(group, g, h) for g in range(n) for h in range(n)]
+    member = all(
+        ab.combination((proj[g], 1) for g in word) == ab.identity for word in words
+    )
     rep.add("membership", member, "all generators have degree zero")
     y = y_group(group)
     rep.add(
         "lattice-equality",
-        hnf_basis(gens) == y.basis,
+        hnf_basis([row for row, _ in pair_and_triple_vectors(group)]) == y.basis,
         "generated lattice equals the degree-zero lattice",
     )
     rep.add("index", y.index == ab.order, f"index {y.index}")

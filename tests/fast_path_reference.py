@@ -1,8 +1,8 @@
 """The general routines that the no-op fast paths now bypass, kept verbatim
 (apart from their names and the imports) as the references of the
 differential tests in `test_fast_paths.py`, `test_generic_base.py`,
-`test_packed_monomials.py`, `test_lattice_once.py` and
-`test_one_elimination.py`.
+`test_packed_monomials.py`, `test_lattice_once.py`,
+`test_one_elimination.py` and `test_generating_set.py`.
 
 - `reference_check_product`: one `collect` per basis triple (i, j, k).
 - `reference_generating_middles`: the greedy middle set that reached a
@@ -29,6 +29,9 @@ differential tests in `test_fast_paths.py`, `test_generic_base.py`,
   by comparing their `hnf_basis`; only the lattice tests use it.
 - `reference_det_int` (Bareiss elimination), which the pivots of the
   Hermite form replaced.
+- `reference_y_basis` and `reference_pair_and_triple_vectors`: the
+  degree-zero lattice from e_e and all |G|^2 relation vectors, and every
+  pair and triple vector, which the rows over a generating set replaced.
 - `reference_hab_grading`: the taft and monomial branches of `hab_grading`,
   a closed form for taft and one `add` per level for monomial, which one
   `combination` per basis element replaced.
@@ -58,11 +61,11 @@ them; the tests that check a fact of the paper through them call them here.
 from __future__ import annotations
 
 from hopfgen.arith import Scalar, format_terms, q_binomial
-from hopfgen.errors import RangeError, UnknownLabel
+from hopfgen.errors import IndexMismatch, RangeError, UnknownLabel
 from hopfgen.groups import FiniteAbelianGroup, FiniteGroup, abelianization
 from hopfgen.hopf import hab_grading
 from hopfgen.identities import NCPoly, basis_index, mu, symbol
-from hopfgen.lattice import hnf_basis
+from hopfgen.lattice import _hnf_index, _sigma_vector, _unit_vector, hnf_basis
 from hopfgen.linalg import collect, nullspace
 from hopfgen.report import Report
 from hopfgen.tring import TElement, t_inverse_map, t_ring
@@ -382,6 +385,38 @@ def reference_det_int(m: list[list[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def reference_y_basis(group) -> tuple[tuple[tuple[int, ...], ...], int]:
+    n = group.order
+    gens = [_unit_vector(n, group.identity)]
+    for g in range(n):
+        for h in range(n):
+            gens.append(_sigma_vector(n, g, h, group.mul(g, h)))
+    basis, index = _hnf_index(gens)
+    if len(basis) != n:
+        raise IndexMismatch(f"degree-zero lattice rank {len(basis)} != {n}")
+    ab, _ = abelianization(group)
+    if index != ab.order:
+        raise IndexMismatch(
+            f"lattice index {index} != abelianization order {ab.order}"
+        )
+    return tuple(map(tuple, basis)), index
+
+
+def reference_pair_and_triple_vectors(group) -> list[tuple[list[int], tuple[int, ...]]]:
+    """The exponent vectors in Z^G of the words g g^-1, then of the words
+    g h (gh)^-1, in that order, each with its word."""
+    n = group.order
+    words = [(g, group.inv(g)) for g in range(n)]
+    words += [(g, h, group.inv(group.mul(g, h))) for g in range(n) for h in range(n)]
+    out = []
+    for word in words:
+        row = [0] * n
+        for g in word:
+            row[g] += 1
+        out.append((row, word))
+    return out
 
 
 def reference_hab_grading(h):
