@@ -68,6 +68,15 @@ COMMANDS = (
     # the group lattices at the cap, reduced over a generating set
     + [["base", "--check", "nice", "--family", "group:sym:4"],
        ["ygroup", "--check", "--group", "cyclic:24"]]
+    # mu over fields of degree 4 and 6 with multi-letter words, over a
+    # Nichols algebra, and an identity of a group algebra twisted by a coboundary
+    + [["identity", "--family", "taft:5", "--poly",
+        "X[x]*X[y]-q*X[y]*X[x]+2*X[x y]*X[y^2]*X[x^3]"],
+       ["identity", "--family", "taft:7", "--poly", "(X[x]+q*X[y])^3-X[x y]*X[y^2]*X[x^2 y]"],
+       ["identity", "--family", "e:3", "--poly",
+        "X[y_1]*X[y_2]*X[y_3]+X[y_3]*X[y_2]*X[y_1]-(X[x]+X[y_{1,2}])^2"],
+       ["identity", "--family", "group:cyclic:6", "--cocycle", "coboundary",
+        "--cocycle-seed", "4", "--poly", "X[a]*X[a^2]*X[a^3]-X[a^3]*X[a^2]*X[a]"]]
 )
 
 

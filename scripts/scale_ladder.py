@@ -9,7 +9,9 @@ Prints one JSON line that maps each rung to its wall seconds:
   where the grading check decomposes the abelianization;
 - `verify_sigma` on taft(4), e(3), taft(5) and e(4), with the trivial
   cocycle;
-- `identity` on (X[1]+X[x])^64 over taft(2): cocycle, parse and classify;
+- `identity` on (X[1]+X[x])^64 over taft(2), and on powers and
+  multi-letter words over taft(5) and taft(7), whose fields have degree 4
+  and 6: cocycle, parse and classify;
 - `ygroup --check` on S4: the degree-zero lattice and the pair and triple
   generation check;
 - `nice` on k[S4] and k[Z/24]: the niceness witnesses, each verified
@@ -36,10 +38,16 @@ from hopfgen.identities import classify, parse_ncpoly
 from hopfgen.lattice import pq_generation_check
 
 
-def _identity_power(h) -> bool:
-    flags = classify(h, trivial_cocycle(h), parse_ncpoly("(X[1]+X[x])^64", h))
-    # the sum of two letters is no identity: this checks it was evaluated
-    return flags["identity"] is False
+def _identity(text: str):
+    def check(h) -> bool:
+        flags = classify(h, trivial_cocycle(h), parse_ncpoly(text, h))
+        # none of the rungs is an identity: this checks it was evaluated
+        return flags["identity"] is False
+
+    return check
+
+
+SKEW_WORDS = "(X[x]+X[y]+X[x y])^16 - 3*X[x^2 y]*X[y^2]*X[x y^3]*X[x^3 y]"
 
 
 # (name, build the instance, the timed check on it)
@@ -53,7 +61,9 @@ RUNGS = (
     ("sigma e(3)", lambda: e_algebra(3), lambda h: verify_sigma(h).ok),
     ("sigma taft(5)", lambda: taft(5), lambda h: verify_sigma(h).ok),
     ("sigma e(4)", lambda: e_algebra(4), lambda h: verify_sigma(h).ok),
-    ("identity (X[1]+X[x])^64 taft(2)", lambda: taft(2), _identity_power),
+    ("identity (X[1]+X[x])^64 taft(2)", lambda: taft(2), _identity("(X[1]+X[x])^64")),
+    ("identity powers taft(5)", lambda: taft(5), _identity(SKEW_WORDS)),
+    ("identity powers taft(7)", lambda: taft(7), _identity(SKEW_WORDS)),
     ("ygroup --check sym:4", lambda: group_from_spec("sym:4"),
      lambda g: pq_generation_check(g).ok),
     ("nice k[S4]", lambda: group_algebra(group_from_spec("sym:4")),

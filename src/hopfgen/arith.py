@@ -12,10 +12,12 @@ products run on Python ints and only the final gcd touches the
 denominator.  Inverses stay in integers too: the inverse of a numerator is
 the product of its other Galois conjugates over its norm, an integer.
 Fractions appear only where values enter or leave (`scalar`, `from_coeffs`,
-`coeffs`).  The Gaussian binomials come from the q-Pascal rule, with no
-division.  Equality is plain comparison of (num, den), and nothing here
-ever touches floating point: only ints, Fractions and Scalars are accepted
-as exact values.
+`coeffs`).  For products in bulk, the `Kronecker` codec packs a polynomial
+in q into one integer, so that a product of two is one integer product.
+The Gaussian binomials come from the q-Pascal rule, with no division.
+Equality is plain comparison of (num, den), and nothing here ever touches
+floating point: only ints, Fractions and Scalars are accepted as exact
+values.
 """
 
 from __future__ import annotations
@@ -324,6 +326,103 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({format_scalar(self)})"
+
+
+# The narrowest slot width of a `Kronecker` codec, in bits; wider codecs
+# double it.
+SLOT_WIDTH = 64
+
+
+class Kronecker:
+    """Kronecker substitution q -> 2^W on Z[q]/(q^n - 1), of which Q(q) is a
+    quotient: a polynomial sum c_j q^j becomes the residue of sum c_j 2^(W j)
+    modulo N = 2^(W n) - 1, so its slots are signed fields of W bits and a
+    product of polynomials is one integer product modulo N.
+
+    The residue determines its polynomial while the absolute values of the
+    slots sum to less than 2^(W-1), the slot norm that `kronecker` chooses
+    a width for; a caller keeps such a bound on every value and widens the
+    codec before a result could leave it.  `reduce` takes a residue to the
+    numerators of 1, q, ..., q^(d-1) of its value in Q(q)."""
+
+    __slots__ = ("field", "width", "modulus", "_offset", "_shifts", "_mask", "_high")
+
+    def __init__(self, field: FieldSpec, width: int):
+        n, w = field.n, width
+        self.field = field
+        self.width = w
+        self.modulus = (1 << (w * n)) - 1
+        # 2^(W-1) in every slot: added to a value whose slots lie strictly
+        # between -2^(W-1) and 2^(W-1), it gives an integer below N whose
+        # unsigned slots are those slots plus 2^(W-1)
+        self._offset = self.modulus // ((1 << w) - 1) << (w - 1)
+        self._shifts = tuple(range(0, w * n, w))
+        self._mask = (1 << w) - 1
+        # q^k for d <= k < n as its nonzero (j, c) numerators of 1, ..., q^(d-1)
+        self._high = tuple(
+            (k, tuple((j, c) for j, c in enumerate(field.q_power(k).num) if c))
+            for k in range(field.degree, n)
+        )
+
+    def encode(self, num) -> int:
+        """The residue of the polynomial with integer coefficients `num` of
+        1, q, q^2, ... (a Scalar numerator, or the slots of a residue)."""
+        w = self.width
+        return sum(c << (w * j) for j, c in enumerate(num)) % self.modulus
+
+    def _unsigned(self, x: int) -> list[int]:
+        """The n slots of a residue that the codec holds, each plus 2^(W-1)."""
+        y = x + self._offset
+        if y >= self.modulus:
+            y -= self.modulus
+        mask = self._mask
+        return [y >> s & mask for s in self._shifts]
+
+    def slots(self, x: int) -> list[int]:
+        """The n signed slots of a residue that the codec holds."""
+        half = 1 << (self.width - 1)
+        return [c - half for c in self._unsigned(x)]
+
+    def reduce(self, x: int) -> tuple[int, ...]:
+        """The numerators of 1, q, ..., q^(d-1) of the value in Q(q) of a
+        residue that the codec holds: its slots reduced modulo Phi_n.  The
+        unsigned slots serve, as 1 + q + ... + q^(n-1) = 0 in Q(q)."""
+        slots = self._unsigned(x)
+        vec = slots[: self.field.degree]
+        for k, terms in self._high:
+            c = slots[k]
+            for j, r in terms:
+                vec[j] += c * r
+        return tuple(vec)
+
+
+@lru_cache(maxsize=None)
+def _kronecker(field: FieldSpec, width: int) -> Kronecker:
+    return Kronecker(field, width)
+
+
+def kronecker(field: FieldSpec, norm: int) -> Kronecker:
+    """The narrowest codec of the field, SLOT_WIDTH doubled as often as
+    needed, that holds values of slot norm `norm`."""
+    w = SLOT_WIDTH
+    while norm >> (w - 1):
+        w *= 2
+    return _kronecker(field, w)
+
+
+def balanced(num, n: int) -> list[int]:
+    """The n coefficients of 1, q, ..., q^(n-1) of the integer polynomial
+    `num`, less their median: the same value in Q(q) for n >= 2, where
+    1 + q + ... + q^(n-1) = 0, with the least sum of absolute values of all
+    such shifts (q^(n-1) becomes itself, not minus the n-1 lower powers)."""
+    slots = list(num) + [0] * (n - len(num))
+    c = sorted(slots)[n // 2]
+    return [x - c for x in slots] if c else slots
+
+
+def norm1(num) -> int:
+    """The sum of the absolute values of integer coefficients."""
+    return sum(map(abs, num))
 
 
 def binary_power(base, k: int, one):

@@ -317,7 +317,7 @@ class TwistedAlgebra:
     """The comodule algebra on the u-basis: twisted product, original
     coaction, coinvariants reduced to the unit line."""
 
-    __slots__ = ("hopf", "mult", "unit_index", "labels", "_center", "_mu_images")
+    __slots__ = ("hopf", "mult", "unit_index", "labels", "_center", "_mu_images", "_mu_tables")
 
     def __init__(self, hopf: HopfAlgebra, mult, unit_index: int):
         self.hopf = hopf
@@ -326,6 +326,7 @@ class TwistedAlgebra:
         self.labels = [f"u[{lbl}]" for lbl in hopf.labels]
         self._center = None  # reduced centre span, filled by tring on first use
         self._mu_images = None  # letter images of identities.mu, filled there
+        self._mu_tables = None  # its product tables, filled by tring
 
     @property
     def dim(self) -> int:

@@ -106,8 +106,9 @@ class HopfAlgebra:
 
     After construction only the lazy fields are written, on first use:
     the coordinate ring (`tring.t_ring`), the base-algebra presentation
-    (`generic_base.gamma_generators`), the reduced centre span and the
-    letter images of `identities.mu` when this algebra is its target.
+    (`generic_base.gamma_generators`), the reduced centre span, and the
+    letter images and packed product tables of `identities.mu` when this
+    algebra is its target.
     """
 
     __slots__ = (
@@ -127,6 +128,7 @@ class HopfAlgebra:
         "_presentation",
         "_center",
         "_mu_images",
+        "_mu_tables",
     )
 
     def __init__(
@@ -168,6 +170,7 @@ class HopfAlgebra:
         self._presentation = None
         self._center = None
         self._mu_images = None
+        self._mu_tables = None
 
     @property
     def dim(self) -> int:
@@ -833,12 +836,25 @@ def _first_failing_pair(dim: int, middles: list[int], fails) -> tuple[int, int] 
     return next((i, j) for i, j in pairs(range(dim)) if fails(i, j))
 
 
-def center_table(dim: int, mult, field: FieldSpec) -> list[dict[int, Scalar]]:
-    """Nullspace basis of [z, b_j] = 0 for an arbitrary mult table."""
+def center_table(dim: int, mult, unit_index: int, field: FieldSpec) -> list[dict[int, Scalar]]:
+    """Nullspace basis of [z, b_s] = 0 for b_s in `generating_middles`, the
+    unit left out where it acts as the scalar one.
+
+    Precondition: the table is associative, with unit b_u.  Then the
+    centralizer of any z is a subalgebra, which holds every basis element
+    once it holds the middles, so the solutions are the centre.  The
+    reduced row echelon form of the constraints, from which the basis is
+    read, depends only on their row space, the annihilator of the centre,
+    so the basis is the one that [z, b_j] = 0 for every j gives.  The
+    condition holds for the family constructors and their twists by
+    checked, trivial and coboundary cocycles."""
+    middles = generating_middles(
+        dim, mult, unit_index, with_unit=not acts_as_scalar(dim, mult, unit_index, field.one)
+    )
 
     def entries():
         # ((row, column), coeff): row j*dim + k is the b_k coordinate of [z, b_j]
-        for j in range(dim):
+        for j in middles:
             for i in range(dim):
                 for k, c in mult.get((i, j), ()):
                     yield (j * dim + k, i), c
@@ -849,8 +865,8 @@ def center_table(dim: int, mult, field: FieldSpec) -> list[dict[int, Scalar]]:
 
 
 def center(h: HopfAlgebra) -> list[dict[int, Scalar]]:
-    """Basis of the centre, by solving [z, b_j] = 0 for every j."""
-    return center_table(h.dim, h.mult, h.field)
+    """Basis of the centre, by solving [z, b_s] = 0 over a generating set."""
+    return center_table(h.dim, h.mult, h.unit_index, h.field)
 
 
 def hab_grading(h: HopfAlgebra) -> tuple[FiniteAbelianGroup, list[tuple[int, ...]]]:

@@ -52,9 +52,9 @@ class Sparse:
     owner from terms that hold no zero), `one()`, its own product and its
     text; one that accepts scalar operands also supplies `_lift`.  Operands
     over different owners raise RangeError, and compare unequal.
-    `tring.TElement` stores integer numerators instead of Scalars; it
-    writes its own sums, negation, scaling, zero test, equality and hash,
-    and takes the rest from here."""
+    `tring.TElement` and `tring.TensorH` store integer numerators instead
+    of Scalars; they write their own sums, negation, scaling, zero test,
+    equality and hash, and take the rest from here."""
 
     __slots__ = ()
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .arith import FieldSpec, Scalar, _lowest, format_terms
+from .arith import FieldSpec, Scalar, _lowest, balanced, format_terms, kronecker, norm1
 from .errors import NotInvertible, NotPointedOrder, OutOfLocalization, RangeError
 from .hopf import MAX_DIM, HopfAlgebra, center_table, hab_grading
 from .linalg import Sparse, collect, in_span, row_reduce
@@ -675,29 +675,86 @@ def verify_t_inverse(hopf: HopfAlgebra) -> Report:
     return rep
 
 
+# A TensorH term key is the monomial key shifted past INDEX_BITS bits, which
+# hold the basis index.
+INDEX_BITS = (MAX_DIM - 1).bit_length()
+INDEX_MASK = (1 << INDEX_BITS) - 1
+
+
 class TensorH(Sparse):
     """Sum of (coordinate monomial) tensor (algebra basis element) terms.
 
     The right tensor factor multiplies through `algebra.mult`, so the same
-    class serves the plain product and any twisted one."""
+    class serves the plain product and any twisted one.
 
-    __slots__ = ("ring", "algebra", "terms")
+    The terms are held as integer numerators `num` over one positive
+    denominator `den`, keyed by one integer each: the packed key of the
+    monomial shifted past INDEX_BITS, plus the basis index.  Over a field
+    of degree one a numerator is an integer, and the element is kept in
+    lowest terms with no zero numerator.  Over a field of degree d >= 2 a
+    numerator is a polynomial in q, a nonzero residue of the Kronecker
+    codec `codec` (`arith.Kronecker`), so that a term product is one key
+    sum and one integer product modulo N.  `norm` bounds the absolute
+    slot values of all numerators summed; an operation whose result could
+    leave the slots of its operands' codec re-encodes them on a wider one,
+    so no slot ever wraps.  `bound` bounds the absolute exponents of the
+    monomials.  Distinct numerators may stand for one value (Phi_n(q) = 0),
+    so the canonical form is taken only where a value is observed: by the
+    zero test, ==, hash, `terms`, the text and the coinvariance and
+    centrality tests."""
+
+    __slots__ = ("ring", "algebra", "num", "den", "bound", "codec", "norm", "_canon", "_terms")
 
     def __init__(self, ring: TRing, algebra, terms: dict[tuple[TMonomial, int], Scalar]):
+        """The element of a {(monomial, basis index): Scalar} mapping; zero
+        coefficients are dropped."""
         if ring.hopf is not (algebra if isinstance(algebra, HopfAlgebra) else algebra.hopf):
             raise RangeError("TensorH operands over different algebras")
-        self.ring = ring
-        self.algebra = algebra
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero}
+        w, dim, field = ring.width, algebra.dim, ring.field
+        rational = field.degree == 1
+        terms = {k: c for k, c in terms.items() if c}
+        den = lcm(*[c.den for c in terms.values()])
+        nums = {}
+        bound = norm = 0
+        for (m, i), c in terms.items():
+            if m.width != w:
+                raise RangeError("monomials packed with different field widths")
+            if not 0 <= i < dim:
+                raise RangeError(f"basis index {i} out of range")
+            scale = den // c.den
+            vec = [x * scale for x in c.num]
+            if not rational:
+                vec = balanced(vec, field.n)
+                norm += norm1(vec)
+            nums[(m.key << INDEX_BITS) + i] = vec
+            bound = max(bound, m.bound)
+        if rational:
+            # Scalars are in lowest terms, so gcd(den, *num) is already one
+            codec, num = None, {k: vec[0] for k, vec in nums.items()}
+        else:
+            codec = kronecker(field, norm)
+            num = {k: codec.encode(vec) for k, vec in nums.items()}
+        self.ring, self.algebra, self.num, self.den = ring, algebra, num, den
+        self.bound, self.codec, self.norm = bound, codec, norm
+        self._canon = self._terms = None
 
     def _owner(self) -> tuple:
         return self.ring, self.algebra
 
-    def _like(self, terms: dict[tuple[TMonomial, int], Scalar]) -> TensorH:
-        out = TensorH.__new__(TensorH)
+    def _of(self, num: dict, den: int, bound: int, codec, norm: int) -> TensorH:
+        """An element over the same owner from numerators that hold no zero;
+        over a field of degree one, brought to lowest terms."""
+        if codec is None and den != 1:
+            num, den = _lowest_terms(num, den)
+        out = _new(TensorH)
         out.ring = self.ring
         out.algebra = self.algebra
-        out.terms = terms
+        out.num = num
+        out.den = den
+        out.bound = bound
+        out.codec = codec
+        out.norm = norm
+        out._canon = out._terms = None
         return out
 
     @staticmethod
@@ -711,7 +768,159 @@ class TensorH(Sparse):
         return TensorH(ring, algebra, {(m, index): c for m, c in elem.terms.items()})
 
     def one(self) -> TensorH:
-        return self._like({(self.ring._unit, self.algebra.unit_index): self.ring.field.one})
+        unit = (self.ring._unit, self.algebra.unit_index)
+        return TensorH(self.ring, self.algebra, {unit: self.ring.field.one})
+
+    # -- codecs ----------------------------------------------------------------
+
+    def _codec(self, norm: int, other: TensorH | None = None):
+        """The widest of the operands' codecs and the narrowest one that
+        holds `norm` (None over a field of degree one)."""
+        widest = self.codec
+        if widest is None:
+            return None
+        if other is not None and other.codec.width > widest.width:
+            widest = other.codec
+        codec = kronecker(self.ring.field, norm)
+        return codec if codec.width > widest.width else widest
+
+    def _at(self, codec) -> dict:
+        """The numerators as residues of `codec`, re-encoded exactly from
+        their slots when it is not the element's own."""
+        if codec is self.codec:
+            return self.num
+        old = self.codec
+        return {k: codec.encode(old.slots(x)) for k, x in self.num.items()}
+
+    # -- canonical form --------------------------------------------------------
+
+    def _canonical(self) -> tuple[int, dict]:
+        """(den, numerators) in lowest terms with no zero numerator; over a
+        field of degree d >= 2 each residue is decoded once and reduced
+        modulo Phi_n to the tuple of its numerators of 1, ..., q^(d-1)."""
+        codec = self.codec
+        if codec is None:
+            return self.den, self.num
+        if self._canon is None:
+            vecs = {}
+            for k, x in self.num.items():
+                vec = codec.reduce(x)
+                if any(vec):
+                    vecs[k] = vec
+            den = self.den
+            g = gcd(den, *[c for vec in vecs.values() for c in vec])
+            if g != 1:
+                vecs = {k: tuple([c // g for c in vec]) for k, vec in vecs.items()}
+                den //= g
+            self._canon = (den, vecs)
+        return self._canon
+
+    @property
+    def terms(self) -> dict[tuple[TMonomial, int], Scalar]:
+        """The canonical terms: each (monomial, basis index) mapped to its
+        nonzero coefficient."""
+        if self._terms is None:
+            den, vecs = self._canonical()
+            ring = self.ring
+            field, bound, w = ring.field, self.bound, ring.width
+            rational = self.codec is None
+            self._terms = {
+                (_packed(k >> INDEX_BITS, bound, w), k & INDEX_MASK): _lowest(
+                    field, (vec,) if rational else vec, den
+                )
+                for k, vec in vecs.items()
+            }
+        return self._terms
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._canonical()[1]
+
+    def __bool__(self):
+        return not self.is_zero
+
+    def __eq__(self, other):
+        if other.__class__ is not TensorH:
+            return NotImplemented
+        if other._owner() != self._owner():
+            return False
+        return self._canonical() == other._canonical()
+
+    def __hash__(self):
+        den, vecs = self._canonical()
+        return hash((den, frozenset(vecs.items())))
+
+    # -- arithmetic ------------------------------------------------------------
+
+    def __add__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        da, db = self.den, o.den
+        den = da if da == db else lcm(da, db)
+        fa, fb = den // da, den // db
+        norm = self.norm * fa + o.norm * fb
+        codec = self._codec(norm, o)
+        a, b = self._at(codec), o._at(codec)
+        mod = None if codec is None else codec.modulus
+        if fa != 1:
+            a = _times(a, fa, mod)
+        if fb != 1:
+            b = _times(b, fb, mod)
+        num = dict(a)
+        get = num.get
+        # the keys of b are distinct, so only the key just summed can vanish
+        for k, c in b.items():
+            s = get(k, 0) + c
+            if mod is not None:
+                s %= mod
+            if s:
+                num[k] = s
+            else:
+                del num[k]
+        return self._of(num, den, max(self.bound, o.bound), codec, norm)
+
+    def __neg__(self):
+        codec = self.codec
+        if codec is None:
+            num = {k: -c for k, c in self.num.items()}
+        else:
+            mod = codec.modulus
+            num = {k: mod - c for k, c in self.num.items()}
+        return self._of(num, self.den, self.bound, codec, self.norm)
+
+    def scaled(self, s: Scalar) -> TensorH:
+        """self times the scalar s: zero for zero, and self itself for one."""
+        if s.field is not self.ring.field:
+            raise RangeError("mixed scalars from different fields")
+        if not s:
+            return TensorH.zero(self.ring, self.algebra)
+        if s == s.field.one:
+            return self
+        if self.codec is None:
+            c = s.num[0]
+            num = {k: x * c for k, x in self.num.items()}
+            return self._of(num, self.den * s.den, self.bound, None, 0)
+        vec = balanced(s.num, s.field.n)
+        norm = self.norm * norm1(vec)
+        codec = self._codec(norm)
+        mod, c = codec.modulus, codec.encode(vec)
+        # a product of nonzero residues can vanish: Z[q]/(q^n - 1) has zero divisors
+        num = {k: r for k, x in self._at(codec).items() if (r := x * c % mod)}
+        return self._of(num, self.den * s.den, self.bound, codec, norm)
+
+    def _shifted(self, m: TMonomial) -> TensorH:
+        """self times the monomial m, tensored with the unit."""
+        bound = self.bound + m.bound
+        if bound >> (self.ring.width - 1):
+            bound = _exponent_bound(self, m.bound, [m.key])
+        shift = m.key << INDEX_BITS
+        num = {k + shift: c for k, c in self.num.items()}
+        return self._of(num, self.den, bound, self.codec, self.norm)
 
     def scale(self, c) -> TensorH:
         """self times a coordinate-ring element or a scalar."""
@@ -719,39 +928,50 @@ class TensorH(Sparse):
             return self.scaled(self.ring.field.scalar(c))
         if c.ring is not self.ring:
             raise RangeError("TensorH operands over different algebras")
-        return self._like(
-            collect(
-                ((m1.mul(m2), i), c1 * c2)
-                for (m1, i), c1 in self.terms.items()
-                for m2, c2 in c.terms.items()
-            )
-        )
+        out = TensorH.zero(self.ring, self.algebra)
+        for m, s in c.terms.items():
+            out = out + self._shifted(m).scaled(s)
+        return out
 
     def __mul__(self, other):
-        if not isinstance(other, TensorH):
+        if other.__class__ is not TensorH:
             return self.scale(other)
         o = self._operand(other)
-        check_product_budget(len(self.terms), len(o.terms))
-        mult = self.algebra.mult
-        return self._like(
-            collect(
-                ((m1.mul(m2), k), c1 * c2 * c)
-                for (m1, i), c1 in self.terms.items()
-                for (m2, j), c2 in o.terms.items()
-                for k, c in mult.get((i, j), ())
-            )
-        )
+        check_product_budget(len(self.num), len(o.num))
+        if not self.num or not o.num:
+            return TensorH.zero(self.ring, self.algebra)
+        bound = self.bound + o.bound
+        if bound >> (self.ring.width - 1):
+            bound = _exponent_bound(self, o.bound, [k >> INDEX_BITS for k in o.num])
+        if self.codec is None:
+            rows, tden, _ = _mu_table(self.algebra, None)
+            raw = _products(self.num, o.num, rows)
+            num = {k: c for k, c in raw.items() if c}
+            return self._of(num, self.den * o.den * tden, bound, None, 0)
+        _, _, tnorm = _mu_table(self.algebra, self.codec)
+        norm = self.norm * o.norm * tnorm
+        codec = self._codec(norm, o)
+        rows, tden, _ = _mu_table(self.algebra, codec)
+        mod = codec.modulus
+        raw = _products(self._at(codec), o._at(codec), rows)
+        num = {k: r for k, c in raw.items() if (r := c % mod)}
+        return self._of(num, self.den * o.den * tden, bound, codec, norm)
 
     __rmul__ = scale
 
     def is_coinvariant(self) -> bool:
         unit = self.algebra.unit_index
-        return all(i == unit for _, i in self.terms)
+        return all(k & INDEX_MASK == unit for k in self._canonical()[1])
 
     def is_central(self) -> bool:
         """Every coordinate-monomial slice lies in the centre of the
         (possibly twisted) algebra."""
         reduced, pivots = _center_span(self.algebra, self.ring.field)
+        # a basis element outside the support of the centre rules a slice out
+        # before any coefficient is built
+        support = set().union(*reduced)
+        if any(k & INDEX_MASK not in support for k in self._canonical()[1]):
+            return False
         slices: dict[TMonomial, dict[int, Scalar]] = {}
         for (m, i), c in self.terms.items():
             slices.setdefault(m, {})[i] = c
@@ -772,9 +992,98 @@ class TensorH(Sparse):
         return f"<TensorH {self.to_text()}>"
 
 
+def _exponent_bound(left: TensorH, bound: int, keys) -> int:
+    """The exponent bound of the products of left's monomials by the
+    monomial keys `keys`, whose exponents `bound` bounds, where the sum of
+    the bounds leaves room in no field: the largest exponent of every
+    product, each checked to fit its field (RangeError otherwise)."""
+    w = left.ring.width
+    mine = {_packed(k >> INDEX_BITS, left.bound, w) for k in left.num}
+    theirs = {_packed(k, bound, w) for k in keys}
+    return max((a.mul(b).bound for a in mine for b in theirs), default=0)
+
+
+def _times(num: dict, f: int, mod: int | None) -> dict:
+    """Every numerator times the positive integer f (modulo mod if given):
+    no zero appears, as f times a nonzero value is nonzero."""
+    if mod is None:
+        return {k: c * f for k, c in num.items()}
+    return {k: c * f % mod for k, c in num.items()}
+
+
+def _products(a: dict, b: dict, rows) -> dict:
+    """The term products of the numerators a and b, summed per key but not
+    reduced: a term (m1, i) times a term (m2, j) adds c * t at (m1 + m2, k)
+    for every (k, t) in rows[i][j]."""
+    mask = INDEX_MASK
+    right = [(kb - j, j, cb) for kb, cb in b.items() for j in (kb & mask,)]
+    out: dict[int, int] = {}
+    get = out.get
+    for ka, ca in a.items():
+        i = ka & mask
+        row = rows[i]
+        base = ka - i
+        for kb, j, cb in right:
+            entries = row[j]
+            if entries:
+                m = base + kb
+                c = ca * cb
+                for k, t in entries:
+                    key = m + k
+                    out[key] = get(key, 0) + c * t
+    return out
+
+
+def _mu_table(algebra, codec) -> tuple[list, int, int]:
+    """The product table of a plain or twisted algebra over one
+    denominator: (rows, den, norm), where rows[i][j] holds the (k,
+    numerator) pairs of b_i b_j, each numerator encoded by `codec` (an
+    integer when it is None), and norm is the largest slot norm of a
+    product.  Built once per codec width and kept on the algebra."""
+    width = 0 if codec is None else codec.width
+    if algebra._mu_tables is None:
+        algebra._mu_tables = {}
+    table = algebra._mu_tables.get(width)
+    if table is None:
+        dim = algebra.dim
+        den = lcm(*{c.den for terms in algebra.mult.values() for _, c in terms})
+        rows = [[()] * dim for _ in range(dim)]
+        norm = 0
+        # a table holds few distinct coefficients: each is encoded once, a
+        # zero (which a twisted table may hold) as None; keyed by numerators
+        # and denominator, as the hash of a Scalar with a denominator other
+        # than one builds Fractions
+        encoded: dict[tuple, tuple[int, int] | None] = {}
+        for (i, j), terms in algebra.mult.items():
+            row = []
+            total = 0
+            for k, c in terms:
+                key = (c.num, c.den)
+                if key not in encoded:
+                    encoded[key] = _table_entry(c, den, codec) if c else None
+                got = encoded[key]
+                if got is not None:
+                    row.append((k, got[0]))
+                    total += got[1]
+            rows[i][j] = tuple(row)
+            norm = max(norm, total)
+        table = algebra._mu_tables[width] = (rows, den, norm)
+    return table
+
+
+def _table_entry(c: Scalar, den: int, codec) -> tuple[int, int]:
+    """A table coefficient's numerator over `den`, encoded by `codec` (an
+    integer when it is None), and its slot norm."""
+    vec = [x * (den // c.den) for x in c.num]
+    if codec is None:
+        return vec[0], 0
+    vec = balanced(vec, codec.field.n)
+    return codec.encode(vec), norm1(vec)
+
+
 def _center_span(algebra, field: FieldSpec) -> tuple[list[dict], list[int]]:
     """Reduced centre basis of a plain or twisted algebra, kept on it."""
     if algebra._center is None:
-        rows = center_table(algebra.dim, algebra.mult, field)
+        rows = center_table(algebra.dim, algebra.mult, algebra.unit_index, field)
         algebra._center = row_reduce(rows, field)
     return algebra._center

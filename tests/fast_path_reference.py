@@ -45,6 +45,16 @@ differential tests in `test_fast_paths.py`, `test_generic_base.py`,
   replaced; they call `reference_comult_power(hopf, ...)` where they called
   the method.
 
+- `ReferenceTensorH`, `reference_tensor_mu` and `reference_center_table`:
+  the tensor of the coordinate ring with a (twisted) algebra as a
+  {(TMonomial, index): Scalar} map, every term product two `Scalar`
+  products and a `TMonomial.mul` through `collect`, which the integer
+  numerators of `tring.TensorH` replaced; `mu` over it; and the centre
+  from [z, b_j] = 0 for every basis element b_j, which the generating set
+  of `hopf.center_table` replaced.  `ReferenceTensorH.is_central` reduces
+  the centre of the reference table on every call; `reference_tensor_mu`
+  builds its letter images on every call.
+
 The package helpers below left `src/hopfgen` because no user path reaches
 them; the tests that check a fact of the paper through them call them here.
 
@@ -63,12 +73,12 @@ from __future__ import annotations
 from hopfgen.arith import Scalar, format_terms, q_binomial
 from hopfgen.errors import IndexMismatch, RangeError, UnknownLabel
 from hopfgen.groups import FiniteAbelianGroup, FiniteGroup, abelianization
-from hopfgen.hopf import hab_grading
-from hopfgen.identities import NCPoly, basis_index, mu, symbol
+from hopfgen.hopf import HopfAlgebra, hab_grading
+from hopfgen.identities import NCPoly, _evaluate, basis_index, mu, mu_algebra, symbol
 from hopfgen.lattice import _hnf_index, _sigma_vector, _unit_vector, hnf_basis
-from hopfgen.linalg import collect, nullspace
+from hopfgen.linalg import Sparse, collect, in_span, nullspace, row_reduce
 from hopfgen.report import Report
-from hopfgen.tring import TElement, t_inverse_map, t_ring
+from hopfgen.tring import TElement, TMonomial, check_product_budget, t_inverse_map, t_ring
 
 
 def reference_check_product(
@@ -558,6 +568,153 @@ def reference_generic_cocycle_inverse(hopf, alpha, b, bp) -> TElement:
             for m, cm in hopf.mult.get((i1, j1), ()):
                 acc = acc + ring.var(m) * tail * cm
     return acc
+
+
+def reference_center_table(dim: int, mult, field) -> list[dict[int, Scalar]]:
+    """Nullspace basis of [z, b_j] = 0 for an arbitrary mult table."""
+
+    def entries():
+        # ((row, column), coeff): row j*dim + k is the b_k coordinate of [z, b_j]
+        for j in range(dim):
+            for i in range(dim):
+                for k, c in mult.get((i, j), ()):
+                    yield (j * dim + k, i), c
+                for k, c in mult.get((j, i), ()):
+                    yield (j * dim + k, i), -c
+
+    return nullspace(dim, entries(), field)
+
+
+class ReferenceTensorH(Sparse):
+    """Sum of (coordinate monomial) tensor (algebra basis element) terms.
+
+    The right tensor factor multiplies through `algebra.mult`, so the same
+    class serves the plain product and any twisted one."""
+
+    __slots__ = ("ring", "algebra", "terms")
+
+    def __init__(self, ring, algebra, terms: dict[tuple[TMonomial, int], Scalar]):
+        if ring.hopf is not (algebra if isinstance(algebra, HopfAlgebra) else algebra.hopf):
+            raise RangeError("TensorH operands over different algebras")
+        self.ring = ring
+        self.algebra = algebra
+        self.terms = {k: c for k, c in terms.items() if not c.is_zero}
+
+    def _owner(self) -> tuple:
+        return self.ring, self.algebra
+
+    def _like(self, terms: dict[tuple[TMonomial, int], Scalar]) -> "ReferenceTensorH":
+        out = ReferenceTensorH.__new__(ReferenceTensorH)
+        out.ring = self.ring
+        out.algebra = self.algebra
+        out.terms = terms
+        return out
+
+    @staticmethod
+    def zero(ring, algebra) -> "ReferenceTensorH":
+        return ReferenceTensorH(ring, algebra, {})
+
+    def one(self) -> "ReferenceTensorH":
+        return self._like({(self.ring._unit, self.algebra.unit_index): self.ring.field.one})
+
+    def scale(self, c) -> "ReferenceTensorH":
+        """self times a coordinate-ring element or a scalar."""
+        if not isinstance(c, TElement):
+            return self.scaled(self.ring.field.scalar(c))
+        if c.ring is not self.ring:
+            raise RangeError("TensorH operands over different algebras")
+        return self._like(
+            collect(
+                ((m1.mul(m2), i), c1 * c2)
+                for (m1, i), c1 in self.terms.items()
+                for m2, c2 in c.terms.items()
+            )
+        )
+
+    def __mul__(self, other):
+        if not isinstance(other, ReferenceTensorH):
+            return self.scale(other)
+        o = self._operand(other)
+        check_product_budget(len(self.terms), len(o.terms))
+        mult = self.algebra.mult
+        return self._like(
+            collect(
+                ((m1.mul(m2), k), c1 * c2 * c)
+                for (m1, i), c1 in self.terms.items()
+                for (m2, j), c2 in o.terms.items()
+                for k, c in mult.get((i, j), ())
+            )
+        )
+
+    __rmul__ = scale
+
+    def is_coinvariant(self) -> bool:
+        unit = self.algebra.unit_index
+        return all(i == unit for _, i in self.terms)
+
+    def is_central(self) -> bool:
+        """Every coordinate-monomial slice lies in the centre of the
+        (possibly twisted) algebra."""
+        field = self.ring.field
+        reduced, pivots = row_reduce(
+            reference_center_table(self.algebra.dim, self.algebra.mult, field), field
+        )
+        slices: dict[TMonomial, dict[int, Scalar]] = {}
+        for (m, i), c in self.terms.items():
+            slices.setdefault(m, {})[i] = c
+        return all(in_span(reduced, pivots, vec) for vec in slices.values())
+
+    def to_text(self) -> str:
+        if not self.terms:
+            return "0"
+        labels = self.algebra.labels
+        keys = sorted(self.terms, key=lambda k: (k[1], k[0].exps))
+        parts = []
+        for m, i in keys:
+            coeff = TElement(self.ring, {m: self.terms[(m, i)]})
+            parts.append(f"{coeff.to_text()} (x) {labels[i]}")
+        return "  +  ".join(parts)
+
+
+def _reference_letter_images(hopf, algebra) -> list[ReferenceTensorH]:
+    """mu(X[b]) for every basis element b: the coordinate of the first
+    coproduct leg tensored with the second leg."""
+    ring = t_ring(hopf)
+    return [
+        ReferenceTensorH(
+            ring,
+            algebra,
+            collect(((ring.monomial(((j, 1),)), k), c) for j, k, c in hopf.comult[i]),
+        )
+        for i in range(hopf.dim)
+    ]
+
+
+def reference_tensor_mu(hopf, alpha, poly: NCPoly) -> ReferenceTensorH:
+    """Algebra-map extension of X over b mapping to the coordinate of the
+    first coproduct leg tensored with the (twisted) second leg.
+
+    A parsed polynomial is evaluated along its parse tree, sums to sums
+    and products to products, and a word-built one word by word."""
+    if poly.hopf is not hopf:
+        raise RangeError("polynomial belongs to a different algebra")
+    algebra = mu_algebra(hopf, alpha)
+    gen_images = _reference_letter_images(hopf, algebra)
+    zero = ReferenceTensorH.zero(t_ring(hopf), algebra)
+    one = zero.one()
+
+    def words(p: NCPoly) -> ReferenceTensorH:
+        total = zero
+        for word, coeff in p.terms.items():
+            img = one
+            for i in word:
+                img = img * gen_images[i]
+            total = total + img.scale(coeff)
+        return total
+
+    if poly._tree is None:
+        return words(poly)
+    return _evaluate(poly._tree, words, one)
 
 
 def tautological_coaction(hopf, poly: NCPoly) -> dict:
