@@ -14,8 +14,10 @@ Prints one JSON line that maps each rung to its wall seconds:
   and 6: cocycle, parse and classify;
 - `ygroup --check` on S4: the degree-zero lattice and the pair and triple
   generation check;
-- `nice` on k[S4] and k[Z/24]: the niceness witnesses, each verified
-  through `mu`.
+- `nice` on k[S4] and k[Z/24], whose witnesses carry many repeated
+  pair and triple denominators, and on taft(5) and e(4), whose carry
+  `grouplike_power` and `x_square` ones: the niceness witnesses, each
+  verified through `mu`.
 
 Each rung builds its instance outside the timed call, fresh, so the
 coordinate ring and the other data kept on the instance start cold.  A
@@ -70,6 +72,8 @@ RUNGS = (
      lambda h: bool(niceness_witnesses(h))),
     ("nice k[Z/24]", lambda: group_algebra(group_from_spec("cyclic:24")),
      lambda h: bool(niceness_witnesses(h))),
+    ("nice taft(5)", lambda: taft(5), lambda h: bool(niceness_witnesses(h))),
+    ("nice e(4)", lambda: e_algebra(4), lambda h: bool(niceness_witnesses(h))),
 )
 
 

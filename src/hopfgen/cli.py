@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .arith import format_scalar
 from .cocycle import coboundary_cocycle, trivial_cocycle
@@ -329,7 +330,13 @@ def cmd_selftest(args: argparse.Namespace) -> tuple[dict, int]:
         bad = [n for n in numbers if n not in known]
         if bad:
             raise UsageError(f"unknown criteria {bad}")
-    results = run_criteria(numbers, seed=args.seed)
+    # one criterion per call so that each is timed, in run_criteria's
+    # order: ascending, without repeats
+    results, seconds = [], []
+    for number in sorted(set(numbers)) if numbers else [n for n, _ in CRITERIA]:
+        start = time.perf_counter()
+        results += run_criteria([number], seed=args.seed)
+        seconds.append(round(time.perf_counter() - start, 3))
     ok = all(rep.ok for _, _, rep in results)
     if args.format == "text":
         for number, title, rep in results:
@@ -344,8 +351,8 @@ def cmd_selftest(args: argparse.Namespace) -> tuple[dict, int]:
         "schema": SCHEMA,
         "ok": ok,
         "criteria": [
-            {"number": number, "title": title, "report": rep.to_dict()}
-            for number, title, rep in results
+            {"number": number, "title": title, "report": rep.to_dict(), "seconds": sec}
+            for (number, title, rep), sec in zip(results, seconds)
         ],
     }
     return payload, 0 if ok else 1

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .groups import perm_sign
 from .hopf import HopfAlgebra, e_basis, fails_at, hab_grading
-from .identities import LocalizedDenominator, NCPoly, mu, symbol
+from .identities import LocalizedDenominator, NCPoly, _denominator_poly, mu, symbol
 # solve_in_lattice is unused here but stays importable from this module:
 # perfbench/tests/test_perfbench_tracing.py looks it up as a wrapped name.
 from .lattice import ReducedBasis, pair_and_triple_vectors, solve_in_lattice, y_group  # noqa: F401
@@ -608,16 +609,27 @@ def quotient_presentation_check(hopf: HopfAlgebra) -> Report:
 # Niceness: explicit preimages under the universal evaluation map.
 
 
-def _denominator_image(hopf: HopfAlgebra, alpha, dens: LocalizedDenominator) -> TElement:
-    """Coordinate part of the evaluation image of the denominator word; the
-    algebra part is always the unit."""
+def _denominator_image(
+    hopf: HopfAlgebra, alpha, dens: LocalizedDenominator, images: dict[tuple, TElement]
+) -> TElement:
+    """Coordinate part of the evaluation image of the denominator word: the
+    product of the images of its distinct entries, each to its
+    multiplicity, which is the image of the whole word because `mu` is an
+    algebra map.  An entry is evaluated through `mu` once per memo
+    `images`, and its algebra part must be the unit."""
     ring = t_ring(hopf)
-    img = mu(hopf, alpha, dens.ncpoly(WITNESS_CAP))
-    items = list(img.terms.items())
-    if len(items) != 1 or items[0][0][1] != hopf.unit_index:
-        raise WitnessFailure("denominator word does not evaluate to a unit tensor")
-    (mon, _), c = items[0]
-    return ring.element({mon: c})
+    out = ring.one()
+    for entry, k in Counter(dens.entries).items():
+        img = images.get(entry)
+        if img is None:
+            tensor = mu(hopf, alpha, _denominator_poly(hopf, entry, WITNESS_CAP))
+            items = list(tensor.terms.items())
+            if len(items) != 1 or items[0][0][1] != hopf.unit_index:
+                raise WitnessFailure("denominator word does not evaluate to a unit tensor")
+            (mon, _), c = items[0]
+            img = images[entry] = ring.element({mon: c})
+        out = out * img**k
+    return out
 
 
 def _ncpoly_one(hopf: HopfAlgebra) -> NCPoly:
@@ -826,7 +838,10 @@ def niceness_witnesses(hopf: HopfAlgebra):
     invertible generator): gamma maps to a word P and a denominator list D
     such that evaluating P gives exactly (gamma times the image of D)
     tensor the unit.  Every witness is verified here before it is
-    returned; a mismatch raises WitnessFailure."""
+    returned; a mismatch raises WitnessFailure.  Each word goes through
+    `mu`; each distinct denominator entry goes through `mu` once per call,
+    and a denominator's image is the product of its entries' images, since
+    the lattice witnesses repeat one entry many times."""
     pres = gamma_generators(hopf)
     if pres.family_tag == "taft":
         out = _taft_witnesses(hopf, pres)
@@ -842,10 +857,11 @@ def niceness_witnesses(hopf: HopfAlgebra):
 
     ring = t_ring(hopf)
     alpha = trivial_cocycle(hopf)
+    images: dict[tuple, TElement] = {}
     for gamma, (word, dens) in out.items():
         got = mu(hopf, alpha, word)
         want = TensorH.from_element(
-            ring, hopf, gamma * _denominator_image(hopf, alpha, dens), hopf.unit_index
+            ring, hopf, gamma * _denominator_image(hopf, alpha, dens, images), hopf.unit_index
         )
         if got != want:
             raise WitnessFailure(

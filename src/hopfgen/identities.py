@@ -308,7 +308,9 @@ def mu_algebra(hopf: HopfAlgebra, alpha: TwoCocycle) -> TwistedAlgebra | HopfAlg
     """The target algebra of `mu`: the cocycle-twisted product on the same
     basis, collapsed to the plain algebra when the twist changes nothing.
     Built once per cocycle and kept on it, so the cocycle must be a
-    TwoCocycle of this very instance."""
+    TwoCocycle of this very instance.  `trivial_cocycle` records the plain
+    algebra itself where counit(x1) x2 = x, so the twist is built only for
+    other cocycles, or on tables where that fails."""
     require_cocycle_of(hopf, alpha)
     if alpha._mu_target is None:
         tw = twisted_algebra(hopf, alpha)
@@ -386,7 +388,9 @@ def classify(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> dict:
 class LocalizedDenominator:
     """Multiset of family-whitelisted central elements allowed as
     denominators; kept as plain polynomials so every claim about the
-    localized algebra is checked denominator-free."""
+    localized algebra is checked denominator-free.  Each entry stands for
+    the word of `_denominator_poly`, and the denominator for their
+    product."""
 
     __slots__ = ("hopf", "entries")
 
@@ -397,12 +401,6 @@ class LocalizedDenominator:
                 raise UnsupportedFamily(f"denominator {entry!r} not whitelisted for {kind!r}")
         self.hopf = hopf
         self.entries = list(entries)
-
-    def ncpoly(self, cap: int = DEFAULT_WORD_CAP) -> NCPoly:
-        out = ncpoly_scalar(self.hopf, 1, cap)
-        for entry in self.entries:
-            out = out * _denominator_poly(self.hopf, entry, cap)
-        return out
 
 
 def _denominator_allowed(hopf: HopfAlgebra, kind: str, entry: tuple) -> bool:

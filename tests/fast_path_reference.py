@@ -2,7 +2,8 @@
 (apart from their names and the imports) as the references of the
 differential tests in `test_fast_paths.py`, `test_generic_base.py`,
 `test_packed_monomials.py`, `test_lattice_once.py`,
-`test_one_elimination.py` and `test_generating_set.py`.
+`test_one_elimination.py`, `test_generating_set.py` and
+`test_repeated_work.py`.
 
 - `reference_check_product`: one `collect` per basis triple (i, j, k).
 - `reference_generating_middles`: the greedy middle set that reached a
@@ -54,6 +55,15 @@ differential tests in `test_fast_paths.py`, `test_generic_base.py`,
   of `hopf.center_table` replaced.  `ReferenceTensorH.is_central` reduces
   the centre of the reference table on every call; `reference_tensor_mu`
   builds its letter images on every call.
+- `reference_trivial_cocycle`: counit tensor counit through the
+  constructor's full convolution check over every basis pair and its
+  legs, which the factored check of `cocycle.trivial_cocycle` replaced;
+  its `mu` target is left unset, so `mu_algebra` builds the twist.
+- `reference_denominator_ncpoly` and `reference_denominator_image`: a
+  witness denominator expanded into one word (the former
+  `LocalizedDenominator.ncpoly`) and evaluated through `mu`, which one
+  `mu` evaluation per distinct entry of the denominator, the images
+  multiplied to their multiplicities, replaced.
 
 The package helpers below left `src/hopfgen` because no user path reaches
 them; the tests that check a fact of the paper through them call them here.
@@ -71,10 +81,23 @@ them; the tests that check a fact of the paper through them call them here.
 from __future__ import annotations
 
 from hopfgen.arith import Scalar, format_terms, q_binomial
-from hopfgen.errors import IndexMismatch, RangeError, UnknownLabel
+from hopfgen.cocycle import TwoCocycle
+from hopfgen.errors import IndexMismatch, RangeError, UnknownLabel, WitnessFailure
+from hopfgen.generic_base import WITNESS_CAP
 from hopfgen.groups import FiniteAbelianGroup, FiniteGroup, abelianization
 from hopfgen.hopf import HopfAlgebra, hab_grading
-from hopfgen.identities import NCPoly, _evaluate, basis_index, mu, mu_algebra, symbol
+from hopfgen.identities import (
+    DEFAULT_WORD_CAP,
+    LocalizedDenominator,
+    NCPoly,
+    _denominator_poly,
+    _evaluate,
+    basis_index,
+    mu,
+    mu_algebra,
+    ncpoly_scalar,
+    symbol,
+)
 from hopfgen.lattice import _hnf_index, _sigma_vector, _unit_vector, hnf_basis
 from hopfgen.linalg import Sparse, collect, in_span, nullspace, row_reduce
 from hopfgen.report import Report
@@ -715,6 +738,40 @@ def reference_tensor_mu(hopf, alpha, poly: NCPoly) -> ReferenceTensorH:
     if poly._tree is None:
         return words(poly)
     return _evaluate(poly._tree, words, one)
+
+
+def reference_trivial_cocycle(hopf: HopfAlgebra) -> TwoCocycle:
+    """counit tensor counit.  On a Hopf algebra it is a cocycle and its own
+    convolution inverse, so no condition check and no solve run.  The
+    constructor still checks it against itself as a convolution pair.  That
+    re-certifies counit(x1) counit(x2) = counit(x), the part of the counit
+    axiom it rests on, which `HopfAlgebra.from_json` does not check on the
+    tables it accepts."""
+    zero = hopf.field.zero
+    values = [
+        [zero if ei.is_zero or ej.is_zero else ei * ej for ej in hopf.counit]
+        for ei in hopf.counit
+    ]
+    return TwoCocycle(hopf, values, inverse_values=values, check=False)
+
+
+def reference_denominator_ncpoly(dens: LocalizedDenominator, cap: int = DEFAULT_WORD_CAP) -> NCPoly:
+    out = ncpoly_scalar(dens.hopf, 1, cap)
+    for entry in dens.entries:
+        out = out * _denominator_poly(dens.hopf, entry, cap)
+    return out
+
+
+def reference_denominator_image(hopf: HopfAlgebra, alpha, dens: LocalizedDenominator) -> TElement:
+    """Coordinate part of the evaluation image of the denominator word; the
+    algebra part is always the unit."""
+    ring = t_ring(hopf)
+    img = mu(hopf, alpha, reference_denominator_ncpoly(dens, WITNESS_CAP))
+    items = list(img.terms.items())
+    if len(items) != 1 or items[0][0][1] != hopf.unit_index:
+        raise WitnessFailure("denominator word does not evaluate to a unit tensor")
+    (mon, _), c = items[0]
+    return ring.element({mon: c})
 
 
 def tautological_coaction(hopf, poly: NCPoly) -> dict:

@@ -225,6 +225,17 @@ def test_selftest_json_reports_failure(capsys):
     assert payload["criteria"][0]["number"] == 10
 
 
+def test_selftest_json_reports_seconds_per_criterion(capsys):
+    code, out, _ = run_cli(capsys, "selftest", "--criteria", "12,4,12", "--format", "json")
+    assert code == 0
+    criteria = json.loads(out)["criteria"]
+    assert [c["number"] for c in criteria] == [4, 12]
+    assert [list(c) for c in criteria] == [["number", "title", "report", "seconds"]] * 2
+    assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in criteria)
+    reports = [rep.to_dict() for _, _, rep in run_criteria([4, 12])]
+    assert [c["report"] for c in criteria] == reports
+
+
 def test_selftest_has_no_jobs_option(capsys):
     code, _, err = run_cli(capsys, "selftest", "--criteria", "4", "--jobs", "4")
     assert code == 2

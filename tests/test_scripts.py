@@ -1,7 +1,9 @@
 """The scan scripts run at their defaults against the checkout's package,
-and the JSON parity script writes no bytecode cache into it."""
+and the JSON parity script writes no bytecode cache into it and hashes
+the selftest output without its run-dependent parts."""
 
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -27,10 +29,15 @@ def test_scan_script_runs_at_its_defaults(script):
     assert out.stdout
 
 
-def test_json_parity_leaves_no_bytecode_cache(tmp_path, monkeypatch, capsys):
+def _parity_script():
     spec = importlib.util.spec_from_file_location("json_parity", ROOT / "scripts" / "json_parity.py")
     parity = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(parity)
+    return parity
+
+
+def test_json_parity_leaves_no_bytecode_cache(tmp_path, monkeypatch, capsys):
+    parity = _parity_script()
     src = tmp_path / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
     monkeypatch.setattr(parity, "SRC", src)
@@ -40,3 +47,22 @@ def test_json_parity_leaves_no_bytecode_cache(tmp_path, monkeypatch, capsys):
     parity.main()
     assert capsys.readouterr().out.split()[1:] == ["exit=0", "describe", "--family", "taft:2"]
     assert not list(src.rglob("__pycache__"))
+
+
+def test_json_parity_hashes_selftest_output_as_before_seconds():
+    """The seconds of every criterion are dropped and the time of criterion
+    3 blanked, so the digest is that of the output without seconds."""
+
+    def payload(seconds: bool, details: str) -> bytes:
+        criteria = []
+        for number, name in ((3, "combined runtime below thirty seconds"), (4, "kept")):
+            check = {"name": name, "ok": True, "details": details if number == 3 else "kept"}
+            crit = {"number": number, "title": "t", "report": {"checks": [check]}}
+            if seconds:
+                crit["seconds"] = 0.25 * number
+            criteria.append(crit)
+        return json.dumps({"schema": 1, "ok": True, "criteria": criteria}, indent=2).encode()
+
+    parity = _parity_script()
+    assert parity.blank_runtime(payload(True, "0.4 s")) == payload(False, "")
+    assert parity.blank_runtime(payload(False, "1.9 s")) == payload(False, "")
