@@ -17,7 +17,10 @@ Prints one JSON line that maps each rung to its wall seconds:
 - `nice` on k[S4] and k[Z/24], whose witnesses carry many repeated
   pair and triple denominators, and on taft(5) and e(4), whose carry
   `grouplike_power` and `x_square` ones: the niceness witnesses, each
-  verified through `mu`.
+  verified through `mu`;
+- `cold start`: a fresh `python3 -m hopfgen describe --family taft:3`,
+  which writes no bytecode cache, as `json_parity.py` runs its children:
+  the import, the instance and the command, which must exit 0.
 
 Each rung builds its instance outside the timed call, fresh, so the
 coordinate ring and the other data kept on the instance start cold.  A
@@ -29,9 +32,13 @@ the root of each checkout.
 """
 
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
+import hopfgen
 from hopfgen.cocycle import trivial_cocycle
 from hopfgen.generic_base import niceness_witnesses, verify_sigma
 from hopfgen.groups import group_from_spec
@@ -47,6 +54,18 @@ def _identity(text: str):
         return flags["identity"] is False
 
     return check
+
+
+def _cold_start(_) -> bool:
+    src = Path(hopfgen.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfgen", "describe", "--family", "taft:3"],
+        capture_output=True,
+        env=env,
+        check=False,
+    )
+    return proc.returncode == 0
 
 
 SKEW_WORDS = "(X[x]+X[y]+X[x y])^16 - 3*X[x^2 y]*X[y^2]*X[x y^3]*X[x^3 y]"
@@ -74,6 +93,7 @@ RUNGS = (
      lambda h: bool(niceness_witnesses(h))),
     ("nice taft(5)", lambda: taft(5), lambda h: bool(niceness_witnesses(h))),
     ("nice e(4)", lambda: e_algebra(4), lambda h: bool(niceness_witnesses(h))),
+    ("cold start", lambda: None, _cold_start),
 )
 
 

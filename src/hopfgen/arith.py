@@ -319,10 +319,11 @@ class Scalar:
         return self.num == other.num and self.den == other.den and self.field.n == other.field.n
 
     def __hash__(self):
-        # equal to hash((n, self.coeffs)): hash(Fraction(k)) == hash(k)
+        # num and den are in lowest terms, so equal scalars hash equal
+        # without building the Fraction coefficients
         if self.den == 1:
             return hash((self.field.n, self.num))
-        return hash((self.field.n, self.coeffs))
+        return hash((self.field.n, self.num, self.den))
 
     def __repr__(self):
         return f"Scalar({format_scalar(self)})"

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -135,7 +134,10 @@ def verify_sigma(hopf: HopfAlgebra, alpha=None) -> Report:
 # Generators of the base algebra.
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, value):
+    raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
+
+
 class GammaPresentation:
     """Finite generator data for the base algebra of one instance.
 
@@ -143,14 +145,43 @@ class GammaPresentation:
     exponents; all of them are degree-zero Laurent monomials.  residue_vars
     name one coordinate generator per cyclic factor of the grading group,
     used to peel an arbitrary monomial down to degree zero.  special_case
-    marks the one hand-picked quadratic generator set."""
+    marks the one hand-picked quadratic generator set.
 
-    hopf: HopfAlgebra
-    family_tag: str
-    invertible_gens: tuple[TElement, ...]
-    plain_gens: tuple[TElement, ...]
-    residue_vars: tuple[int, ...]
-    special_case: bool = False
+    A read-only value: equal fields make equal presentations, whatever
+    cached properties either has computed."""
+
+    def __init__(
+        self,
+        hopf: HopfAlgebra,
+        family_tag: str,
+        invertible_gens: tuple[TElement, ...],
+        plain_gens: tuple[TElement, ...],
+        residue_vars: tuple[int, ...],
+        special_case: bool = False,
+    ):
+        # the cached properties below share this __dict__ with the fields
+        self.__dict__.update(
+            hopf=hopf,
+            family_tag=family_tag,
+            invertible_gens=invertible_gens,
+            plain_gens=plain_gens,
+            residue_vars=residue_vars,
+            special_case=special_case,
+        )
+
+    __setattr__ = _read_only
+
+    def _key(self):
+        return (self.hopf, self.family_tag, self.invertible_gens, self.plain_gens,
+                self.residue_vars, self.special_case)
+
+    def __eq__(self, other):
+        if type(other) is not GammaPresentation:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def generators(self) -> tuple[TElement, ...]:
@@ -407,18 +438,41 @@ def jacobian_check(hopf: HopfAlgebra, seed: int = 0) -> tuple[TElement, bool]:
 # Decomposition over the generators.
 
 
-@dataclass(frozen=True)
 class DecompositionWitness:
     """Exact factorization of one monomial over the presentation: signed
     exponents for the invertible generators, nonnegative ones for the plain
     generators, and a residue exponent per cyclic grading factor that was
-    peeled off first.  remultiply() reproduces the input exactly."""
+    peeled off first.  remultiply() reproduces the input exactly.  A
+    read-only value, like the presentation."""
 
-    presentation: GammaPresentation
-    coefficient: Scalar
-    invertible_exps: tuple[int, ...]
-    plain_exps: tuple[int, ...]
-    residue_exps: tuple[int, ...]
+    __slots__ = ("presentation", "coefficient", "invertible_exps", "plain_exps", "residue_exps")
+
+    def __init__(
+        self,
+        presentation: GammaPresentation,
+        coefficient: Scalar,
+        invertible_exps: tuple[int, ...],
+        plain_exps: tuple[int, ...],
+        residue_exps: tuple[int, ...],
+    ):
+        for name, value in zip(
+            self.__slots__, (presentation, coefficient, invertible_exps, plain_exps, residue_exps)
+        ):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = _read_only
+
+    def _key(self):
+        return (self.presentation, self.coefficient, self.invertible_exps, self.plain_exps,
+                self.residue_exps)
+
+    def __eq__(self, other):
+        if type(other) is not DecompositionWitness:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def remultiply(self) -> TElement:
         """The coefficient times every generator and residue variable raised

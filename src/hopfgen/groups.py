@@ -10,7 +10,6 @@ subgroup, so no integer matrix is reduced.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial, prod
 
@@ -190,11 +189,25 @@ def commutator_subgroup(group: FiniteGroup) -> set[int]:
     return subgroup_closure(group, sorted(gens))
 
 
-@dataclass(frozen=True)
 class FiniteAbelianGroup:
-    """Z/d1 x ... x Z/dk in invariant-factor form (each d > 1, d_i | d_{i+1})."""
+    """Z/d1 x ... x Z/dk in invariant-factor form (each d > 1, d_i | d_{i+1}).
+    A read-only value: equal factors make equal groups."""
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = ("invariant_factors",)
+
+    def __init__(self, invariant_factors: tuple[int, ...]):
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FiniteAbelianGroup is read-only: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not FiniteAbelianGroup:
+            return NotImplemented
+        return self.invariant_factors == other.invariant_factors
+
+    def __hash__(self):
+        return hash(self.invariant_factors)
 
     @property
     def order(self) -> int:

@@ -93,6 +93,10 @@ def _check_tables(data: dict, dim: int) -> None:
 
 
 def _canonical_terms(terms) -> Terms:
+    if type(terms) is tuple and len(terms) == 1:
+        # one term is already collected and sorted; only a zero is dropped
+        ((k, c),) = terms
+        return ((k, c),) if c else ()
     return tuple(sorted(collect(terms).items()))
 
 

@@ -22,8 +22,6 @@ So about |G|·|S| rows are reduced instead of |G|^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import IndexMismatch, RangeError, UnsupportedKind
 from .groups import abelianization, commutator_subgroup, generating_set
 from .report import Report
@@ -146,13 +144,20 @@ def solve_in_lattice(basis: list[list[int]], v: list[int]) -> list[int] | None:
     return ReducedBasis(basis).solve(v)
 
 
-@dataclass
 class YLattice:
     """A verified basis of the degree-zero exponent lattice inside Z^G."""
 
-    group: object
-    basis: list[list[int]]
-    index: int
+    __slots__ = ("group", "basis", "index")
+
+    def __init__(self, group, basis: list[list[int]], index: int):
+        self.group = group
+        self.basis = basis
+        self.index = index
+
+    def __eq__(self, other):
+        if type(other) is not YLattice:
+            return NotImplemented
+        return (self.group, self.basis, self.index) == (other.group, other.basis, other.index)
 
     @property
     def rank(self) -> int:

@@ -2,20 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    details: str = ""
+    __slots__ = ("name", "passed", "details")
+
+    def __init__(self, name: str, passed: bool, details: str = ""):
+        self.name = name
+        self.passed = passed
+        self.details = details
 
 
-@dataclass
 class Report:
-    title: str = ""
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("title", "checks")
+
+    def __init__(self, title: str = "", checks: list[Check] | None = None):
+        self.title = title
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, passed: bool, details: str = "") -> None:
         self.checks.append(Check(name, bool(passed), details))

@@ -64,6 +64,9 @@ differential tests in `test_fast_paths.py`, `test_generic_base.py`,
   `LocalizedDenominator.ncpoly`) and evaluated through `mu`, which one
   `mu` evaluation per distinct entry of the denominator, the images
   multiplied to their multiplicities, replaced.
+- `reference_canonical_terms`: the terms of a table entry through
+  `collect` and `sort`, which a one-term tuple now skips in
+  `hopf._canonical_terms`.
 
 The package helpers below left `src/hopfgen` because no user path reaches
 them; the tests that check a fact of the paper through them call them here.
@@ -102,6 +105,10 @@ from hopfgen.lattice import _hnf_index, _sigma_vector, _unit_vector, hnf_basis
 from hopfgen.linalg import Sparse, collect, in_span, nullspace, row_reduce
 from hopfgen.report import Report
 from hopfgen.tring import TElement, TMonomial, check_product_budget, t_inverse_map, t_ring
+
+
+def reference_canonical_terms(terms):
+    return tuple(sorted(collect(terms).items()))
 
 
 def reference_check_product(

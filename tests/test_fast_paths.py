@@ -20,12 +20,20 @@ they bypass (`fast_path_reference.py`, `scalar_reference.py`).
   inverse of one is one.
 - Equal `TMonomial`s hash equal, and no constructor in `tring` stores a
   zero coefficient, which the single-term product relies on.
+- `hopf._canonical_terms` returns a one-term tuple as it is, less a zero
+  coefficient; every call must equal `collect` and `sort` over the same
+  terms while the roster, taft(6), taft(7) and e(5), cotwists and JSON
+  payloads are built.
 """
+
+import json
 
 import re
 from fractions import Fraction
 
 import fast_path_reference as ref
+import hopfgen.cocycle as cocycle_module
+import hopfgen.hopf as hopf_module
 import pytest
 import scalar_reference
 from hypothesis import assume, given, settings
@@ -33,10 +41,16 @@ from hypothesis import strategies as st
 from test_scalar_reference import assert_same, scalar_pairs
 
 from hopfgen.arith import make_field
-from hopfgen.cocycle import _twist, coboundary_cocycle, trivial_cocycle, twisted_algebra
+from hopfgen.cocycle import (
+    _twist,
+    coboundary_cocycle,
+    cotwist_hopf,
+    trivial_cocycle,
+    twisted_algebra,
+)
 from hopfgen.errors import NotPointedOrder, OutOfLocalization, RangeError
 from hopfgen.generic_base import lifted_cocycle
-from hopfgen.groups import symmetric
+from hopfgen.groups import group_from_spec, symmetric
 from hopfgen.hopf import (
     HopfAlgebra,
     acts_as_scalar,
@@ -49,7 +63,7 @@ from hopfgen.hopf import (
     verify_hopf_axioms,
 )
 from hopfgen.linalg import collect
-from hopfgen.selftest import standard_instances
+from hopfgen.selftest import klein_monomial, standard_instances
 from hopfgen.tring import TElement, TMonomial, power_product, t_inverse_map, t_ring
 
 # -- check_product, generating_middles and the axiom battery -------------------
@@ -536,3 +550,72 @@ def test_no_coordinate_ring_constructor_stores_a_zero(data, name):
     for elem in built:
         assert isinstance(elem, TElement)
         assert all(elem.terms.values()), elem.terms
+
+
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    """Check every `_canonical_terms` call of `hopf` and `cocycle` against
+    the collect reference; the list records, per call, whether the input
+    was a one-term tuple."""
+    fast = hopf_module._canonical_terms
+    calls = []
+
+    def checked(terms):
+        if type(terms) is not tuple:
+            terms = list(terms)
+        got = fast(terms)
+        assert got == ref.reference_canonical_terms(terms)
+        assert type(got) is tuple and all(type(t) is tuple and len(t) == 2 for t in got)
+        calls.append(type(terms) is tuple and len(terms) == 1)
+        return got
+
+    monkeypatch.setattr(hopf_module, "_canonical_terms", checked)
+    monkeypatch.setattr(cocycle_module, "_canonical_terms", checked)
+    return calls
+
+
+def test_canonical_terms_match_the_reference_on_every_built_table(canonical_calls):
+    built = [h for _, h in standard_instances.__wrapped__()]
+    built += [taft(6), taft(7), e_algebra(5)]
+    assert len(built) == 29
+    single = sum(1 for h in built for terms in h.mult.values() if len(terms) == 1)
+    # every single-term product of the constructor tables came in as a one-term tuple
+    assert sum(canonical_calls) >= single > 0
+    assert not all(canonical_calls)
+
+
+def test_canonical_terms_match_the_reference_on_cotwists(canonical_calls):
+    cases = [(h, trivial_cocycle(h)) for h in (taft(3), e_algebra(2), klein_monomial())]
+    for spec in ("sym:3", "cyclic:4", "product:cyclic:2,cyclic:2"):
+        h = group_algebra(group_from_spec(spec))
+        cases += [(h, coboundary_cocycle(h, seed)) for seed in range(3)]
+    del canonical_calls[:]
+    for h, alpha in cases:
+        out = cotwist_hopf(h, alpha)
+        assert out.dim == h.dim
+    assert any(canonical_calls)
+
+
+def test_canonical_terms_match_the_reference_on_list_entries(canonical_calls):
+    for h in (taft(3), e_algebra(2), group_algebra(symmetric(3))):
+        payload = json.loads(json.dumps(h.to_json()))
+        assert all(type(row) is list for _, _, row in payload["mult"])
+        back = HopfAlgebra.from_json(payload)
+        assert back.mult == h.mult and back.antipode == h.antipode
+        for mult in (
+            {k: [list(t) for t in v] for k, v in h.mult.items()},
+            {k: tuple(list(t) for t in v) for k, v in h.mult.items()},
+        ):
+            again = HopfAlgebra(h.field, h.labels, mult, h.comult, h.counit, h.unit_index, h.family)
+            assert again.mult == h.mult and again.antipode == h.antipode
+
+
+def test_a_single_zero_term_is_dropped(canonical_calls):
+    h = taft(2)
+    zero = h.field.zero
+    assert hopf_module._canonical_terms(((1, zero),)) == ()
+    assert hopf_module._canonical_terms(((1, h.field.q),)) == ((1, h.field.q),)
+    missing = next((i, j) for i in range(h.dim) for j in range(h.dim) if (i, j) not in h.mult)
+    mult = {**h.mult, missing: ((0, zero),), (0, 0): ((0, h.field.one),)}
+    out = HopfAlgebra(h.field, h.labels, mult, h.comult, h.counit, h.unit_index, h.family)
+    assert missing not in out.mult and out.mult == h.mult

@@ -5,20 +5,22 @@ inverse is compared with the reference's extended Euclid at every order
 that `HopfAlgebra.from_json` admits, and the q-Pascal binomials with the
 product-over-factorial formula for every order up to 16.
 
-Every operation must give the same Fraction coefficients, the same hash,
-the same truth value and the same text; every result must be in lowest
-terms.  Sympy is an independent oracle for the product reduction modulo
+Every operation must give the same Fraction coefficients, the same truth
+value and the same text, and a hash equal to that of the same value built
+from its coefficients; every result must be in lowest terms.  A hash
+builds no Fraction.  Sympy is an independent oracle for the product reduction modulo
 the cyclotomic polynomial, and the sort-free monomial product is checked
 against the sort-and-sum construction it replaced.
 """
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
 import pytest
 import scalar_reference as ref
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfgen.arith import (
@@ -64,7 +66,7 @@ def assert_same(new, old):
     assert isinstance(new, Scalar)
     assert new.coeffs == old.coeffs
     assert all(type(c) is Fraction for c in new.coeffs)
-    assert hash(new) == hash(old)
+    assert hash(new) == hash(new.field.from_coeffs(old.coeffs))
     assert bool(new) is bool(old)
     assert new.is_zero is old.is_zero
     assert format_scalar(new) == ref.format_scalar(old)
@@ -171,6 +173,46 @@ def test_integral_hash_is_the_hash_of_the_numerators():
     s = f.from_coeffs([3, 0, -2, 7])
     assert s.den == 1
     assert hash(s) == hash((5, s.num)) == hash((5, s.coeffs))
+
+
+@contextmanager
+def no_fractions():
+    """A context in which building any Fraction fails the test."""
+
+    def forbid(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", forbid)
+        yield
+
+
+# orders of the fields of degree 1, 2, 4 and 6, every degree up to 6
+HASH_ORDERS = st.sampled_from([1, 2, 3, 4, 6, 5, 8, 10, 12, 7, 9])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), HASH_ORDERS)
+def test_fractional_hash_is_consistent_and_builds_no_fraction(data, n):
+    field = make_field(n)
+    cs = data.draw(st.lists(COEFFS, min_size=field.degree, max_size=field.degree))
+    den = data.draw(st.integers(2, 30))
+    a = field.from_coeffs([Fraction(c, den) for c in cs])
+    assume(a.den != 1)
+    b = field.from_coeffs(data.draw(st.lists(COEFFS, min_size=field.degree, max_size=field.degree)))
+    # the same values reached by other routes, each in lowest terms
+    pairs = [
+        (a, field.from_coeffs(a.coeffs)),
+        (a + b, b + a),
+        (a * b, b * a),
+        ((a + b) - b, a),
+        (a * 3 / 3, a),
+    ]
+    if b:
+        pairs.append(((a * b) / b, a))
+    with no_fractions():
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
 
 
 @settings(max_examples=100, deadline=None)

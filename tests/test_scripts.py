@@ -1,6 +1,7 @@
 """The scan scripts run at their defaults against the checkout's package,
-and the JSON parity script writes no bytecode cache into it and hashes
-the selftest output without its run-dependent parts."""
+the JSON parity script writes no bytecode cache into it and hashes the
+selftest output without its run-dependent parts, and the scale ladder's
+cold start rung runs a command that exits 0."""
 
 import importlib.util
 import json
@@ -66,3 +67,11 @@ def test_json_parity_hashes_selftest_output_as_before_seconds():
     parity = _parity_script()
     assert parity.blank_runtime(payload(True, "0.4 s")) == payload(False, "")
     assert parity.blank_runtime(payload(False, "1.9 s")) == payload(False, "")
+
+
+def test_scale_ladder_cold_start_rung_runs_a_command():
+    spec = importlib.util.spec_from_file_location("scale_ladder", ROOT / "scripts" / "scale_ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    ((_, build, check),) = [rung for rung in ladder.RUNGS if rung[0] == "cold start"]
+    assert check(build()) is True
