@@ -18,6 +18,12 @@ Prints one JSON line that maps each rung to its wall seconds:
   pair and triple denominators, and on taft(5) and e(4), whose carry
   `grouplike_power` and `x_square` ones: the niceness witnesses, each
   verified through `mu`;
+- `decompose taft(5)`: 2,000 seeded degree-zero monomials, each a
+  product of the presentation's generators (invertible ones to powers in
+  [-2, 2], plain ones in [0, 2]) times a small integer: each is
+  decomposed and remultiplied, and must give back its exponents and
+  itself.  The presentation and the monomials are built outside the timed
+  call; the decomposition plan and the torus lattice are built inside it;
 - `cold start`: a fresh `python3 -m hopfgen describe --family taft:3`,
   which writes no bytecode cache, as `json_parity.py` runs its children:
   the import, the instance and the command, which must exit 0.
@@ -33,6 +39,7 @@ the root of each checkout.
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -40,11 +47,12 @@ from pathlib import Path
 
 import hopfgen
 from hopfgen.cocycle import trivial_cocycle
-from hopfgen.generic_base import niceness_witnesses, verify_sigma
+from hopfgen.generic_base import decompose, gamma_generators, niceness_witnesses, verify_sigma
 from hopfgen.groups import group_from_spec
 from hopfgen.hopf import e_algebra, group_algebra, taft, verify_hopf_axioms
 from hopfgen.identities import classify, parse_ncpoly
 from hopfgen.lattice import pq_generation_check
+from hopfgen.tring import power_product, t_ring
 
 
 def _identity(text: str):
@@ -66,6 +74,34 @@ def _cold_start(_) -> bool:
         check=False,
     )
     return proc.returncode == 0
+
+
+def _decompose_inputs(count: int = 2000, seed: int = 5):
+    """A fresh taft(5) and `count` seeded (element, invertible exponents,
+    plain exponents) triples over its presentation."""
+    h = taft(5)
+    pres = gamma_generators(h)
+    ring = t_ring(h)
+    mons = [next(iter(g.terms)) for g in pres.generators]
+    n = len(pres.invertible_gens)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        exps = [rng.randint(-2, 2) for _ in range(n)]
+        exps += [rng.randint(0, 2) for _ in range(len(mons) - n)]
+        mon = power_product(list(zip(mons, exps)), ring.width)
+        elem = ring.element({mon: h.field.scalar(rng.choice((1, 2, -3)))})
+        out.append((elem, tuple(exps[:n]), tuple(exps[n:])))
+    return h, out
+
+
+def _decompose_round_trip(inputs) -> bool:
+    h, triples = inputs
+    ok = True
+    for elem, inv, plain in triples:
+        (w,) = decompose(h, elem)
+        ok = ok and (w.invertible_exps, w.plain_exps) == (inv, plain) and w.remultiply() == elem
+    return ok
 
 
 SKEW_WORDS = "(X[x]+X[y]+X[x y])^16 - 3*X[x^2 y]*X[y^2]*X[x y^3]*X[x^3 y]"
@@ -93,6 +129,7 @@ RUNGS = (
      lambda h: bool(niceness_witnesses(h))),
     ("nice taft(5)", lambda: taft(5), lambda h: bool(niceness_witnesses(h))),
     ("nice e(4)", lambda: e_algebra(4), lambda h: bool(niceness_witnesses(h))),
+    ("decompose taft(5)", _decompose_inputs, _decompose_round_trip),
     ("cold start", lambda: None, _cold_start),
 )
 

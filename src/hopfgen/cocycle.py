@@ -364,7 +364,7 @@ class TwistedAlgebra:
         self.unit_index = unit_index
         self.labels = [f"u[{lbl}]" for lbl in hopf.labels]
         self._center = None  # reduced centre span, filled by tring on first use
-        self._mu_images = None  # letter images of identities.mu, filled there
+        self._mu_images = None  # letter images, zero and one of identities.mu, filled there
         self._mu_tables = None  # its product tables, filled by tring
 
     @property

@@ -38,7 +38,7 @@ from .identities import LocalizedDenominator, NCPoly, _denominator_poly, mu, sym
 from .lattice import ReducedBasis, pair_and_triple_vectors, solve_in_lattice, y_group  # noqa: F401
 from .linalg import collect, scalar_det
 from .report import Report
-from .tring import TElement, TMonomial, TensorH, power_product, t_inverse_map, t_ring
+from .tring import TElement, TMonomial, TensorH, _packed, power_product, t_inverse_map, t_ring
 
 # Witness words can get long (lattice coefficients repeat whole letters),
 # so they carry their own cap instead of the default identity-testing one.
@@ -229,6 +229,33 @@ class GammaPresentation:
             out[own] = (p, mon)
         return out
 
+    @cached_property
+    def plan(self) -> DecompositionPlan:
+        """The integer data `decompose` reads, derived once from the ring's
+        grading, the plain owners, the factors and the residue variables."""
+        hopf = self.hopf
+        ring = t_ring(hopf)
+        torus = {v: p for p, v in enumerate(hopf.grouplikes)}
+        owner = self.plain_owner
+        variables = []
+        for v, pairs in enumerate(ring.degree_pairs()):
+            if v in torus:
+                variables.append((pairs, torus[v], None, ()))
+                continue
+            slot, mon = owner[v]
+            # the plain generator's other variables, moved to the torus side
+            moved = tuple((torus[g], x) for g, x in mon.exps if g != v and g in torus)
+            variables.append((pairs, None, slot, moved))
+        return DecompositionPlan(
+            tuple(variables),
+            ring.grading_group().invariant_factors,
+            len(torus),
+            len(self.plain_gens),
+            tuple((m.key, m.bound, c) for m, c in self.factors),
+            tuple((torus[v], ring.monomial(((v, 1),)).key) for v in self.residue_vars),
+            ring.width,
+        )
+
 
 def gamma_generators(hopf: HopfAlgebra) -> GammaPresentation:
     """Generators of the degree-zero part of the localized coordinate ring,
@@ -250,11 +277,16 @@ def gamma_generators(hopf: HopfAlgebra) -> GammaPresentation:
         raise UnsupportedFamily(f"no base-algebra presentation for family {kind!r}")
     ring = t_ring(hopf)
     zero = ring.grading_group().identity
-    for gen in pres.generators:
+    n = len(pres.invertible_gens)
+    for p, gen in enumerate(pres.generators):
         if len(gen.terms) != 1:
             raise WitnessFailure("presentation generators must be Laurent monomials")
-        if ring.hab_degree(next(iter(gen.terms))) != zero:
+        mon = next(iter(gen.terms))
+        if ring.hab_degree(mon) != zero:
             raise WitnessFailure(f"generator {gen.to_text()} is not degree zero")
+        if p < n:
+            # decompose raises invertible generators to negative powers
+            ring.check_invertible(mon)
     hopf._presentation = pres
     return pres
 
@@ -438,6 +470,36 @@ def jacobian_check(hopf: HopfAlgebra, seed: int = 0) -> tuple[TElement, bool]:
 # Decomposition over the generators.
 
 
+class DecompositionPlan:
+    """The integer data of one presentation that `decompose` reads.
+
+    - variables: per variable, the nonzero (factor, value) pairs of its
+      degree, then its position among the group-likes, or else None, the
+      slot of the plain generator that owns it and that generator's other
+      (group-like position, exponent) pairs;
+    - moduli: the invariant factors of the grading group;
+    - torus_size and plain_size: the number of group-likes and of plain
+      generators;
+    - generators: the packed key, the bound and the coefficient (None for
+      one) of every generator, invertible ones first;
+    - residues: the group-like position and the packed key of every
+      residue variable;
+    - width: the ring's bits per exponent field."""
+
+    __slots__ = (
+        "variables", "moduli", "torus_size", "plain_size", "generators", "residues", "width",
+    )
+
+    def __init__(self, variables, moduli, torus_size, plain_size, generators, residues, width):
+        for name, value in zip(
+            self.__slots__,
+            (variables, moduli, torus_size, plain_size, generators, residues, width),
+        ):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = _read_only
+
+
 class DecompositionWitness:
     """Exact factorization of one monomial over the presentation: signed
     exponents for the invertible generators, nonnegative ones for the plain
@@ -455,10 +517,12 @@ class DecompositionWitness:
         plain_exps: tuple[int, ...],
         residue_exps: tuple[int, ...],
     ):
-        for name, value in zip(
-            self.__slots__, (presentation, coefficient, invertible_exps, plain_exps, residue_exps)
-        ):
-            object.__setattr__(self, name, value)
+        put = object.__setattr__
+        put(self, "presentation", presentation)
+        put(self, "coefficient", coefficient)
+        put(self, "invertible_exps", invertible_exps)
+        put(self, "plain_exps", plain_exps)
+        put(self, "residue_exps", residue_exps)
 
     __setattr__ = _read_only
 
@@ -502,50 +566,88 @@ class DecompositionWitness:
 def _decompose_monomial(
     hopf: HopfAlgebra, mon: TMonomial, coeff: Scalar, allow_residue: bool
 ) -> DecompositionWitness:
+    """One pass over the exponents sums the degree, the plain exponents and
+    the torus target; the checks then run in a fixed order: the degree
+    (NotDegreeZero), the localization (OutOfLocalization), the lattice
+    (NotDegreeZero).  The witness is certified by multiplying it back on
+    the packed keys and the coefficients (`_certify`)."""
     pres = gamma_generators(hopf)
-    ring = t_ring(hopf)
-    ab = ring.grading_group()
-    gl = ring.grouplike_set
+    plan = pres.plan
+    variables = plan.variables
+    sums = [0] * len(plan.moduli)
+    target = [0] * plan.torus_size
+    plain = [0] * plan.plain_size
+    negative = None
+    for v, e in mon.exps:
+        pairs, pos, slot, moved = variables[v]
+        for t, x in pairs:
+            sums[t] += x * e
+        if slot is None:
+            target[pos] += e
+        elif e < 0:
+            if negative is None:
+                negative = v
+        else:
+            plain[slot] += e
+            for p, x in moved:
+                target[p] -= x * e
 
-    work = {i: e for i, e in mon.exps}
-    deg = ring.hab_degree(mon)
-    residue = tuple(0 for _ in pres.residue_vars)
-    if deg != ab.identity:
+    residue = deg = tuple(s % d for s, d in zip(sums, plan.moduli))
+    if any(deg):
         if not allow_residue:
             raise NotDegreeZero(f"monomial of degree {deg}")
-        residue = deg
-        for v, k in zip(pres.residue_vars, deg):
-            if k:
-                work[v] = work.get(v, 0) - k
-
-    own_of = pres.plain_owner
-    plain = [0] * len(pres.plain_gens)
-    torus = {}
-    for v, e in work.items():
-        if v in gl:
-            torus[v] = torus.get(v, 0) + e
-            continue
-        if e < 0:
-            raise OutOfLocalization(f"negative power of t[{hopf.labels[v]}]")
-        p, mon_g = own_of[v]
-        plain[p] += e
-        for gv, ge in mon_g.exps:
-            if gv != v:
-                torus[gv] = torus.get(gv, 0) - e * ge
-
-    target = [torus.get(v, 0) for v in hopf.grouplikes]
+        for (p, _), k in zip(plan.residues, deg):
+            target[p] -= k
+    else:
+        residue = (0,) * len(plan.residues)
+    if negative is not None:
+        raise OutOfLocalization(f"negative power of t[{hopf.labels[negative]}]")
     coeffs = pres.torus_lattice.solve(target)
     if coeffs is None:
         raise NotDegreeZero("torus part lies outside the degree-zero lattice")
 
-    witness = DecompositionWitness(
-        pres, coeff, tuple(coeffs), tuple(plain), residue
-    )
-    back = witness.remultiply()
-    # every caller passes a monomial packed by this ring
-    if back != TElement(ring, {mon: coeff}):
-        raise WitnessFailure(f"re-multiplication mismatch: {back.to_text()}")
+    witness = DecompositionWitness(pres, coeff, tuple(coeffs), tuple(plain), residue)
+    coeffs.extend(plain)
+    _certify(hopf, plan, coeffs, residue, mon, coeff)
     return witness
+
+
+def _certify(
+    hopf: HopfAlgebra,
+    plan: DecompositionPlan,
+    exps: list[int],
+    residue: tuple[int, ...],
+    mon: TMonomial,
+    coeff: Scalar,
+) -> None:
+    """WitnessFailure unless the generators raised to `exps` and the residue
+    variables to `residue` give back coeff times mon.  A one-term element
+    equals another exactly when the keys and the coefficients are equal,
+    so this is the equality of the re-multiplied witness with the input.
+    The key sum identifies the product only while the bounds times the
+    absolute exponents stay below 2^(w-1): past that, a wrong exponent
+    vector could carry into a neighbouring field and sum to the same key,
+    so the exponents are summed exactly, as `power_product` does."""
+    key = bound = 0
+    back = coeff
+    for (k, b, c), e in zip(plan.generators, exps):
+        if e:
+            key += k * e
+            bound += b * abs(e)
+            if c is not None:
+                back = back * c**e
+    for (_, k), e in zip(plan.residues, residue):
+        if e:
+            key += k * e
+            bound += abs(e)
+    w = plan.width
+    if bound >> (w - 1):
+        factors = [(_packed(k, b, w), e) for (k, b, _), e in zip(plan.generators, exps) if e]
+        factors.extend((_packed(k, 1, w), e) for (_, k), e in zip(plan.residues, residue) if e)
+        key = power_product(factors, w).key
+    if key != mon.key or back is not coeff and back != coeff:
+        got = TElement(t_ring(hopf), {_packed(key, bound, w): back})
+        raise WitnessFailure(f"re-multiplication mismatch: {got.to_text()}")
 
 
 def _input_terms(hopf: HopfAlgebra, elem) -> list[tuple[TMonomial, Scalar]]:

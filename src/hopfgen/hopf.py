@@ -111,8 +111,8 @@ class HopfAlgebra:
     After construction only the lazy fields are written, on first use:
     the coordinate ring (`tring.t_ring`), the base-algebra presentation
     (`generic_base.gamma_generators`), the reduced centre span, and the
-    letter images and packed product tables of `identities.mu` when this
-    algebra is its target.
+    letter images, zero and one tensors and packed product tables of
+    `identities.mu` when this algebra is its target.
     """
 
     __slots__ = (

@@ -342,15 +342,17 @@ def mu(hopf: HopfAlgebra, alpha: TwoCocycle, poly: NCPoly) -> TensorH:
     `unit_index`, which is why the two evaluations agree.  It holds for
     every TwoCocycle built with check=True, for `trivial_cocycle` and for
     `coboundary_cocycle`; for a cocycle built with check=False that fails
-    the cocycle condition the image depends on the evaluation order."""
+    the cocycle condition the image depends on the evaluation order.
+
+    The letter images and the zero and one tensors are built once per
+    target algebra and kept on it."""
     if poly.hopf is not hopf:
         raise RangeError("polynomial belongs to a different algebra")
     algebra = mu_algebra(hopf, alpha)
     if algebra._mu_images is None:
-        algebra._mu_images = _letter_images(hopf, algebra)
-    gen_images = algebra._mu_images
-    zero = TensorH.zero(t_ring(hopf), algebra)
-    one = zero.one()
+        zero = TensorH.zero(t_ring(hopf), algebra)
+        algebra._mu_images = (_letter_images(hopf, algebra), zero, zero.one())
+    gen_images, zero, one = algebra._mu_images
 
     def words(p: NCPoly) -> TensorH:
         total = zero

@@ -604,16 +604,29 @@ class TRing:
             pairs.extend(cur.items())
         return collect(pairs)
 
-    def hab_degree(self, mon: TMonomial) -> tuple[int, ...]:
+    def _graded(self):
+        """The grading group and, per variable, the nonzero (factor,
+        value) pairs of its degree; computed once per ring."""
         if self._grading is None:
-            self._grading = hab_grading(self.hopf)
-        ab, deg = self._grading
-        return ab.combination((deg[i], e) for i, e in mon.exps)
+            ab, deg = hab_grading(self.hopf)
+            pairs = tuple(tuple((t, x) for t, x in enumerate(d) if x) for d in deg)
+            self._grading = (ab, pairs)
+        return self._grading
+
+    def degree_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return self._graded()[1]
+
+    def hab_degree(self, mon: TMonomial) -> tuple[int, ...]:
+        ab, pairs = self._graded()
+        moduli = ab.invariant_factors
+        sums = [0] * len(moduli)
+        for i, e in mon.exps:
+            for t, x in pairs[i]:
+                sums[t] += x * e
+        return tuple(s % d for s, d in zip(sums, moduli))
 
     def grading_group(self):
-        if self._grading is None:
-            self._grading = hab_grading(self.hopf)
-        return self._grading[0]
+        return self._graded()[0]
 
     def evaluate(self, elem: TElement, values: list[Scalar]) -> Scalar:
         """Substitute one field value per variable; negative exponents

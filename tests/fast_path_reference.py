@@ -1,7 +1,7 @@
 """The general routines that the no-op fast paths now bypass, kept verbatim
 (apart from their names and the imports) as the references of the
 differential tests in `test_fast_paths.py`, `test_generic_base.py`,
-`test_packed_monomials.py`, `test_lattice_once.py`,
+`test_packed_monomials.py`, `test_lattice_once.py`, `test_decompose_plan.py`,
 `test_one_elimination.py`, `test_generating_set.py` and
 `test_repeated_work.py`.
 
@@ -67,6 +67,15 @@ differential tests in `test_fast_paths.py`, `test_generic_base.py`,
 - `reference_canonical_terms`: the terms of a table entry through
   `collect` and `sort`, which a one-term tuple now skips in
   `hopf._canonical_terms`.
+- `reference_decompose_monomial` and `reference_hab_degree`: one
+  monomial factored over the presentation through a dict of exponents and
+  the `plain_owner` map, its degree folded through
+  `FiniteAbelianGroup.combination`, and the witness certified by comparing
+  `remultiply()` with the input as two `TElement`s, which the integer plan
+  of `GammaPresentation.plan` replaced.  `reference_hab_degree` reads the
+  grading from `hab_grading` where `TRing.hab_degree` read the ring's
+  cached copy, and the reference decomposition calls it where it called
+  the method.
 
 The package helpers below left `src/hopfgen` because no user path reaches
 them; the tests that check a fact of the paper through them call them here.
@@ -85,8 +94,15 @@ from __future__ import annotations
 
 from hopfgen.arith import Scalar, format_terms, q_binomial
 from hopfgen.cocycle import TwoCocycle
-from hopfgen.errors import IndexMismatch, RangeError, UnknownLabel, WitnessFailure
-from hopfgen.generic_base import WITNESS_CAP
+from hopfgen.errors import (
+    IndexMismatch,
+    NotDegreeZero,
+    OutOfLocalization,
+    RangeError,
+    UnknownLabel,
+    WitnessFailure,
+)
+from hopfgen.generic_base import WITNESS_CAP, DecompositionWitness, gamma_generators
 from hopfgen.groups import FiniteAbelianGroup, FiniteGroup, abelianization
 from hopfgen.hopf import HopfAlgebra, hab_grading
 from hopfgen.identities import (
@@ -780,6 +796,60 @@ def reference_denominator_image(hopf: HopfAlgebra, alpha, dens: LocalizedDenomin
     (mon, _), c = items[0]
     return ring.element({mon: c})
 
+
+
+def reference_hab_degree(self, mon: TMonomial) -> tuple[int, ...]:
+    ab, deg = hab_grading(self.hopf)
+    return ab.combination((deg[i], e) for i, e in mon.exps)
+
+
+def reference_decompose_monomial(
+    hopf: HopfAlgebra, mon: TMonomial, coeff: Scalar, allow_residue: bool
+) -> DecompositionWitness:
+    pres = gamma_generators(hopf)
+    ring = t_ring(hopf)
+    ab = ring.grading_group()
+    gl = ring.grouplike_set
+
+    work = {i: e for i, e in mon.exps}
+    deg = reference_hab_degree(ring, mon)
+    residue = tuple(0 for _ in pres.residue_vars)
+    if deg != ab.identity:
+        if not allow_residue:
+            raise NotDegreeZero(f"monomial of degree {deg}")
+        residue = deg
+        for v, k in zip(pres.residue_vars, deg):
+            if k:
+                work[v] = work.get(v, 0) - k
+
+    own_of = pres.plain_owner
+    plain = [0] * len(pres.plain_gens)
+    torus = {}
+    for v, e in work.items():
+        if v in gl:
+            torus[v] = torus.get(v, 0) + e
+            continue
+        if e < 0:
+            raise OutOfLocalization(f"negative power of t[{hopf.labels[v]}]")
+        p, mon_g = own_of[v]
+        plain[p] += e
+        for gv, ge in mon_g.exps:
+            if gv != v:
+                torus[gv] = torus.get(gv, 0) - e * ge
+
+    target = [torus.get(v, 0) for v in hopf.grouplikes]
+    coeffs = pres.torus_lattice.solve(target)
+    if coeffs is None:
+        raise NotDegreeZero("torus part lies outside the degree-zero lattice")
+
+    witness = DecompositionWitness(
+        pres, coeff, tuple(coeffs), tuple(plain), residue
+    )
+    back = witness.remultiply()
+    # every caller passes a monomial packed by this ring
+    if back != TElement(ring, {mon: coeff}):
+        raise WitnessFailure(f"re-multiplication mismatch: {back.to_text()}")
+    return witness
 
 def tautological_coaction(hopf, poly: NCPoly) -> dict:
     """Coaction on words: each symbol splits through the coproduct, words

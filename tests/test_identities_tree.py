@@ -271,3 +271,28 @@ def test_letter_images_are_built_once_per_target(monkeypatch, seed):
     assert builds == [mu_algebra(h, alpha)]
     assert isinstance(first, TensorH) and isinstance(second, TensorH)
     assert mu_algebra(h, alpha)._mu_images is not None
+
+
+@pytest.mark.parametrize(
+    "name, seed", [("taft(3)", None), ("e(2)", None), ("k[S3]", None), ("k[S3]", 4)]
+)
+def test_repeated_mu_calls_return_equal_images(name, seed):
+    """The zero and one tensors are kept next to the letter images on the
+    target algebra, built once; repeated calls give equal images, and the
+    images of 0 and 1 stay the zero and the one tensor."""
+    h = BUILDERS[name]()
+    alpha = trivial_cocycle(h) if seed is None else coboundary_cocycle(h, seed)
+    u, x, y = h.labels[0], h.labels[1], h.labels[-1]
+    texts = ["0", "1", f"X[{x}]*X[{y}] - X[{y}]*X[{x}]", f"(X[{u}] + X[{x}])^3", f"2*X[{y}]^2 + 1"]
+    first = [mu(h, alpha, parse_ncpoly(t, h)) for t in texts]
+    _, zero, one = kept = mu_algebra(h, alpha)._mu_images
+    for _ in range(2):
+        again = [mu(h, alpha, parse_ncpoly(t, h)) for t in texts]
+        assert again == first
+        assert [a.to_text() for a in again] == [f.to_text() for f in first]
+        assert mu_algebra(h, alpha)._mu_images is kept
+    assert zero.is_zero and zero.to_text() == "0"
+    algebra, ring = mu_algebra(h, alpha), tring.t_ring(h)
+    assert one == TensorH.from_element(ring, algebra, ring.one(), algebra.unit_index)
+    assert first[0] == zero and first[1] == one
+    assert mu(h, alpha, NCPoly(h, {})) == zero

@@ -1,15 +1,24 @@
 """Behaviour pins for the package's record classes: `report.Check` and
 `report.Report`, `groups.FiniteAbelianGroup`, `lattice.YLattice`, and
-`generic_base.GammaPresentation` and `generic_base.DecompositionWitness`.
+`generic_base.GammaPresentation`, `generic_base.DecompositionPlan` and
+`generic_base.DecompositionWitness`.
 
 They pin construction (positional and keyword, with the defaults), value
 equality where a caller compares, equal hashes for equal instances of the
 read-only classes, `AttributeError` on assignment to a read-only field,
-and the cached properties of the presentation."""
+and the cached properties of the presentation, its decomposition plan
+among them: built once per presentation, kept on it, read-only, and
+ignored by equality and hashing."""
 
 import pytest
 
-from hopfgen.generic_base import DecompositionWitness, GammaPresentation, decompose, gamma_generators
+from hopfgen.generic_base import (
+    DecompositionPlan,
+    DecompositionWitness,
+    GammaPresentation,
+    decompose,
+    gamma_generators,
+)
 from hopfgen.groups import FiniteAbelianGroup, abelianization, group_from_spec
 from hopfgen.hopf import group_algebra, taft
 from hopfgen.lattice import ReducedBasis, YLattice, y_group
@@ -110,7 +119,7 @@ def test_gamma_presentation_cached_properties():
     pres = gamma_generators(h)
     ring = t_ring(h)
     fresh = GammaPresentation(h, "taft", pres.invertible_gens, pres.plain_gens, pres.residue_vars)
-    for name in ("factors", "torus_rows", "torus_lattice", "plain_owner"):
+    for name in ("factors", "torus_rows", "torus_lattice", "plain_owner", "plan"):
         value = getattr(fresh, name)
         assert getattr(fresh, name) is value
     assert fresh.factors == tuple(
@@ -126,6 +135,57 @@ def test_gamma_presentation_cached_properties():
     # a cached value is not a field: equality and hashing ignore it
     other = GammaPresentation(h, "taft", pres.invertible_gens, pres.plain_gens, pres.residue_vars)
     assert fresh == other and hash(fresh) == hash(other)
+    assert "plan" in fresh.__dict__ and "plan" not in other.__dict__
+
+
+def test_gamma_presentation_plan():
+    h = taft(3)
+    pres = gamma_generators(h)
+    ring = t_ring(h)
+    plan = pres.plan
+    assert isinstance(plan, DecompositionPlan)
+    assert plan.moduli == (3,) and plan.torus_size == 3 and plan.plain_size == 6
+    assert plan.width == ring.width
+    pairs = ring.degree_pairs()
+    # t[1] is group-like, at torus position 1 with degree 1
+    assert plan.variables[1] == (pairs[1], 1, None, ()) == (((0, 1),), 1, None, ())
+    # t[3] = t[y] is owned by the plain generator t[y] t[g^2]
+    slot, mon = pres.plain_owner[3]
+    assert plan.variables[3] == (pairs[3], None, slot, ((2, 1),))
+    assert pres.plain_gens[slot] == ring.element({mon: h.field.one})
+    assert plan.generators == tuple((m.key, m.bound, c) for m, c in pres.factors)
+    assert plan.residues == ((1, ring.monomial(((1, 1),)).key),)
+    with pytest.raises(AttributeError):
+        plan.width = 8
+    assert plan.width == ring.width
+
+
+def test_gamma_presentation_plan_is_built_once_and_kept(monkeypatch):
+    h = taft(3)
+    builds = []
+    real = DecompositionPlan.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(DecompositionPlan, "__init__", counted)
+    pres = gamma_generators(h)
+    elem = pres.plain_gens[0] * pres.invertible_gens[1] + pres.plain_gens[2] * 3
+    for _ in range(3):
+        decompose(h, elem)
+    assert len(builds) == 1
+    assert pres.__dict__["plan"] is pres.plan
+    # an equal presentation computes its own plan, and equal plans
+    # keep the presentations equal
+    other = GammaPresentation(h, "taft", pres.invertible_gens, pres.plain_gens, pres.residue_vars)
+    assert other.plan is not pres.plan and len(builds) == 2
+    assert other == pres and hash(other) == hash(pres)
+    # the presentation stays read-only, the plan included
+    with pytest.raises(AttributeError):
+        pres.plan = other.plan
+    with pytest.raises(AttributeError):
+        pres.invertible_gens = ()
 
 
 def test_decomposition_witness_is_a_read_only_value():

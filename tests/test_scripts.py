@@ -1,7 +1,8 @@
 """The scan scripts run at their defaults against the checkout's package,
 the JSON parity script writes no bytecode cache into it and hashes the
-selftest output without its run-dependent parts, and the scale ladder's
-cold start rung runs a command that exits 0."""
+selftest output without its run-dependent parts, the scale ladder's
+cold start rung runs a command that exits 0, and its decompose rung
+round-trips every monomial."""
 
 import importlib.util
 import json
@@ -69,9 +70,24 @@ def test_json_parity_hashes_selftest_output_as_before_seconds():
     assert parity.blank_runtime(payload(False, "1.9 s")) == payload(False, "")
 
 
-def test_scale_ladder_cold_start_rung_runs_a_command():
+def _ladder_rung(name: str):
     spec = importlib.util.spec_from_file_location("scale_ladder", ROOT / "scripts" / "scale_ladder.py")
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
-    ((_, build, check),) = [rung for rung in ladder.RUNGS if rung[0] == "cold start"]
+    ((_, build, check),) = [rung for rung in ladder.RUNGS if rung[0] == name]
+    return build, check
+
+
+def test_scale_ladder_cold_start_rung_runs_a_command():
+    build, check = _ladder_rung("cold start")
     assert check(build()) is True
+
+
+def test_scale_ladder_decompose_rung_round_trips_every_monomial():
+    build, check = _ladder_rung("decompose taft(5)")
+    h, triples = build()
+    assert len(triples) == 2000 and len({elem for elem, _, _ in triples}) > 1900
+    assert check((h, triples)) is True
+    # a wrong expected exponent vector fails the rung
+    elem, inv, plain = triples[0]
+    assert check((h, [(elem, inv, tuple(e + 1 for e in plain))])) is False
