@@ -26,9 +26,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, neg
+from sys import hash_info
 from typing import Iterable
 
 from .errors import DivisionByZero, RangeError
+
+_HASH_MODULUS, _HASH_INF = hash_info.modulus, hash_info.inf
 
 
 def _trim(p: list) -> list:
@@ -321,9 +324,23 @@ class Scalar:
     def __hash__(self):
         # num and den are in lowest terms, so equal scalars hash equal
         # without building the Fraction coefficients
-        if self.den == 1:
-            return hash((self.field.n, self.num))
-        return hash((self.field.n, self.num, self.den))
+        num, den = self.num, self.den
+        if any(num[1:]):
+            if den == 1:
+                return hash((self.field.n, num))
+            return hash((self.field.n, num, den))
+        # a rational value hashes as the equal int or Fraction does: Python's
+        # numeric hash, |a| / den modulo the prime P of sys.hash_info
+        a = num[0]
+        if den == 1:
+            return hash(a)
+        try:
+            h = hash(hash(abs(a)) * pow(den, -1, _HASH_MODULUS))
+        except ValueError:
+            # P divides den
+            h = _HASH_INF
+        h = h if a >= 0 else -h
+        return -2 if h == -1 else h
 
     def __repr__(self):
         return f"Scalar({format_scalar(self)})"

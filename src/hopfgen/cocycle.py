@@ -21,6 +21,7 @@ from .errors import CocycleMismatch, NotInvertible, RangeError, UnsupportedFamil
 from .hopf import HopfAlgebra, _canonical_terms, associative, fails_at
 from .linalg import collect, solve_unique
 from .report import Report
+from .tring import sum_of_products
 
 
 class TwoCocycle:
@@ -234,7 +235,9 @@ def convolution_failure(hopf: HopfAlgebra, a, b, zero):
     """The first basis pair (x, y) at which the convolution a * b, or else
     b * a, differs from counit(x) counit(y), as (x, y, reverse) with
     reverse true when only b * a fails; None if a and b are two-sided
-    convolution inverses.  Entries as for cocycle_failure.
+    convolution inverses.  Entries as for cocycle_failure; each
+    convolution is one `tring.sum_of_products` call, which sums
+    coordinate-ring values on integer numerators.
 
     The reverse pass stays although, over a coassociative coalgebra, a * b
     = 1 already implies b * a = 1 (the convolution algebra is a free module
@@ -263,15 +266,13 @@ def convolution_failure(hopf: HopfAlgebra, a, b, zero):
             ex, ey = counit[x], counit[y]
             want = zero if ex.is_zero or ey.is_zero else ex * ey
             for reverse, f, g, legs_x, legs_y in passes:
-                acc = zero
-                for x1, x2, cx in legs_x[x]:
-                    for y1, y2, cy in legs_y[y]:
-                        u = f[x1][y1]
-                        if u.is_zero:
-                            continue
-                        v = g[x2][y2]
-                        if not v.is_zero:
-                            acc = acc + u * v * (cx * cy)
+                triples = [
+                    (u, v, cx * cy)
+                    for x1, x2, cx in legs_x[x]
+                    for y1, y2, cy in legs_y[y]
+                    if not (u := f[x1][y1]).is_zero and not (v := g[x2][y2]).is_zero
+                ]
+                acc = sum_of_products(zero, triples)
                 if acc is not want and acc != want:
                     return x, y, reverse
     return None

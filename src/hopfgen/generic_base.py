@@ -38,7 +38,16 @@ from .identities import LocalizedDenominator, NCPoly, _denominator_poly, mu, sym
 from .lattice import ReducedBasis, pair_and_triple_vectors, solve_in_lattice, y_group  # noqa: F401
 from .linalg import collect, scalar_det
 from .report import Report
-from .tring import TElement, TMonomial, TensorH, _packed, power_product, t_inverse_map, t_ring
+from .tring import (
+    TElement,
+    TMonomial,
+    TensorH,
+    _packed,
+    power_product,
+    sum_of_products,
+    t_inverse_map,
+    t_ring,
+)
 
 # Witness words can get long (lattice coefficients repeat whole letters),
 # so they carry their own cap instead of the default identity-testing one.
@@ -75,16 +84,16 @@ def lifted_cocycle(hopf: HopfAlgebra, vals, right: bool = False) -> list[list[TE
     for legs_x in hopf.comult:
         row = []
         for legs_y in hopf.comult:
-            acc = zero
+            triples = []
             for lx in legs_x:
                 for ly in legs_y:
                     terms = table.get((lx[tw], ly[tw]))
                     if terms is None:
                         continue
-                    part = single[lx[1 - tw]] * single[ly[1 - tw]] * (lx[2] * ly[2])
-                    for k, c in terms:
-                        acc = acc + part * closing[k] * c
-            row.append(acc)
+                    part = single[lx[1 - tw]] * single[ly[1 - tw]]
+                    c = lx[2] * ly[2]
+                    triples += [(part, closing[k], c * ck) for k, ck in terms]
+            row.append(sum_of_products(zero, triples))
         out.append(row)
     return out
 

@@ -745,12 +745,23 @@ def associative(dim: int, mult, unit_index: int, one) -> bool:
     c != 0 puts y in it, so no triple fails once none fails with its middle
     factor in the certified set.  When the unit acts as the scalar one
     (`acts_as_scalar`), every associator with the unit in the middle is
-    (one xz) - (one xz) = 0, so the unit is reached without a check."""
-    sides = _associator(dim, mult)
+    (one xz) - (one xz) = 0, so the unit is reached without a check.
+
+    A table over the coordinate ring (`one` an element of it) is tested
+    by the ring's `associator_test`, on integer numerators."""
+    ring = getattr(one, "ring", None)
+    if ring is None:
+        sides = _associator(dim, mult)
+
+        def fails(i: int, j: int) -> bool:
+            return ne(*sides(i, j))
+
+    else:
+        fails = ring.associator_test(dim, mult)
     middles = generating_middles(
         dim, mult, unit_index, with_unit=not acts_as_scalar(dim, mult, unit_index, one)
     )
-    return not any(ne(*sides(i, m)) for m in middles for i in range(dim))
+    return not any(fails(i, m) for m in middles for i in range(dim))
 
 
 def _associator(dim: int, mult):

@@ -242,23 +242,6 @@ class TElement(Sparse):
 
     # -- canonical form ------------------------------------------------------
 
-    def _vectors(self) -> dict[int, list[int]]:
-        """Each monomial key mapped to the numerators of 1, q, ..., q^(d-1)
-        of its coefficient: q^k taken to q^(k mod n), then reduced modulo
-        Phi_n; in the order in which the monomials first appear."""
-        ring = self.ring
-        shift, half, mask = ring.q_shift, ring.half, ring.mask
-        qpow, n, d = ring.q_powers, ring.field.n, ring.field.degree
-        vecs: dict[int, list[int]] = {}
-        for key, c in self.num.items():
-            m = ((key + half) & mask) - half
-            vec = vecs.get(m)
-            if vec is None:
-                vec = vecs[m] = [0] * d
-            for j, r in qpow[((key - m) >> shift) % n]:
-                vec[j] += c * r
-        return vecs
-
     def _reduce(self) -> None:
         """Replace num and den by the canonical form of the same value, in
         which equal values have equal num and den: no power of q beyond
@@ -267,7 +250,10 @@ class TElement(Sparse):
             return
         shift = self.ring.q_shift
         num = {
-            m + (j << shift): c for m, vec in self._vectors().items() for j, c in enumerate(vec) if c
+            m + (j << shift): c
+            for m, vec in _vectors(self.ring, self.num).items()
+            for j, c in enumerate(vec)
+            if c
         }
         den = self.den
         if den != 1:
@@ -286,7 +272,7 @@ class TElement(Sparse):
             field, bound, w, den = ring.field, self.bound, ring.width, self.den
             self._terms = {
                 _packed(m, bound, w): _lowest(field, tuple(vec), den)
-                for m, vec in self._vectors().items()
+                for m, vec in _vectors(ring, self.num).items()
             }
         return self._terms
 
@@ -381,15 +367,8 @@ class TElement(Sparse):
             num = {ka + kb: ca * cb for ka, ca in a.items()}
         else:
             num = {}
-            for ka, ca in a.items():
-                for kb, cb in b.items():
-                    k = ka + kb
-                    if k in num:
-                        num[k] += ca * cb
-                    else:
-                        num[k] = ca * cb
-            for k in [k for k, c in num.items() if not c]:
-                del num[k]
+            _add_products(num, a, b, _UNIT)
+            num = {k: c for k, c in num.items() if c}
         return _element(ring, num, self.den * other.den, bound, self.qmax + other.qmax)
 
     __rmul__ = __mul__
@@ -436,6 +415,107 @@ class TElement(Sparse):
 
     def __repr__(self):
         return f"<TElement {self.to_text()}>"
+
+
+def _vectors(ring: TRing, num: dict) -> dict[int, list[int]]:
+    """Each monomial key of the term numerators num mapped to the
+    numerators of 1, q, ..., q^(d-1) of its coefficient: q^k taken to
+    q^(k mod n), then reduced modulo Phi_n; in the order in which the
+    monomials first appear."""
+    shift, half, mask = ring.q_shift, ring.half, ring.mask
+    qpow, n, d = ring.q_powers, ring.field.n, ring.field.degree
+    vecs: dict[int, list[int]] = {}
+    for key, c in num.items():
+        m = ((key + half) & mask) - half
+        vec = vecs.get(m)
+        if vec is None:
+            vec = vecs[m] = [0] * d
+        for j, r in qpow[((key - m) >> shift) % n]:
+            vec[j] += c * r
+    return vecs
+
+
+def _vanishes(ring: TRing, num: dict) -> bool:
+    """Whether the term numerators num, summed but not reduced, stand for
+    zero: over a field of degree one distinct keys are distinct monomials,
+    so only a zero numerator vanishes; otherwise once q^k is reduced."""
+    if not any(num.values()):
+        return True
+    return not ring.rational and not any(any(v) for v in _vectors(ring, num).values())
+
+
+def _operands(ring: TRing, a: TElement, b: TElement) -> tuple[TElement, TElement]:
+    """a and b, elements of ring, as factors whose term keys add without
+    a carry: where a.bound + b.bound leaves no room in a field, the exact
+    product a * b (exponents summed, RangeError for one that leaves its
+    field) and the unit."""
+    if a.ring is not ring or b.ring is not ring:
+        raise RangeError("TElement operands over different algebras")
+    if (a.bound + b.bound) >> (ring.width - 1):
+        return a * b, ring.one()
+    return a, b
+
+
+# the (key, numerator) pairs of the scalar one, for `_add_products`
+_UNIT = ((0, 1),)
+
+
+def _add_products(num: dict, a: dict, b: dict, s) -> None:
+    """Add to num the term numerators of a * b * s: a and b the
+    numerators of two elements, s the (key, numerator) pairs of a scalar
+    already scaled to num's denominator.  Each term pair is one key sum
+    and one integer product; new keys enter num in the order of the terms
+    of a, then of b."""
+    get = num.get
+    right = b.items()
+    for ka, ca in a.items():
+        for ks, cs in s:
+            k0, c0 = ka + ks, ca * cs
+            for kb, cb in right:
+                k = k0 + kb
+                num[k] = get(k, 0) + c0 * cb
+
+
+def sum_of_products(zero, triples):
+    """The sum of a * b * s over the (a, b, s) triples, starting from zero,
+    which a sum over no triple returns.
+
+    With zero a `TElement`, a and b are elements of its ring and s a
+    Scalar: the integer numerators of every product are summed straight
+    into one dict, keyed by the sums of the term keys, over one common
+    denominator, and the sum takes one canonical form rather than one per
+    product.  Otherwise (Scalars) each product is added in turn."""
+    if zero.__class__ is not TElement:
+        acc = zero
+        for a, b, s in triples:
+            acc = acc + a * b * s
+        return acc
+    ring = zero.ring
+    field, shift = ring.field, ring.q_shift
+    num: dict[int, int] = {}
+    den = 1
+    bound = qmax = -1
+    for a, b, s in triples:
+        if s.field is not field:
+            raise RangeError("mixed scalars from different fields")
+        a, b = _operands(ring, a, b)
+        if not (a.num and b.num and any(s.num)):
+            continue
+        d = a.den * b.den * s.den
+        if den % d:
+            # a new factor of the common denominator
+            f = lcm(den, d) // den
+            num = {k: c * f for k, c in num.items()}
+            den *= f
+        f = den // d
+        sv = [(j << shift, x * f) for j, x in enumerate(s.num) if x]
+        _add_products(num, a.num, b.num, sv)
+        bound = max(bound, a.bound + b.bound)
+        qmax = max(qmax, a.qmax + b.qmax + (sv[-1][0] >> shift))
+    if bound < 0:
+        return zero
+    num = {k: c for k, c in num.items() if c}
+    return _element(ring, num, den, bound, qmax)
 
 
 def _lowest_terms(num: dict, den: int) -> tuple[dict, int]:
@@ -583,6 +663,35 @@ class TRing:
             out[i] = acc * self.var(j0, -1) * c0.inverse()
         return out  # type: ignore[return-value]
 
+    def associator_test(self, dim: int, mult):
+        """fails(i, j): whether (b_i b_j) b_k != b_i (b_j b_k) for some k,
+        on a product table over this ring.  Both sides are summed into one
+        integer difference, keyed by k, by the b_m coordinate and by term
+        key, over one common denominator, as in `sum_of_products`; it is
+        tested for zero once, and only that test reduces powers of q."""
+        rows = [[mult.get((i, j), ()) for j in range(dim)] for i in range(dim)]
+        basis = range(dim)
+
+        def fails(i: int, j: int) -> bool:
+            row_i = rows[i]
+            prods = [
+                ((k, m), c, cm, 1) for p, c in row_i[j] for k in basis for m, cm in rows[p][k]
+            ]
+            prods += [
+                ((k, m), c, cm, -1) for k in basis for p, c in rows[j][k] for m, cm in row_i[p]
+            ]
+            prods = [(cell, *_operands(self, a, b), sign) for cell, a, b, sign in prods]
+            den = lcm(*[a.den * b.den for _, a, b, _ in prods])
+            cells: dict[tuple[int, int], dict[int, int]] = {}
+            for cell, a, b, sign in prods:
+                num = cells.get(cell)
+                if num is None:
+                    num = cells[cell] = {}
+                _add_products(num, a.num, b.num, [(0, sign * (den // (a.den * b.den)))])
+            return not all(_vanishes(self, num) for num in cells.values())
+
+        return fails
+
     def coproduct(self, elem: TElement) -> dict[tuple[TMonomial, TMonomial], Scalar]:
         """Coordinate coproduct: t[b] goes to the sum of t[b1] (x) t[b2],
         inverted group-like variables stay diagonal, products multiply."""
@@ -674,14 +783,13 @@ def verify_t_inverse(hopf: HopfAlgebra) -> Report:
     element at a time: the split product against t, in either order,
     must collapse to the counit value."""
     ring = t_ring(hopf)
+    zero, t, tinv = ring.zero(), ring.var, ring.t_inverse
     rep = Report(f"coordinate inverse on {hopf.name or 'algebra'}")
     for i in range(hopf.dim):
         target = ring.scalar(hopf.counit[i])
-        left = ring.zero()
-        right = ring.zero()
-        for j, k, c in hopf.comult[i]:
-            left = left + c * (ring.var(j) * ring.t_inverse(k))
-            right = right + c * (ring.t_inverse(j) * ring.var(k))
+        legs = hopf.comult[i]
+        left = sum_of_products(zero, [(t(j), tinv(k), c) for j, k, c in legs])
+        right = sum_of_products(zero, [(tinv(j), t(k), c) for j, k, c in legs])
         lbl = hopf.labels[i]
         rep.add(f"left {lbl}", left == target, "" if left == target else left.to_text())
         rep.add(f"right {lbl}", right == target, "" if right == target else right.to_text())

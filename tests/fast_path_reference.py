@@ -2,8 +2,8 @@
 (apart from their names and the imports) as the references of the
 differential tests in `test_fast_paths.py`, `test_generic_base.py`,
 `test_packed_monomials.py`, `test_lattice_once.py`, `test_decompose_plan.py`,
-`test_one_elimination.py`, `test_generating_set.py` and
-`test_repeated_work.py`.
+`test_one_elimination.py`, `test_generating_set.py`,
+`test_repeated_work.py` and `test_sum_of_products.py`.
 
 - `reference_check_product`: one `collect` per basis triple (i, j, k).
 - `reference_generating_middles`: the greedy middle set that reached a
@@ -76,6 +76,16 @@ differential tests in `test_fast_paths.py`, `test_generic_base.py`,
   grading from `hab_grading` where `TRing.hab_degree` read the ring's
   cached copy, and the reference decomposition calls it where it called
   the method.
+- `reference_lifted_cocycle`, `reference_loop_cocycle_failure`,
+  `reference_loop_convolution_failure` and `reference_verify_t_inverse`:
+  the sums of the lifted cocycle, of both convolution checks and of the
+  coordinate inverse built as `acc = acc + a * b * c`, one `TElement` per
+  product, which `tring.sum_of_products` replaced; and
+  `reference_associative`, Light's test with both sides of every
+  associator collected as ring elements and compared, which
+  `TRing.associator_test` replaced for tables over the coordinate ring.
+  `reference_loop_cocycle_failure` calls it where it called
+  `hopf.associative`.
 
 The package helpers below left `src/hopfgen` because no user path reaches
 them; the tests that check a fact of the paper through them call them here.
@@ -92,8 +102,10 @@ them; the tests that check a fact of the paper through them call them here.
 
 from __future__ import annotations
 
+from operator import ne
+
 from hopfgen.arith import Scalar, format_terms, q_binomial
-from hopfgen.cocycle import TwoCocycle
+from hopfgen.cocycle import TwoCocycle, _counit_reduces, _support, _twist
 from hopfgen.errors import (
     IndexMismatch,
     NotDegreeZero,
@@ -104,7 +116,13 @@ from hopfgen.errors import (
 )
 from hopfgen.generic_base import WITNESS_CAP, DecompositionWitness, gamma_generators
 from hopfgen.groups import FiniteAbelianGroup, FiniteGroup, abelianization
-from hopfgen.hopf import HopfAlgebra, hab_grading
+from hopfgen.hopf import (
+    HopfAlgebra,
+    _associator,
+    acts_as_scalar,
+    generating_middles,
+    hab_grading,
+)
 from hopfgen.identities import (
     DEFAULT_WORD_CAP,
     LocalizedDenominator,
@@ -850,6 +868,137 @@ def reference_decompose_monomial(
     if back != TElement(ring, {mon: coeff}):
         raise WitnessFailure(f"re-multiplication mismatch: {back.to_text()}")
     return witness
+
+
+def reference_lifted_cocycle(hopf: HopfAlgebra, vals, right: bool = False) -> list[list[TElement]]:
+    """The basis matrix of t(x1) t(y1) vals(x2, y2) t^-1(x3 y3), or of
+    t(x1 y1) vals(x2, y2) t^-1(x3) t^-1(y3) when right is set, read off
+    the twisted product table."""
+    ring = t_ring(hopf)
+    t = [ring.var(i) for i in range(hopf.dim)]
+    tinv = t_inverse_map(hopf)
+    # the twisted product takes the first legs and is closed by t when
+    # right is set, else the second legs and t^-1; the other legs go
+    # through the other map
+    tw, single, closing = (0, tinv, t) if right else (1, t, tinv)
+    table = _twist(hopf, hopf.mult, vals, right)
+    zero = ring.zero()
+    out = []
+    for legs_x in hopf.comult:
+        row = []
+        for legs_y in hopf.comult:
+            acc = zero
+            for lx in legs_x:
+                for ly in legs_y:
+                    terms = table.get((lx[tw], ly[tw]))
+                    if terms is None:
+                        continue
+                    part = single[lx[1 - tw]] * single[ly[1 - tw]] * (lx[2] * ly[2])
+                    for k, c in terms:
+                        acc = acc + part * closing[k] * c
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def reference_associative(dim: int, mult, unit_index: int, one) -> bool:
+    """Light's associativity test over the middle factors of
+    `generating_middles`, both sides of each associator collected and
+    compared."""
+    sides = _associator(dim, mult)
+    middles = generating_middles(
+        dim, mult, unit_index, with_unit=not acts_as_scalar(dim, mult, unit_index, one)
+    )
+    return not any(ne(*sides(i, m)) for m in middles for i in range(dim))
+
+
+def reference_loop_cocycle_failure(hopf: HopfAlgebra, vals, zero):
+    """The first basis triple (x, y, z), in loop order, at which
+    vals(x1, y1) vals(x2 y2, z) != vals(y1, z1) vals(x, y2 z2); None if
+    there is none."""
+    dim = hopf.dim
+    table = _twist(hopf, hopf.mult, vals)
+    u = hopf.unit_index
+    if _counit_reduces(hopf) and reference_associative(dim, table, u, vals[u][u]):
+        return None
+    prod = [[table.get((x, y), ()) for y in range(dim)] for x in range(dim)]
+    for x in range(dim):
+        vx = vals[x]
+        for y in range(dim):
+            pxy, py = prod[x][y], prod[y]
+            for z in range(dim):
+                lhs = zero
+                for k, c in pxy:
+                    v = vals[k][z]
+                    if not v.is_zero:
+                        lhs = lhs + c * v
+                rhs = zero
+                for k, c in py[z]:
+                    v = vx[k]
+                    if not v.is_zero:
+                        rhs = rhs + v * c
+                if lhs != rhs:
+                    return x, y, z
+    return None
+
+
+def reference_loop_convolution_failure(hopf: HopfAlgebra, a, b, zero):
+    """The first basis pair (x, y) at which the convolution a * b, or else
+    b * a, differs from counit(x) counit(y), as (x, y, reverse); None if a
+    and b are two-sided convolution inverses."""
+    comult, counit = hopf.comult, hopf.counit
+
+    def legs(first, second):
+        # the legs (l1, l2) of each coproduct with l1 in first and l2 in second
+        return [tuple(leg for leg in ls if leg[0] in first and leg[1] in second) for ls in comult]
+
+    # a pair of legs meets a nonzero f(x1, y1) g(x2, y2) only if x1, x2 are
+    # in the row supports and y1, y2 in the column supports of f and g
+    rows_a, cols_a = _support(a)
+    rows_b, cols_b = (rows_a, cols_a) if b is a else _support(b)
+    passes = (
+        (False, a, b, legs(rows_a, rows_b), legs(cols_a, cols_b)),
+        (True, b, a, legs(rows_b, rows_a), legs(cols_b, cols_a)),
+    )
+    for x in range(hopf.dim):
+        for y in range(hopf.dim):
+            # the start value itself where a counit value is zero, so that
+            # an empty sum matches without a product or a comparison
+            ex, ey = counit[x], counit[y]
+            want = zero if ex.is_zero or ey.is_zero else ex * ey
+            for reverse, f, g, legs_x, legs_y in passes:
+                acc = zero
+                for x1, x2, cx in legs_x[x]:
+                    for y1, y2, cy in legs_y[y]:
+                        u = f[x1][y1]
+                        if u.is_zero:
+                            continue
+                        v = g[x2][y2]
+                        if not v.is_zero:
+                            acc = acc + u * v * (cx * cy)
+                if acc is not want and acc != want:
+                    return x, y, reverse
+    return None
+
+
+def reference_verify_t_inverse(hopf: HopfAlgebra) -> Report:
+    """Both convolution identities of the coordinate inverse, one basis
+    element at a time: the split product against t, in either order,
+    must collapse to the counit value."""
+    ring = t_ring(hopf)
+    rep = Report(f"coordinate inverse on {hopf.name or 'algebra'}")
+    for i in range(hopf.dim):
+        target = ring.scalar(hopf.counit[i])
+        left = ring.zero()
+        right = ring.zero()
+        for j, k, c in hopf.comult[i]:
+            left = left + c * (ring.var(j) * ring.t_inverse(k))
+            right = right + c * (ring.t_inverse(j) * ring.var(k))
+        lbl = hopf.labels[i]
+        rep.add(f"left {lbl}", left == target, "" if left == target else left.to_text())
+        rep.add(f"right {lbl}", right == target, "" if right == target else right.to_text())
+    return rep
+
 
 def tautological_coaction(hopf, poly: NCPoly) -> dict:
     """Coaction on words: each symbol splits through the coproduct, words

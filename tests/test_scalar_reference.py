@@ -8,12 +8,14 @@ product-over-factorial formula for every order up to 16.
 Every operation must give the same Fraction coefficients, the same truth
 value and the same text, and a hash equal to that of the same value built
 from its coefficients; every result must be in lowest terms.  A hash
-builds no Fraction.  Sympy is an independent oracle for the product reduction modulo
+builds no Fraction, and a scalar with a rational value hashes as the equal
+int or Fraction.  Sympy is an independent oracle for the product reduction modulo
 the cyclotomic polynomial, and the sort-free monomial product is checked
 against the sort-and-sum construction it replaced.
 """
 
 import random
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
@@ -213,6 +215,32 @@ def test_fractional_hash_is_consistent_and_builds_no_fraction(data, n):
     with no_fractions():
         for x, y in pairs:
             assert x == y and hash(x) == hash(y)
+
+
+RATIONALS = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+    # denominators at and past the modulus of the numeric hash, and
+    # multiples of it, which Python hashes as infinity
+    st.builds(
+        Fraction,
+        st.integers(-(10**20), 10**20),
+        st.sampled_from([2, 7, sys.hash_info.modulus, 3 * sys.hash_info.modulus,
+                         sys.hash_info.modulus + 1, 10**30 + 1]),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), RATIONALS)
+def test_a_rational_scalar_hashes_as_the_equal_int_or_fraction(n, r):
+    field = make_field(n)
+    s = field.scalar(r)
+    with no_fractions():
+        assert s == r and hash(s) == hash(r)
+        assert {r: "value"}.get(s) == "value"
+    if r.denominator == 1:
+        assert hash(s) == hash(int(r))
 
 
 @settings(max_examples=100, deadline=None)
