@@ -60,6 +60,8 @@ COMMANDS = (
     # and a coinvariant image checked against the centre span
     + [["describe", "--family", "taft:7"],
        ["identity", "--family", "taft:7", "--poly", "X[y]^7"]]
+    # the axiom battery on Kronecker residues of the degree-6 field
+    + [["axioms", "--family", "taft:7"]]
     # the lifted cocycle and its inverse on a coboundary, two Nichols
     # algebras, and the letter relations of a group algebra, which read them
     + [["sigma", "--family", "group:cyclic:6", "--cocycle", "coboundary",

@@ -24,6 +24,9 @@ Prints one JSON line that maps each rung to its wall seconds:
   decomposed and remultiplied, and must give back its exponents and
   itself.  The presentation and the monomials are built outside the timed
   call; the decomposition plan and the torus lattice are built inside it;
+- `cotwist taft(6)`: the two-sided twist by the trivial cocycle, which
+  must give back the same tables (`structure_equal`); the cocycle is
+  built inside the timed call;
 - `cold start`: a fresh `python3 -m hopfgen describe --family taft:3`,
   which writes no bytecode cache, as `json_parity.py` runs its children:
   the import, the instance and the command, which must exit 0.
@@ -46,10 +49,10 @@ import time
 from pathlib import Path
 
 import hopfgen
-from hopfgen.cocycle import trivial_cocycle
+from hopfgen.cocycle import cotwist_hopf, trivial_cocycle
 from hopfgen.generic_base import decompose, gamma_generators, niceness_witnesses, verify_sigma
 from hopfgen.groups import group_from_spec
-from hopfgen.hopf import e_algebra, group_algebra, taft, verify_hopf_axioms
+from hopfgen.hopf import e_algebra, group_algebra, structure_equal, taft, verify_hopf_axioms
 from hopfgen.identities import classify, parse_ncpoly
 from hopfgen.lattice import pq_generation_check
 from hopfgen.tring import power_product, t_ring
@@ -130,6 +133,8 @@ RUNGS = (
     ("nice taft(5)", lambda: taft(5), lambda h: bool(niceness_witnesses(h))),
     ("nice e(4)", lambda: e_algebra(4), lambda h: bool(niceness_witnesses(h))),
     ("decompose taft(5)", _decompose_inputs, _decompose_round_trip),
+    ("cotwist taft(6)", lambda: taft(6),
+     lambda h: structure_equal(cotwist_hopf(h, trivial_cocycle(h)), h)),
     ("cold start", lambda: None, _cold_start),
 )
 

@@ -9,6 +9,9 @@ linear solve on every algebra.
 The cocycle identity, the convolution identity and the twist are each
 written once, for matrices of any values with +, * and .is_zero, so the
 lifted cocycle of generic_base, with coordinate-ring values, uses them too.
+The twist sums scalar values on the integer numerators of the packed
+tables (`hopf.pack_rows`) and coordinate-ring values through
+`tring.sum_of_products`.
 """
 
 from __future__ import annotations
@@ -16,9 +19,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .arith import Scalar
+from .arith import Scalar, _lowest
 from .errors import CocycleMismatch, NotInvertible, RangeError, UnsupportedFamily
-from .hopf import HopfAlgebra, _canonical_terms, associative, fails_at
+from .hopf import (
+    HopfAlgebra,
+    associative,
+    fails_at,
+    fitted,
+    integer_forms,
+    pack_rows,
+    pack_table,
+    packed_table,
+    vanishes,
+)
 from .linalg import collect, solve_unique
 from .report import Report
 from .tring import sum_of_products
@@ -109,20 +122,19 @@ def trivial_cocycle(hopf: HopfAlgebra) -> TwoCocycle:
         for j, ej in support:
             values[i][j] = ei * ej
     alpha = TwoCocycle(hopf, values, check=False)
-    f = []
-    for legs in hopf.comult:
-        fx = zero
-        for j, k, c in legs:
-            if not (counit[j].is_zero or counit[k].is_zero):
-                fx = fx + c * counit[j] * counit[k]
-        f.append(fx)
-    if f != counit:
+    forms = integer_forms(hopf)
+    codec, is_zero, _, (legs, dc, _), (eps, de, _) = forms
+    # f over dc de^2, the counit over de
+    f = [sum(c * eps[j] * eps[k] for j, k, c in row) for row in legs]
+    if not all(is_zero(fx - ex * dc * de) for fx, ex in zip(f, eps)):
+        decode = _decoder(codec, hopf.field, dc * de * de)
+        f = [decode(fx) or zero for fx in f]
         for x, fx in enumerate(f):
             for y, fy in enumerate(f):
                 if fx * fy != values[x][y]:
                     raise NotInvertible(f"convolution identity {fails_at(hopf, (x, y))}")
     alpha._inverse = alpha.values
-    if _counit_recovers(hopf, 0):
+    if _counit_recovers(forms, 0):
         alpha._mu_target = hopf
     return alpha
 
@@ -195,31 +207,50 @@ def _counit_reduces(hopf: HopfAlgebra) -> bool:
     two facts by which the counit takes the associator of a twisted algebra
     to the cocycle identity.  `HopfAlgebra.from_json` accepts tables on
     which they fail."""
-    if not _counit_recovers(hopf, 1):
+    forms = integer_forms(hopf)
+    if not _counit_recovers(forms, 1):
         return False
-    counit, zero = hopf.counit, hopf.field.zero
-    for i, ei in enumerate(counit):
-        for j, ej in enumerate(counit):
-            got = zero
-            for k, c in hopf.mult.get((i, j), ()):
-                if not counit[k].is_zero:
-                    got = got + c * counit[k]
-            if got != (zero if ei.is_zero or ej.is_zero else ei * ej):
-                return False
+    _, is_zero, (rows, dm, _), _, (eps, de, _) = forms
+    # counit(b_i b_j) over dm de, counit(b_i) counit(b_j) over de^2
+    return all(
+        is_zero(sum(c * eps[k] for k, c in rows[i][j]) * de - ei * ej * dm)
+        for i, ei in enumerate(eps)
+        for j, ej in enumerate(eps)
+    )
+
+
+def _counit_recovers(forms, leg: int) -> bool:
+    """Whether applying the counit to one leg of each coproduct gives back
+    the basis element: counit(x1) x2 = x for leg 0, x1 counit(x2) = x for
+    leg 1; on the `hopf.integer_forms` of the algebra."""
+    _, is_zero, _, (legs, dc, _), (eps, de, _) = forms
+    other = 1 - leg
+    for i, row in enumerate(legs):
+        acc = {i: -dc * de}
+        for t in row:
+            e = eps[t[leg]]
+            if e:
+                acc[t[other]] = acc.get(t[other], 0) + t[2] * e
+        if not vanishes(acc, is_zero):
+            return False
     return True
 
 
-def _counit_recovers(hopf: HopfAlgebra, leg: int) -> bool:
-    """Whether applying the counit to one leg of each coproduct gives back
-    the basis element: counit(x1) x2 = x for leg 0, x1 counit(x2) = x for
-    leg 1."""
-    counit, one = hopf.counit, hopf.field.one
-    other = 1 - leg
-    return all(
-        collect((t[other], t[2] * counit[t[leg]]) for t in legs if not counit[t[leg]].is_zero)
-        == {i: one}
-        for i, legs in enumerate(hopf.comult)
-    )
+def _decoder(codec, field, den: int):
+    """decode(x): the Scalar x / den, or None for zero, where x is a sum
+    of products of numerators that `codec` encodes (integers when it is
+    None); each distinct x is decoded once, a residue through
+    `Kronecker.reduce`."""
+    memo: dict[int, Scalar | None] = {}
+
+    def decode(x: int) -> Scalar | None:
+        got = memo.get(x, memo)
+        if got is memo:
+            vec = (x,) if codec is None else codec.reduce(x % codec.modulus)
+            got = memo[x] = _lowest(field, tuple(vec), den) if any(vec) else None
+        return got
+
+    return decode
 
 
 def verify_cocycle_condition(hopf: HopfAlgebra, alpha) -> Report:
@@ -323,26 +354,122 @@ def convolution_inverse(hopf: HopfAlgebra, alpha) -> list[list[Scalar]]:
 def _twist(hopf: HopfAlgebra, mult, vals, right: bool = False) -> dict:
     """The product table x . y = sum vals(x1, y1) m(x2, y2), or
     sum m(x1, y1) vals(x2, y2) when right is set, where m is the product
-    of the table mult."""
-    # a coproduct leg is (first, second, coeff): vals reads the legs at
-    # position v and the table those at position m
-    v, m = (1, 0) if right else (0, 1)
-    # only legs that meet a nonzero row (for x) or column (for y) of vals count
-    rows, cols = _support(vals)
-    legs_x = [tuple(lx for lx in legs if lx[v] in rows) for legs in hopf.comult]
-    legs_y = [tuple(ly for ly in legs if ly[v] in cols) for legs in hopf.comult]
+    of the table mult.  Scalar values, on a table of scalars, are summed
+    on integer numerators (`_twisted_rows`).  Each coefficient of a
+    coordinate-ring form is one `tring.sum_of_products` call, whose second
+    factor is the table entry where that is a ring element (a table
+    twisted by such a form) and the unit otherwise."""
+    ring = getattr(vals[0][0], "ring", None)
+    if ring is None:
+
+        def pack(codec):
+            if mult is hopf.mult:
+                table = packed_table(hopf, codec)
+            else:
+                table = pack_table(mult, hopf.dim, codec)
+            return table, pack_rows(hopf.comult, codec), _pack_values(vals, codec)
+
+        # a coefficient sums products of two legs, a value and a table entry
+        codec, _, (table, legs, values) = fitted(
+            hopf.field, pack, lambda p: p[1][2] ** 2 * p[2][2] * p[0][2]
+        )
+        rows = _twisted_rows(legs[0], values[0], table[0], right, codec)
+        return _decoded(rows, codec, hopf.field, legs[1] ** 2 * values[1] * table[1])
+    legs_x, legs_y = _legs_meeting(hopf.comult, *_support(vals), right)
+    zero, one, unit = ring.zero(), ring.one(), hopf.field.one
     out: dict[tuple[int, int], tuple] = {}
-    for x in range(hopf.dim):
-        for y in range(hopf.dim):
-            terms = _canonical_terms(
-                (k, lx[2] * ly[2] * vals[lx[v]][ly[v]] * cm)
-                for lx in legs_x[x]
-                for ly in legs_y[y]
-                if not vals[lx[v]][ly[v]].is_zero
-                for k, cm in mult.get((lx[m], ly[m]), ())
-            )
+    for x, lx in enumerate(legs_x):
+        for y, ly in enumerate(legs_y):
+            triples: dict[int, list] = {}
+            for a, p, cx in lx:
+                for b, r, cy in ly:
+                    val = vals[a][b]
+                    if not val.is_zero:
+                        c = cx * cy
+                        for k, cm in mult.get((p, r), ()):
+                            # a twisted table may hold ring elements
+                            t = (val, one, c * cm) if cm.__class__ is Scalar else (val, cm, c)
+                            triples.setdefault(k, []).append(t)
+            terms = []
+            for k in sorted(triples):
+                ts = triples[k]
+                if len(ts) == 1 and ts[0][1] is one and ts[0][2] == unit:
+                    # a value times one: the value itself, in canonical form
+                    e = ts[0][0]
+                else:
+                    e = sum_of_products(zero, ts)
+                if not e.is_zero:
+                    terms.append((k, e))
             if terms:
-                out[(x, y)] = terms
+                out[(x, y)] = tuple(terms)
+    return out
+
+
+def _legs_meeting(comult, rows, cols, right: bool) -> tuple[list, list]:
+    """The coproduct legs (first, second, coeff) of every basis element as
+    (value leg, table leg, coeff): the value reads the first legs and the
+    table the second, or the reverse when right is set.  Only legs whose
+    value leg is in rows (for x) or in cols (for y) count: the others meet
+    a zero row or column of the values."""
+    v, m = (1, 0) if right else (0, 1)
+    return (
+        [tuple((lx[v], lx[m], lx[2]) for lx in legs if lx[v] in rows) for legs in comult],
+        [tuple((ly[v], ly[m], ly[2]) for ly in legs if ly[v] in cols) for legs in comult],
+    )
+
+
+def _pack_values(vals, codec) -> tuple[list[dict], int, int]:
+    """A matrix of scalars by `hopf.pack_rows`, each row as a dict from
+    column to numerator."""
+    packed, den, norm = pack_rows([tuple(enumerate(row)) for row in vals], codec)
+    return [dict(row) for row in packed], den, norm
+
+
+def _twisted_rows(legs, values, table, right: bool, codec) -> list[list[tuple]]:
+    """The twist of a packed table by packed values (`_twist`): rows[x][y]
+    holds the (k, numerator) pairs of x . y in order of k, over the product
+    of the denominators of two legs, the values and the table; a numerator
+    is reduced modulo N over a codec.  The caller's codec holds each sum:
+    the square of the legs' norm times the norms of the values and the
+    table bounds it, and also the norm of a row of the result."""
+    rows = {i for i, row in enumerate(values) if row}
+    legs_x, legs_y = _legs_meeting(legs, rows, set().union(*values), right)
+    mod = None if codec is None else codec.modulus
+    out = []
+    for lx in legs_x:
+        lx = [(values[a], table[p], cx) for a, p, cx in lx]
+        row = []
+        for ly in legs_y:
+            acc: dict[int, int] = {}
+            get = acc.get
+            for row_v, row_t, cx in lx:
+                for b, r, cy in ly:
+                    val = row_v.get(b)
+                    if val:
+                        entries = row_t[r]
+                        if entries:
+                            f = cx * cy * val
+                            for k, cm in entries:
+                                acc[k] = get(k, 0) + f * cm
+            if mod is not None:
+                acc = {k: c % mod for k, c in acc.items()}
+            row.append(tuple([(k, acc[k]) for k in sorted(acc) if acc[k]]) if acc else ())
+        out.append(row)
+    return out
+
+
+def _decoded(rows, codec, field, den: int) -> dict:
+    """The table of `_twisted_rows` over den as sorted tuples of (k,
+    Scalar), zeros dropped, keyed by the pairs (x, y) with a nonzero
+    product in loop order; each distinct numerator is decoded once."""
+    decode = _decoder(codec, field, den)
+    out = {}
+    for x, row in enumerate(rows):
+        for y, entries in enumerate(row):
+            if entries:
+                terms = [(k, s) for k, c in entries if (s := decode(c)) is not None]
+                if terms:
+                    out[(x, y)] = tuple(terms)
     return out
 
 
@@ -357,7 +484,7 @@ class TwistedAlgebra:
     """The comodule algebra on the u-basis: twisted product, original
     coaction, coinvariants reduced to the unit line."""
 
-    __slots__ = ("hopf", "mult", "unit_index", "labels", "_center", "_mu_images", "_mu_tables")
+    __slots__ = ("hopf", "mult", "unit_index", "labels", "_center", "_mu_images", "_packed")
 
     def __init__(self, hopf: HopfAlgebra, mult, unit_index: int):
         self.hopf = hopf
@@ -366,7 +493,7 @@ class TwistedAlgebra:
         self.labels = [f"u[{lbl}]" for lbl in hopf.labels]
         self._center = None  # reduced centre span, filled by tring on first use
         self._mu_images = None  # letter images, zero and one of identities.mu, filled there
-        self._mu_tables = None  # its product tables, filled by tring
+        self._packed = None  # its packed product tables, filled by hopf.packed_table
 
     @property
     def dim(self) -> int:
@@ -386,10 +513,29 @@ def cotwist_hopf(hopf: HopfAlgebra, alpha: TwoCocycle) -> HopfAlgebra:
     """Two-sided twist: same coalgebra, product conjugated by the cocycle
     and its convolution inverse; antipode re-solved from the tables."""
     alpha = require_cocycle_of(hopf, alpha)
+
+    def pack(codec):
+        values = _pack_values(alpha.values, codec)
+        # the trivial cocycle is its own inverse
+        if alpha.inverse_values is alpha.values:
+            inverse = values
+        else:
+            inverse = _pack_values(alpha.inverse_values, codec)
+        return packed_table(hopf, codec), pack_rows(hopf.comult, codec), values, inverse
+
+    # a coefficient of the right twist sums products of two legs, a value
+    # and a coefficient of the left twist, which sums products of two legs,
+    # a value and a table entry
+    codec, _, (table, legs, values, inverse) = fitted(
+        hopf.field, pack, lambda p: p[1][2] ** 4 * p[2][2] * p[3][2] * p[0][2]
+    )
     # the right twist by the inverse of the left twist is
-    # sum alpha(x1, y1) x2 y2 alpha^-1(x3, y3), by coassociativity
-    left = _twist(hopf, hopf.mult, alpha.values)
-    mult = _twist(hopf, left, alpha.inverse_values, right=True)
+    # sum alpha(x1, y1) x2 y2 alpha^-1(x3, y3), by coassociativity; the left
+    # twist stays on integer numerators in between
+    left = _twisted_rows(legs[0], values[0], table[0], False, codec)
+    rows = _twisted_rows(legs[0], inverse[0], left, True, codec)
+    den = legs[1] ** 4 * values[1] * inverse[1] * table[1]
+    mult = _decoded(rows, codec, hopf.field, den)
     if mult == hopf.mult:
         # identical tables (the shared coalgebra fixes the antipode too):
         # keep the family tag so downstream presentations stay available

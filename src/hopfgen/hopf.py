@@ -12,12 +12,16 @@ basis order, and every axiom can be re-checked from the tables.
 from __future__ import annotations
 
 from itertools import combinations
-from operator import ne
+from math import lcm
+from operator import not_
 
 from .arith import (
     FieldSpec,
     Scalar,
+    balanced,
+    kronecker,
     make_field,
+    norm1,
     q_binomial_rows,
     scalar_from_strings,
     scalar_to_strings,
@@ -110,9 +114,10 @@ class HopfAlgebra:
 
     After construction only the lazy fields are written, on first use:
     the coordinate ring (`tring.t_ring`), the base-algebra presentation
-    (`generic_base.gamma_generators`), the reduced centre span, and the
-    letter images, zero and one tensors and packed product tables of
-    `identities.mu` when this algebra is its target.
+    (`generic_base.gamma_generators`), the reduced centre span, the
+    letter images and zero and one tensors of `identities.mu` when this
+    algebra is its target, and the packed product tables (`packed_table`)
+    that `mu`, the axiom battery and the twists read.
     """
 
     __slots__ = (
@@ -132,7 +137,7 @@ class HopfAlgebra:
         "_presentation",
         "_center",
         "_mu_images",
-        "_mu_tables",
+        "_packed",
     )
 
     def __init__(
@@ -174,7 +179,7 @@ class HopfAlgebra:
         self._presentation = None
         self._center = None
         self._mu_images = None
-        self._mu_tables = None
+        self._packed = None
 
     @property
     def dim(self) -> int:
@@ -272,15 +277,6 @@ class HopfAlgebra:
         return collect(
             ((j, k), ci * c) for i, ci in a.items() for j, k, c in self.comult[i]
         )
-
-    def counit_dict(self, a: dict[int, Scalar]) -> Scalar:
-        out = self.field.zero
-        for i, ci in a.items():
-            out = out + ci * self.counit[i]
-        return out
-
-    def antipode_dict(self, a: dict[int, Scalar]) -> dict[int, Scalar]:
-        return collect((k, ci * c) for i, ci in a.items() for k, c in self.antipode[i])
 
     # -- serialization -----------------------------------------------------
 
@@ -588,11 +584,18 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
     hold on the pairs (x, m) for m in the certified set.  The unit stays in
     that set: neither Delta(1) = 1 (x) 1 nor eps(1) = 1 follows from the
     others.  Any failure, or a failed associativity, sends the check through
-    all dim^2 pairs, so the pair it names is the first one in loop order."""
+    all dim^2 pairs, so the pair it names is the first one in loop order.
+
+    Both sides of each identity are summed into one integer difference on
+    the tables of `integer_forms`, built once per call; over a field of
+    degree 2 or more a nonzero difference is decoded before it counts."""
     rep = Report(title=h.name or "hopf")
     field = h.field
     dim = h.dim
+    u = h.unit_index
     elements = [(i,) for i in range(dim)]
+    forms = integer_forms(h, h.antipode)
+    _, zero, (rows, dm, _), (legs, dc, _), (eps, de, _), (anti, ds, _) = forms
 
     def first(keys, fails):
         return next((key for key in keys if fails(*key)), None)
@@ -600,65 +603,92 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
     def add(name: str, bad) -> None:
         rep.add(name, bad is None, fails_at(h, bad))
 
-    unital, bad = check_product(dim, h.mult, h.unit_index, field.one)
+    def differs(diff: dict) -> bool:
+        return not vanishes(diff, zero)
+
+    unital, bad = check_product(dim, h.mult, u, field.one, _associator(dim, rows, zero))
     add("associativity", bad)
     rep.add("unit", unital)
-    middles = generating_middles(dim, h.mult, h.unit_index) if bad is None else list(range(dim))
+    middles = generating_middles(dim, h.mult, u) if bad is None else list(range(dim))
 
     def coassociativity_fails(i):
-        left = collect(
-            ((a, b, k), c * cc) for j, k, c in h.comult[i] for a, b, cc in h.comult[j]
-        )
-        right = collect(
-            ((j, a, b), c * cc) for j, k, c in h.comult[i] for a, b, cc in h.comult[k]
-        )
-        return left != right
+        diff: dict[int, int] = {}
+        get = diff.get
+        for j, k, c in legs[i]:
+            for a, b, cc in legs[j]:
+                key = (a * dim + b) * dim + k
+                diff[key] = get(key, 0) + c * cc
+            for a, b, cc in legs[k]:
+                key = (j * dim + a) * dim + b
+                diff[key] = get(key, 0) - c * cc
+        return differs(diff)
 
     add("coassociativity", first(elements, coassociativity_fails))
 
+    one = dc * de
+
     def counit_fails(i):
-        lhs = collect((k, c * h.counit[j]) for j, k, c in h.comult[i])
-        rhs = collect((j, c * h.counit[k]) for j, k, c in h.comult[i])
-        return lhs != {i: field.one} or rhs != {i: field.one}
+        lhs, rhs = {i: -one}, {i: -one}
+        for j, k, c in legs[i]:
+            lhs[k] = lhs.get(k, 0) + c * eps[j]
+            rhs[j] = rhs.get(j, 0) + c * eps[k]
+        return differs(lhs) or differs(rhs)
 
     add("counit", first(elements, counit_fails))
 
+    # Delta(b_i b_j) is over dm dc, the product of the coproducts over dm^2 dc^2
+    scale = dm * dc
+
     def comult_multiplicative_fails(i, j):
-        want = collect(
-            ((k1, k2), ca * cb * c1 * c2)
-            for a, b, ca in h.comult[i]
-            for c_, d_, cb in h.comult[j]
-            for k1, c1 in h.mult.get((a, c_), ())
-            for k2, c2 in h.mult.get((b, d_), ())
-        )
-        return want != h.comult_dict(dict(h.mult.get((i, j), ())))
+        diff: dict[int, int] = {}
+        get = diff.get
+        for a, b, ca in legs[i]:
+            row_a, row_b = rows[a], rows[b]
+            for c_, d_, cb in legs[j]:
+                right = row_b[d_]
+                if right:
+                    f = ca * cb
+                    for k1, c1 in row_a[c_]:
+                        g, base = f * c1, k1 * dim
+                        for k2, c2 in right:
+                            key = base + k2
+                            diff[key] = get(key, 0) + g * c2
+        for p, cp in rows[i][j]:
+            f = cp * scale
+            for k1, k2, c in legs[p]:
+                key = k1 * dim + k2
+                diff[key] = get(key, 0) - f * c
+        return differs(diff)
 
     add("comult-multiplicative", _first_failing_pair(dim, middles, comult_multiplicative_fails))
 
     bad = _first_failing_pair(
         dim,
         middles,
-        lambda i, j: h.counit_dict(dict(h.mult.get((i, j), ()))) != h.counit[i] * h.counit[j],
+        lambda i, j: not zero(sum(c * eps[k] for k, c in rows[i][j]) * de - eps[i] * eps[j] * dm),
     )
-    if bad is None and h.counit[h.unit_index] != field.one:
-        bad = (h.unit_index,)
+    if bad is None and h.counit[u] != field.one:
+        bad = (u,)
     add("counit-multiplicative", bad)
 
-    def add_antipode(name: str, product) -> None:
+    # the sums of S(x1) x2 and x1 S(x2) are over dc ds dm, the counit over de
+    unit_scale = dc * ds * dm
+
+    def add_antipode(name: str, left: bool) -> None:
         def fails(i):
-            acc = collect(kv for j, k, c in h.comult[i] for kv in product(j, k, c).items())
-            return acc != ({h.unit_index: h.counit[i]} if not h.counit[i].is_zero else {})
+            diff = {u: -eps[i] * unit_scale}
+            get = diff.get
+            for j, k, c in legs[i]:
+                for m, s in anti[j if left else k]:
+                    f = c * s * de
+                    for p, cp in rows[m][k] if left else rows[j][m]:
+                        diff[p] = get(p, 0) + f * cp
+            return differs(diff)
 
         add(name, first(elements, fails))
 
-    add_antipode(
-        "antipode-left",
-        lambda j, k, c: h.multiply_dicts(h.antipode_dict({j: c}), {k: field.one}),
-    )
-    add_antipode(
-        "antipode-right",
-        lambda j, k, c: h.multiply_dicts({j: field.one}, h.antipode_dict({k: c})),
-    )
+    add_antipode("antipode-left", True)
+    add_antipode("antipode-right", False)
 
     gl = set(h.grouplikes)
     ok = h.unit_index in gl and all(
@@ -702,27 +732,25 @@ def structure_equal(a: HopfAlgebra, b: HopfAlgebra) -> bool:
 
 
 def check_product(
-    dim: int, mult, unit_index: int, one
+    dim: int, mult, unit_index: int, one, cells
 ) -> tuple[bool, tuple[int, int, int] | None]:
-    """Unit and associativity of a mult table on the basis: whether the
-    unit b_u acts on every basis element, on both sides, as the value one
-    (the field's one on H; vals(u, u) on the table that `cocycle._twist`
-    twists by vals), and the lexicographically first triple (i, j, k) with
-    (b_i b_j) b_k != b_i (b_j b_k), or None.  Each product is read from the
-    table, not recomputed: one sum per pair (i, j), keyed by (k, m) for the
-    b_m coordinate of either side.
+    """Unit and associativity of a mult table of scalars on the basis:
+    whether the unit b_u acts on every basis element, on both sides, as
+    the value one (the field's one on H; vals(u, u) on the table that
+    `cocycle._twist` twists by vals), and the lexicographically first
+    triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), or None.  Each
+    product is read from the table, not recomputed: cells(i, j) lists the
+    k of the failing (k, m) cells of one sum per pair (i, j), on integer
+    numerators (`associator`).
 
-    `associative` decides associativity first; only if it fails is the
-    whole basis scanned, so the triple named is the first one of all
-    dim^3."""
+    Light's test (`associative`) decides associativity first; only if it
+    fails is the whole basis scanned, so the triple named is the first one
+    of all dim^3."""
     unital = acts_as_scalar(dim, mult, unit_index, one)
-    if associative(dim, mult, unit_index, one):
+    if _light_test(dim, mult, unit_index, one, cells):
         return unital, None
-    sides = _associator(dim, mult)
-    i, j = next((i, j) for i in range(dim) for j in range(dim) if ne(*sides(i, j)))
-    left, right = sides(i, j)
-    k = min(key[0] for key in left.keys() | right.keys() if left.get(key) != right.get(key))
-    return unital, (i, j, k)
+    i, j, ks = next((i, j, ks) for i in range(dim) for j in range(dim) if (ks := cells(i, j)))
+    return unital, (i, j, min(ks))
 
 
 def acts_as_scalar(dim: int, mult, unit_index: int, one) -> bool:
@@ -747,40 +775,190 @@ def associative(dim: int, mult, unit_index: int, one) -> bool:
     (`acts_as_scalar`), every associator with the unit in the middle is
     (one xz) - (one xz) = 0, so the unit is reached without a check.
 
-    A table over the coordinate ring (`one` an element of it) is tested
-    by the ring's `associator_test`, on integer numerators."""
+    A table of scalars is summed on integer numerators (`_associator`), a
+    table over the coordinate ring by the ring's `associator_test`."""
     ring = getattr(one, "ring", None)
     if ring is None:
-        sides = _associator(dim, mult)
-
-        def fails(i: int, j: int) -> bool:
-            return ne(*sides(i, j))
-
+        fails = associator(dim, mult, one.field)
     else:
         fails = ring.associator_test(dim, mult)
+    return _light_test(dim, mult, unit_index, one, fails)
+
+
+def _light_test(dim: int, mult, unit_index: int, one, fails) -> bool:
+    """Whether fails(i, m) is false for every basis index i and every
+    middle factor m of Light's test (see `associative`)."""
     middles = generating_middles(
         dim, mult, unit_index, with_unit=not acts_as_scalar(dim, mult, unit_index, one)
     )
     return not any(fails(i, m) for m in middles for i in range(dim))
 
 
-def _associator(dim: int, mult):
-    """sides(i, j): (b_i b_j) b_k and b_i (b_j b_k) summed over all k,
-    each keyed by (k, m) for its b_m coordinate."""
-    rows = [[mult.get((i, j), ()) for j in range(dim)] for i in range(dim)]
+def associator(dim: int, mult, field: FieldSpec):
+    """`_associator` on the packed form of a mult table of scalars."""
+    _, zero, (rows, _, _) = fitted(
+        field, lambda codec: pack_table(mult, dim, codec), lambda t: 2 * t[2] ** 2
+    )
+    return _associator(dim, rows, zero)
+
+
+def _associator(dim: int, rows, zero):
+    """cells(i, j): the k, one per failing b_m coordinate, at which
+    (b_i b_j) b_k != b_i (b_j b_k), on a packed table (`pack_table`).  Both
+    sides of every (k, m) cell are summed into one integer difference over
+    the table's denominator squared, and zero(x) tells whether a nonzero
+    difference stands for zero in the field (`_zero_test`); the slots of
+    a difference must hold twice the square of the table's norm."""
     basis = range(dim)
 
-    def sides(i: int, j: int) -> tuple[dict, dict]:
+    def cells(i: int, j: int) -> list[int]:
         row_i = rows[i]
-        left = collect(
-            ((k, m), c * cm) for p, c in row_i[j] for k in basis for m, cm in rows[p][k]
-        )
-        right = collect(
-            ((k, m), c * cm) for k in basis for p, c in rows[j][k] for m, cm in row_i[p]
-        )
-        return left, right
+        diff: dict[int, int] = {}
+        get = diff.get
+        for p, c in row_i[j]:
+            row_p = rows[p]
+            for k in basis:
+                base = k * dim
+                for m, cm in row_p[k]:
+                    key = base + m
+                    diff[key] = get(key, 0) + c * cm
+        row_j = rows[j]
+        for k in basis:
+            base = k * dim
+            for p, c in row_j[k]:
+                for m, cm in row_i[p]:
+                    key = base + m
+                    diff[key] = get(key, 0) - c * cm
+        return [key // dim for key, x in diff.items() if x and not zero(x)]
 
-    return sides
+    return cells
+
+
+# -- packed tables -------------------------------------------------------------
+
+
+def pack_rows(rows, codec) -> tuple[list[tuple], int, int]:
+    """Rows of entries that end in a Scalar coefficient, over one
+    denominator: (packed, den, norm).  Each packed entry keeps the other
+    fields of its entry and holds, in place of the coefficient, its
+    numerator over den, encoded by `codec` (an integer when it is None);
+    a zero coefficient is dropped.  norm is the largest sum of the slot
+    norms of the numerators of one row (0 when codec is None)."""
+    den = lcm(*{t[-1].den for row in rows for t in row})
+    # a table holds few distinct coefficients: each is encoded once, keyed
+    # by numerators and denominator; a zero (which a twisted table may
+    # hold) encodes to 0.  The norm counts every coefficient, as on a codec
+    # too narrow for it a nonzero one may encode to 0 too
+    encoded: dict[tuple, tuple[int, int]] = {}
+    packed = []
+    norm = 0
+    for row in rows:
+        out = []
+        total = 0
+        for t in row:
+            c = t[-1]
+            key = (c.num, c.den)
+            got = encoded.get(key)
+            if got is None:
+                got = encoded[key] = _table_entry(c, den, codec)
+            if got[0]:
+                out.append((*t[:-1], got[0]))
+            total += got[1]
+        packed.append(tuple(out))
+        norm = max(norm, total)
+    return packed, den, norm
+
+
+def _table_entry(c: Scalar, den: int, codec) -> tuple[int, int]:
+    """A coefficient's numerator over `den`, encoded by `codec` (an
+    integer when it is None), and its slot norm."""
+    vec = [x * (den // c.den) for x in c.num]
+    if codec is None:
+        return vec[0], 0
+    vec = balanced(vec, codec.field.n)
+    return codec.encode(vec), norm1(vec)
+
+
+def pack_table(mult, dim: int, codec) -> tuple[list, int, int]:
+    """A product table by `pack_rows`: (rows, den, norm), where rows[i][j]
+    holds the (k, numerator) pairs of b_i b_j and norm is the largest slot
+    norm of a product."""
+    flat, den, norm = pack_rows(
+        [mult.get((i, j), ()) for i in range(dim) for j in range(dim)], codec
+    )
+    return [flat[i * dim : (i + 1) * dim] for i in range(dim)], den, norm
+
+
+def packed_table(algebra, codec) -> tuple[list, int, int]:
+    """`pack_table` of a plain or twisted algebra's product, built once per
+    codec width and kept on the algebra."""
+    width = 0 if codec is None else codec.width
+    if algebra._packed is None:
+        algebra._packed = {}
+    table = algebra._packed.get(width)
+    if table is None:
+        table = algebra._packed[width] = pack_table(algebra.mult, algebra.dim, codec)
+    return table
+
+
+def fitted(field: FieldSpec, pack, bound) -> tuple:
+    """(codec, zero, packed): packed = pack(codec) on the narrowest codec
+    of the field whose slots hold bound(packed), a bound on the slot norm
+    of every sum to be formed (codec None over a field of degree one), and
+    zero its `_zero_test`.  The slot norms that pack reports do not depend
+    on the codec, so a table is re-encoded at most once, on a wider one."""
+    if field.degree == 1:
+        return None, not_, pack(None)
+    codec = kronecker(field, 0)
+    packed = pack(codec)
+    wider = kronecker(field, bound(packed))
+    if wider.width > codec.width:
+        codec, packed = wider, pack(wider)
+    return codec, _zero_test(codec), packed
+
+
+def _zero_test(codec):
+    """zero(x): whether x, a sum of products of residues of `codec`,
+    stands for zero in the field; x is reduced modulo N and, unless that
+    gives zero, decoded through `Kronecker.reduce`."""
+    mod, reduce = codec.modulus, codec.reduce
+
+    def zero(x: int) -> bool:
+        x %= mod
+        return not x or not any(reduce(x))
+
+    return zero
+
+
+def vanishes(sums: dict, zero) -> bool:
+    """Whether every value of sums stands for zero, by zero (`fitted`)."""
+    return all(not x or zero(x) for x in sums.values())
+
+
+def integer_forms(h: HopfAlgebra, *tables) -> tuple:
+    """The structure tables of h on integer numerators: (codec, zero,
+    mult, comult, counit, *tables).  mult is `packed_table`'s (rows, den,
+    norm), comult and each further table of rows (the antipode, for the
+    axiom battery) are `pack_rows` of those rows, and counit is the list
+    of the counit numerators with their denominator and norm.  The codec
+    is the narrowest that holds every sum of products of at most four
+    numerators and denominators of these tables: twice the fourth power of
+    the largest norm or denominator.  Only the product table is kept on h."""
+
+    def pack(codec):
+        counit, de, ne = pack_rows([((c,),) for c in h.counit], codec)
+        return [
+            packed_table(h, codec),
+            pack_rows(h.comult, codec),
+            ([row[0][0] if row else 0 for row in counit], de, ne),
+            *(pack_rows(rows, codec) for rows in tables),
+        ]
+
+    def bound(packed) -> int:
+        return 2 * max(x for _, den, norm in packed for x in (den, norm)) ** 4
+
+    codec, zero, forms = fitted(h.field, pack, bound)
+    return (codec, zero, *forms)
 
 
 def generating_middles(dim: int, mult, unit_index: int, with_unit: bool = True) -> list[int]:

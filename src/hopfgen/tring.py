@@ -9,10 +9,11 @@ induced on coordinates, and the grading pulled back through the algebra.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import add
 
 from .arith import FieldSpec, Scalar, _lowest, balanced, format_terms, kronecker, norm1
 from .errors import NotInvertible, NotPointedOrder, OutOfLocalization, RangeError
-from .hopf import MAX_DIM, HopfAlgebra, center_table, hab_grading
+from .hopf import MAX_DIM, HopfAlgebra, center_table, hab_grading, packed_table
 from .linalg import Sparse, collect, in_span, row_reduce
 from .report import Report
 
@@ -740,19 +741,38 @@ class TRing:
     def evaluate(self, elem: TElement, values: list[Scalar]) -> Scalar:
         """Substitute one field value per variable; negative exponents
         require the substituted value to be invertible.  Each power of a
-        value is computed once per call, however many terms share it."""
-        powers: dict[tuple[int, int], Scalar] = {}
-        total = self.field.zero
-        for m, c in elem.terms.items():
-            term = c
-            for ie in m.exps:
-                p = powers.get(ie)
-                if p is None:
+        value is computed once per call, however many terms share it.  The
+        terms are read as the integer numerators of each monomial, and the
+        numerators of all monomials whose powers multiply to one value are
+        summed before one product by it."""
+        elem._reduce()
+        field, w = self.field, self.width
+        one, zero = field.one, field.zero
+        # each power as None for one, the field's zero for zero, else itself
+        powers: dict[tuple[int, int], Scalar | None] = {}
+        # the product of the powers (None for one) -> summed numerators
+        sums: dict[Scalar | None, list[int]] = {}
+        for m, vec in _vectors(self, elem.num).items():
+            p = None
+            for ie in _unpack(m, w):
+                x = powers.get(ie, powers)
+                if x is powers:
                     i, e = ie
                     v = values[i]
-                    p = powers[ie] = v.inverse() ** (-e) if e < 0 else v**e
-                term = term * p
-            total = total + term
+                    x = v.inverse() ** (-e) if e < 0 else v**e
+                    x = powers[ie] = None if x == one else x if x else zero
+                if x is not None and p is not zero:
+                    p = x if p is None or x is zero else p * x
+            if p is not zero:
+                acc = sums.get(p)
+                if acc is None:
+                    sums[p] = vec
+                else:
+                    acc[:] = map(add, acc, vec)
+        total = zero
+        for p, vec in sums.items():
+            value = _lowest(field, tuple(vec), elem.den)
+            total = total + (value if p is None else value * p)
         return total
 
 
@@ -1065,14 +1085,14 @@ class TensorH(Sparse):
         if bound >> (self.ring.width - 1):
             bound = _exponent_bound(self, o.bound, [k >> INDEX_BITS for k in o.num])
         if self.codec is None:
-            rows, tden, _ = _mu_table(self.algebra, None)
+            rows, tden, _ = packed_table(self.algebra, None)
             raw = _products(self.num, o.num, rows)
             num = {k: c for k, c in raw.items() if c}
             return self._of(num, self.den * o.den * tden, bound, None, 0)
-        _, _, tnorm = _mu_table(self.algebra, self.codec)
+        _, _, tnorm = packed_table(self.algebra, self.codec)
         norm = self.norm * o.norm * tnorm
         codec = self._codec(norm, o)
-        rows, tden, _ = _mu_table(self.algebra, codec)
+        rows, tden, _ = packed_table(self.algebra, codec)
         mod = codec.modulus
         raw = _products(self._at(codec), o._at(codec), rows)
         num = {k: r for k, c in raw.items() if (r := c % mod)}
@@ -1153,53 +1173,6 @@ def _products(a: dict, b: dict, rows) -> dict:
                     key = m + k
                     out[key] = get(key, 0) + c * t
     return out
-
-
-def _mu_table(algebra, codec) -> tuple[list, int, int]:
-    """The product table of a plain or twisted algebra over one
-    denominator: (rows, den, norm), where rows[i][j] holds the (k,
-    numerator) pairs of b_i b_j, each numerator encoded by `codec` (an
-    integer when it is None), and norm is the largest slot norm of a
-    product.  Built once per codec width and kept on the algebra."""
-    width = 0 if codec is None else codec.width
-    if algebra._mu_tables is None:
-        algebra._mu_tables = {}
-    table = algebra._mu_tables.get(width)
-    if table is None:
-        dim = algebra.dim
-        den = lcm(*{c.den for terms in algebra.mult.values() for _, c in terms})
-        rows = [[()] * dim for _ in range(dim)]
-        norm = 0
-        # a table holds few distinct coefficients: each is encoded once, a
-        # zero (which a twisted table may hold) as None; keyed by numerators
-        # and denominator, as the hash of a Scalar with a denominator other
-        # than one builds Fractions
-        encoded: dict[tuple, tuple[int, int] | None] = {}
-        for (i, j), terms in algebra.mult.items():
-            row = []
-            total = 0
-            for k, c in terms:
-                key = (c.num, c.den)
-                if key not in encoded:
-                    encoded[key] = _table_entry(c, den, codec) if c else None
-                got = encoded[key]
-                if got is not None:
-                    row.append((k, got[0]))
-                    total += got[1]
-            rows[i][j] = tuple(row)
-            norm = max(norm, total)
-        table = algebra._mu_tables[width] = (rows, den, norm)
-    return table
-
-
-def _table_entry(c: Scalar, den: int, codec) -> tuple[int, int]:
-    """A table coefficient's numerator over `den`, encoded by `codec` (an
-    integer when it is None), and its slot norm."""
-    vec = [x * (den // c.den) for x in c.num]
-    if codec is None:
-        return vec[0], 0
-    vec = balanced(vec, codec.field.n)
-    return codec.encode(vec), norm1(vec)
 
 
 def _center_span(algebra, field: FieldSpec) -> tuple[list[dict], list[int]]:

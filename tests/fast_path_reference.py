@@ -3,7 +3,8 @@
 differential tests in `test_fast_paths.py`, `test_generic_base.py`,
 `test_packed_monomials.py`, `test_lattice_once.py`, `test_decompose_plan.py`,
 `test_one_elimination.py`, `test_generating_set.py`,
-`test_repeated_work.py` and `test_sum_of_products.py`.
+`test_repeated_work.py`, `test_sum_of_products.py` and
+`test_packed_tables.py`.
 
 - `reference_check_product`: one `collect` per basis triple (i, j, k).
 - `reference_generating_middles`: the greedy middle set that reached a
@@ -86,6 +87,17 @@ differential tests in `test_fast_paths.py`, `test_generic_base.py`,
   `TRing.associator_test` replaced for tables over the coordinate ring.
   `reference_loop_cocycle_failure` calls it where it called
   `hopf.associative`.
+- `reference_associator`, `reference_filtered_twist`,
+  `reference_counit_reduces`, `reference_counit_recovers`,
+  `reference_factored_trivial_cocycle` and `reference_ring_evaluate`:
+  the Scalar bodies of `hopf._associator`, `cocycle._twist`, the two
+  counit checks, `cocycle.trivial_cocycle` and `TRing.evaluate`, which the
+  sums on integer numerators over the packed tables (`hopf.pack_rows`)
+  replaced; `reference_counit_dict` and `reference_antipode_dict`, the
+  former `HopfAlgebra` methods that only the reference battery and the
+  tests read.  The references above that called the package's twist,
+  counit check or associator call these instead (tests
+  `test_packed_tables.py` and `test_fast_paths.py`).
 
 The package helpers below left `src/hopfgen` because no user path reaches
 them; the tests that check a fact of the paper through them call them here.
@@ -105,9 +117,10 @@ from __future__ import annotations
 from operator import ne
 
 from hopfgen.arith import Scalar, format_terms, q_binomial
-from hopfgen.cocycle import TwoCocycle, _counit_reduces, _support, _twist
+from hopfgen.cocycle import TwoCocycle, _support
 from hopfgen.errors import (
     IndexMismatch,
+    NotInvertible,
     NotDegreeZero,
     OutOfLocalization,
     RangeError,
@@ -118,8 +131,9 @@ from hopfgen.generic_base import WITNESS_CAP, DecompositionWitness, gamma_genera
 from hopfgen.groups import FiniteAbelianGroup, FiniteGroup, abelianization
 from hopfgen.hopf import (
     HopfAlgebra,
-    _associator,
+    _canonical_terms,
     acts_as_scalar,
+    fails_at,
     generating_middles,
     hab_grading,
 )
@@ -138,7 +152,7 @@ from hopfgen.identities import (
 from hopfgen.lattice import _hnf_index, _sigma_vector, _unit_vector, hnf_basis
 from hopfgen.linalg import Sparse, collect, in_span, nullspace, row_reduce
 from hopfgen.report import Report
-from hopfgen.tring import TElement, TMonomial, check_product_budget, t_inverse_map, t_ring
+from hopfgen.tring import TElement, TMonomial, TRing, check_product_budget, t_inverse_map, t_ring
 
 
 def reference_canonical_terms(terms):
@@ -252,7 +266,8 @@ def reference_verify_hopf_axioms(h, include_grading: bool = True) -> Report:
 
     bad = first(
         pairs,
-        lambda i, j: h.counit_dict(dict(h.mult.get((i, j), ()))) != h.counit[i] * h.counit[j],
+        lambda i, j: reference_counit_dict(h, dict(h.mult.get((i, j), ())))
+        != h.counit[i] * h.counit[j],
     )
     if bad is None and h.counit[h.unit_index] != field.one:
         bad = (h.unit_index,)
@@ -267,11 +282,11 @@ def reference_verify_hopf_axioms(h, include_grading: bool = True) -> Report:
 
     add_antipode(
         "antipode-left",
-        lambda j, k, c: h.multiply_dicts(h.antipode_dict({j: c}), {k: field.one}),
+        lambda j, k, c: h.multiply_dicts(reference_antipode_dict(h, {j: c}), {k: field.one}),
     )
     add_antipode(
         "antipode-right",
-        lambda j, k, c: h.multiply_dicts({j: field.one}, h.antipode_dict({k: c})),
+        lambda j, k, c: h.multiply_dicts({j: field.one}, reference_antipode_dict(h, {k: c})),
     )
 
     gl = set(h.grouplikes)
@@ -300,6 +315,17 @@ def reference_verify_hopf_axioms(h, include_grading: bool = True) -> Report:
             bad = first(elements, coaction_fails)
         add("grading", bad)
     return rep
+
+
+def reference_counit_dict(self, a: dict[int, Scalar]) -> Scalar:
+    out = self.field.zero
+    for i, ci in a.items():
+        out = out + ci * self.counit[i]
+    return out
+
+
+def reference_antipode_dict(self, a: dict[int, Scalar]) -> dict[int, Scalar]:
+    return collect((k, ci * c) for i, ci in a.items() for k, c in self.antipode[i])
 
 
 def reference_mul(self: TElement, other: TElement) -> TElement:
@@ -881,7 +907,7 @@ def reference_lifted_cocycle(hopf: HopfAlgebra, vals, right: bool = False) -> li
     # right is set, else the second legs and t^-1; the other legs go
     # through the other map
     tw, single, closing = (0, tinv, t) if right else (1, t, tinv)
-    table = _twist(hopf, hopf.mult, vals, right)
+    table = reference_filtered_twist(hopf, hopf.mult, vals, right)
     zero = ring.zero()
     out = []
     for legs_x in hopf.comult:
@@ -905,7 +931,7 @@ def reference_associative(dim: int, mult, unit_index: int, one) -> bool:
     """Light's associativity test over the middle factors of
     `generating_middles`, both sides of each associator collected and
     compared."""
-    sides = _associator(dim, mult)
+    sides = reference_associator(dim, mult)
     middles = generating_middles(
         dim, mult, unit_index, with_unit=not acts_as_scalar(dim, mult, unit_index, one)
     )
@@ -917,9 +943,9 @@ def reference_loop_cocycle_failure(hopf: HopfAlgebra, vals, zero):
     vals(x1, y1) vals(x2 y2, z) != vals(y1, z1) vals(x, y2 z2); None if
     there is none."""
     dim = hopf.dim
-    table = _twist(hopf, hopf.mult, vals)
+    table = reference_filtered_twist(hopf, hopf.mult, vals)
     u = hopf.unit_index
-    if _counit_reduces(hopf) and reference_associative(dim, table, u, vals[u][u]):
+    if reference_counit_reduces(hopf) and reference_associative(dim, table, u, vals[u][u]):
         return None
     prod = [[table.get((x, y), ()) for y in range(dim)] for x in range(dim)]
     for x in range(dim):
@@ -1115,3 +1141,129 @@ def semidirect_product(
                         h.mul(i1, action[j1][i2]), k.mul(j1, j2)
                     )
     return FiniteGroup(labels, table, name=f"{h.name}:{k.name}")
+
+
+def reference_associator(dim: int, mult):
+    """sides(i, j): (b_i b_j) b_k and b_i (b_j b_k) summed over all k,
+    each keyed by (k, m) for its b_m coordinate."""
+    rows = [[mult.get((i, j), ()) for j in range(dim)] for i in range(dim)]
+    basis = range(dim)
+
+    def sides(i: int, j: int) -> tuple[dict, dict]:
+        row_i = rows[i]
+        left = collect(
+            ((k, m), c * cm) for p, c in row_i[j] for k in basis for m, cm in rows[p][k]
+        )
+        right = collect(
+            ((k, m), c * cm) for k in basis for p, c in rows[j][k] for m, cm in row_i[p]
+        )
+        return left, right
+
+    return sides
+
+
+def reference_filtered_twist(hopf: HopfAlgebra, mult, vals, right: bool = False) -> dict:
+    """The product table x . y = sum vals(x1, y1) m(x2, y2), or
+    sum m(x1, y1) vals(x2, y2) when right is set, where m is the product
+    of the table mult."""
+    # a coproduct leg is (first, second, coeff): vals reads the legs at
+    # position v and the table those at position m
+    v, m = (1, 0) if right else (0, 1)
+    # only legs that meet a nonzero row (for x) or column (for y) of vals count
+    rows, cols = _support(vals)
+    legs_x = [tuple(lx for lx in legs if lx[v] in rows) for legs in hopf.comult]
+    legs_y = [tuple(ly for ly in legs if ly[v] in cols) for legs in hopf.comult]
+    out: dict[tuple[int, int], tuple] = {}
+    for x in range(hopf.dim):
+        for y in range(hopf.dim):
+            terms = _canonical_terms(
+                (k, lx[2] * ly[2] * vals[lx[v]][ly[v]] * cm)
+                for lx in legs_x[x]
+                for ly in legs_y[y]
+                if not vals[lx[v]][ly[v]].is_zero
+                for k, cm in mult.get((lx[m], ly[m]), ())
+            )
+            if terms:
+                out[(x, y)] = terms
+    return out
+
+
+def reference_counit_reduces(hopf: HopfAlgebra) -> bool:
+    """Whether counit(b_i b_j) = counit(b_i) counit(b_j) on every basis pair,
+    read from the table, and x1 counit(x2) = x on every basis element: the
+    two facts by which the counit takes the associator of a twisted algebra
+    to the cocycle identity.  `HopfAlgebra.from_json` accepts tables on
+    which they fail."""
+    if not reference_counit_recovers(hopf, 1):
+        return False
+    counit, zero = hopf.counit, hopf.field.zero
+    for i, ei in enumerate(counit):
+        for j, ej in enumerate(counit):
+            got = zero
+            for k, c in hopf.mult.get((i, j), ()):
+                if not counit[k].is_zero:
+                    got = got + c * counit[k]
+            if got != (zero if ei.is_zero or ej.is_zero else ei * ej):
+                return False
+    return True
+
+
+def reference_counit_recovers(hopf: HopfAlgebra, leg: int) -> bool:
+    """Whether applying the counit to one leg of each coproduct gives back
+    the basis element: counit(x1) x2 = x for leg 0, x1 counit(x2) = x for
+    leg 1."""
+    counit, one = hopf.counit, hopf.field.one
+    other = 1 - leg
+    return all(
+        collect((t[other], t[2] * counit[t[leg]]) for t in legs if not counit[t[leg]].is_zero)
+        == {i: one}
+        for i, legs in enumerate(hopf.comult)
+    )
+
+
+def reference_factored_trivial_cocycle(hopf: HopfAlgebra) -> TwoCocycle:
+    """counit tensor counit, checked against itself as a convolution pair
+    in factored form: f(x) = sum counit(x1) counit(x2) summed as Scalars,
+    and the pairs scanned only when f is not the counit."""
+    counit, zero = hopf.counit, hopf.field.zero
+    values = [[zero] * hopf.dim for _ in counit]
+    support = [(i, e) for i, e in enumerate(counit) if not e.is_zero]
+    for i, ei in support:
+        for j, ej in support:
+            values[i][j] = ei * ej
+    alpha = TwoCocycle(hopf, values, check=False)
+    f = []
+    for legs in hopf.comult:
+        fx = zero
+        for j, k, c in legs:
+            if not (counit[j].is_zero or counit[k].is_zero):
+                fx = fx + c * counit[j] * counit[k]
+        f.append(fx)
+    if f != counit:
+        for x, fx in enumerate(f):
+            for y, fy in enumerate(f):
+                if fx * fy != values[x][y]:
+                    raise NotInvertible(f"convolution identity {fails_at(hopf, (x, y))}")
+    alpha._inverse = alpha.values
+    if reference_counit_recovers(hopf, 0):
+        alpha._mu_target = hopf
+    return alpha
+
+
+def reference_ring_evaluate(self: TRing, elem: TElement, values: list[Scalar]) -> Scalar:
+    """Substitute one field value per variable; negative exponents
+    require the substituted value to be invertible.  Each power of a
+    value is computed once per call, however many terms share it."""
+    powers: dict[tuple[int, int], Scalar] = {}
+    total = self.field.zero
+    for m, c in elem.terms.items():
+        term = c
+        for ie in m.exps:
+            p = powers.get(ie)
+            if p is None:
+                i, e = ie
+                v = values[i]
+                p = powers[ie] = v.inverse() ** (-e) if e < 0 else v**e
+            term = term * p
+        total = total + term
+    return total

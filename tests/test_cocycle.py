@@ -15,7 +15,14 @@ from hopfgen.cocycle import (
 )
 from hopfgen.errors import CocycleMismatch, NotInvertible, RangeError, UnsupportedFamily
 from hopfgen.groups import alternating, cyclic, dihedral, symmetric
-from hopfgen.hopf import check_product, e_algebra, group_algebra, structure_equal, taft
+from hopfgen.hopf import (
+    associator,
+    check_product,
+    e_algebra,
+    group_algebra,
+    structure_equal,
+    taft,
+)
 
 
 def test_trivial_cocycle_values():
@@ -190,4 +197,5 @@ def test_twisted_algebra_names_the_first_nonassociative_triple():
         if tw.multiply_dicts(tw.multiply_dicts({i: one}, {j: one}), {k: one})
         != tw.multiply_dicts({i: one}, tw.multiply_dicts({j: one}, {k: one}))
     )
-    assert check_product(h.dim, tw.mult, u, one) == (True, first)
+    cells = associator(h.dim, tw.mult, one.field)
+    assert check_product(h.dim, tw.mult, u, one, cells) == (True, first)

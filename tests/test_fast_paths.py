@@ -10,9 +10,11 @@ they bypass (`fast_path_reference.py`, `scalar_reference.py`).
   than the single-term rule it replaced; on the table twisted by the
   lifted cocycle it skips the unit.
 - `verify_hopf_axioms` checks its pair identities on the generating
-  middle factors only; its report must equal that of the battery over all
-  basis pairs, on intact tables and with one mult, comult or counit entry
-  corrupted.
+  middle factors only, on integer numerators; its report must equal that
+  of the Scalar battery over all basis pairs, on intact tables and with
+  one mult, comult or counit entry corrupted, over fields of degree 1, 2,
+  4 and 6 (where it sums Kronecker residues) and on tables rescaled
+  through JSON to fractional coefficients.
 - A product of two single-term `TElement`s, and a power of one, skip
   `collect`; they must give the same dict as the general path.  So does a
   `TElement` times a scalar: zero, the field's one, or any other.
@@ -27,12 +29,11 @@ they bypass (`fast_path_reference.py`, `scalar_reference.py`).
 """
 
 import json
-
+import random
 import re
 from fractions import Fraction
 
 import fast_path_reference as ref
-import hopfgen.cocycle as cocycle_module
 import hopfgen.hopf as hopf_module
 import pytest
 import scalar_reference
@@ -40,7 +41,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_scalar_reference import assert_same, scalar_pairs
 
-from hopfgen.arith import make_field
+from hopfgen.arith import make_field, scalar_from_strings, scalar_to_strings
 from hopfgen.cocycle import (
     _twist,
     coboundary_cocycle,
@@ -55,7 +56,7 @@ from hopfgen.hopf import (
     HopfAlgebra,
     acts_as_scalar,
     associative,
-    check_product,
+    associator,
     e_algebra,
     generating_middles,
     group_algebra,
@@ -67,6 +68,11 @@ from hopfgen.selftest import klein_monomial, standard_instances
 from hopfgen.tring import TElement, TMonomial, power_product, t_inverse_map, t_ring
 
 # -- check_product, generating_middles and the axiom battery -------------------
+
+
+def check_product(dim, mult, unit_index, one):
+    """`hopf.check_product` on the cells of the table's integer associator."""
+    return hopf_module.check_product(dim, mult, unit_index, one, associator(dim, mult, one.field))
 
 
 def two_term_table(order: int) -> tuple[int, dict]:
@@ -286,14 +292,65 @@ SMALL = {
 }
 
 
+def rescaled(h, seed: int) -> HopfAlgebra:
+    """h read back from its JSON payload after a change of basis: every
+    basis element b_i that is not group-like becomes c_i b_i for a seeded
+    scalar c_i with fractional coefficients of 1 and q.  The result is a
+    Hopf algebra isomorphic to h whose tables hold fractions and powers of
+    q: (c_i c_j / c_k) m_ijk, (c_i / (c_j c_k)) d_ijk, c_i counit(b_i) and
+    (c_i / c_k) s_ik."""
+    field = h.field
+    rng = random.Random(f"rescaled:{h.name}:{seed}")
+    scale = [field.one] * h.dim
+    for i in range(h.dim):
+        if i not in h.grouplikes:
+            while not scale[i] or scale[i] == field.one:
+                coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(2)]
+                scale[i] = field.from_coeffs(coeffs)
+    inv = [c.inverse() for c in scale]
+    data = h.to_json()
+
+    def ser(c):
+        return scalar_to_strings(c)
+
+    def de(cs):
+        return scalar_from_strings(field, cs)
+
+    data["name"] = f"rescaled {h.name}"
+    data["mult"] = [
+        [i, j, [[k, ser(de(c) * scale[i] * scale[j] * inv[k])] for k, c in row]]
+        for i, j, row in data["mult"]
+    ]
+    data["comult"] = [
+        [[j, k, ser(de(c) * scale[i] * inv[j] * inv[k])] for j, k, c in row]
+        for i, row in enumerate(data["comult"])
+    ]
+    data["counit"] = [ser(de(c) * scale[i]) for i, c in enumerate(data["counit"])]
+    data["antipode"] = [
+        [[k, ser(de(c) * scale[i] * inv[k])] for k, c in row]
+        for i, row in enumerate(data["antipode"])
+    ]
+    return HopfAlgebra.from_json(json.loads(json.dumps(data)))
+
+
+# Fields of degree 2 and 4 (taft(3) is in SMALL): the battery sums on
+# Kronecker residues there, and the rescaled tables have denominators.
+DEGREE_CASES = {
+    "taft5": taft(5),
+    "taft3 rescaled": rescaled(taft(3), 1),
+    "taft5 rescaled": rescaled(taft(5), 2),
+    "monomial rescaled": rescaled(SMALL["monomial"], 3),
+}
+
+
 @st.composite
-def corrupted_tables(draw, parts=("mult",)):
-    """A small algebra and its tables with one entry of one table in parts
-    changed.  A mult entry: its coefficient scaled, its target moved, the
-    entry dropped, or an entry added where the product was zero.  A comult
-    term: its coefficient scaled, one of its legs moved, or the term
+def corrupted_tables(draw, parts=("mult",), pool=SMALL):
+    """An algebra of pool and its tables with one entry of one table in
+    parts changed.  A mult entry: its coefficient scaled, its target moved,
+    the entry dropped, or an entry added where the product was zero.  A
+    comult term: its coefficient scaled, one of its legs moved, or the term
     dropped.  A counit value: replaced by another."""
-    h = SMALL[draw(st.sampled_from(sorted(SMALL)))]
+    h = pool[draw(st.sampled_from(sorted(pool)))]
     field, dim = h.field, h.dim
     tables = {"mult": dict(h.mult), "comult": list(h.comult), "counit": list(h.counit)}
     factors = st.sampled_from([field.q, -field.one, field.scalar(2)])
@@ -356,9 +413,7 @@ def test_check_product_matches_the_triple_loop_on_corrupted_two_term_tables(data
     assert check_product(*args) == ref.reference_check_product(*args)
 
 
-@settings(max_examples=80, deadline=None)
-@given(corrupted_tables(parts=("mult", "comult", "counit")))
-def test_axiom_battery_matches_the_full_pair_scan_on_corrupted_tables(case):
+def assert_battery_matches_on(case):
     h, tables = case
     try:
         broken = HopfAlgebra(
@@ -379,10 +434,38 @@ def test_axiom_battery_matches_the_full_pair_scan_on_corrupted_tables(case):
     assert got == ref.reference_verify_hopf_axioms(broken).to_dict()
 
 
-@pytest.mark.parametrize("name", sorted(SMALL))
+@settings(max_examples=80, deadline=None)
+@given(corrupted_tables(parts=("mult", "comult", "counit")))
+def test_axiom_battery_matches_the_full_pair_scan_on_corrupted_tables(case):
+    assert_battery_matches_on(case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(corrupted_tables(parts=("mult", "comult", "counit"), pool=DEGREE_CASES))
+def test_axiom_battery_matches_the_full_pair_scan_on_corrupted_tables_of_degree_4(case):
+    assert_battery_matches_on(case)
+
+
+@settings(max_examples=4, deadline=None)
+@given(corrupted_tables(parts=("mult", "comult", "counit"), pool={"taft7": taft(7)}))
+def test_axiom_battery_matches_the_full_pair_scan_on_corrupted_tables_of_degree_6(case):
+    # the reference scans all 49^2 pairs, about a second per example
+    assert_battery_matches_on(case)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL) + sorted(DEGREE_CASES))
 def test_axiom_battery_matches_the_full_pair_scan_on_intact_tables(name):
-    rep = verify_hopf_axioms(SMALL[name])
-    assert rep.ok and rep.to_dict() == ref.reference_verify_hopf_axioms(SMALL[name]).to_dict()
+    h = {**SMALL, **DEGREE_CASES}[name]
+    rep = verify_hopf_axioms(h)
+    assert rep.ok and rep.to_dict() == ref.reference_verify_hopf_axioms(h).to_dict()
+
+
+def test_rescaled_tables_hold_fractions_and_powers_of_q():
+    for h in DEGREE_CASES.values():
+        coeffs = [c for terms in h.mult.values() for _, c in terms]
+        coeffs += [c for row in h.comult for _, _, c in row]
+        assert any(c.den > 1 for c in coeffs) == ("rescaled" in h.name)
+        assert any(any(c.num[1:]) for c in coeffs) == (h.field.degree > 1)
 
 
 # -- TElement and TMonomial ----------------------------------------------------
@@ -554,9 +637,9 @@ def test_no_coordinate_ring_constructor_stores_a_zero(data, name):
 
 @pytest.fixture
 def canonical_calls(monkeypatch):
-    """Check every `_canonical_terms` call of `hopf` and `cocycle` against
-    the collect reference; the list records, per call, whether the input
-    was a one-term tuple."""
+    """Check every `_canonical_terms` call of `hopf` against the collect
+    reference (`cocycle._twist` builds its sorted tuples itself); the list
+    records, per call, whether the input was a one-term tuple."""
     fast = hopf_module._canonical_terms
     calls = []
 
@@ -570,7 +653,6 @@ def canonical_calls(monkeypatch):
         return got
 
     monkeypatch.setattr(hopf_module, "_canonical_terms", checked)
-    monkeypatch.setattr(cocycle_module, "_canonical_terms", checked)
     return calls
 
 

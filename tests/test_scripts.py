@@ -1,8 +1,8 @@
 """The scan scripts run at their defaults against the checkout's package,
 the JSON parity script writes no bytecode cache into it and hashes the
 selftest output without its run-dependent parts, the scale ladder's
-cold start rung runs a command that exits 0, and its decompose rung
-round-trips every monomial."""
+cold start rung runs a command that exits 0, its decompose rung
+round-trips every monomial, and its cotwist rung gives back the tables."""
 
 import importlib.util
 import json
@@ -91,3 +91,9 @@ def test_scale_ladder_decompose_rung_round_trips_every_monomial():
     # a wrong expected exponent vector fails the rung
     elem, inv, plain = triples[0]
     assert check((h, [(elem, inv, tuple(e + 1 for e in plain))])) is False
+
+
+def test_scale_ladder_cotwist_rung_gives_back_the_tables():
+    build, check = _ladder_rung("cotwist taft(6)")
+    h = build()
+    assert h.name == "taft(6)" and check(h) is True
