@@ -7,8 +7,8 @@ Prints one JSON line that maps each rung to its wall seconds:
 
 - `verify_hopf_axioms` on taft(6), taft(7) and e(5), and on k[Z/4 x Z/12],
   where the grading check decomposes the abelianization;
-- `verify_sigma` on taft(4), e(3), taft(5) and e(4), with the trivial
-  cocycle;
+- `verify_sigma` on taft(4), e(3), taft(5), e(4) and taft(6), with the
+  trivial cocycle;
 - `identity` on (X[1]+X[x])^64 over taft(2), and on powers and
   multi-letter words over taft(5) and taft(7), whose fields have degree 4
   and 6: cocycle, parse and classify;
@@ -35,8 +35,8 @@ Each rung builds its instance outside the timed call, fresh, so the
 coordinate ring and the other data kept on the instance start cold.  A
 rung whose check fails stops the script with exit 1, since the time of a
 failing verification measures nothing.  The whole ladder takes about
-twenty seconds on a 2-core host, most of it the sigma rungs of taft(5)
-and e(4).  To compare two commits, run the script from
+twenty-five seconds on a 2-core host, most of it the sigma rungs of
+taft(6), taft(5) and e(4).  To compare two commits, run the script from
 the root of each checkout.
 """
 
@@ -121,6 +121,7 @@ RUNGS = (
     ("sigma e(3)", lambda: e_algebra(3), lambda h: verify_sigma(h).ok),
     ("sigma taft(5)", lambda: taft(5), lambda h: verify_sigma(h).ok),
     ("sigma e(4)", lambda: e_algebra(4), lambda h: verify_sigma(h).ok),
+    ("sigma taft(6)", lambda: taft(6), lambda h: verify_sigma(h).ok),
     ("identity (X[1]+X[x])^64 taft(2)", lambda: taft(2), _identity("(X[1]+X[x])^64")),
     ("identity powers taft(5)", lambda: taft(5), _identity(SKEW_WORDS)),
     ("identity powers taft(7)", lambda: taft(7), _identity(SKEW_WORDS)),

@@ -6,12 +6,11 @@ coaction) and the cotwisted Hopf algebra (new product, old coalgebra,
 antipode re-solved).  Inverses are convolution inverses, computed by one
 linear solve on every algebra.
 
-The cocycle identity, the convolution identity and the twist are each
-written once, for matrices of any values with +, * and .is_zero, so the
-lifted cocycle of generic_base, with coordinate-ring values, uses them too.
-The twist sums scalar values on the integer numerators of the packed
-tables (`hopf.pack_rows`) and coordinate-ring values through
-`tring.sum_of_products`.
+The scan for a failing triple of the cocycle identity and the convolution
+identity are each written once, for matrices of scalars or of
+coordinate-ring values, through `tring.sum_of_products`, so the lifted
+cocycle of generic_base uses them too.  The twist is a table of scalars,
+summed on the integer numerators of the packed tables (`hopf.pack_rows`).
 """
 
 from __future__ import annotations
@@ -159,44 +158,52 @@ def verify_normalization(hopf: HopfAlgebra, values) -> Report:
     return rep
 
 
-def cocycle_failure(hopf: HopfAlgebra, vals, zero):
+def cocycle_failure(hopf: HopfAlgebra, vals):
+    """The first basis triple (x, y, z), in loop order, at which the
+    matrix of scalars vals fails the cocycle identity (`triple_failure`);
+    None if there is none.
+
+    If the twisted algebra A, u_x . u_y = vals(x1, y1) u_{x2 y2}, is
+    associative, vals is a cocycle: applying u_h -> counit(h) to
+    (u_x u_y) u_z and to u_x (u_y u_z) gives the two sides of the
+    identity, provided the counit is multiplicative on the table and
+    x1 counit(x2) = x (`_counit_reduces`).  When both hold and A passes
+    Light's test (`hopf.associative`), None is returned without a scan."""
+    u = hopf.unit_index
+    if _counit_reduces(hopf) and associative(
+        hopf.dim, _twist(hopf, hopf.mult, vals), u, vals[u][u]
+    ):
+        return None
+    return triple_failure(hopf, vals, hopf.field.zero)
+
+
+def triple_failure(hopf: HopfAlgebra, vals, zero):
     """The first basis triple (x, y, z), in loop order, at which
     vals(x1, y1) vals(x2 y2, z) != vals(y1, z1) vals(x, y2 z2); None if
-    there is none.  The entries of the matrix vals may be any values with
-    +, * and .is_zero (scalars, or coordinate-ring elements for the lifted
-    cocycle); zero starts each sum.
+    there is none.  vals holds scalars or coordinate-ring elements, and
+    zero is their zero; each triple is one `tring.sum_of_products` call
+    over both sides, read from the coproduct and the product table."""
+    dim, comult, mult = hopf.dim, hopf.comult, hopf.mult
 
-    Both sides factor through the twisted algebra A on the u-basis over
-    the values, u_x . u_y = vals(x1, y1) u_{x2 y2}, whose table P is built
-    once per pair.  If A is associative, vals is a cocycle: applying
-    u_h -> counit(h) to (u_x u_y) u_z and to u_x (u_y u_z) gives the two
-    sides of the identity, provided the counit is multiplicative on the
-    table and x1 counit(x2) = x (`_counit_reduces`).  When both hold, A is
-    put through Light's test (`hopf.associative`), and a pass returns None.
-    Otherwise, or if A fails, every triple is scanned: the identity reads
-    sum_k P(x, y)[k] vals(k, z) == sum_k vals(x, k) P(y, z)[k]."""
-    dim = hopf.dim
-    table = _twist(hopf, hopf.mult, vals)
-    u = hopf.unit_index
-    if _counit_reduces(hopf) and associative(dim, table, u, vals[u][u]):
-        return None
-    prod = [[table.get((x, y), ()) for y in range(dim)] for x in range(dim)]
+    def products(lx, ly):
+        # (vals(x1, y1), k, c) for each term c b_k of x2 y2
+        return [
+            (v, k, cx * cy * cm)
+            for x1, x2, cx in lx
+            for y1, y2, cy in ly
+            if not (v := vals[x1][y1]).is_zero
+            for k, cm in mult.get((x2, y2), ())
+        ]
+
+    terms = [[products(lx, ly) for ly in comult] for lx in comult]
     for x in range(dim):
         vx = vals[x]
         for y in range(dim):
-            pxy, py = prod[x][y], prod[y]
+            txy, ty = terms[x][y], terms[y]
             for z in range(dim):
-                lhs = zero
-                for k, c in pxy:
-                    v = vals[k][z]
-                    if not v.is_zero:
-                        lhs = lhs + c * v
-                rhs = zero
-                for k, c in py[z]:
-                    v = vx[k]
-                    if not v.is_zero:
-                        rhs = rhs + v * c
-                if lhs != rhs:
+                triples = [(v, w, c) for v, k, c in txy if not (w := vals[k][z]).is_zero]
+                triples += [(w, v, -c) for v, k, c in ty[z] if not (w := vx[k]).is_zero]
+                if not sum_of_products(zero, triples).is_zero:
                     return x, y, z
     return None
 
@@ -257,7 +264,7 @@ def verify_cocycle_condition(hopf: HopfAlgebra, alpha) -> Report:
     """Normalization, and the cocycle identity on every basis triple by
     `cocycle_failure`, which names the first failing triple."""
     rep = verify_normalization(hopf, alpha)
-    bad = cocycle_failure(hopf, _values_of(alpha), hopf.field.zero)
+    bad = cocycle_failure(hopf, _values_of(alpha))
     rep.add("cocycle-condition", bad is None, fails_at(hopf, bad))
     return rep
 
@@ -266,7 +273,7 @@ def convolution_failure(hopf: HopfAlgebra, a, b, zero):
     """The first basis pair (x, y) at which the convolution a * b, or else
     b * a, differs from counit(x) counit(y), as (x, y, reverse) with
     reverse true when only b * a fails; None if a and b are two-sided
-    convolution inverses.  Entries as for cocycle_failure; each
+    convolution inverses.  Entries as for triple_failure; each
     convolution is one `tring.sum_of_products` call, which sums
     coordinate-ring values on integer numerators.
 
@@ -354,68 +361,22 @@ def convolution_inverse(hopf: HopfAlgebra, alpha) -> list[list[Scalar]]:
 def _twist(hopf: HopfAlgebra, mult, vals, right: bool = False) -> dict:
     """The product table x . y = sum vals(x1, y1) m(x2, y2), or
     sum m(x1, y1) vals(x2, y2) when right is set, where m is the product
-    of the table mult.  Scalar values, on a table of scalars, are summed
-    on integer numerators (`_twisted_rows`).  Each coefficient of a
-    coordinate-ring form is one `tring.sum_of_products` call, whose second
-    factor is the table entry where that is a ring element (a table
-    twisted by such a form) and the unit otherwise."""
-    ring = getattr(vals[0][0], "ring", None)
-    if ring is None:
+    of the table mult and vals a matrix of scalars; summed on integer
+    numerators (`_twisted_rows`)."""
 
-        def pack(codec):
-            if mult is hopf.mult:
-                table = packed_table(hopf, codec)
-            else:
-                table = pack_table(mult, hopf.dim, codec)
-            return table, pack_rows(hopf.comult, codec), _pack_values(vals, codec)
+    def pack(codec):
+        if mult is hopf.mult:
+            table = packed_table(hopf, codec)
+        else:
+            table = pack_table(mult, hopf.dim, codec)
+        return table, pack_rows(hopf.comult, codec), _pack_values(vals, codec)
 
-        # a coefficient sums products of two legs, a value and a table entry
-        codec, _, (table, legs, values) = fitted(
-            hopf.field, pack, lambda p: p[1][2] ** 2 * p[2][2] * p[0][2]
-        )
-        rows = _twisted_rows(legs[0], values[0], table[0], right, codec)
-        return _decoded(rows, codec, hopf.field, legs[1] ** 2 * values[1] * table[1])
-    legs_x, legs_y = _legs_meeting(hopf.comult, *_support(vals), right)
-    zero, one, unit = ring.zero(), ring.one(), hopf.field.one
-    out: dict[tuple[int, int], tuple] = {}
-    for x, lx in enumerate(legs_x):
-        for y, ly in enumerate(legs_y):
-            triples: dict[int, list] = {}
-            for a, p, cx in lx:
-                for b, r, cy in ly:
-                    val = vals[a][b]
-                    if not val.is_zero:
-                        c = cx * cy
-                        for k, cm in mult.get((p, r), ()):
-                            # a twisted table may hold ring elements
-                            t = (val, one, c * cm) if cm.__class__ is Scalar else (val, cm, c)
-                            triples.setdefault(k, []).append(t)
-            terms = []
-            for k in sorted(triples):
-                ts = triples[k]
-                if len(ts) == 1 and ts[0][1] is one and ts[0][2] == unit:
-                    # a value times one: the value itself, in canonical form
-                    e = ts[0][0]
-                else:
-                    e = sum_of_products(zero, ts)
-                if not e.is_zero:
-                    terms.append((k, e))
-            if terms:
-                out[(x, y)] = tuple(terms)
-    return out
-
-
-def _legs_meeting(comult, rows, cols, right: bool) -> tuple[list, list]:
-    """The coproduct legs (first, second, coeff) of every basis element as
-    (value leg, table leg, coeff): the value reads the first legs and the
-    table the second, or the reverse when right is set.  Only legs whose
-    value leg is in rows (for x) or in cols (for y) count: the others meet
-    a zero row or column of the values."""
-    v, m = (1, 0) if right else (0, 1)
-    return (
-        [tuple((lx[v], lx[m], lx[2]) for lx in legs if lx[v] in rows) for legs in comult],
-        [tuple((ly[v], ly[m], ly[2]) for ly in legs if ly[v] in cols) for legs in comult],
+    # a coefficient sums products of two legs, a value and a table entry
+    codec, _, (table, legs, values) = fitted(
+        hopf.field, pack, lambda p: p[1][2] ** 2 * p[2][2] * p[0][2]
     )
+    rows = _twisted_rows(legs[0], values[0], table[0], right, codec)
+    return _decoded(rows, codec, hopf.field, legs[1] ** 2 * values[1] * table[1])
 
 
 def _pack_values(vals, codec) -> tuple[list[dict], int, int]:
@@ -432,12 +393,16 @@ def _twisted_rows(legs, values, table, right: bool, codec) -> list[list[tuple]]:
     is reduced modulo N over a codec.  The caller's codec holds each sum:
     the square of the legs' norm times the norms of the values and the
     table bounds it, and also the norm of a row of the result."""
-    rows = {i for i, row in enumerate(values) if row}
-    legs_x, legs_y = _legs_meeting(legs, rows, set().union(*values), right)
+    rows, cols = {i for i, row in enumerate(values) if row}, set().union(*values)
+    # the values read the first legs and the table the second, or the
+    # reverse when right is set; a leg whose value leg meets a zero row
+    # (for x) or column (for y) of the values is dropped
+    v, m = (1, 0) if right else (0, 1)
+    legs_x = [[(values[g[v]], table[g[m]], g[2]) for g in ls if g[v] in rows] for ls in legs]
+    legs_y = [[(g[v], g[m], g[2]) for g in ls if g[v] in cols] for ls in legs]
     mod = None if codec is None else codec.modulus
     out = []
     for lx in legs_x:
-        lx = [(values[a], table[p], cx) for a, p, cx in lx]
         row = []
         for ly in legs_y:
             acc: dict[int, int] = {}

@@ -21,7 +21,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .arith import Scalar, q_binomial
-from .cocycle import _twist, convolution_failure, cocycle_failure, trivial_cocycle
+from .cocycle import _counit_reduces, _twist, convolution_failure, triple_failure, trivial_cocycle
 from .errors import (
     NotDegreeZero,
     OutOfLocalization,
@@ -31,8 +31,8 @@ from .errors import (
     WitnessFailure,
 )
 from .groups import perm_sign
-from .hopf import HopfAlgebra, e_basis, fails_at, hab_grading
-from .identities import LocalizedDenominator, NCPoly, _denominator_poly, mu, symbol
+from .hopf import HopfAlgebra, associative, e_basis, fails_at, hab_grading
+from .identities import LocalizedDenominator, NCPoly, _denominator_poly, mu, mu_algebra, symbol
 # solve_in_lattice is unused here but stays importable from this module:
 # perfbench/tests/test_perfbench_tracing.py looks it up as a wrapped name.
 from .lattice import ReducedBasis, pair_and_triple_vectors, solve_in_lattice, y_group  # noqa: F401
@@ -98,15 +98,73 @@ def lifted_cocycle(hopf: HopfAlgebra, vals, right: bool = False) -> list[list[TE
     return out
 
 
+def sigma_failure(hopf: HopfAlgebra, alpha, sig):
+    """The first basis triple at which the matrix sig over the coordinate
+    ring T fails the cocycle identity (`cocycle.triple_failure`), scanned
+    only where the certificate below fails; None if there is none.
+
+    Let A be the algebra over T with u_x u_y = sig(x1, y1) u_{x2 y2}, and
+    phi(u_x) = sum t(x1) (x) x2 in T (x) H_alpha, the letter images of
+    `identities.mu` (the comodule-algebra map of Aljadeff and Kassel).
+    phi is T-linear and injective: Delta(b_i) = c g (x) b_i plus legs
+    b_j (x) b_k with b_k below b_i in the order that `t_inverse_map`
+    enforces, so phi is triangular with c t_g on its diagonal.  So if
+    H_alpha passes Light's test and phi(u_x u_y) = phi(u_x) phi(u_y) on
+    basis pairs (`phi_failure`), A is associative, which is the identity
+    where the counit reduces (as in `cocycle.cocycle_failure`).  phi is
+    multiplicative for the lifted cocycle of alpha."""
+    # raises NotPointedOrder where the coproduct is not triangular
+    t_inverse_map(hopf)
+    target = mu_algebra(hopf, alpha).mult
+    u = hopf.unit_index
+    if (
+        _counit_reduces(hopf)
+        and associative(hopf.dim, target, u, alpha(u, u))
+        and phi_failure(hopf, target, sig) is None
+    ):
+        return None
+    return triple_failure(hopf, sig, t_ring(hopf).zero())
+
+
+def phi_failure(hopf: HopfAlgebra, target, sig):
+    """The first basis pair (x, y), in loop order, at which
+    phi(u_x u_y) != phi(u_x) phi(u_y) (see `sigma_failure`); None if there
+    is none.  Each (x, y, b_m) cell is one `tring.sum_of_products` call:
+    t(x1) t(y1) P(x2, y2)[m] minus sig(x1, y1) m(x2, y2)[k] t(k1) over the
+    legs k1 (x) b_m of Delta(b_k), P the table target of H_alpha and m
+    the product of H."""
+    ring = t_ring(hopf)
+    t = [ring.var(i) for i in range(hopf.dim)]
+    zero, comult = ring.zero(), hopf.comult
+    # phi(b_j b_l) without its t-legs: (k1, m, -c) for each term c t(k1) (x) b_m
+    image = {
+        pair: [(k1, m, -(cp * ck)) for k, cp in terms for k1, m, ck in comult[k]]
+        for pair, terms in hopf.mult.items()
+    }
+    for x, legs_x in enumerate(comult):
+        for y, legs_y in enumerate(comult):
+            cells: dict[int, list] = {}
+            for x1, x2, cx in legs_x:
+                for y1, y2, cy in legs_y:
+                    c = cx * cy
+                    for m, cp in target.get((x2, y2), ()):
+                        cells.setdefault(m, []).append((t[x1], t[y1], c * cp))
+                    s = sig[x1][y1]
+                    if not s.is_zero:
+                        for k1, m, ck in image.get((x2, y2), ()):
+                            cells.setdefault(m, []).append((s, t[k1], c * ck))
+            if not all(sum_of_products(zero, ts).is_zero for ts in cells.values()):
+                return x, y
+    return None
+
+
 def verify_sigma(hopf: HopfAlgebra, alpha=None) -> Report:
     """Three exact facts about the lifted cocycle: it satisfies the cocycle
     identity with coordinate-ring values, it is convolution invertible, and
     substituting the counit recovers the scalar cocycle.
 
-    The identity is certified by `cocycle.cocycle_failure`: Light's test on
-    the algebra twisted by sigma, whose middle factors are x and y on
-    taft(n) and x, y_1, ..., y_n on e(n), the unit being skipped because
-    it acts as sigma(1, 1) = t[1]; a failure scans every basis triple."""
+    The identity is certified through the universal map by
+    `sigma_failure`, which names the first failing basis triple."""
     if alpha is None:
         alpha = trivial_cocycle(hopf)
     ring = t_ring(hopf)
@@ -114,7 +172,7 @@ def verify_sigma(hopf: HopfAlgebra, alpha=None) -> Report:
     sig = lifted_cocycle(hopf, alpha.values)
     inv = lifted_cocycle(hopf, alpha.inverse_values, right=True)
     rep = Report(f"lifted cocycle on {hopf.name or 'algebra'}")
-    bad = cocycle_failure(hopf, sig, ring.zero())
+    bad = sigma_failure(hopf, alpha, sig)
     rep.add("cocycle identity in the coordinate ring", bad is None, fails_at(hopf, bad))
     bad = convolution_failure(hopf, sig, inv, ring.zero())
     rep.add("convolution inverse", bad is None, fails_at(hopf, bad[:2] if bad else None))

@@ -762,27 +762,16 @@ def acts_as_scalar(dim: int, mult, unit_index: int, one) -> bool:
 
 
 def associative(dim: int, mult, unit_index: int, one) -> bool:
-    """Whether the mult table is associative, by Light's associativity test
-    (Clifford and Preston, The Algebraic Theory of Semigroups I, section
-    1.2): the middle factor runs over `generating_middles` only.
-
-    The table may hold scalars, or elements of a commutative domain B over
-    which the algebra is free with this basis (the coordinate ring, for the
-    twist by the lifted cocycle).  By the Teichmueller identity the y with
-    (xy)z = x(yz) for all x, z form a B-subalgebra, and c y in it with
-    c != 0 puts y in it, so no triple fails once none fails with its middle
-    factor in the certified set.  When the unit acts as the scalar one
-    (`acts_as_scalar`), every associator with the unit in the middle is
-    (one xz) - (one xz) = 0, so the unit is reached without a check.
-
-    A table of scalars is summed on integer numerators (`_associator`), a
-    table over the coordinate ring by the ring's `associator_test`."""
-    ring = getattr(one, "ring", None)
-    if ring is None:
-        fails = associator(dim, mult, one.field)
-    else:
-        fails = ring.associator_test(dim, mult)
-    return _light_test(dim, mult, unit_index, one, fails)
+    """Whether the mult table of scalars is associative, by Light's
+    associativity test (Clifford and Preston, The Algebraic Theory of
+    Semigroups I, section 1.2): the middle factor runs over
+    `generating_middles` only, each associator summed on integer
+    numerators (`associator`).  By the Teichmueller identity the y with
+    (xy)z = x(yz) for all x, z form a subalgebra, so no triple fails once
+    none fails with its middle factor in the certified set.  When the unit
+    acts as the scalar one (`acts_as_scalar`), every associator with the
+    unit in the middle is (one xz) - (one xz) = 0: no check is needed."""
+    return _light_test(dim, mult, unit_index, one, associator(dim, mult, one.field))
 
 
 def _light_test(dim: int, mult, unit_index: int, one, fails) -> bool:

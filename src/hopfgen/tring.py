@@ -436,27 +436,6 @@ def _vectors(ring: TRing, num: dict) -> dict[int, list[int]]:
     return vecs
 
 
-def _vanishes(ring: TRing, num: dict) -> bool:
-    """Whether the term numerators num, summed but not reduced, stand for
-    zero: over a field of degree one distinct keys are distinct monomials,
-    so only a zero numerator vanishes; otherwise once q^k is reduced."""
-    if not any(num.values()):
-        return True
-    return not ring.rational and not any(any(v) for v in _vectors(ring, num).values())
-
-
-def _operands(ring: TRing, a: TElement, b: TElement) -> tuple[TElement, TElement]:
-    """a and b, elements of ring, as factors whose term keys add without
-    a carry: where a.bound + b.bound leaves no room in a field, the exact
-    product a * b (exponents summed, RangeError for one that leaves its
-    field) and the unit."""
-    if a.ring is not ring or b.ring is not ring:
-        raise RangeError("TElement operands over different algebras")
-    if (a.bound + b.bound) >> (ring.width - 1):
-        return a * b, ring.one()
-    return a, b
-
-
 # the (key, numerator) pairs of the scalar one, for `_add_products`
 _UNIT = ((0, 1),)
 
@@ -499,7 +478,12 @@ def sum_of_products(zero, triples):
     for a, b, s in triples:
         if s.field is not field:
             raise RangeError("mixed scalars from different fields")
-        a, b = _operands(ring, a, b)
+        if a.ring is not ring or b.ring is not ring:
+            raise RangeError("TElement operands over different algebras")
+        if (a.bound + b.bound) >> (ring.width - 1):
+            # the term keys would carry: the exact product (exponents
+            # summed, RangeError for one that leaves its field) and the unit
+            a, b = a * b, ring.one()
         if not (a.num and b.num and any(s.num)):
             continue
         d = a.den * b.den * s.den
@@ -663,35 +647,6 @@ class TRing:
                 acc = acc - c * (self.var(j) * lower)
             out[i] = acc * self.var(j0, -1) * c0.inverse()
         return out  # type: ignore[return-value]
-
-    def associator_test(self, dim: int, mult):
-        """fails(i, j): whether (b_i b_j) b_k != b_i (b_j b_k) for some k,
-        on a product table over this ring.  Both sides are summed into one
-        integer difference, keyed by k, by the b_m coordinate and by term
-        key, over one common denominator, as in `sum_of_products`; it is
-        tested for zero once, and only that test reduces powers of q."""
-        rows = [[mult.get((i, j), ()) for j in range(dim)] for i in range(dim)]
-        basis = range(dim)
-
-        def fails(i: int, j: int) -> bool:
-            row_i = rows[i]
-            prods = [
-                ((k, m), c, cm, 1) for p, c in row_i[j] for k in basis for m, cm in rows[p][k]
-            ]
-            prods += [
-                ((k, m), c, cm, -1) for k in basis for p, c in rows[j][k] for m, cm in row_i[p]
-            ]
-            prods = [(cell, *_operands(self, a, b), sign) for cell, a, b, sign in prods]
-            den = lcm(*[a.den * b.den for _, a, b, _ in prods])
-            cells: dict[tuple[int, int], dict[int, int]] = {}
-            for cell, a, b, sign in prods:
-                num = cells.get(cell)
-                if num is None:
-                    num = cells[cell] = {}
-                _add_products(num, a.num, b.num, [(0, sign * (den // (a.den * b.den)))])
-            return not all(_vanishes(self, num) for num in cells.values())
-
-        return fails
 
     def coproduct(self, elem: TElement) -> dict[tuple[TMonomial, TMonomial], Scalar]:
         """Coordinate coproduct: t[b] goes to the sum of t[b1] (x) t[b2],

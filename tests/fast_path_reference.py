@@ -83,10 +83,12 @@ differential tests in `test_fast_paths.py`, `test_generic_base.py`,
   coordinate inverse built as `acc = acc + a * b * c`, one `TElement` per
   product, which `tring.sum_of_products` replaced; and
   `reference_associative`, Light's test with both sides of every
-  associator collected as ring elements and compared, which
-  `TRing.associator_test` replaced for tables over the coordinate ring.
-  `reference_loop_cocycle_failure` calls it where it called
-  `hopf.associative`.
+  associator collected and compared, on tables of scalars or of ring
+  elements.  `reference_loop_cocycle_failure` calls it where it called
+  `hopf.associative`.  The package runs Light's test on tables of
+  scalars only: it certifies the lifted cocycle through the universal
+  map (`generic_base.sigma_failure`), and names a failing triple by one
+  scan (`cocycle.triple_failure`).
 - `reference_associator`, `reference_filtered_twist`,
   `reference_counit_reduces`, `reference_counit_recovers`,
   `reference_factored_trivial_cocycle` and `reference_ring_evaluate`:

@@ -10,14 +10,17 @@ ran over every pair of coproduct legs before they were filtered by the
 support of the matrix.  Each corrupted matrix must be reported at the same
 first triple or pair, with the same message, and every twisted or
 cotwisted table must be the same.  `cocycle_failure` first puts the
-twisted algebra through Light's test; the cases below include corruptions
-that change its middle factors, that put the unit back among them, and
-tables on which the counit condition of that test fails.
+twisted algebra through Light's test, and the lifted cocycle is
+certified through the universal map (`generic_base.sigma_failure`); the
+cases below include corruptions that change the middle factors of the
+twisted algebra, that put the unit back among them, and tables on which
+the counit condition fails.
 """
 
 import random
 from fractions import Fraction
 
+import fast_path_reference as ref
 import pytest
 
 from hopfgen import cocycle
@@ -32,12 +35,13 @@ from hopfgen.cocycle import (
     convolution_failure,
     cotwist_hopf,
     require_cocycle_of,
+    triple_failure,
     trivial_cocycle,
     verify_cocycle_condition,
     verify_normalization,
 )
 from hopfgen.errors import NotInvertible, NotPointedOrder
-from hopfgen.generic_base import lifted_cocycle, verify_sigma
+from hopfgen.generic_base import lifted_cocycle, sigma_failure, verify_sigma
 from hopfgen.groups import cyclic, dihedral, symmetric
 from hopfgen.hopf import (
     HopfAlgebra,
@@ -375,13 +379,13 @@ def message(check, *args):
 def test_scalar_cocycle_check_names_the_reference_triple():
     failures = 0
     for h, alpha in scalar_cases():
-        assert cocycle_failure(h, alpha.values, h.field.zero) is None
+        assert cocycle_failure(h, alpha.values) is None
         for i, j in positions(h.dim, 12, seed=h.dim):
             vals = corrupted(alpha.values, i, j, h.field.one)
             want = reference_cocycle_condition(h, vals)
             got = verify_cocycle_condition(h, vals)
             assert got.to_dict() == want.to_dict()
-            bad = cocycle_failure(h, vals, h.field.zero)
+            bad = cocycle_failure(h, vals)
             assert bad == reference_cocycle_failure(h, vals, h.field.zero)
             failures += not got.ok
     assert failures >= 30
@@ -446,7 +450,7 @@ def test_sigma_checks_name_the_reference_triple_and_pair(make, count):
         bump = bumps[n % len(bumps)]
         for s, v in ((corrupted(sig, i, j, bump), inv), (sig, corrupted(inv, i, j, bump))):
             want = reference_sigma_failures(h, s, v)
-            bad = cocycle_failure(h, s, ring.zero())
+            bad = sigma_failure(h, alpha, s)
             conv = convolution_failure(h, s, v, ring.zero())
             assert (bad, conv and conv[:2]) == want
             assert bad == reference_cocycle_failure(h, s, ring.zero())
@@ -454,24 +458,14 @@ def test_sigma_checks_name_the_reference_triple_and_pair(make, count):
     assert failures >= count
 
 
-@pytest.mark.parametrize("make", [lambda: taft(4), lambda: e_algebra(3)], ids=["taft4", "e3"])
-def test_twisted_table_of_the_lifted_cocycle_holds_no_zero(make):
-    # ring-valued entries of the twisted table cancel at some positions
-    # (3 of 810 on taft(4), 10 of 1,143 on e(3)); collect must drop them
-    h = make()
-    alpha = trivial_cocycle(h)
-    sig = lifted_cocycle(h, alpha.values)
-    table = cocycle._twist(h, h.mult, sig)
-    assert table and all(c and not c.is_zero for terms in table.values() for _, c in terms)
-
-
 # --- Light's test on the twisted algebra -----------------------------------
 
 
 def light_middles(h, vals):
     """The labels of the middle factors that Light's test reads on the
-    table twisted by vals: the unit among them unless it acts as vals(1, 1)."""
-    table = _twist(h, h.mult, vals)
+    table twisted by vals (`reference_filtered_twist`, as vals may hold
+    ring elements): the unit among them unless it acts as vals(1, 1)."""
+    table = ref.reference_filtered_twist(h, h.mult, vals)
     u = h.unit_index
     with_unit = not acts_as_scalar(h.dim, table, u, vals[u][u])
     return [h.labels[m] for m in generating_middles(h.dim, table, u, with_unit)]
@@ -498,12 +492,13 @@ def sigma_corruptions(h, y_label):
 @pytest.mark.parametrize(
     "make,y_label", [(lambda: taft(3), "y"), (lambda: e_algebra(2), "y_2")], ids=["taft3", "e2"]
 )
-def test_light_test_on_sigma_names_the_reference_triple(make, y_label):
+def test_the_sigma_certificate_names_the_reference_triple(make, y_label):
     h = make()
+    alpha = trivial_cocycle(h)
     zero = t_ring(h).zero()
     for name, sig in sigma_corruptions(h, y_label):
         want = reference_cocycle_failure(h, sig, zero)
-        assert cocycle_failure(h, sig, zero) == want, name
+        assert sigma_failure(h, alpha, sig) == want, name
         assert (want is None) == (name == "intact"), name
         assert (light_middles(h, sig)[0] == "1") == name.startswith("unit"), name
 
@@ -517,7 +512,8 @@ def test_a_corruption_that_changes_the_generating_set_names_the_reference_triple
     # with sigma(x, x) = 0, u_x u_x no longer reaches u_{x^2}
     bad = corrupted(sig, x, x, -sig[x][x])
     assert light_middles(h, bad) == ["x", "x^2", "y"]
-    assert cocycle_failure(h, bad, zero) == reference_cocycle_failure(h, bad, zero) == (1, 1, 2)
+    got = sigma_failure(h, trivial_cocycle(h), bad)
+    assert got == reference_cocycle_failure(h, bad, zero) == (1, 1, 2)
 
 
 def test_sigma_on_corrupted_algebras_takes_the_full_scan():
@@ -525,7 +521,8 @@ def test_sigma_on_corrupted_algebras_takes_the_full_scan():
     reduces the associator to the identity, and the routine scans every
     triple.  A dropped coproduct leg leaves no group-like counit leg, so
     no sigma can be lifted; a doubled leg keeps the precondition, and the
-    twisted algebra fails Light's test."""
+    twisted algebra fails Light's test (the reference twist and test, as
+    its table holds ring elements), so the certificate fails too."""
     kinds = []
     for h in corrupted_algebras():
         vals = [[ci * cj for cj in h.counit] for ci in h.counit]
@@ -535,12 +532,13 @@ def test_sigma_on_corrupted_algebras_takes_the_full_scan():
             kinds.append("no lift")
             continue
         zero = t_ring(h).zero()
-        table = _twist(h, h.mult, sig)
+        table = ref.reference_filtered_twist(h, h.mult, sig)
         u = h.unit_index
-        assert not associative(h.dim, table, u, sig[u][u])
+        assert not ref.reference_associative(h.dim, table, u, sig[u][u])
         want = reference_cocycle_failure(h, sig, zero)
         assert want is not None
-        assert cocycle_failure(h, sig, zero) == want
+        assert triple_failure(h, sig, zero) == want
+        assert sigma_failure(h, TwoCocycle(h, vals, check=False), sig) == want
         kinds.append("precondition" if cocycle._counit_reduces(h) else "scan")
     assert kinds == ["scan", "no lift", "precondition"] * 2
 
@@ -562,7 +560,7 @@ def test_an_associative_twist_certifies_nothing_where_the_counit_condition_fails
     assert not cocycle._counit_reduces(h)
     want = reference_cocycle_failure(h, vals, zero)
     assert want is not None
-    assert cocycle_failure(h, vals, zero) == want
+    assert cocycle_failure(h, vals) == want
 
 
 def scalar_non_cocycles():
@@ -585,7 +583,7 @@ def test_scalar_non_cocycles_name_the_reference_triple():
     for h, vals in scalar_non_cocycles():
         want = reference_cocycle_failure(h, vals, h.field.zero)
         assert want is not None
-        assert cocycle_failure(h, vals, h.field.zero) == want
+        assert cocycle_failure(h, vals) == want
         assert light_middles(h, vals)[0] != "1"
 
 
@@ -596,7 +594,7 @@ def test_a_cocycle_whose_unit_acts_as_a_scalar_passes_without_the_unit_middle():
         two = h.field.scalar(2)
         vals = [[v * two for v in row] for row in alpha.values]
         assert light_middles(h, vals)[0] != h.labels[h.unit_index]
-        assert cocycle_failure(h, vals, h.field.zero) is None
+        assert cocycle_failure(h, vals) is None
         assert reference_cocycle_failure(h, vals, h.field.zero) is None
 
 
@@ -671,8 +669,8 @@ def variants(matrix, zero, bump, seed):
 
 
 def assert_support_loops_match(h, vals, inv, zero, bump, seed):
-    """Both filtered routines against their references on every variant
-    of either matrix; returns the number of failing convolution pairs."""
+    """The filtered convolution check against its reference on every
+    variant of either matrix; returns the number of failing pairs."""
     failures = 0
     pairs = [(a, inv) for a in variants(vals, zero, bump, seed)]
     pairs += [(vals, b) for b in variants(inv, zero, bump, seed + 1)]
@@ -680,21 +678,28 @@ def assert_support_loops_match(h, vals, inv, zero, bump, seed):
         want = reference_convolution_failure(h, a, b, zero)
         assert convolution_failure(h, a, b, zero) == want
         failures += want is not None
+    return failures
+
+
+def assert_support_twists_match(h, vals, inv, zero, bump, seed):
+    """The filtered twist of a matrix of scalars against its reference on
+    every variant of vals, and on the second stage of cotwist_hopf, the
+    table twisted by vals twisted again by every variant of inv."""
+    for a in variants(vals, zero, bump, seed):
         for right in (False, True):
             got = _twist(h, h.mult, a, right)
             assert list(got.items()) == list(reference_twist(h, h.mult, a, right).items())
-    # the second stage of cotwist_hopf twists a twisted table
     left = reference_twist(h, h.mult, vals)
     for b in variants(inv, zero, bump, seed + 2):
         got = _twist(h, left, b, right=True)
         assert list(got.items()) == list(reference_twist(h, left, b, right=True).items())
-    return failures
 
 
 def test_support_filtered_loops_match_the_reference_on_scalar_matrices():
     failures = 0
     for n, (h, vals, inv, zero, bump) in enumerate(support_cases()):
         failures += assert_support_loops_match(h, vals, inv, zero, bump, seed=n)
+        assert_support_twists_match(h, vals, inv, zero, bump, seed=n)
     assert failures >= 60
 
 

@@ -43,7 +43,6 @@ from test_scalar_reference import assert_same, scalar_pairs
 
 from hopfgen.arith import make_field, scalar_from_strings, scalar_to_strings
 from hopfgen.cocycle import (
-    _twist,
     coboundary_cocycle,
     cotwist_hopf,
     trivial_cocycle,
@@ -274,7 +273,7 @@ def test_light_test_reads_every_middle(products, middle):
 def test_middles_of_the_lifted_cocycle_table_skip_the_unit(make, gens):
     h = make()
     sig = lifted_cocycle(h, trivial_cocycle(h).values)
-    table = _twist(h, h.mult, sig)
+    table = ref.reference_filtered_twist(h, h.mult, sig)
     u = h.unit_index
     # u_1 u_y = u_y u_1 = t[1] u_y, so the unit needs no check
     assert acts_as_scalar(h.dim, table, u, sig[u][u])

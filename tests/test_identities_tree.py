@@ -13,7 +13,7 @@ from functools import cache
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from ncpoly_reference import reference_mu, reference_parse
 
@@ -36,6 +36,8 @@ BUILDERS = {
 # that square come first, and in `expressions` the compound kinds do.
 EXPONENTS = st.sampled_from((2, 3, 0, 1))
 CAP_MESSAGE = re.compile(r"word of length (\d+) exceeds cap (\d+)")
+# one word of length 81, over the default cap of 64: a draw both parsers refuse
+OVER_CAP = ("e(1)", "(((X[1]^3)^3)^3)^3", 0)
 
 
 @cache
@@ -109,16 +111,27 @@ def word_bound(tree) -> int:
     return out
 
 
+def parsed(text, h, cap=identities.DEFAULT_WORD_CAP):
+    """parse_ncpoly(text, h, cap); a draw that the cap refuses, such as
+    OVER_CAP, is rejected: refusal parity is tested at small caps by
+    `test_cap_refuses_what_the_reference_refuses`."""
+    try:
+        return parse_ncpoly(text, h, cap)
+    except RangeError:
+        reject()
+
+
 def parsed_pair(name, text, cap=identities.DEFAULT_WORD_CAP):
     """The tree polynomial and the reference one, for inputs whose
     expansion stays small enough for the word-by-word reference."""
     h = instance(name)
-    new = parse_ncpoly(text, h, cap)
+    new = parsed(text, h, cap)
     assume(word_bound(new._tree) <= 400)
     return new, reference_parse(text, h, cap)
 
 
 @given(queries())
+@example(OVER_CAP)
 @settings(max_examples=150, deadline=None)
 def test_terms_equal_the_reference_expansion(query):
     name, text, _ = query
@@ -129,6 +142,7 @@ def test_terms_equal_the_reference_expansion(query):
 
 
 @given(queries())
+@example(OVER_CAP)
 @settings(max_examples=150, deadline=None)
 def test_mu_of_the_tree_equals_the_word_by_word_image(query):
     name, text, seed = query
@@ -140,6 +154,7 @@ def test_mu_of_the_tree_equals_the_word_by_word_image(query):
 
 
 @given(queries())
+@example(OVER_CAP)
 @settings(max_examples=150, deadline=None)
 def test_classify_flags_equal_the_reference(query):
     name, text, seed = query
@@ -153,7 +168,7 @@ def test_classify_flags_equal_the_reference(query):
 def test_cap_refuses_what_the_reference_refuses(query, cap):
     name, text, _ = query
     h = instance(name)
-    assume(word_bound(parse_ncpoly(text, h)._tree) <= 400)
+    assume(word_bound(parsed(text, h)._tree) <= 400)
     try:
         ref = reference_parse(text, h, cap)
     except RangeError as exc:
