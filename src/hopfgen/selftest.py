@@ -61,7 +61,7 @@ from .lattice import named_basis, pq_generation_check, y_group
 from .linalg import collect
 from .arith import make_field
 from .report import Report
-from .tring import TensorH, t_ring, verify_t_inverse
+from .tring import TElement, TensorH, power_product, t_ring, verify_t_inverse
 
 
 def klein_monomial() -> HopfAlgebra:
@@ -226,6 +226,24 @@ DECOMPOSE_NAMES = (
 )
 
 
+def _roundtrip_target(rng, ring, pres) -> tuple[TElement, tuple[tuple[int, ...], ...]]:
+    """One seeded product of the presentation's generators, invertible ones
+    to powers in [-2, 2] and plain ones in [0, 2], drawn in that order, and
+    its (invertible, plain) exponents.  Every generator is one monomial, so
+    the product is one `power_product` of their keys times the product of
+    their coefficients' powers."""
+    inv = tuple(rng.randint(-2, 2) for _ in pres.invertible_gens)
+    plain = tuple(rng.randint(0, 2) for _ in pres.plain_gens)
+    coeff = ring.field.one
+    factors = []
+    for (m, c), e in zip(pres.factors, inv + plain):
+        if e:
+            factors.append((m, e))
+            if c is not None:
+                coeff = coeff * c**e
+    return TElement(ring, {power_product(factors, ring.width): coeff}), (inv, plain)
+
+
 def criterion_6(seed: int = 0) -> Report:
     """Seeded decomposition round-trips, with and without residue."""
     rep = Report("base decomposition round-trips")
@@ -236,19 +254,12 @@ def criterion_6(seed: int = 0) -> Report:
         rng = random.Random(f"{seed}:roundtrip:{name}")
         bad = 0
         for _ in range(200):
-            elem = ring.one()
-            for g in pres.invertible_gens:
-                e = rng.randint(-2, 2)
-                if e:
-                    elem = elem * g**e
-            for g in pres.plain_gens:
-                e = rng.randint(0, 2)
-                if e:
-                    elem = elem * g**e
+            elem, drawn = _roundtrip_target(rng, ring, pres)
             wits = decompose(h, elem)
             if (
                 len(wits) != 1
                 or any(wits[0].residue_exps)
+                or (wits[0].invertible_exps, wits[0].plain_exps) != drawn
                 or wits[0].remultiply() != elem
             ):
                 bad += 1

@@ -3,8 +3,8 @@
 differential tests in `test_fast_paths.py`, `test_generic_base.py`,
 `test_packed_monomials.py`, `test_lattice_once.py`, `test_decompose_plan.py`,
 `test_one_elimination.py`, `test_generating_set.py`,
-`test_repeated_work.py`, `test_sum_of_products.py` and
-`test_packed_tables.py`.
+`test_repeated_work.py`, `test_sum_of_products.py`,
+`test_packed_tables.py` and `test_roundtrip_targets.py`.
 
 - `reference_check_product`: one `collect` per basis triple (i, j, k).
 - `reference_generating_middles`: the greedy middle set that reached a
@@ -23,6 +23,10 @@ differential tests in `test_fast_paths.py`, `test_generic_base.py`,
   text of an element over such monomials.
 - `reference_remultiply`: a decomposition witness multiplied back through
   ring arithmetic, one `TElement` power and product per generator.
+- `reference_roundtrip_target`: one seeded round-trip target of criterion
+  6, built from the ring's one by one `TElement` power and product per
+  drawn generator, which one `power_product` of the generators' keys
+  (`selftest._roundtrip_target`) replaced.
 - `reference_degree_of`: the grading degree of an exponent vector folded
   through the group, one `reference_scale` (the former
   `FiniteAbelianGroup.scale`) and one `add` per entry, which
@@ -450,6 +454,19 @@ def reference_remultiply(witness) -> TElement:
         if e:
             out = out * ring.var(v, e)
     return out
+
+
+def reference_roundtrip_target(rng, ring: TRing, pres) -> TElement:
+    elem = ring.one()
+    for g in pres.invertible_gens:
+        e = rng.randint(-2, 2)
+        if e:
+            elem = elem * g**e
+    for g in pres.plain_gens:
+        e = rng.randint(0, 2)
+        if e:
+            elem = elem * g**e
+    return elem
 
 
 def reference_scale(ab: FiniteAbelianGroup, a: tuple[int, ...], k: int) -> tuple[int, ...]:

@@ -14,6 +14,8 @@ n*t[x]^(1-n(n-1)/2)*t[x^(n-1)], and the centre spanned by the y_S with
 |S| even together with x*y_1...y_n at even n.
 """
 
+import pytest
+
 from hopfgen import selftest
 from hopfgen.generic_base import jacobian_check, torus_minor_determinant
 from hopfgen.hopf import center, e_basis
@@ -68,8 +70,9 @@ def test_criterion_05_jacobian_certificates():
         assert ok and not det.is_zero, n
 
 
-def test_criterion_06_decomposition_roundtrips():
-    _assert_ok(selftest.criterion_6())
+@pytest.mark.parametrize("seed", range(8))
+def test_criterion_06_decomposition_roundtrips(seed):
+    _assert_ok(selftest.criterion_6(seed))
 
 
 def test_criterion_07_grading_quotient():
