@@ -384,9 +384,13 @@ class Kronecker:
 
     def encode(self, num) -> int:
         """The residue of the polynomial with integer coefficients `num` of
-        1, q, q^2, ... (a Scalar numerator, or the slots of a residue)."""
+        1, q, q^2, ... (a Scalar numerator, or the slots of a residue),
+        summed by Horner's rule from the highest power."""
         w = self.width
-        return sum(c << (w * j) for j, c in enumerate(num)) % self.modulus
+        x = 0
+        for c in reversed(num):
+            x = (x << w) + c
+        return x % self.modulus
 
     def _unsigned(self, x: int) -> list[int]:
         """The n slots of a residue that the codec holds, each plus 2^(W-1)."""

@@ -46,15 +46,16 @@ class Sparse:
     """A finite linear combination over one owner, the algebra or ring it
     lives in: `terms` maps keys to nonzero Scalars and is never mutated.
 
-    The linear structure of the element types (`tring.TensorH`,
-    `identities.NCPoly`) is written here once.  Each
-    subclass supplies `_owner()`, `_like(terms)` (an element over the same
-    owner from terms that hold no zero), `one()`, its own product and its
-    text; one that accepts scalar operands also supplies `_lift`.  Operands
-    over different owners raise RangeError, and compare unequal.
+    The linear structure of the Scalar-valued element type
+    (`identities.NCPoly`) is written here once.  Each subclass supplies
+    `_owner()`, `_like(terms)` (an element over the same owner from terms
+    that hold no zero), `one()`, its own product and its text; one that
+    accepts scalar operands also supplies `_lift`.  Operands over
+    different owners raise RangeError, and compare unequal.
     `tring.TElement` and `tring.TensorH` store integer numerators instead
-    of Scalars; they write their own sums, negation, scaling, zero test,
-    equality and hash, and take the rest from here."""
+    of Scalars; their sums, negation, scaling, zero test, equality and
+    hash are written once in `tring.Numerators`, and they take `-` and
+    `**` from here."""
 
     __slots__ = ()
 
@@ -107,14 +108,14 @@ class Sparse:
             return NotImplemented
         if k < 0:
             raise RangeError(f"negative power {k} of a {self.__class__.__name__}")
-        return binary_power(self, k, self.one())
+        return binary_power(self, k, None) if k else self.one()
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return not self.is_zero
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -123,6 +124,10 @@ class Sparse:
                 return NotImplemented
         elif other._owner() != self._owner():
             return False
+        return self._equal(other)
+
+    def _equal(self, other) -> bool:
+        """Whether two elements over the same owner are equal."""
         return self.terms == other.terms
 
     def __hash__(self):

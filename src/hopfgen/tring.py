@@ -4,6 +4,12 @@ One commuting variable ``t[b]`` per basis element ``b``.  Variables sitting
 over group-like elements may carry negative exponents; all others may not.
 The ring knows the convolution inverse of the coordinate map, the coproduct
 induced on coordinates, and the grading pulled back through the algebra.
+
+Ring elements (`TElement`) and tensors of a ring element with an algebra
+basis element (`TensorH`) share one layout, `Numerators`: integer
+numerators over one denominator, keyed by packed integer keys, each
+numerator an integer over a field of degree one and otherwise the residue
+of its polynomial in q under Kronecker substitution (`arith.Kronecker`).
 """
 
 from __future__ import annotations
@@ -182,46 +188,244 @@ def power_product(factors, width: int) -> TMonomial:
     return _packed(key, bound, width)
 
 
-class TElement(Sparse):
-    """Finite linear combination of monomials with coefficients in Q(q).
+class Numerators(Sparse):
+    """A finite sum of terms with coefficients in Q(q), held as integer
+    numerators: the one layout of `TElement` and `TensorH`.
 
-    The terms are held as integer numerators `num` over one positive
-    denominator `den`, keyed by one integer each: the packed key of the
-    monomial plus the exponent of q times 2^(width*dim), a field above all
-    variable fields.  That field is unbounded, so it never carries into a
-    variable field; `bound` bounds the absolute variable exponents of every
-    term, and `qmax` the exponents of q.  A term product is one key sum and
-    one integer product.  Distinct keys may stand for one value (q^n = 1,
-    and Phi_n(q) = 0), so the element is put into canonical form where its
-    value is observed: by the zero test, ==, hash, `terms`, text, `inverse`
-    and `evaluate`; and after a product whose powers of q reach 2n, so that
-    repeated products (a power by squaring) do not pile up keys that
-    canonical form would merge."""
+    The numerators `num` lie over one positive denominator `den`, keyed by
+    one integer each.  Over a field of degree one a numerator is an
+    integer, `codec` is None, and the element is kept in lowest terms with
+    no zero numerator.  Over a field of degree d >= 2 a numerator is a
+    polynomial in q, a nonzero residue of the Kronecker codec `codec`
+    (`arith.Kronecker`), so that a term product is one key sum and one
+    integer product modulo N.  `norm` bounds the absolute slot values of
+    all numerators summed; an operation whose result could leave the slots
+    of its operands' codec re-encodes them on a wider one, so no slot ever
+    wraps.  `bound` bounds the absolute exponents of the monomials.
+    Distinct numerators may stand for one value (Phi_n(q) = 0), so the
+    canonical form is taken only where a value is observed (the zero test,
+    ==, hash, `terms` and the text), and kept.
 
-    __slots__ = ("ring", "num", "den", "bound", "qmax", "_reduced", "_terms")
+    The linear structure is written here once; a subclass supplies its
+    keys, its product and its text."""
+
+    __slots__ = ("ring", "num", "den", "bound", "codec", "norm", "_canon", "_terms")
+
+    def _fill(self, ring: TRing, terms: list) -> None:
+        """Set the fields from (key, monomial, Scalar) terms with distinct
+        keys, zero coefficients dropped: the numerators over the lcm of the
+        denominators, each polynomial balanced (`arith.balanced`) and
+        encoded on the narrowest codec that holds their summed slot norm.
+        The Scalars are canonical, so the canonical form is kept at once."""
+        field, w = ring.field, ring.width
+        self.ring, self._terms = ring, None
+        if len(terms) == 1:
+            # the most common build: one term, over its own denominator
+            ((k, m, c),) = terms
+            if m.width != w:
+                raise RangeError("monomials packed with different field widths")
+            num, self.den, self.bound = c.num, c.den, m.bound
+            if field.degree == 1:
+                self.num, self.codec, self.norm = {k: num[0]} if num[0] else {}, None, 0
+                return
+            # the balanced slots of a rational x are x, 0, ..., 0
+            vec = balanced(num, field.n) if any(num[1:]) else num[:1]
+            norm = norm1(vec)
+            codec = kronecker(field, norm)
+            x = codec.encode(vec)
+            self.num = {k: x} if x else {}
+            self.codec, self.norm, self._canon = codec, norm, (c.den, {k: num} if x else {})
+            return
+        den, bound = 1, 0
+        for _, m, c in terms:
+            if m.width != w:
+                raise RangeError("monomials packed with different field widths")
+            if m.bound > bound:
+                bound = m.bound
+            if den % c.den:
+                den = lcm(den, c.den)
+        # Scalars are in lowest terms, so gcd(den, *num) is already one
+        self.den, self.bound = den, bound
+        if field.degree == 1:
+            self.num = {k: x * (den // c.den) for k, _, c in terms if (x := c.num[0])}
+            self.codec, self.norm = None, 0
+            return
+        n = field.n
+        vecs, canon, norm = [], {}, 0
+        for k, _, c in terms:
+            num = c.num
+            if any(num):
+                vec = balanced(num, n) if any(num[1:]) else num[:1]
+                f = den // c.den
+                if f != 1:
+                    vec = [x * f for x in vec]
+                    num = tuple([x * f for x in num])
+                norm += norm1(vec)
+                vecs.append((k, vec))
+                canon[k] = num
+        codec = kronecker(field, norm)
+        encode = codec.encode
+        self.num = {k: encode(vec) for k, vec in vecs}
+        self.codec, self.norm, self._canon = codec, norm, (den, canon)
+
+    def _of(self, num: dict, den: int, bound: int, codec, norm: int):
+        """An element over the same owner from numerators that hold no zero;
+        over a field of degree one, brought to lowest terms."""
+        if codec is None and den != 1:
+            num, den = _lowest_terms(num, den)
+        out = _new(self.__class__)
+        out.ring, out.num, out.den, out.bound = self.ring, num, den, bound
+        out.codec, out.norm, out._canon, out._terms = codec, norm, None, None
+        return out
+
+    # -- codecs ----------------------------------------------------------------
+
+    def _codec(self, norm: int, *others: Numerators):
+        """The widest of the operands' codecs and the narrowest one that
+        holds `norm` (None over a field of degree one)."""
+        widest = self.codec
+        if widest is None:
+            return None
+        for other in others:
+            if other.codec.width > widest.width:
+                widest = other.codec
+        return kronecker(self.ring.field, norm) if norm >> (widest.width - 1) else widest
+
+    def _at(self, codec) -> dict:
+        """The numerators as residues of `codec`, re-encoded exactly from
+        their slots when it is not the element's own."""
+        if codec is self.codec:
+            return self.num
+        old = self.codec
+        return {k: codec.encode(old.slots(x)) for k, x in self.num.items()}
+
+    # -- canonical form --------------------------------------------------------
+
+    def _canonical(self) -> tuple[int, dict]:
+        """(den, numerators) in lowest terms with no zero numerator; over a
+        field of degree d >= 2 each residue is decoded once and reduced
+        modulo Phi_n to the tuple of its numerators of 1, ..., q^(d-1)."""
+        codec = self.codec
+        if codec is None:
+            return self.den, self.num
+        if self._canon is None:
+            vecs = {}
+            for k, x in self.num.items():
+                vec = codec.reduce(x)
+                if any(vec):
+                    vecs[k] = vec
+            den = self.den
+            g = gcd(den, *[c for vec in vecs.values() for c in vec])
+            if g != 1:
+                vecs = {k: tuple([c // g for c in vec]) for k, vec in vecs.items()}
+                den //= g
+            self._canon = (den, vecs)
+        return self._canon
+
+    def _scalars(self) -> list[tuple[int, Scalar]]:
+        """The canonical (key, coefficient) pairs, in the order of `num`."""
+        den, vecs = self._canonical()
+        field = self.ring.field
+        if self.codec is None:
+            return [(k, _lowest(field, (c,), den)) for k, c in vecs.items()]
+        return [(k, _lowest(field, vec, den)) for k, vec in vecs.items()]
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.num or not self._canonical()[1]
+
+    def _equal(self, other) -> bool:
+        if self.codec is other.codec and self.den == other.den and self.num == other.num:
+            return True
+        return self._canonical() == other._canonical()
+
+    def __hash__(self):
+        den, vecs = self._canonical()
+        return hash((den, frozenset(vecs.items())))
+
+    # -- linear structure ------------------------------------------------------
+
+    def __add__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        da, db = self.den, o.den
+        den = da if da == db else lcm(da, db)
+        fa, fb = den // da, den // db
+        norm = self.norm * fa + o.norm * fb
+        codec, a, b, mod = self._pair(o, norm)
+        if fa != 1:
+            a = _times(a, fa, mod)
+        if fb != 1:
+            b = _times(b, fb, mod)
+        num = dict(a)
+        get = num.get
+        # the keys of b are distinct, so only the key just summed can vanish
+        for k, c in b.items():
+            s = get(k, 0) + c
+            if mod is not None:
+                s %= mod
+            if s:
+                num[k] = s
+            else:
+                del num[k]
+        return self._of(num, den, max(self.bound, o.bound), codec, norm)
+
+    def __neg__(self):
+        codec = self.codec
+        if codec is None:
+            num = {k: -c for k, c in self.num.items()}
+        else:
+            mod = codec.modulus
+            num = {k: mod - c for k, c in self.num.items()}
+        return self._of(num, self.den, self.bound, codec, self.norm)
+
+    def scaled(self, s: Scalar):
+        """self times the scalar s: zero for zero, and self itself for one."""
+        if s.field is not self.ring.field:
+            raise RangeError("mixed scalars from different fields")
+        if not s:
+            return self._of({}, 1, 0, self.codec, 0)
+        if s == s.field.one:
+            return self
+        if self.codec is None:
+            c = s.num[0]
+            num = {k: x * c for k, x in self.num.items()}
+            return self._of(num, self.den * s.den, self.bound, None, 0)
+        vec = balanced(s.num, s.field.n)
+        norm = self.norm * norm1(vec)
+        codec = self._codec(norm)
+        mod, c = codec.modulus, codec.encode(vec)
+        # a product of nonzero residues can vanish: Z[q]/(q^n - 1) has zero divisors
+        num = {k: r for k, x in self._at(codec).items() if (r := x * c % mod)}
+        return self._of(num, self.den * s.den, self.bound, codec, norm)
+
+    def _pair(self, other: Numerators, norm: int) -> tuple:
+        """(codec, a, b, mod): the codec of a result of slot norm `norm`
+        (`_codec`), the numerators of self and other on it, and its modulus
+        (None over a field of degree one)."""
+        if self.codec is None:
+            return None, self.num, other.num, None
+        codec = self._codec(norm, other)
+        return codec, self._at(codec), other._at(codec), codec.modulus
+
+
+class TElement(Numerators):
+    """Finite linear combination of monomials with coefficients in Q(q),
+    on the numerator layout of `Numerators`: each term is keyed by the
+    packed key of its monomial, so a term product is one key sum and one
+    integer product (modulo N over a field of degree d >= 2)."""
+
+    __slots__ = ()
 
     def __init__(self, ring: TRing, terms: dict[TMonomial, Scalar]):
         """The element of a {monomial: Scalar} mapping; zero coefficients
         are dropped."""
-        shift, w, half = ring.q_shift, ring.width, ring.half
-        den = lcm(*[c.den for c in terms.values()])
-        num = {}
-        bound = 0
-        for m, c in terms.items():
-            key = m.key
-            if m.width != w:
-                raise RangeError("monomials packed with different field widths")
-            if not -half < key < half:
-                raise RangeError("variable index out of range")
-            scale = den // c.den
-            for j, x in enumerate(c.num):
-                if x:
-                    num[key + (j << shift)] = x * scale
-            if m.bound > bound:
-                bound = m.bound
-        # Scalars are in lowest terms, so gcd(den, *num) is already one
-        self.ring, self.num, self.den, self.bound = ring, num, den, bound
-        self.qmax, self._reduced, self._terms = ring.field.degree - 1, True, None
+        self._fill(ring, [(m.key, m, c) for m, c in terms.items()])
 
     def _owner(self) -> TRing:
         return self.ring
@@ -241,105 +445,16 @@ class TElement(Sparse):
     def one(self) -> TElement:
         return self.ring.one()
 
-    # -- canonical form ------------------------------------------------------
-
-    def _reduce(self) -> None:
-        """Replace num and den by the canonical form of the same value, in
-        which equal values have equal num and den: no power of q beyond
-        q^(d-1), no zero numerator, num and den in lowest terms."""
-        if self._reduced:
-            return
-        shift = self.ring.q_shift
-        num = {
-            m + (j << shift): c
-            for m, vec in _vectors(self.ring, self.num).items()
-            for j, c in enumerate(vec)
-            if c
-        }
-        den = self.den
-        if den != 1:
-            num, den = _lowest_terms(num, den)
-        self.num, self.den = num, den
-        self.qmax = self.ring.field.degree - 1
-        self._reduced = True
-
     @property
     def terms(self) -> dict[TMonomial, Scalar]:
         """The canonical terms: each monomial mapped to its nonzero
         coefficient, in the order in which the monomials first appear."""
         if self._terms is None:
-            self._reduce()
-            ring = self.ring
-            field, bound, w, den = ring.field, self.bound, ring.width, self.den
-            self._terms = {
-                _packed(m, bound, w): _lowest(field, tuple(vec), den)
-                for m, vec in _vectors(ring, self.num).items()
-            }
+            bound, w = self.bound, self.ring.width
+            self._terms = {_packed(k, bound, w): c for k, c in self._scalars()}
         return self._terms
 
-    @property
-    def is_zero(self) -> bool:
-        self._reduce()
-        return not self.num
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __eq__(self, other):
-        if other.__class__ is not TElement:
-            other = self._lift(other)
-            if other is None:
-                return NotImplemented
-        elif other.ring is not self.ring:
-            return False
-        if self._reduced and other._reduced:
-            return self.den == other.den and self.num == other.num
-        # the raw keys of two sides of an identity mostly cancel, so only
-        # what is left of the difference is put into canonical form
-        return (self - other).is_zero
-
-    def __hash__(self):
-        self._reduce()
-        return hash((self.den, frozenset(self.num.items())))
-
     # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.num, o.num
-        if not b:
-            return self
-        if not a:
-            return o
-        da, db = self.den, o.den
-        if da != db:
-            a = {k: c * db for k, c in a.items()}
-            b = {k: c * da for k, c in b.items()}
-            da *= db
-        num = dict(a)
-        get = num.get
-        # the keys of b are distinct, so only the key just summed can vanish
-        for k, c in b.items():
-            s = get(k, 0) + c
-            if s:
-                num[k] = s
-            else:
-                del num[k]
-        return _element(self.ring, num, da, max(self.bound, o.bound), max(self.qmax, o.qmax))
-
-    def __neg__(self):
-        num = {k: -c for k, c in self.num.items()}
-        return _element(self.ring, num, self.den, self.bound, self.qmax, self._reduced)
-
-    def scaled(self, s: Scalar) -> TElement:
-        """self times the scalar s: zero for zero, self itself for one."""
-        if not s:
-            return self.ring.zero()
-        if s == s.field.one:
-            return self
-        return self * self.ring.scalar(s)
 
     def __mul__(self, other):
         if other.__class__ is not TElement:
@@ -357,20 +472,18 @@ class TElement(Sparse):
                 for m1, c1 in self.terms.items()
                 for m2, c2 in other.terms.items()
             ))
-        a, b = self.num, other.num
-        # stored numerators are nonzero integers, so a product by a single
-        # term has no zero and no repeated key
+        norm = self.norm * other.norm
+        codec, a, b, mod = self._pair(other, norm)
+        if len(b) == 1:
+            a, b = b, a
         if len(a) == 1:
+            # a product by a single term: no two keys meet
             ((ka, ca),) = a.items()
-            num = {ka + kb: ca * cb for kb, cb in b.items()}
-        elif len(b) == 1:
-            ((kb, cb),) = b.items()
-            num = {ka + kb: ca * cb for ka, ca in a.items()}
+            raw = {ka + kb: ca * cb for kb, cb in b.items()}
         else:
-            num = {}
-            _add_products(num, a, b, _UNIT)
-            num = {k: c for k, c in num.items() if c}
-        return _element(ring, num, self.den * other.den, bound, self.qmax + other.qmax)
+            raw = {}
+            _pair_sums(raw, a, b, 1, None)
+        return self._of(_nonzero(raw, mod), self.den * other.den, bound, codec, norm)
 
     __rmul__ = __mul__
 
@@ -378,21 +491,18 @@ class TElement(Sparse):
         if isinstance(other, TElement):
             return self * other.inverse()
         s = self._scalar(other)
-        if s is None:
-            return NotImplemented
-        return self.scaled(s.inverse())
+        return NotImplemented if s is None else self.scaled(s.inverse())
 
     def __pow__(self, k: int):
-        # fast paths: a negative power through the inverse, one term directly
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
+        if isinstance(k, int) and k < 0:
             return self.inverse() ** (-k)
-        if len(self.num) == 1:
-            bound = self.bound * k
-            if not bound >> (self.ring.width - 1):
-                ((key, c),) = self.num.items()
-                return _element(self.ring, {key * k: c**k}, self.den**k, bound, self.qmax * k)
+        if isinstance(k, int) and len(self.num) == 1 and not (self.bound * k) >> (self.ring.width - 1):
+            # one term: a multiple of its key and a power of its numerator
+            ((key, c),) = self.num.items()
+            norm = self.norm**k
+            codec = self._codec(norm)
+            c = c**k if codec is None else pow(self._at(codec)[key], k, codec.modulus)
+            return self._of({key * k: c} if c else {}, self.den**k, self.bound * k, codec, norm)
         return super().__pow__(k)
 
     def inverse(self) -> TElement:
@@ -418,69 +528,31 @@ class TElement(Sparse):
         return f"<TElement {self.to_text()}>"
 
 
-def _vectors(ring: TRing, num: dict) -> dict[int, list[int]]:
-    """Each monomial key of the term numerators num mapped to the
-    numerators of 1, q, ..., q^(d-1) of its coefficient: q^k taken to
-    q^(k mod n), then reduced modulo Phi_n; in the order in which the
-    monomials first appear."""
-    shift, half, mask = ring.q_shift, ring.half, ring.mask
-    qpow, n, d = ring.q_powers, ring.field.n, ring.field.degree
-    vecs: dict[int, list[int]] = {}
-    for key, c in num.items():
-        m = ((key + half) & mask) - half
-        vec = vecs.get(m)
-        if vec is None:
-            vec = vecs[m] = [0] * d
-        for j, r in qpow[((key - m) >> shift) % n]:
-            vec[j] += c * r
-    return vecs
-
-
-# the (key, numerator) pairs of the scalar one, for `_add_products`
-_UNIT = ((0, 1),)
-
-
-def _add_products(num: dict, a: dict, b: dict, s) -> None:
-    """Add to num the term numerators of a * b * s: a and b the
-    numerators of two elements, s the (key, numerator) pairs of a scalar
-    already scaled to num's denominator.  Each term pair is one key sum
-    and one integer product; new keys enter num in the order of the terms
-    of a, then of b."""
-    get = num.get
-    right = b.items()
-    for ka, ca in a.items():
-        for ks, cs in s:
-            k0, c0 = ka + ks, ca * cs
-            for kb, cb in right:
-                k = k0 + kb
-                num[k] = get(k, 0) + c0 * cb
-
-
 def sum_of_products(zero, triples):
     """The sum of a * b * s over the (a, b, s) triples, starting from zero,
     which a sum over no triple returns.
 
     With zero a `TElement`, a and b are elements of its ring and s a
-    Scalar: the integer numerators of every product are summed straight
-    into one dict, keyed by the sums of the term keys, over one common
-    denominator, and the sum takes one canonical form rather than one per
-    product.  Otherwise (Scalars) each product is added in turn."""
+    Scalar: the numerators of every product are summed straight into one
+    dict, keyed by the sums of the term keys, over one common denominator
+    and on one codec, the widest of the operands' codecs or the one the
+    summed slot norms need; the sum takes one canonical form rather than
+    one per product.  Otherwise (Scalars) each product is added in turn."""
     if zero.__class__ is not TElement:
         acc = zero
         for a, b, s in triples:
             acc = acc + a * b * s
         return acc
     ring = zero.ring
-    field, shift = ring.field, ring.q_shift
-    num: dict[int, int] = {}
-    den = 1
-    bound = qmax = -1
+    field, w, rational = ring.field, ring.width, zero.codec is None
+    work, operands = [], []
+    den, norm, bound = 1, 0, -1
     for a, b, s in triples:
         if s.field is not field:
             raise RangeError("mixed scalars from different fields")
         if a.ring is not ring or b.ring is not ring:
             raise RangeError("TElement operands over different algebras")
-        if (a.bound + b.bound) >> (ring.width - 1):
+        if (a.bound + b.bound) >> (w - 1):
             # the term keys would carry: the exact product (exponents
             # summed, RangeError for one that leaves its field) and the unit
             a, b = a * b, ring.one()
@@ -490,17 +562,48 @@ def sum_of_products(zero, triples):
         if den % d:
             # a new factor of the common denominator
             f = lcm(den, d) // den
-            num = {k: c * f for k, c in num.items()}
-            den *= f
-        f = den // d
-        sv = [(j << shift, x * f) for j, x in enumerate(s.num) if x]
-        _add_products(num, a.num, b.num, sv)
+            den, norm = den * f, norm * f
+        sv = s.num
+        if not rational:
+            norm += a.norm * b.norm * norm1(sv) * (den // d)
+        work.append((a, b, sv, d))
+        operands += (a, b)
         bound = max(bound, a.bound + b.bound)
-        qmax = max(qmax, a.qmax + b.qmax + (sv[-1][0] >> shift))
     if bound < 0:
         return zero
-    num = {k: c for k, c in num.items() if c}
-    return _element(ring, num, den, bound, qmax)
+    codec = zero._codec(norm, *operands)
+    mod = None if rational else codec.modulus
+    num: dict[int, int] = {}
+    for a, b, sv, d in work:
+        f = den // d
+        if f != 1:
+            sv = [x * f for x in sv]
+        c = sv[0] if rational else codec.encode(sv)
+        _pair_sums(num, a._at(codec), b._at(codec), c, mod)
+    return zero._of(_nonzero(num, mod), den, bound, codec, norm)
+
+
+def _pair_sums(out: dict, a: dict, b: dict, c: int, mod: int | None) -> None:
+    """Add to out the products x * y * c of every numerator x of a and y of
+    b, at the sum of their keys, summed but not reduced (x * c modulo mod
+    if given); new keys enter out in the order of the terms of a, then of
+    b."""
+    get = out.get
+    right = b.items()
+    for ka, ca in a.items():
+        c0 = ca * c if mod is None else ca * c % mod
+        for kb, cb in right:
+            k = ka + kb
+            out[k] = get(k, 0) + c0 * cb
+
+
+def _nonzero(raw: dict, mod: int | None) -> dict:
+    """The summed numerators raw without zeros, each reduced modulo mod if
+    given: a sum of products of nonzero residues can vanish, as
+    Z[q]/(q^n - 1) has zero divisors."""
+    if mod is None:
+        return {k: c for k, c in raw.items() if c}
+    return {k: r for k, c in raw.items() if (r := c % mod)}
 
 
 def _lowest_terms(num: dict, den: int) -> tuple[dict, int]:
@@ -511,56 +614,20 @@ def _lowest_terms(num: dict, den: int) -> tuple[dict, int]:
     return num, den
 
 
-def _element(
-    ring: TRing, num: dict, den: int, bound: int, qmax: int, reduced: bool = False
-) -> TElement:
-    """The element num/den, with num and den brought to lowest terms, and
-    put into canonical form if its powers of q may reach 2n."""
-    if den != 1:
-        num, den = _lowest_terms(num, den)
-    out = _new(TElement)
-    out.ring = ring
-    out.num = num
-    out.den = den
-    out.bound = bound
-    out.qmax = qmax
-    # over a field of degree one no key carries a power of q, so every
-    # element is born in canonical form
-    out._reduced = reduced or ring.rational
-    out._terms = None
-    if qmax >= ring.q_limit:
-        out._reduce()
-    return out
-
-
 class TRing:
     """The coordinate ring of a fixed Hopf algebra instance; its monomials
     are packed with `width` bits per variable."""
 
-    __slots__ = (
-        "hopf", "field", "grouplike_set", "width", "q_shift", "half", "mask", "q_powers",
-        "rational", "q_limit", "_unit", "_vars", "_tinv", "_grading",
-    )
+    __slots__ = ("hopf", "field", "grouplike_set", "width", "_unit", "_vars", "_tinv", "_grading")
 
     def __init__(self, hopf: HopfAlgebra):
         self.hopf = hopf
-        field = self.field = hopf.field
+        self.field = hopf.field
         self.grouplike_set = set(hopf.grouplikes)
         self.width = field_width(hopf.dim)
-        # an element's term key is a monomial key plus the exponent of q
-        # times 2^q_shift; the balanced residue modulo 2^q_shift of a key
-        # (`half` and `mask`) is its monomial key
-        self.q_shift = self.width * hopf.dim
-        self.half = 1 << (self.q_shift - 1)
-        self.mask = (1 << self.q_shift) - 1
-        # q^k for 0 <= k < n as its nonzero (j, c) numerators of 1, ..., q^(d-1)
-        self.q_powers = tuple(
-            tuple((j, c) for j, c in enumerate(field.q_power(k).num) if c) for k in range(field.n)
-        )
-        self.rational = field.degree == 1
-        self.q_limit = 2 * field.n
         self._unit = TMonomial((), self.width)
-        self._vars = tuple(self._var(i, 1) for i in range(hopf.dim))
+        one = self.field.one
+        self._vars = tuple(TElement(self, {self.monomial([(i, 1)]): one}) for i in range(hopf.dim))
         self._tinv: list[TElement] | None = None
         self._grading = None
 
@@ -589,24 +656,18 @@ class TRing:
         return TElement(self, terms)
 
     def zero(self) -> TElement:
-        return _element(self, {}, 1, 0, 0, True)
+        return TElement(self, {})
 
     def one(self) -> TElement:
-        return _element(self, {0: 1}, 1, 0, 0, True)
+        return TElement(self, {self._unit: self.field.one})
 
     def scalar(self, c: Scalar) -> TElement:
-        shift = self.q_shift
-        num = {j << shift: x for j, x in enumerate(c.num) if x}
-        return _element(self, num, c.den, 0, self.field.degree - 1, True)
+        return TElement(self, {self._unit: c})
 
     def var(self, index: int, exp: int = 1) -> TElement:
         if exp == 1 and 0 <= index < len(self._vars):
             return self._vars[index]
-        return self._var(index, exp)
-
-    def _var(self, index: int, exp: int) -> TElement:
-        m = self.monomial([(index, exp)])
-        return _element(self, {m.key: 1}, 1, m.bound, 0, True)
+        return TElement(self, {self.monomial([(index, exp)]): self.field.one})
 
     def t_inverse(self, index: int) -> TElement:
         if self._tinv is None:
@@ -697,17 +758,19 @@ class TRing:
         """Substitute one field value per variable; negative exponents
         require the substituted value to be invertible.  Each power of a
         value is computed once per call, however many terms share it.  The
-        terms are read as the integer numerators of each monomial, and the
-        numerators of all monomials whose powers multiply to one value are
-        summed before one product by it."""
-        elem._reduce()
+        terms are read as the canonical numerators of each monomial, and
+        the numerators of all monomials whose powers multiply to one value
+        are summed before one product by it."""
+        den, vecs = elem._canonical()
+        if elem.codec is None:
+            vecs = {m: (c,) for m, c in vecs.items()}
         field, w = self.field, self.width
         one, zero = field.one, field.zero
         # each power as None for one, the field's zero for zero, else itself
         powers: dict[tuple[int, int], Scalar | None] = {}
         # the product of the powers (None for one) -> summed numerators
         sums: dict[Scalar | None, list[int]] = {}
-        for m, vec in _vectors(self, elem.num).items():
+        for m, vec in vecs.items():
             p = None
             for ie in _unpack(m, w):
                 x = powers.get(ie, powers)
@@ -721,12 +784,12 @@ class TRing:
             if p is not zero:
                 acc = sums.get(p)
                 if acc is None:
-                    sums[p] = vec
+                    sums[p] = list(vec)
                 else:
                     acc[:] = map(add, acc, vec)
         total = zero
         for p, vec in sums.items():
-            value = _lowest(field, tuple(vec), elem.den)
+            value = _lowest(field, tuple(vec), den)
             total = total + (value if p is None else value * p)
         return total
 
@@ -777,80 +840,36 @@ INDEX_BITS = (MAX_DIM - 1).bit_length()
 INDEX_MASK = (1 << INDEX_BITS) - 1
 
 
-class TensorH(Sparse):
+class TensorH(Numerators):
     """Sum of (coordinate monomial) tensor (algebra basis element) terms.
 
     The right tensor factor multiplies through `algebra.mult`, so the same
     class serves the plain product and any twisted one.
 
-    The terms are held as integer numerators `num` over one positive
-    denominator `den`, keyed by one integer each: the packed key of the
-    monomial shifted past INDEX_BITS, plus the basis index.  Over a field
-    of degree one a numerator is an integer, and the element is kept in
-    lowest terms with no zero numerator.  Over a field of degree d >= 2 a
-    numerator is a polynomial in q, a nonzero residue of the Kronecker
-    codec `codec` (`arith.Kronecker`), so that a term product is one key
-    sum and one integer product modulo N.  `norm` bounds the absolute
-    slot values of all numerators summed; an operation whose result could
-    leave the slots of its operands' codec re-encodes them on a wider one,
-    so no slot ever wraps.  `bound` bounds the absolute exponents of the
-    monomials.  Distinct numerators may stand for one value (Phi_n(q) = 0),
-    so the canonical form is taken only where a value is observed: by the
-    zero test, ==, hash, `terms`, the text and the coinvariance and
-    centrality tests."""
+    The terms are held on the numerator layout of `Numerators`, keyed by
+    one integer each: the packed key of the monomial shifted past
+    INDEX_BITS, plus the basis index.  The canonical form also serves the
+    coinvariance and centrality tests."""
 
-    __slots__ = ("ring", "algebra", "num", "den", "bound", "codec", "norm", "_canon", "_terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, ring: TRing, algebra, terms: dict[tuple[TMonomial, int], Scalar]):
         """The element of a {(monomial, basis index): Scalar} mapping; zero
         coefficients are dropped."""
         if ring.hopf is not (algebra if isinstance(algebra, HopfAlgebra) else algebra.hopf):
             raise RangeError("TensorH operands over different algebras")
-        w, dim, field = ring.width, algebra.dim, ring.field
-        rational = field.degree == 1
-        terms = {k: c for k, c in terms.items() if c}
-        den = lcm(*[c.den for c in terms.values()])
-        nums = {}
-        bound = norm = 0
-        for (m, i), c in terms.items():
-            if m.width != w:
-                raise RangeError("monomials packed with different field widths")
-            if not 0 <= i < dim:
+        for _, i in terms:
+            if not 0 <= i < algebra.dim:
                 raise RangeError(f"basis index {i} out of range")
-            scale = den // c.den
-            vec = [x * scale for x in c.num]
-            if not rational:
-                vec = balanced(vec, field.n)
-                norm += norm1(vec)
-            nums[(m.key << INDEX_BITS) + i] = vec
-            bound = max(bound, m.bound)
-        if rational:
-            # Scalars are in lowest terms, so gcd(den, *num) is already one
-            codec, num = None, {k: vec[0] for k, vec in nums.items()}
-        else:
-            codec = kronecker(field, norm)
-            num = {k: codec.encode(vec) for k, vec in nums.items()}
-        self.ring, self.algebra, self.num, self.den = ring, algebra, num, den
-        self.bound, self.codec, self.norm = bound, codec, norm
-        self._canon = self._terms = None
+        self.algebra = algebra
+        self._fill(ring, [((m.key << INDEX_BITS) + i, m, c) for (m, i), c in terms.items()])
 
     def _owner(self) -> tuple:
         return self.ring, self.algebra
 
     def _of(self, num: dict, den: int, bound: int, codec, norm: int) -> TensorH:
-        """An element over the same owner from numerators that hold no zero;
-        over a field of degree one, brought to lowest terms."""
-        if codec is None and den != 1:
-            num, den = _lowest_terms(num, den)
-        out = _new(TensorH)
-        out.ring = self.ring
+        out = Numerators._of(self, num, den, bound, codec, norm)
         out.algebra = self.algebra
-        out.num = num
-        out.den = den
-        out.bound = bound
-        out.codec = codec
-        out.norm = norm
-        out._canon = out._terms = None
         return out
 
     @staticmethod
@@ -859,175 +878,50 @@ class TensorH(Sparse):
 
     @staticmethod
     def from_element(ring: TRing, algebra, elem: TElement, index: int) -> TensorH:
+        """elem tensor the basis element `index`: the numerators of elem,
+        their keys shifted past INDEX_BITS."""
         if elem.ring is not ring:
             raise RangeError("TensorH operands over different algebras")
-        return TensorH(ring, algebra, {(m, index): c for m, c in elem.terms.items()})
+        out = TensorH.zero(ring, algebra)
+        if not 0 <= index < algebra.dim:
+            raise RangeError(f"basis index {index} out of range")
+        num = {(k << INDEX_BITS) + index: c for k, c in elem.num.items()}
+        return out._of(num, elem.den, elem.bound, elem.codec, elem.norm)
 
     def one(self) -> TensorH:
         unit = (self.ring._unit, self.algebra.unit_index)
         return TensorH(self.ring, self.algebra, {unit: self.ring.field.one})
-
-    # -- codecs ----------------------------------------------------------------
-
-    def _codec(self, norm: int, other: TensorH | None = None):
-        """The widest of the operands' codecs and the narrowest one that
-        holds `norm` (None over a field of degree one)."""
-        widest = self.codec
-        if widest is None:
-            return None
-        if other is not None and other.codec.width > widest.width:
-            widest = other.codec
-        codec = kronecker(self.ring.field, norm)
-        return codec if codec.width > widest.width else widest
-
-    def _at(self, codec) -> dict:
-        """The numerators as residues of `codec`, re-encoded exactly from
-        their slots when it is not the element's own."""
-        if codec is self.codec:
-            return self.num
-        old = self.codec
-        return {k: codec.encode(old.slots(x)) for k, x in self.num.items()}
-
-    # -- canonical form --------------------------------------------------------
-
-    def _canonical(self) -> tuple[int, dict]:
-        """(den, numerators) in lowest terms with no zero numerator; over a
-        field of degree d >= 2 each residue is decoded once and reduced
-        modulo Phi_n to the tuple of its numerators of 1, ..., q^(d-1)."""
-        codec = self.codec
-        if codec is None:
-            return self.den, self.num
-        if self._canon is None:
-            vecs = {}
-            for k, x in self.num.items():
-                vec = codec.reduce(x)
-                if any(vec):
-                    vecs[k] = vec
-            den = self.den
-            g = gcd(den, *[c for vec in vecs.values() for c in vec])
-            if g != 1:
-                vecs = {k: tuple([c // g for c in vec]) for k, vec in vecs.items()}
-                den //= g
-            self._canon = (den, vecs)
-        return self._canon
 
     @property
     def terms(self) -> dict[tuple[TMonomial, int], Scalar]:
         """The canonical terms: each (monomial, basis index) mapped to its
         nonzero coefficient."""
         if self._terms is None:
-            den, vecs = self._canonical()
-            ring = self.ring
-            field, bound, w = ring.field, self.bound, ring.width
-            rational = self.codec is None
+            bound, w = self.bound, self.ring.width
             self._terms = {
-                (_packed(k >> INDEX_BITS, bound, w), k & INDEX_MASK): _lowest(
-                    field, (vec,) if rational else vec, den
-                )
-                for k, vec in vecs.items()
+                (_packed(k >> INDEX_BITS, bound, w), k & INDEX_MASK): c
+                for k, c in self._scalars()
             }
         return self._terms
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._canonical()[1]
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __eq__(self, other):
-        if other.__class__ is not TensorH:
-            return NotImplemented
-        if other._owner() != self._owner():
-            return False
-        return self._canonical() == other._canonical()
-
-    def __hash__(self):
-        den, vecs = self._canonical()
-        return hash((den, frozenset(vecs.items())))
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def __add__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        if not o.num:
-            return self
-        if not self.num:
-            return o
-        da, db = self.den, o.den
-        den = da if da == db else lcm(da, db)
-        fa, fb = den // da, den // db
-        norm = self.norm * fa + o.norm * fb
-        codec = self._codec(norm, o)
-        a, b = self._at(codec), o._at(codec)
-        mod = None if codec is None else codec.modulus
-        if fa != 1:
-            a = _times(a, fa, mod)
-        if fb != 1:
-            b = _times(b, fb, mod)
-        num = dict(a)
-        get = num.get
-        # the keys of b are distinct, so only the key just summed can vanish
-        for k, c in b.items():
-            s = get(k, 0) + c
-            if mod is not None:
-                s %= mod
-            if s:
-                num[k] = s
-            else:
-                del num[k]
-        return self._of(num, den, max(self.bound, o.bound), codec, norm)
-
-    def __neg__(self):
-        codec = self.codec
-        if codec is None:
-            num = {k: -c for k, c in self.num.items()}
-        else:
-            mod = codec.modulus
-            num = {k: mod - c for k, c in self.num.items()}
-        return self._of(num, self.den, self.bound, codec, self.norm)
-
-    def scaled(self, s: Scalar) -> TensorH:
-        """self times the scalar s: zero for zero, and self itself for one."""
-        if s.field is not self.ring.field:
-            raise RangeError("mixed scalars from different fields")
-        if not s:
-            return TensorH.zero(self.ring, self.algebra)
-        if s == s.field.one:
-            return self
-        if self.codec is None:
-            c = s.num[0]
-            num = {k: x * c for k, x in self.num.items()}
-            return self._of(num, self.den * s.den, self.bound, None, 0)
-        vec = balanced(s.num, s.field.n)
-        norm = self.norm * norm1(vec)
-        codec = self._codec(norm)
-        mod, c = codec.modulus, codec.encode(vec)
-        # a product of nonzero residues can vanish: Z[q]/(q^n - 1) has zero divisors
-        num = {k: r for k, x in self._at(codec).items() if (r := x * c % mod)}
-        return self._of(num, self.den * s.den, self.bound, codec, norm)
-
-    def _shifted(self, m: TMonomial) -> TensorH:
-        """self times the monomial m, tensored with the unit."""
-        bound = self.bound + m.bound
-        if bound >> (self.ring.width - 1):
-            bound = _exponent_bound(self, m.bound, [m.key])
-        shift = m.key << INDEX_BITS
-        num = {k + shift: c for k, c in self.num.items()}
-        return self._of(num, self.den, bound, self.codec, self.norm)
+    # -- products ----------------------------------------------------------------
 
     def scale(self, c) -> TensorH:
-        """self times a coordinate-ring element or a scalar."""
+        """self times a coordinate-ring element or a scalar: for an element,
+        every term of self times every term of c, one key sum and one
+        integer product each."""
         if not isinstance(c, TElement):
             return self.scaled(self.ring.field.scalar(c))
         if c.ring is not self.ring:
             raise RangeError("TensorH operands over different algebras")
-        out = TensorH.zero(self.ring, self.algebra)
-        for m, s in c.terms.items():
-            out = out + self._shifted(m).scaled(s)
-        return out
+        bound = self.bound + c.bound
+        if bound >> (self.ring.width - 1):
+            bound = _exponent_bound(self, c.bound, c.num)
+        norm = self.norm * c.norm
+        codec, a, b, mod = self._pair(c, norm)
+        raw: dict[int, int] = {}
+        _pair_sums(raw, {k << INDEX_BITS: x for k, x in b.items()}, a, 1, None)
+        return self._of(_nonzero(raw, mod), self.den * c.den, bound, codec, norm)
 
     def __mul__(self, other):
         if other.__class__ is not TensorH:
@@ -1039,19 +933,13 @@ class TensorH(Sparse):
         bound = self.bound + o.bound
         if bound >> (self.ring.width - 1):
             bound = _exponent_bound(self, o.bound, [k >> INDEX_BITS for k in o.num])
-        if self.codec is None:
-            rows, tden, _ = packed_table(self.algebra, None)
-            raw = _products(self.num, o.num, rows)
-            num = {k: c for k, c in raw.items() if c}
-            return self._of(num, self.den * o.den * tden, bound, None, 0)
-        _, _, tnorm = packed_table(self.algebra, self.codec)
+        rows, tden, tnorm = packed_table(self.algebra, self.codec)
         norm = self.norm * o.norm * tnorm
-        codec = self._codec(norm, o)
-        rows, tden, _ = packed_table(self.algebra, codec)
-        mod = codec.modulus
-        raw = _products(self._at(codec), o._at(codec), rows)
-        num = {k: r for k, c in raw.items() if (r := c % mod)}
-        return self._of(num, self.den * o.den * tden, bound, codec, norm)
+        codec, a, b, mod = self._pair(o, norm)
+        if codec is not self.codec:
+            rows, tden, _ = packed_table(self.algebra, codec)
+        raw = _products(a, b, rows)
+        return self._of(_nonzero(raw, mod), self.den * o.den * tden, bound, codec, norm)
 
     __rmul__ = scale
 

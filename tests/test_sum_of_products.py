@@ -69,7 +69,7 @@ def scalars(draw, field):
 def elements(draw, ring):
     """A sum of at most three terms, each built by ring arithmetic as a
     scalar, times a power of q up to 2n + 1, times variables, so that the
-    keys still carry powers of q that canonical form would fold."""
+    numerators still hold powers of q that canonical form would fold."""
     field, hopf = ring.field, ring.hopf
     q = ring.scalar(field.q)
     elem = ring.zero()

@@ -1,13 +1,14 @@
-"""Differential tests of `tring.TElement`, integer numerators keyed by a
-monomial key with the exponent of q packed above it, against the Scalar
-coefficient element it replaced (`telement_reference.py`).
+"""Differential tests of `tring.TElement`, integer numerators keyed by the
+packed monomial key (Kronecker residues over fields of degree 2 or more),
+against the Scalar coefficient element it replaced
+(`telement_reference.py`).
 
 Over the fields Q(q) with q of order n in {1, 2, 3, 4, 6}: sums,
 differences, negation, products, powers, scaling, `inverse`, `==`, `hash`,
 `to_text`, `terms` and `evaluate` must agree.  Elements are built by ring
-arithmetic, so that they reach the comparisons with keys that canonical
-form still has to merge (powers of q past n, and sums such as 1 + q^2 at
-n = 4 that vanish only modulo Phi_n).
+arithmetic, so that they reach the comparisons with numerators that
+canonical form still has to reduce (powers of q past n, and sums such as
+1 + q^2 at n = 4 that vanish only modulo Phi_n).
 """
 
 import re
